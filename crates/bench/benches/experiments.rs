@@ -1,6 +1,6 @@
 //! Benchmarks that exercise every paper experiment at reduced scale, so
 //! `cargo bench` covers the full reproduction pipeline (the full-size
-//! runs live in the `fig*`/`table*`/`repro` binaries).
+//! runs are `killi repro`).
 //!
 //! Runs on the in-repo [`killi_bench::timing`] harness; tune the
 //! per-benchmark budget with `KILLI_BENCH_MS`.

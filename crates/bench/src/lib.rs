@@ -6,7 +6,8 @@
 //! - [`sweep`] — the Monte-Carlo replication engine (mean/stddev/CI95
 //!   per (vdd, scheme, workload) cell, JSON reports),
 //! - [`exec`] — the shared work-stealing thread pool + progress counters,
-//! - [`experiments`] — one function per paper figure/table,
+//! - [`experiments`] — the experiment table behind `killi repro`: one
+//!   entry per paper figure/table and extra study,
 //! - [`fault_models`] — the fault-model axis: registry re-exports and the
 //!   `stuck-at` helpers every experiment shares,
 //! - [`empirical`] — Monte-Carlo validation of the §5.3 coverage algebra,
@@ -15,9 +16,9 @@
 //! - [`perf`] — the `killi bench` before/after suite for the sweep hot
 //!   path (fault-map build, single simulation, full sweep).
 //!
-//! Binaries: `fig1`, `fig2`, `fig4`, `fig5`, `fig6`, `table4`..`table7`,
-//! `ablation`, and `repro` (runs everything, writing `results/*.txt`).
-//! Scale the simulation size with `KILLI_OPS_PER_CU` (default 150000).
+//! The crate has no binaries: `killi repro [--only fig4,table6] [--ops N]
+//! [--replications N]` runs the experiment table and writes each
+//! artifact under `results/` in the current directory.
 
 pub mod empirical;
 pub mod exec;
@@ -29,12 +30,3 @@ pub mod runner;
 pub mod schemes;
 pub mod sweep;
 pub mod timing;
-
-/// Reads the per-CU trace length from `KILLI_OPS_PER_CU` (default
-/// `150_000`; tests and CI can shrink it).
-pub fn ops_from_env() -> usize {
-    std::env::var("KILLI_OPS_PER_CU")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150_000)
-}

@@ -31,7 +31,7 @@ use killi_workloads::Workload;
 
 use crate::fault_models::{build_fault_model, stuck_at};
 use crate::report::Table;
-use crate::runner::{run_cell, run_cell_traced, ObsConfig};
+use crate::runner::{run_cell, trace_params, ObsConfig};
 use crate::schemes::SchemeSpec;
 use crate::sweep::{run_sweep, run_sweep_reference, SweepConfig};
 use crate::timing::measure;
@@ -223,19 +223,14 @@ pub fn run_perf_suite(quick: bool) -> PerfReport {
     let scheme = &config.schemes[0];
     let vdd = NormVdd(config.vdds[0]);
     let obs = ObsConfig::default();
-    let params = killi_workloads::TraceParams {
-        cus: config.gpu.cus,
-        ops_per_cu: config.ops_per_cu,
-        seed,
-        l2_bytes: config.gpu.l2.size_bytes,
-    };
+    let params = trace_params(&config.gpu, config.ops_per_cu, seed);
     let before_ns = measure(samples, || {
         let map = Arc::new(fault_model.map_reference(lines, vdd, FreqGhz::PEAK, seed));
         run_cell(
             workload,
             scheme,
             &config.gpu,
-            config.ops_per_cu,
+            workload.trace(&params),
             &map,
             seed,
             &obs,
@@ -247,7 +242,7 @@ pub fn run_perf_suite(quick: bool) -> PerfReport {
     let ops = Arc::new(workload.ops(&params));
     let after_ns = measure(samples, || {
         let map = Arc::new(die.map_at(vdd));
-        run_cell_traced(
+        run_cell(
             workload,
             scheme,
             &config.gpu,

@@ -1,7 +1,6 @@
-//! Plain-text report formatting shared by the experiment binaries.
+//! Plain-text report formatting shared by the experiments and the CLI.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// A column-aligned text table.
 #[derive(Debug, Clone)]
@@ -80,32 +79,6 @@ impl Table {
             fmt_row(&mut out, row);
         }
         out
-    }
-}
-
-/// Prints a report section and appends it to `results/<name>.txt` under the
-/// workspace root (created as needed). IO errors are reported, not fatal —
-/// the console output is the primary artifact.
-pub fn emit(name: &str, content: &str) {
-    println!("{content}");
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    if let Err(e) = std::fs::create_dir_all(&dir)
-        .and_then(|()| std::fs::write(dir.join(format!("{name}.txt")), content))
-    {
-        eprintln!("warning: could not write results/{name}.txt: {e}");
-    }
-}
-
-/// Writes a file verbatim into `results/` under the workspace root
-/// (created as needed) without echoing it to stdout — used for
-/// machine-readable artifacts such as the sweep engine's JSON reports.
-/// IO errors are reported, not fatal.
-pub fn emit_file(filename: &str, content: &str) {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    if let Err(e) =
-        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(dir.join(filename), content))
-    {
-        eprintln!("warning: could not write results/{filename}: {e}");
     }
 }
 

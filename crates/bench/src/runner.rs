@@ -8,6 +8,7 @@ use killi_fault::map::FaultMap;
 use killi_obs::{escape_json, Counter, MetricSet, Sink};
 use killi_sim::gpu::{GpuConfig, GpuSim};
 use killi_sim::stats::SimStats;
+use killi_sim::trace::Trace;
 use killi_workloads::{TraceParams, Workload};
 
 use crate::fault_models::{build_fault_model, FaultModelConfig};
@@ -86,46 +87,28 @@ pub struct RunResult {
     pub trace: Option<String>,
 }
 
-/// Runs one (workload, scheme) simulation with explicit trace seed and
-/// geometry — the primitive both [`run_matrix`] and the Monte-Carlo sweep
-/// engine build on. Results are a pure function of the arguments.
+/// Trace parameters for `gpu`'s CU count and L2 capacity.
+pub fn trace_params(gpu: &GpuConfig, ops_per_cu: usize, seed: u64) -> TraceParams {
+    TraceParams {
+        cus: gpu.cus,
+        ops_per_cu,
+        seed,
+        l2_bytes: gpu.l2.size_bytes,
+    }
+}
+
+/// Runs one (workload, scheme) simulation over `trace` — the primitive
+/// both [`run_matrix`] and the Monte-Carlo sweep engine build on. Results
+/// are a pure function of the arguments. The trace must be the one
+/// `workload` generates for `trace_seed` with the cell's geometry (pass
+/// `workload.trace(&trace_params(..))`, or replay a shared op buffer
+/// through `Trace::from_shared`); `trace_seed` also seeds the simulator's
+/// soft-error process and is stamped into the exported event trace.
 pub fn run_cell(
     workload: Workload,
     scheme: &SchemeConfig,
     gpu: &GpuConfig,
-    ops_per_cu: usize,
-    map: &Arc<FaultMap>,
-    trace_seed: u64,
-    obs: &ObsConfig,
-) -> RunResult {
-    let params = TraceParams {
-        cus: gpu.cus,
-        ops_per_cu,
-        seed: trace_seed,
-        l2_bytes: gpu.l2.size_bytes,
-    };
-    run_cell_traced(
-        workload,
-        scheme,
-        gpu,
-        workload.trace(&params),
-        map,
-        trace_seed,
-        obs,
-    )
-}
-
-/// [`run_cell`] with the workload trace supplied by the caller, so one
-/// generated op buffer (see `Workload::ops` + `Trace::from_shared`) can
-/// feed every scheme cell that replays the same (workload, seed). The
-/// trace must be the one `workload` generates for `trace_seed` with the
-/// cell's geometry — `trace_seed` still seeds the simulator's soft-error
-/// process and is stamped into the exported event trace.
-pub fn run_cell_traced(
-    workload: Workload,
-    scheme: &SchemeConfig,
-    gpu: &GpuConfig,
-    trace: killi_sim::trace::Trace,
+    trace: Trace,
     map: &Arc<FaultMap>,
     trace_seed: u64,
     obs: &ObsConfig,
@@ -168,25 +151,6 @@ pub fn run_cell_traced(
     }
 }
 
-/// Runs one (workload, scheme) cell of a matrix configuration with the
-/// no-op sink.
-pub fn run_one(
-    workload: Workload,
-    scheme: &SchemeConfig,
-    config: &MatrixConfig,
-    map: &Arc<FaultMap>,
-) -> RunResult {
-    run_cell(
-        workload,
-        scheme,
-        &config.gpu,
-        config.ops_per_cu,
-        map,
-        config.seed,
-        &ObsConfig::default(),
-    )
-}
-
 /// Runs the full (workload x scheme) matrix, plus the fault-free baseline
 /// for every workload, on the shared work-stealing pool. Results preserve
 /// matrix order: baselines first, then workload-major over `schemes`.
@@ -213,7 +177,16 @@ pub fn run_matrix(
 
     crate::exec::par_map(config.threads, &jobs, None, |_, &(w, s)| {
         let map = if s.is_baseline() { &free_map } else { &lv_map };
-        run_one(w, s, config, map)
+        let trace = w.trace(&trace_params(&config.gpu, config.ops_per_cu, config.seed));
+        run_cell(
+            w,
+            s,
+            &config.gpu,
+            trace,
+            map,
+            config.seed,
+            &ObsConfig::default(),
+        )
     })
 }
 

@@ -28,7 +28,7 @@ use killi_fault::rng::derive_seed;
 use killi_sim::gpu::GpuConfig;
 use killi_sim::stats::SimStats;
 use killi_sim::trace::{Trace, TraceOp};
-use killi_workloads::{TraceParams, Workload};
+use killi_workloads::Workload;
 
 use killi_obs::MetricSet;
 
@@ -38,7 +38,7 @@ use crate::fault_models::{
     FaultModelConfig, STUCK_AT,
 };
 use crate::report::Table;
-use crate::runner::{run_cell, run_cell_traced, ObsConfig};
+use crate::runner::{run_cell, trace_params, ObsConfig};
 use crate::schemes::{
     build_scheme, default_registry, scheme_label, BuildCtx, BuildError, SchemeConfig, SchemeSpec,
 };
@@ -536,12 +536,8 @@ fn run_sweep_mode(config: &SweepConfig, mode: ArtifactMode) -> SweepReport {
             .expect("workload in ALL") as u64;
         derive_seed(config.root_seed, "trace", &[workload_id, rep as u64])
     };
-    let trace_params = |w: usize, rep: usize| TraceParams {
-        cus: config.gpu.cus,
-        ops_per_cu: config.ops_per_cu,
-        seed: trace_seed(w, rep),
-        l2_bytes: config.gpu.l2.size_bytes,
-    };
+    let cell_params =
+        |w: usize, rep: usize| trace_params(&config.gpu, config.ops_per_cu, trace_seed(w, rep));
 
     // Phase 1: shared artifacts. maps[v * reps + rep]: one die per
     // replicate (the *same* die across the voltage grid), hashed once per
@@ -581,7 +577,7 @@ fn run_sweep_mode(config: &SweepConfig, mode: ArtifactMode) -> SweepReport {
                 .flat_map(|w| (0..reps).map(move |rep| (w, rep)))
                 .collect();
             let traces = par_map(config.threads, &trace_keys, None, |_, &(w, rep)| {
-                Arc::new(config.workloads[w].ops(&trace_params(w, rep)))
+                Arc::new(config.workloads[w].ops(&cell_params(w, rep)))
             });
             (maps, traces)
         }
@@ -630,7 +626,7 @@ fn run_sweep_mode(config: &SweepConfig, mode: ArtifactMode) -> SweepReport {
                     Job::Baseline { .. } => &free_map,
                     Job::Cell { v, .. } => &maps[v * reps + rep],
                 };
-                run_cell_traced(
+                run_cell(
                     workload,
                     scheme,
                     &config.gpu,
@@ -654,7 +650,7 @@ fn run_sweep_mode(config: &SweepConfig, mode: ArtifactMode) -> SweepReport {
                     workload,
                     scheme,
                     &config.gpu,
-                    config.ops_per_cu,
+                    workload.trace(&cell_params(w, rep)),
                     &map,
                     trace_seed(w, rep),
                     &obs,

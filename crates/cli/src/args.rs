@@ -30,6 +30,9 @@ pub enum ArgError {
     /// An unrecognized subcommand; `known` is the full dispatch table
     /// so the message always lists every real command.
     UnknownCommand { command: String, known: Vec<String> },
+    /// An unrecognized `repro --only` id; `known` is the full experiment
+    /// table.
+    UnknownExperiment { id: String, known: Vec<String> },
     /// An I/O failure while executing a subcommand.
     Io { message: String },
 }
@@ -59,6 +62,11 @@ impl std::fmt::Display for ArgError {
             ArgError::UnknownCommand { command, known } => write!(
                 f,
                 "unknown command '{command}' (commands: {})",
+                known.join(", ")
+            ),
+            ArgError::UnknownExperiment { id, known } => write!(
+                f,
+                "unknown experiment '{id}' (experiments: {})",
                 known.join(", ")
             ),
             ArgError::Io { message } => write!(f, "{message}"),

@@ -21,7 +21,7 @@
 //! killi replay    --in trace.ktrc [--scheme killi] [--vdd 0.625]
 //!                 [--fault-model stuck-at]
 //! killi profile   [--workload fft | --in trace.ktrc] [--ops 100000]
-//! killi stats     --in results/BENCH_sweep.json
+//! killi stats     --in results/sweep.json
 //! killi trace     [--workload fft] [--scheme killi] [--capacity 4096]
 //!                 [--out FILE.jsonl] | --check FILE.jsonl
 //! killi serve     [--host 127.0.0.1] [--port 7171] [--workers 2]
@@ -30,6 +30,7 @@
 //! killi status    --job ID [--url http://127.0.0.1:7171]
 //! killi fetch     --job ID [--url http://127.0.0.1:7171] [--out FILE.json]
 //!                 [--wait]
+//! killi repro     [--only fig4,table6] [--ops 150000] [--replications 4]
 //! ```
 
 mod args;
@@ -38,13 +39,16 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use args::{ArgError, Args};
+use killi_bench::experiments::{Experiment, Repro, EXPERIMENTS};
 use killi_bench::fault_models::{
     build_fault_model, default_fault_registry, fault_model_label, FaultModelBuildError,
     FaultModelConfig, STUCK_AT,
 };
 use killi_bench::perf::{run_perf_suite, BENCHMARK_NAMES};
 use killi_bench::report::Table;
-use killi_bench::runner::{baseline_of, run_cell, run_matrix, MatrixConfig, ObsConfig};
+use killi_bench::runner::{
+    baseline_of, run_cell, run_matrix, trace_params, MatrixConfig, ObsConfig,
+};
 use killi_bench::schemes::{
     build_scheme, default_registry, scheme_label, BuildCtx, ParamValue, SchemeConfig,
 };
@@ -86,7 +90,7 @@ USAGE:
                   [--workloads xsbench,hacc] [--schemes killi] [--ratio 64]
                   [--scheme-file FILE.json] [--fault-model stuck-at]
                   [--ops 10000] [--seed 42] [--l2kb 512] [--progress 10]
-                  [--out results/BENCH_sweep.json]
+                  [--out results/sweep.json]
                   [--trace FILE.jsonl] [--trace-capacity 4096]
                   Monte-Carlo sweep: statistics (mean/stddev/95% CI) over
                   seed-derived replicate fault maps, written as JSON.
@@ -128,7 +132,7 @@ USAGE:
   killi replay    --in trace.ktrc  [--scheme killi] [--ratio 64] [--vdd 0.625]
                   [--fault-model stuck-at]
   killi profile   [--workload fft | --in trace.ktrc] [--ops 100000]
-  killi stats     --in results/BENCH_sweep.json
+  killi stats     --in results/sweep.json
                   Per-scheme observability digest of a killi-sweep/v2
                   report: DFH transitions and the error-induced vs
                   ECC-cache-induced miss split.
@@ -158,6 +162,13 @@ USAGE:
                   [--wait]
                   Downloads the killi-sweep/v2 report of a finished job
                   (stdout unless --out).
+  killi repro     [--only fig4,table6] [--ops 150000] [--replications 4]
+                  Reproduces the paper: runs every experiment (or the
+                  --only ids) in table order, prints each text report and
+                  writes every artifact to results/ under the current
+                  directory. --ops scales the simulations' per-CU trace
+                  length; --replications sets the replicate fault maps of
+                  the replicated studies (lowvmin, dvfs).
 
 Run 'killi <command> --help' (or bare 'killi') to print this text.
 ";
@@ -187,6 +198,7 @@ const COMMANDS: &[(&str, Command)] = &[
     ("submit", cmd_submit),
     ("status", cmd_status),
     ("fetch", cmd_fetch),
+    ("repro", cmd_repro),
 ];
 
 /// Every registered subcommand name, in table order.
@@ -650,7 +662,7 @@ fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
         )?
         .max(1);
     let l2_kb: usize = args.get_num("l2kb", 512)?;
-    let out = args.get_or("out", "results/BENCH_sweep.json");
+    let out = args.get_or("out", "results/sweep.json");
     let trace_out = args.get_or("trace", "");
     let vdds = args.flag_f64_list("vdds", "0.65,0.625,0.6")?;
     let workloads = args.flag_list("workloads", "xsbench,hacc", |s| {
@@ -1127,7 +1139,8 @@ fn cmd_trace(args: &Args) -> Result<(), ArgError> {
         trace_capacity: Some(capacity),
         context,
     };
-    let r = run_cell(workload, &scheme, &gpu, ops, &map, seed, &obs);
+    let trace = workload.trace(&trace_params(&gpu, ops, seed));
+    let r = run_cell(workload, &scheme, &gpu, trace, &map, seed, &obs);
     let trace = r.trace.expect("tracing was requested");
     if out.is_empty() {
         print!("{trace}");
@@ -1355,4 +1368,103 @@ fn cmd_fetch(args: &Args) -> Result<(), ArgError> {
         eprintln!("wrote {out} ({} bytes)", resp.body.len());
     }
     Ok(())
+}
+
+/// Parses `repro --only` into experiment-table entries, in the order
+/// given; without `--only`, the whole table in table order.
+fn selected_experiments(args: &Args) -> Result<Vec<&'static Experiment>, ArgError> {
+    if !args.has("only") {
+        return Ok(EXPERIMENTS.iter().collect());
+    }
+    args.flag_list("only", "", |id| {
+        EXPERIMENTS
+            .iter()
+            .find(|e| e.id == id)
+            .ok_or_else(|| ArgError::UnknownExperiment {
+                id: id.to_string(),
+                known: EXPERIMENTS.iter().map(|e| e.id.to_string()).collect(),
+            })
+    })
+}
+
+/// Reads a count flag that must be at least 1.
+fn positive(args: &Args, name: &str, default: usize) -> Result<usize, ArgError> {
+    let n: usize = args.get_num(name, default)?;
+    if n == 0 {
+        return Err(ArgError::invalid(name, "0", "a positive number"));
+    }
+    Ok(n)
+}
+
+/// `killi repro`: runs the experiment table, printing each text artifact
+/// and writing every artifact to `results/` under the current directory.
+/// fig4, fig5 and table6 share one run of the Figure 4 matrix.
+fn cmd_repro(args: &Args) -> Result<(), ArgError> {
+    let experiments = selected_experiments(args)?;
+    let ops = positive(args, "ops", 150_000)?;
+    let repro = Repro::new(ops, positive(args, "replications", 4)?);
+    let dir = std::path::Path::new("results");
+    std::fs::create_dir_all(dir).map_err(|e| io_msg(format!("results/: {e}")))?;
+    let started = std::time::Instant::now();
+    for experiment in experiments {
+        eprintln!("running {} ({ops} ops/CU)...", experiment.id);
+        for (name, contents) in experiment.run(&repro) {
+            if name.ends_with(".txt") {
+                println!("{contents}");
+            }
+            std::fs::write(dir.join(name), &contents)
+                .map_err(|e| io_msg(format!("results/{name}: {e}")))?;
+        }
+    }
+    eprintln!("done in {:.1}s", started.elapsed().as_secs_f64());
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Args {
+        Args::parse(argv.iter().map(|s| s.to_string())).expect("parses")
+    }
+
+    #[test]
+    fn repro_rejects_an_unknown_experiment_naming_every_id() {
+        let err = selected_experiments(&parse(&["repro", "--only", "fig4,nosuch"]))
+            .expect_err("nosuch is not an experiment");
+        let ArgError::UnknownExperiment { id, known } = &err else {
+            panic!("{err:?}");
+        };
+        assert_eq!(id, "nosuch");
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        assert_eq!(known, &ids);
+        for id in ids {
+            assert!(err.to_string().contains(id), "{err}");
+        }
+    }
+
+    #[test]
+    fn repro_selects_the_given_ids_or_the_whole_table() {
+        let only = selected_experiments(&parse(&["repro", "--only", "table6,fig1"])).unwrap();
+        let ids: Vec<&str> = only.iter().map(|e| e.id).collect();
+        assert_eq!(ids, ["table6", "fig1"]);
+        let all = selected_experiments(&parse(&["repro"])).unwrap();
+        assert_eq!(all.len(), EXPERIMENTS.len());
+    }
+
+    #[test]
+    fn repro_rejects_malformed_and_zero_counts() {
+        for argv in [
+            ["repro", "--ops", "abc"],
+            ["repro", "--ops", "0"],
+            ["repro", "--replications", "-1"],
+        ] {
+            let flag = argv[1].trim_start_matches("--");
+            let err = cmd_repro(&parse(&argv)).expect_err("bad count");
+            assert!(
+                matches!(&err, ArgError::InvalidValue { flag: f, .. } if f == flag),
+                "{err:?}"
+            );
+        }
+    }
 }

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use killi_repro::bench::runner::{run_cell, ObsConfig};
+use killi_repro::bench::runner::{run_cell, trace_params, ObsConfig};
 use killi_repro::bench::schemes::SchemeSpec;
 use killi_repro::fault::cell_model::{FreqGhz, NormVdd};
 use killi_repro::fault::map::FaultMap;
@@ -45,7 +45,7 @@ fn recording_sink_does_not_perturb_simulation() {
             Workload::Fft,
             &scheme,
             &gpu,
-            3_000,
+            Workload::Fft.trace(&trace_params(&gpu, 3_000, 11)),
             &map,
             11,
             &ObsConfig::default(),
@@ -54,7 +54,7 @@ fn recording_sink_does_not_perturb_simulation() {
             Workload::Fft,
             &scheme,
             &gpu,
-            3_000,
+            Workload::Fft.trace(&trace_params(&gpu, 3_000, 11)),
             &map,
             11,
             &ObsConfig::traced(1024),
@@ -88,7 +88,7 @@ fn exported_trace_is_well_formed_jsonl() {
         Workload::Xsbench,
         &SchemeSpec::Killi(16).config(),
         &gpu,
-        3_000,
+        Workload::Xsbench.trace(&trace_params(&gpu, 3_000, 11)),
         &map,
         11,
         &obs,
@@ -126,7 +126,7 @@ fn run_cell_metrics_agree_with_sim_stats() {
         Workload::Fft,
         &SchemeSpec::Killi(16).config(),
         &gpu,
-        3_000,
+        Workload::Fft.trace(&trace_params(&gpu, 3_000, 11)),
         &map,
         11,
         &ObsConfig::default(),
