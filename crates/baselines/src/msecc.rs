@@ -19,6 +19,7 @@ use killi::pipeline::{
     LineStore, OlscBlockCodec, OracleClassifier, PassthroughPolicy, ProtectionPipeline,
 };
 use killi_ecc::bits::Line512;
+use killi_ecc::olsc::OlscLine;
 use killi_fault::map::{FaultMap, LineId};
 use killi_obs::{MetricSet, Sink};
 use killi_sim::protection::{FillOutcome, LineProtection, ReadOutcome};
@@ -52,7 +53,8 @@ impl MsEcc {
     }
 
     /// Fallible construction (the registry path): validates the OLSC
-    /// geometry and map coverage instead of panicking.
+    /// geometry (including that a line's checkbits fit the 256-bit
+    /// payload) and map coverage instead of panicking.
     pub fn try_with_code(
         map: Arc<FaultMap>,
         l2_lines: usize,
@@ -62,26 +64,13 @@ impl MsEcc {
         if map.lines() < l2_lines {
             return Err("fault map too small".to_string());
         }
-        if !matches!(m, 4 | 8 | 16) {
-            return Err(format!("OLSC block width m={m} is not one of 4, 8, 16"));
-        }
-        if t == 0 || 2 * t > m + 1 {
-            return Err(format!(
-                "OLSC t={t} out of range for m={m} (need 1 <= t, 2t <= m+1)"
-            ));
-        }
-        if 2 * t * m > 256 {
-            return Err(format!(
-                "OLSC({m}, {t}) checkbits ({}) exceed the 256-bit payload",
-                2 * t * m
-            ));
-        }
+        let codec = OlscLine::try_new(m, t)?;
         // Oracle: disable lines with more than `t` data faults in any block.
         let oracle = OracleClassifier::from_block_budget(&map, l2_lines, m * m, t);
         Ok(MsEcc {
             pipe: ProtectionPipeline::new(
                 "ms-ecc",
-                OlscBlockCodec::new(m, t),
+                OlscBlockCodec::new(codec),
                 LineStore::new(l2_lines),
                 oracle,
                 PassthroughPolicy,
@@ -246,5 +235,16 @@ mod tests {
         assert!(err.contains("out of range"), "{err}");
         let err = MsEcc::try_with_code(map, 64, 8, 2).unwrap_err();
         assert_eq!(err, "fault map too small");
+    }
+
+    #[test]
+    fn line_checkbits_beyond_the_payload_are_an_error_not_a_panic() {
+        // Each block's 2tm checkbits fit, but the line's do not: 8 x 48,
+        // 32 x 16 and 2 x 160 bits against the 256-bit payload.
+        let map = map_with(vec![]);
+        for (m, t) in [(8, 3), (4, 2), (16, 5)] {
+            let err = MsEcc::try_with_code(Arc::clone(&map), 16, m, t).unwrap_err();
+            assert!(err.contains("256-bit payload"), "OLSC({m}, {t}): {err}");
+        }
     }
 }

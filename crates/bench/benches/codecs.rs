@@ -41,6 +41,9 @@ fn bench_dected() {
     let mut two = line;
     two.flip_bit(9);
     two.flip_bit(400);
+    let mut three = two;
+    three.flip_bit(211);
+    assert!(codec.decode(&three, code).is_uncorrectable());
     bench("dected/encode", || codec.encode(black_box(&line)));
     bench("dected/decode_clean", || {
         codec.decode(black_box(&line), code)
@@ -48,15 +51,40 @@ fn bench_dected() {
     bench("dected/decode_correct2", || {
         codec.decode(black_box(&two), code)
     });
+    bench("dected/decode_detect3", || {
+        codec.decode(black_box(&three), code)
+    });
 }
 
 fn bench_olsc() {
     let codec = OlscLine::new(8, 2);
     let line = Line512::from_seed(4);
     let check = codec.encode(&line);
+    // Two flips in each of the eight 64-bit blocks: the most OLSC(8, 2)
+    // corrects, so every block takes the majority-vote path.
+    let mut two_per_block = line;
+    for block in 0..8 {
+        two_per_block.flip_bit(block * 64 + 5);
+        two_per_block.flip_bit(block * 64 + 42);
+    }
+    // Three flips in one block exceed t = 2.
+    let mut overloaded = line;
+    for bit in [1, 9, 17] {
+        overloaded.flip_bit(bit);
+    }
+    let mut probe = overloaded;
+    assert!(codec.decode(&mut probe, &check).is_uncorrectable());
     bench("olsc/encode", || codec.encode(black_box(&line)));
     bench("olsc/decode_clean", || {
         let mut l = black_box(line);
+        codec.decode(&mut l, &check)
+    });
+    bench("olsc/decode_correct2", || {
+        let mut l = black_box(two_per_block);
+        codec.decode(&mut l, &check)
+    });
+    bench("olsc/decode_detect", || {
+        let mut l = black_box(overloaded);
         codec.decode(&mut l, &check)
     });
 }

@@ -468,24 +468,6 @@ impl VictimPolicy for DfhPriorityPolicy {
     }
 }
 
-/// Packs an OLSC checkbit vector into the Copy-able payload words.
-pub fn pack_olsc(bits: &[bool]) -> [u64; 4] {
-    let mut out = [0u64; 4];
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            out[i / 64] |= 1 << (i % 64);
-        }
-    }
-    out
-}
-
-/// Unpacks OLSC checkbits.
-pub fn unpack_olsc(words: &[u64; 4], n: usize) -> Vec<bool> {
-    (0..n)
-        .map(|i| (words[i / 64] >> (i % 64)) & 1 == 1)
-        .collect()
-}
-
 /// Per-line SECDED stored in (faulty) low-voltage metadata cells — the
 /// FLAIR / conventional-SECDED baseline codec.
 #[derive(Debug, Clone)]
@@ -586,18 +568,9 @@ pub struct OlscBlockCodec {
 }
 
 impl OlscBlockCodec {
-    /// An OLSC(m, t) codec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line-wide checkbit count exceeds the 256-bit payload
-    /// (use [`crate::registry`] configs for a checked build).
-    pub fn new(m: usize, t: usize) -> Self {
-        let codec = OlscLine::new(m, t);
-        assert!(
-            codec.check_bits() <= 256,
-            "OLSC({m}, {t}) checkbits exceed the 256-bit payload"
-        );
+    /// A codec storing `codec`'s packed checkbits (which
+    /// [`OlscLine::try_new`] guarantees fit the 256-bit payload).
+    pub fn new(codec: OlscLine) -> Self {
         OlscBlockCodec { codec }
     }
 
@@ -614,19 +587,18 @@ impl DetectionCodec for OlscBlockCodec {
 
     fn encode(&mut self, line: LineId, data: &Line512) -> EccPayload {
         let _ = line;
-        EccPayload::Olsc(pack_olsc(&self.codec.encode(data)))
+        EccPayload::Olsc(self.codec.encode(data))
     }
 
     fn check(&mut self, line: LineId, stored: &mut Line512, payload: &EccPayload) -> CodecVerdict {
         let _ = line;
-        let EccPayload::Olsc(words) = payload else {
+        let EccPayload::Olsc(check) = payload else {
             debug_assert!(false, "OLSC codec given a non-OLSC payload");
             return CodecVerdict::Uncorrectable;
         };
-        let check = unpack_olsc(words, self.codec.check_bits());
-        match self.codec.decode(stored, &check) {
+        match self.codec.decode(stored, check) {
             OlscDecode::Clean => CodecVerdict::Clean,
-            OlscDecode::Corrected { .. } => CodecVerdict::Corrected,
+            OlscDecode::Corrected => CodecVerdict::Corrected,
             OlscDecode::Detected => CodecVerdict::Uncorrectable,
         }
     }

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use killi_ecc::bch::dected;
 use killi_ecc::bits::Line512;
-use killi_ecc::olsc::{OlscDecode, OlscLine};
+use killi_ecc::olsc::{OlscCheck, OlscDecode, OlscLine};
 use killi_ecc::parity::SegObservation;
 use killi_ecc::secded::secded;
 use killi_fault::map::{FaultMap, LineId};
@@ -34,8 +34,8 @@ use crate::classify::{classify_stable0, classify_stable1, classify_unknown, Verd
 use crate::dfh::Dfh;
 use crate::ecc_cache::{EccCache, EccCacheConfig, EccPayload};
 use crate::pipeline::{
-    pack_olsc, unpack_olsc, CorrectionStore, DfhClassifier, DfhPriorityPolicy, FaultClassifier,
-    SegmentedParity, VictimPolicy,
+    CorrectionStore, DfhClassifier, DfhPriorityPolicy, FaultClassifier, SegmentedParity,
+    VictimPolicy,
 };
 
 /// Killi configuration. Defaults reproduce the paper's design; the boolean
@@ -281,34 +281,51 @@ impl KilliScheme {
     }
 
     /// §5.5 classification: decode the line against its OLSC checkbits and
-    /// move the DFH accordingly. Returns the corrected data bits (empty
-    /// when clean) or `None` for an uncorrectable (disable) verdict.
+    /// move the DFH accordingly. Returns the verdict and the decoded line
+    /// (`stored` with its errors corrected when the verdict is `Corrected`).
     fn classify_olsc(
         &mut self,
         line: LineId,
         stored: &Line512,
-        words: &[u64; 4],
-    ) -> Option<Vec<usize>> {
+        check: &OlscCheck,
+    ) -> (OlscDecode, Line512) {
         let codec = self.olsc.as_ref().expect("olsc payload without olsc mode");
-        let check = unpack_olsc(words, codec.check_bits());
         let mut work = *stored;
-        match codec.decode(&mut work, &check) {
+        let verdict = codec.decode(&mut work, check);
+        match verdict {
             OlscDecode::Clean => {
                 self.ecc.invalidate(line);
                 self.parity.install4(line, stored);
                 self.classifier.transition(line, Dfh::Stable0);
-                Some(Vec::new())
             }
-            OlscDecode::Corrected { bits } => {
+            OlscDecode::Corrected => {
                 self.parity.install4(line, &work);
                 self.classifier.transition(line, Dfh::Stable1);
-                Some(bits)
             }
             OlscDecode::Detected => {
                 self.detections += 1;
                 self.ecc.invalidate(line);
                 self.classifier.transition(line, Dfh::Disabled);
-                None
+            }
+        }
+        (verdict, work)
+    }
+
+    /// The read-hit path of a line whose ECC entry holds OLSC checkbits:
+    /// classify, then deliver the corrected data or refetch.
+    fn read_olsc(&mut self, line: LineId, stored: &mut Line512, check: &OlscCheck) -> ReadOutcome {
+        match self.classify_olsc(line, stored, check) {
+            (OlscDecode::Detected, _) => ReadOutcome::ErrorMiss { extra_cycles: 0 },
+            (verdict, decoded) => {
+                let corrected = verdict == OlscDecode::Corrected;
+                if corrected {
+                    *stored = decoded;
+                    self.corrections += 1;
+                }
+                ReadOutcome::Clean {
+                    extra_cycles: 0,
+                    corrected,
+                }
             }
         }
     }
@@ -390,7 +407,7 @@ impl LineProtection for KilliScheme {
             Dfh::Unknown => {
                 let p16 = self.parity.install16(line, data);
                 let payload = if let Some(codec) = &self.olsc {
-                    EccPayload::Olsc(pack_olsc(&codec.encode(data)))
+                    EccPayload::Olsc(codec.encode(data))
                 } else {
                     EccPayload::Secded {
                         code: secded().encode(data),
@@ -405,7 +422,7 @@ impl LineProtection for KilliScheme {
             Dfh::Stable1 => {
                 self.parity.install4(line, data);
                 let payload = if let Some(codec) = &self.olsc {
-                    EccPayload::Olsc(pack_olsc(&codec.encode(data)))
+                    EccPayload::Olsc(codec.encode(data))
                 } else if self.config.dected_upgrade {
                     self.flags[line].dected = true;
                     EccPayload::Dected(dected().encode(data))
@@ -525,23 +542,8 @@ impl LineProtection for KilliScheme {
                     debug_assert!(false, "b'01 line without ECC entry");
                     return ReadOutcome::ErrorMiss { extra_cycles: 0 };
                 };
-                if let EccPayload::Olsc(words) = payload {
-                    return match self.classify_olsc(line, stored, &words) {
-                        Some(bits) => {
-                            let corrected = !bits.is_empty();
-                            for bit in bits {
-                                stored.flip_bit(bit);
-                            }
-                            if corrected {
-                                self.corrections += 1;
-                            }
-                            ReadOutcome::Clean {
-                                extra_cycles: 0,
-                                corrected,
-                            }
-                        }
-                        None => ReadOutcome::ErrorMiss { extra_cycles: 0 },
-                    };
+                if let EccPayload::Olsc(check) = payload {
+                    return self.read_olsc(line, stored, &check);
                 }
                 let (seg, ecc, dec) = self.observe_unknown(line, stored, payload);
                 let mut verdict = classify_unknown(seg, ecc, dec);
@@ -582,22 +584,7 @@ impl LineProtection for KilliScheme {
                     return ReadOutcome::ErrorMiss { extra_cycles: 0 };
                 };
                 match payload {
-                    EccPayload::Olsc(words) => match self.classify_olsc(line, stored, &words) {
-                        Some(bits) => {
-                            let corrected = !bits.is_empty();
-                            for bit in bits {
-                                stored.flip_bit(bit);
-                            }
-                            if corrected {
-                                self.corrections += 1;
-                            }
-                            ReadOutcome::Clean {
-                                extra_cycles: 0,
-                                corrected,
-                            }
-                        }
-                        None => ReadOutcome::ErrorMiss { extra_cycles: 0 },
-                    },
+                    EccPayload::Olsc(check) => self.read_olsc(line, stored, &check),
                     EccPayload::Dected(code) => {
                         // §5.2 upgraded line: DEC-TED handles up to two
                         // errors without parity help.
@@ -671,8 +658,8 @@ impl LineProtection for KilliScheme {
             return false;
         }
         match (self.classifier.get(line), payload) {
-            (Dfh::Unknown, EccPayload::Olsc(words)) => {
-                let _ = self.classify_olsc(line, stored, &words);
+            (Dfh::Unknown, EccPayload::Olsc(check)) => {
+                self.classify_olsc(line, stored, &check);
                 self.classifier.get(line) == Dfh::Stable0
             }
             (Dfh::Unknown, payload) => {
@@ -708,8 +695,8 @@ impl LineProtection for KilliScheme {
                                 }
                             });
                     match payload {
-                        Some(EccPayload::Olsc(words)) => {
-                            let _ = self.classify_olsc(line, stored, &words);
+                        Some(EccPayload::Olsc(check)) => {
+                            self.classify_olsc(line, stored, &check);
                         }
                         Some(payload) => {
                             // §4.4: read the evicted data, compare parity
@@ -1280,11 +1267,13 @@ mod olsc_tests {
     }
 
     #[test]
-    fn olsc_payload_roundtrip() {
-        let codec = OlscLine::new(8, 2);
+    fn olsc_payload_is_the_packed_codec_output() {
+        let mut s = olsc_scheme(vec![]);
         let data = Line512::from_seed(9);
-        let bits = codec.encode(&data);
-        let packed = pack_olsc(&bits);
-        assert_eq!(unpack_olsc(&packed, bits.len()), bits);
+        s.on_fill(0, &data);
+        assert_eq!(
+            s.ecc.lookup(0),
+            Some(EccPayload::Olsc(OlscLine::new(8, 2).encode(&data)))
+        );
     }
 }

@@ -10,11 +10,20 @@
 //! - degrees `0..20`: the 20 BCH remainder checkbits,
 //! - degrees `20..532`: the 512 data bits (data bit `i` at degree `i + 20`),
 //! - one overall-parity cell outside the polynomial.
+//!
+//! Encoding computes the remainder `d(x) * x^20 mod g(x)` a byte at a time
+//! from eight 256-entry tables, one data word per step (slicing by eight).
+//! Decoding needs only the 20-bit error remainder: the received codeword
+//! differs from the valid codeword of the received data by the XOR of the
+//! stored and recomputed remainders, so both syndromes are that 20-bit
+//! polynomial evaluated at `alpha` and `alpha^3`, three table lookups. Two
+//! errors are located in closed form: with `x = s1 * y` the error-locator
+//! polynomial becomes `y^2 + y = c`, solved by a 1,024-entry root table.
 
 use std::sync::OnceLock;
 
 use crate::bits::{Line512, LINE_BITS};
-use crate::gf1024::{minimal_polynomial, Gf10};
+use crate::gf1024::{minimal_polynomial, Gf10, GROUP_ORDER};
 
 /// Number of BCH remainder checkbits.
 pub const BCH_BITS: usize = 20;
@@ -22,6 +31,12 @@ pub const BCH_BITS: usize = 20;
 pub const CHECK_BITS: usize = 21;
 /// Codeword length in polynomial positions (data + BCH checkbits).
 pub const CODE_LEN: usize = LINE_BITS + BCH_BITS; // 532
+
+/// The 20 BCH remainder bits of a checkbit word.
+const BCH_MASK: u32 = (1 << BCH_BITS) - 1;
+
+/// Marks a constant `c` for which `y^2 + y = c` has no root.
+const NO_ROOT: u16 = u16::MAX;
 
 /// The 21 stored checkbits of a DEC-TED codeword.
 ///
@@ -48,7 +63,8 @@ pub enum DectedDecode {
     /// No error detected.
     Clean,
     /// Up to two errors corrected; the listed data-bit indices must be
-    /// flipped (checkbit-only errors contribute no entries).
+    /// flipped (checkbit-only errors contribute no entries). Two located
+    /// errors are listed in ascending codeword degree.
     Corrected { bits: [Option<usize>; 2] },
     /// Three or more errors detected; not correctable.
     Detected,
@@ -62,14 +78,23 @@ impl DectedDecode {
 }
 
 /// The DEC-TED(533, 512) codec.
-#[derive(Debug)]
 pub struct Dected {
-    /// Generator polynomial `m1(x) * m3(x)`, degree 20 (bit i = coeff x^i).
-    generator: u64,
-    /// Per-byte syndrome tables: `s1_table[byte_idx][byte]` is the XOR of
-    /// `alpha^degree` over the set bits, and likewise for `alpha^(3*degree)`.
-    s1_table: Vec<[u16; 256]>,
-    s3_table: Vec<[u16; 256]>,
+    /// Slicing-by-8 remainder tables: `remainder[b][v]` is
+    /// `v(x) * x^(8b + 20) mod g(x)`.
+    remainder: [[u32; 256]; 8],
+    /// Syndromes of a 20-bit error remainder, per byte: `syndrome[c][v]`
+    /// packs `e(alpha)` (bits 0..10) and `e(alpha^3)` (bits 16..26) of
+    /// `e(x) = v(x) * x^(8c)`.
+    syndrome: [[u32; 256]; 3],
+    /// `roots[c]`: one root `y` of `y^2 + y = c` (the other is `y + 1`),
+    /// or [`NO_ROOT`].
+    roots: [u16; 1024],
+}
+
+impl std::fmt::Debug for Dected {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Dected").finish_non_exhaustive()
+    }
 }
 
 /// Raw syndrome observation, exposed for schemes that branch on
@@ -92,10 +117,10 @@ impl DectedObservation {
 }
 
 impl Dected {
-    /// Builds the codec (generator polynomial and syndrome tables).
+    /// Builds the codec (generator polynomial and lookup tables).
     pub fn new() -> Self {
-        let m1 = minimal_polynomial(1) as u64;
-        let m3 = minimal_polynomial(3) as u64;
+        let m1 = u64::from(minimal_polynomial(1));
+        let m3 = u64::from(minimal_polynomial(3));
         // Carry-less multiply m1 * m3 over GF(2).
         let mut generator = 0u64;
         for i in 0..=10 {
@@ -104,50 +129,73 @@ impl Dected {
             }
         }
         debug_assert_eq!(64 - generator.leading_zeros() as usize - 1, BCH_BITS);
-
-        let nbytes = CODE_LEN.div_ceil(8);
-        let mut s1_table = vec![[0u16; 256]; nbytes];
-        let mut s3_table = vec![[0u16; 256]; nbytes];
-        for (byte_idx, (t1, t3)) in s1_table.iter_mut().zip(s3_table.iter_mut()).enumerate() {
-            for byte in 0u16..256 {
-                let mut a1 = Gf10::ZERO;
-                let mut a3 = Gf10::ZERO;
-                for bit in 0..8 {
-                    if (byte >> bit) & 1 == 1 {
-                        let degree = byte_idx * 8 + bit;
-                        if degree < CODE_LEN {
-                            a1 = a1.add(Gf10::alpha_pow(degree));
-                            a3 = a3.add(Gf10::alpha_pow(3 * degree));
-                        }
-                    }
+        // v(x) * x^shift mod g(x), one degree at a time.
+        let mulx_mod = |v: u64, shift: usize| {
+            let mut r = v;
+            for _ in 0..shift {
+                r <<= 1;
+                if (r >> BCH_BITS) & 1 == 1 {
+                    r ^= generator;
                 }
-                t1[byte as usize] = a1.0;
-                t3[byte as usize] = a3.0;
+            }
+            r as u32
+        };
+
+        let mut remainder = [[0u32; 256]; 8];
+        for (b, table) in remainder.iter_mut().enumerate() {
+            for (v, entry) in table.iter_mut().enumerate() {
+                *entry = mulx_mod(v as u64, 8 * b + BCH_BITS);
+            }
+        }
+        let mut syndrome = [[0u32; 256]; 3];
+        for (c, table) in syndrome.iter_mut().enumerate() {
+            for (v, entry) in table.iter_mut().enumerate() {
+                let mut s1 = Gf10::ZERO;
+                let mut s3 = Gf10::ZERO;
+                for bit in (0..8).filter(|bit| (v >> bit) & 1 == 1) {
+                    let degree = 8 * c + bit;
+                    s1 = s1.add(Gf10::alpha_pow(degree));
+                    s3 = s3.add(Gf10::alpha_pow(3 * degree));
+                }
+                *entry = u32::from(s1.0) | (u32::from(s3.0) << 16);
+            }
+        }
+        let mut roots = [NO_ROOT; 1024];
+        for y in 0..1024u16 {
+            let c = Gf10(y).mul(Gf10(y)).add(Gf10(y));
+            if roots[c.0 as usize] == NO_ROOT {
+                roots[c.0 as usize] = y;
             }
         }
         Dected {
-            generator,
-            s1_table,
-            s3_table,
+            remainder,
+            syndrome,
+            roots,
         }
+    }
+
+    /// `d(x) * x^20 mod g(x)` for the data polynomial `d`, one 64-bit word
+    /// (eight table lookups) per step, highest degrees first.
+    fn remainder(&self, data: &Line512) -> u32 {
+        let mut reg = 0u32;
+        for &word in data.words().iter().rev() {
+            // Folding the running remainder into the next word's top bits
+            // turns the step into v(x) * x^20 mod g(x) of one 64-bit v.
+            let v = word ^ (u64::from(reg) << (64 - BCH_BITS));
+            reg = 0;
+            for (b, table) in self.remainder.iter().enumerate() {
+                reg ^= table[(v >> (8 * b)) as usize & 0xFF];
+            }
+        }
+        reg
     }
 
     /// Encodes `data`, returning the 21 checkbits.
     pub fn encode(&self, data: &Line512) -> DectedCode {
-        // Compute d(x) * x^20 mod g(x) with an LFSR over the data bits,
-        // highest degree first.
-        let mut reg: u64 = 0;
-        for i in (0..LINE_BITS).rev() {
-            let fb = ((reg >> (BCH_BITS - 1)) & 1) ^ u64::from(data.bit(i));
-            reg = (reg << 1) & ((1 << BCH_BITS) - 1);
-            if fb == 1 {
-                reg ^= self.generator & ((1 << BCH_BITS) - 1);
-            }
-        }
-        let mut code = reg as u32;
+        let reg = self.remainder(data);
+        let mut code = reg;
         // Overall parity over all 532 codeword bits.
-        let parity = data.parity() ^ ((reg.count_ones() % 2) == 1);
-        if parity {
+        if data.parity() ^ (reg.count_ones() % 2 == 1) {
             code |= 1 << BCH_BITS;
         }
         DectedCode(code)
@@ -155,44 +203,23 @@ impl Dected {
 
     /// Computes the raw syndromes for a received (data, checkbits) pair.
     pub fn observe(&self, data: &Line512, stored: DectedCode) -> DectedObservation {
-        let mut s1 = Gf10::ZERO;
-        let mut s3 = Gf10::ZERO;
-        // Checkbits occupy degrees 0..20: bytes 0..2 plus low nibble of byte 2.
-        let check = stored.0 & ((1 << BCH_BITS) - 1);
-        let mut buf = [0u8; CODE_LEN / 8 + 1];
-        buf[0] = (check & 0xFF) as u8;
-        buf[1] = ((check >> 8) & 0xFF) as u8;
-        buf[2] = ((check >> 16) & 0x0F) as u8;
-        // Data bit i at degree i + 20: starts mid-byte 2.
-        for (w_idx, w) in data.words().iter().enumerate() {
-            for b in 0..8 {
-                let byte = ((w >> (8 * b)) & 0xFF) as u8;
-                let bit_base = w_idx * 64 + b * 8 + BCH_BITS;
-                buf[bit_base / 8] |= byte << (bit_base % 8);
-                if !bit_base.is_multiple_of(8) && bit_base / 8 + 1 < buf.len() {
-                    buf[bit_base / 8 + 1] |= byte >> (8 - bit_base % 8);
-                }
-            }
-        }
-        let mut ones = 0u32;
-        for (i, &byte) in buf.iter().enumerate() {
-            if byte != 0 {
-                s1 = s1.add(Gf10(self.s1_table[i][byte as usize]));
-                s3 = s3.add(Gf10(self.s3_table[i][byte as usize]));
-                ones += byte.count_ones();
-            }
-        }
+        let check = stored.0 & BCH_MASK;
+        // The received word minus the codeword of the received data.
+        let e = self.remainder(data) ^ check;
+        let packed = self.syndrome[0][e as usize & 0xFF]
+            ^ self.syndrome[1][(e >> 8) as usize & 0xFF]
+            ^ self.syndrome[2][(e >> 16) as usize];
+        let ones_odd = data.parity() ^ (check.count_ones() % 2 == 1);
         let stored_overall = (stored.0 >> BCH_BITS) & 1 == 1;
-        let parity_mismatch = (ones % 2 == 1) != stored_overall;
         DectedObservation {
-            s1,
-            s3,
-            parity_mismatch,
+            s1: Gf10((packed & 0x3FF) as u16),
+            s3: Gf10((packed >> 16) as u16),
+            parity_mismatch: ones_odd != stored_overall,
         }
     }
 
-    /// Interprets an observation, running a Chien search when two errors are
-    /// hypothesized.
+    /// Interprets an observation, locating two hypothesized errors in
+    /// closed form.
     pub fn interpret(&self, obs: DectedObservation) -> DectedDecode {
         let DectedObservation {
             s1,
@@ -228,30 +255,30 @@ impl Dected {
             if prod.is_zero() {
                 return DectedDecode::Detected;
             }
-            let mut found: [Option<usize>; 2] = [None, None];
-            let mut count = 0;
-            for degree in 0..CODE_LEN {
-                let x = Gf10::alpha_pow(degree);
-                // x^2 + s1 x + prod == 0 ?
-                if x.mul(x).add(s1.mul(x)).add(prod).is_zero() {
-                    if count == 2 {
-                        return DectedDecode::Detected;
-                    }
-                    found[count] = Some(degree);
-                    count += 1;
-                }
-            }
-            if count == 2 {
-                DectedDecode::Corrected {
-                    bits: [
-                        Self::degree_to_data_bit(found[0].unwrap()),
-                        Self::degree_to_data_bit(found[1].unwrap()),
-                    ],
-                }
-            } else {
-                DectedDecode::Detected
+            match self.locate_two(s1, prod) {
+                Some((lo, hi)) if hi < CODE_LEN => DectedDecode::Corrected {
+                    bits: [Self::degree_to_data_bit(lo), Self::degree_to_data_bit(hi)],
+                },
+                _ => DectedDecode::Detected,
             }
         }
+    }
+
+    /// The degrees of the two roots of `x^2 + s1*x + prod` (both non-zero),
+    /// ascending, or `None` when it has no roots in the field. With
+    /// `x = s1 * y` it reads `y^2 + y = prod / s1^2`.
+    fn locate_two(&self, s1: Gf10, prod: Gf10) -> Option<(usize, usize)> {
+        let c = prod.mul(s1.mul(s1).inv());
+        let y = self.roots[c.0 as usize];
+        if y == NO_ROOT {
+            return None;
+        }
+        // c != 0, so y is neither 0 nor 1 and both locators are non-zero.
+        let x1 = s1.mul(Gf10(y));
+        let a = x1.log();
+        let b = x1.add(s1).log();
+        debug_assert!(a < GROUP_ORDER && b < GROUP_ORDER && a != b);
+        Some((a.min(b), a.max(b)))
     }
 
     /// One-shot decode: observe then interpret.
@@ -295,6 +322,8 @@ pub fn dected() -> &'static Dected {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
+    use killi_check::{check, check_cases};
 
     #[test]
     fn clean_roundtrip() {
@@ -428,5 +457,101 @@ mod tests {
         assert!(!obs.syndrome_zero());
         assert!(obs.parity_mismatch);
         assert_eq!(obs.s1.log(), 9 + BCH_BITS);
+    }
+
+    #[test]
+    fn table_encoder_matches_the_bit_serial_lfsr() {
+        check("dected_table_encoder_matches_lfsr", |g| {
+            let data = Line512::from_seed(g.u64());
+            assert_eq!(dected().encode(&data), reference::dected_encode(&data));
+        });
+        for data in [Line512::zero(), Line512::zero().inverted()] {
+            assert_eq!(dected().encode(&data), reference::dected_encode(&data));
+        }
+    }
+
+    #[test]
+    fn decode_matches_the_chien_search_reference() {
+        // 0-4 data flips plus checkbit and overall-parity flips: the same
+        // syndromes and the same verdict as the scalar reference.
+        check_cases("dected_decode_matches_reference", 1024, |g| {
+            let data = Line512::from_seed(g.u64());
+            let mut code = dected().encode(&data);
+            let mut received = data;
+            for bit in g.distinct(LINE_BITS, 0, 4) {
+                received.flip_bit(bit);
+            }
+            for bit in g.distinct(BCH_BITS, 0, 2) {
+                code.flip_bit(bit);
+            }
+            if g.bool() {
+                code.flip_bit(BCH_BITS);
+            }
+            assert_eq!(
+                dected().observe(&received, code),
+                reference::dected_observe(&received, code)
+            );
+            assert_eq!(
+                dected().decode(&received, code),
+                reference::dected_decode(&received, code)
+            );
+        });
+    }
+
+    #[test]
+    fn two_error_locator_matches_chien_search_on_every_pair_shape() {
+        // Both locator roots near and far apart, in checkbits and data,
+        // and syndromes whose roots fall past the shortened code.
+        let data = Line512::from_seed(38);
+        let code = dected().encode(&data);
+        for a in (0..CODE_LEN).step_by(13) {
+            for b in (a + 1..CODE_LEN).step_by(29) {
+                let mut received = data;
+                let mut stored = code;
+                for degree in [a, b] {
+                    match Dected::degree_to_data_bit(degree) {
+                        Some(bit) => received.flip_bit(bit),
+                        None => stored.flip_bit(degree),
+                    }
+                }
+                assert_eq!(
+                    dected().decode(&received, stored),
+                    reference::dected_decode(&received, stored),
+                    "degrees {a}, {b}"
+                );
+            }
+        }
+        for s1 in (1..1024u16).step_by(7) {
+            for s3 in (0..1024u16).step_by(31) {
+                let obs = DectedObservation {
+                    s1: Gf10(s1),
+                    s3: Gf10(s3),
+                    parity_mismatch: false,
+                };
+                assert_eq!(
+                    dected().interpret(obs),
+                    reference::dected_interpret(obs),
+                    "s1 {s1}, s3 {s3}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn root_table_matches_brute_force_for_every_constant() {
+        for c in 0..1024u16 {
+            let brute: Vec<u16> = (0..1024u16)
+                .filter(|&y| Gf10(y).mul(Gf10(y)).add(Gf10(y)) == Gf10(c))
+                .collect();
+            let table = match dected().roots[c as usize] {
+                NO_ROOT => Vec::new(),
+                y => {
+                    let mut both = vec![y, y ^ 1];
+                    both.sort_unstable();
+                    both
+                }
+            };
+            assert_eq!(table, brute, "c = {c}");
+        }
     }
 }

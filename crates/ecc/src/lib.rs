@@ -8,15 +8,24 @@
 //!   4-segment stable mode, §4.1),
 //! - [`secded`] — SECDED(523, 512) extended Hamming code (11 checkbits),
 //! - [`bch`] — DEC-TED shortened BCH over GF(2^10) (21 checkbits, §5.2),
+//!   encoded a byte at a time from lookup tables, with a closed-form
+//!   two-error locator,
 //! - [`bch_t`] — generic t-error-correcting BCH with Berlekamp-Massey
 //!   decoding (functional TECQED and 6EC7ED, Table 4),
 //! - [`olsc`] — Orthogonal Latin Square codes with majority-logic decoding
-//!   (MS-ECC and the low-Vmin Killi variant, §5.5),
+//!   (MS-ECC and the low-Vmin Killi variant, §5.5), computed on whole
+//!   64-bit words with the checkbits packed into the four words
+//!   ([`olsc::OlscCheck`]) an ECC-cache payload stores,
 //! - [`gf1024`] — the GF(2^10) field arithmetic behind the BCH code.
 //!
 //! All codecs operate on *received* (possibly corrupted) data and checkbits,
 //! and expose both the raw syndrome observables (which Killi's Table 2 state
 //! machine branches on) and interpreted correct/detect verdicts.
+//!
+//! The OLSC and DEC-TED kernels do not allocate and build their tables once
+//! per process. Test builds carry scalar reference codecs (cell-by-cell OLSC
+//! with one `bool` per checkbit, the bit-serial DEC-TED encoder, the Chien
+//! search) that the kernels must match bit for bit.
 //!
 //! # Example
 //!
@@ -42,6 +51,8 @@ pub mod bits;
 pub mod gf1024;
 pub mod olsc;
 pub mod parity;
+#[cfg(test)]
+mod reference;
 pub mod secded;
 
 pub use bits::Line512;

@@ -5,7 +5,11 @@
 //!
 //! The golden files under `tests/golden/` were recorded from the
 //! monolithic scheme implementations immediately before the refactor.
-//! To re-bless after an *intentional* output change, run:
+//! `baselines_report.json` pins the codec baselines (OLSC, DEC-TED,
+//! SECDED on their error paths) and was recorded from the scalar OLSC,
+//! bit-serial DEC-TED encoder and Chien search before the word-level
+//! kernels replaced them. To re-bless after an *intentional* output
+//! change, run:
 //!
 //! ```sh
 //! KILLI_BLESS=1 cargo test --test golden_sweep
@@ -13,7 +17,7 @@
 
 use std::path::PathBuf;
 
-use killi_repro::bench::schemes::SchemeSpec;
+use killi_repro::bench::schemes::{SchemeConfig, SchemeSpec};
 use killi_repro::bench::sweep::{run_sweep, SweepConfig};
 use killi_repro::sim::cache::CacheGeometry;
 use killi_repro::sim::gpu::GpuConfig;
@@ -70,6 +74,29 @@ fn check_or_bless(name: &str, actual: &str) {
     );
 }
 
+/// The codec schemes below Killi's range: OLSC (`ms-ecc`, `killi-olsc`),
+/// DEC-TED (`dected`, `killi-dected`) and SECDED (`flair-online`).
+const CODEC_SCHEMES: [&str; 5] = [
+    "ms-ecc",
+    "dected",
+    "flair-online",
+    "killi-olsc",
+    "killi-dected",
+];
+
+fn baselines_sweep(threads: usize) -> SweepConfig {
+    SweepConfig {
+        vdds: vec![0.6, 0.575],
+        schemes: CODEC_SCHEMES
+            .iter()
+            .map(|&s| SchemeConfig::new(s))
+            .collect(),
+        ops_per_cu: 4000,
+        trace_capacity: None,
+        ..reference_sweep(threads)
+    }
+}
+
 #[test]
 fn sweep_report_matches_pre_refactor_bytes_across_thread_counts() {
     for threads in [1usize, 2, 8] {
@@ -79,5 +106,24 @@ fn sweep_report_matches_pre_refactor_bytes_across_thread_counts() {
             "sweep_trace.jsonl",
             report.trace.as_deref().expect("tracing was on"),
         );
+    }
+}
+
+#[test]
+fn codec_baselines_match_golden_bytes_across_thread_counts() {
+    for threads in [1usize, 2, 8] {
+        let report = run_sweep(&baselines_sweep(threads));
+        // Every codec cell corrected something, so the golden bytes pin
+        // the decoders' error paths and not only clean decodes.
+        for cell in report.cells.iter().filter(|c| c.scheme != "baseline") {
+            assert!(
+                cell.metric("corrections").mean() > 0.0,
+                "{} at {} on {} never corrected",
+                cell.scheme,
+                cell.vdd,
+                cell.workload
+            );
+        }
+        check_or_bless("baselines_report.json", &report.to_json());
     }
 }

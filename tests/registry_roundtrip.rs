@@ -268,3 +268,29 @@ fn every_registered_scheme_builds_from_its_default_config() {
             .unwrap_or_else(|e| panic!("{name} failed to build from defaults: {e}"));
     }
 }
+
+#[test]
+fn every_registered_scheme_builds_or_fails_typed_under_random_params() {
+    // Random U64 overrides in 1..=64, drawn like the canonicalization
+    // property's, on every registered scheme: the build returns a scheme
+    // or a typed BuildError, never a panic.
+    let registry = default_registry();
+    let ctx = ctx();
+    killi_check::check_cases("registry_build_fuzz", 256, |g| {
+        for name in registry.names() {
+            let descriptor = registry.descriptor(name).expect("listed name resolves");
+            let mut config = SchemeConfig::new(name);
+            for spec in &descriptor.params {
+                if matches!(spec.default, ParamValue::U64(_)) && g.bool() {
+                    config = config.with(spec.name, ParamValue::U64(g.u64_below(64) + 1));
+                }
+            }
+            if let Err(e) = registry.build(&config, &ctx) {
+                assert!(
+                    matches!(e, BuildError::Geometry { .. }),
+                    "{config}: unexpected {e}"
+                );
+            }
+        }
+    });
+}

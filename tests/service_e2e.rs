@@ -287,6 +287,11 @@ fn hostile_requests_get_4xx_and_never_wedge_the_service() {
              \"workloads\":[\"fft\"],\"ops_per_cu\":10}",
             "unknown scheme",
         ),
+        (
+            "{\"root_seed\":1,\"replications\":1,\"vdds\":[0.65,0.6],\"schemes\":[\"ms-ecc:t=3\"],\
+             \"workloads\":[\"fft\"],\"ops_per_cu\":10}",
+            "OLSC whose line checkbits exceed the payload",
+        ),
     ] {
         let resp = client.post("/v1/jobs", payload.as_bytes()).expect(what);
         assert_eq!(resp.status, 400, "{what}: {}", resp.text());
@@ -324,7 +329,7 @@ fn hostile_requests_get_4xx_and_never_wedge_the_service() {
     let health = client.get("/v1/healthz").expect("healthz");
     assert_eq!(health.status, 200);
     assert!(health.text().contains("\"status\":\"ok\""));
-    assert!(handle.metrics().get(ServeCounter::BadRequests) >= 7);
+    assert!(handle.metrics().get(ServeCounter::BadRequests) >= 8);
 
     handle.shutdown();
     runner.join().expect("server thread");
