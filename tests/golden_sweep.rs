@@ -8,8 +8,10 @@
 //! `baselines_report.json` pins the codec baselines (OLSC, DEC-TED,
 //! SECDED on their error paths) and was recorded from the scalar OLSC,
 //! bit-serial DEC-TED encoder and Chien search before the word-level
-//! kernels replaced them. To re-bless after an *intentional* output
-//! change, run:
+//! kernels replaced them. `schemes_report.json` and `schemes_trace.jsonl`
+//! pin every registered scheme except the fault-free baseline, with a
+//! short trace per job whose header still counts all of the job's events.
+//! To re-bless after an *intentional* output change, run:
 //!
 //! ```sh
 //! KILLI_BLESS=1 cargo test --test golden_sweep
@@ -17,7 +19,7 @@
 
 use std::path::PathBuf;
 
-use killi_repro::bench::schemes::{SchemeConfig, SchemeSpec};
+use killi_repro::bench::schemes::{default_registry, SchemeConfig, SchemeSpec};
 use killi_repro::bench::sweep::{run_sweep, SweepConfig};
 use killi_repro::sim::cache::CacheGeometry;
 use killi_repro::sim::gpu::GpuConfig;
@@ -97,6 +99,37 @@ fn baselines_sweep(threads: usize) -> SweepConfig {
     }
 }
 
+/// One replicate of every registered scheme except the fault-free
+/// baseline, at the codec sweep's operating points, with a 16-event trace
+/// kept per job.
+fn schemes_sweep(threads: usize) -> SweepConfig {
+    SweepConfig {
+        replications: 1,
+        schemes: default_registry()
+            .names()
+            .into_iter()
+            .filter(|&name| name != "baseline")
+            .map(SchemeConfig::new)
+            .collect(),
+        trace_capacity: Some(16),
+        ..baselines_sweep(threads)
+    }
+}
+
+/// Asserts that every protected cell corrected at least once, so the
+/// golden bytes pin the decoders' error paths and not only clean decodes.
+fn assert_every_cell_corrected(report: &killi_repro::bench::sweep::SweepReport) {
+    for cell in report.cells.iter().filter(|c| c.scheme != "baseline") {
+        assert!(
+            cell.metric("corrections").mean() > 0.0,
+            "{} at {} on {} never corrected",
+            cell.scheme,
+            cell.vdd,
+            cell.workload
+        );
+    }
+}
+
 #[test]
 fn sweep_report_matches_pre_refactor_bytes_across_thread_counts() {
     for threads in [1usize, 2, 8] {
@@ -113,17 +146,22 @@ fn sweep_report_matches_pre_refactor_bytes_across_thread_counts() {
 fn codec_baselines_match_golden_bytes_across_thread_counts() {
     for threads in [1usize, 2, 8] {
         let report = run_sweep(&baselines_sweep(threads));
-        // Every codec cell corrected something, so the golden bytes pin
-        // the decoders' error paths and not only clean decodes.
-        for cell in report.cells.iter().filter(|c| c.scheme != "baseline") {
-            assert!(
-                cell.metric("corrections").mean() > 0.0,
-                "{} at {} on {} never corrected",
-                cell.scheme,
-                cell.vdd,
-                cell.workload
-            );
-        }
+        assert_every_cell_corrected(&report);
         check_or_bless("baselines_report.json", &report.to_json());
+    }
+}
+
+#[test]
+fn every_registered_scheme_matches_golden_bytes_across_thread_counts() {
+    for threads in [1usize, 2, 8] {
+        let config = schemes_sweep(threads);
+        assert_eq!(config.schemes.len(), 12, "registered schemes changed");
+        let report = run_sweep(&config);
+        assert_every_cell_corrected(&report);
+        check_or_bless("schemes_report.json", &report.to_json());
+        check_or_bless(
+            "schemes_trace.jsonl",
+            report.trace.as_deref().expect("tracing was on"),
+        );
     }
 }
