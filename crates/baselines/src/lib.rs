@@ -1,40 +1,41 @@
 //! Baseline low-voltage protection schemes the paper compares Killi
-//! against (§5.1–§5.2).
+//! against (§5.1–§5.3).
 //!
-//! - [`per_line::PerLineEcc`] — pre-characterized per-line SECDED (FLAIR's
-//!   steady state) and DEC-TED baselines,
-//! - [`msecc::MsEcc`] — Orthogonal-Latin-Square MS-ECC, the
-//!   strongest/most-expensive scheme,
-//! - [`flair_online::FlairOnline`] — FLAIR's online DMR + rotating-MBIST
-//!   training mode (the overhead the paper's Figure 4 runs exclude), as an
-//!   ablation.
-//!
-//! All baselines run on the identical simulator substrate as Killi via the
-//! `LineProtection` trait; the only privileged information they receive is
-//! the MBIST-equivalent oracle disable map, matching the paper's
-//! methodology. Each is a composition of the `killi::pipeline` layers, and
-//! [`register_baselines`] declares them all to a
+//! Every baseline is one [`PerLineEcc`]: a per-line [`Code`] plus a
+//! line-disable map from the MBIST oracle or from FLAIR's online way-pair
+//! test. The baselines run on the same simulator substrate as Killi
+//! through the `LineProtection` trait; the only privileged information
+//! they receive is the MBIST-equivalent disable map, matching the paper's
+//! methodology. [`register_baselines`] declares all five to a
 //! [`killi::registry::SchemeRegistry`].
 
-pub mod flair_online;
-pub mod msecc;
 pub mod per_line;
 
+use std::sync::Arc;
+
 use killi::registry::{
-    BuildError, CellSpan, LineRule, ParamSpec, ParamValue, SchemeDescriptor, SchemeRegistry,
+    BuildCtx, BuildError, CellSpan, LineRule, ParamSpec, ParamValue, ResolvedParams,
+    SchemeDescriptor, SchemeRegistry,
+};
+use killi_ecc::olsc::OlscLine;
+use killi_sim::protection::LineProtection;
+
+pub use per_line::{Code, PerLineEcc, SECDED_RULE};
+
+/// Per-line DEC-TED keeps lines with up to two faults in data and
+/// checkbit cells.
+const DECTED_RULE: LineRule = LineRule::Total {
+    span: CellSpan::DataDected,
+    max_faults: 2,
 };
 
-pub use flair_online::FlairOnline;
-pub use msecc::MsEcc;
-pub use per_line::{EccStrength, PerLineEcc};
-
-/// Per-line SECDED keeps any single-fault line (data + checkbit cells)
-/// in service; a second fault disables the line. FLAIR's steady state,
-/// the plain `secded` baseline and FLAIR-online all bin lines this way.
-const SECDED_RULE: LineRule = LineRule::Total {
-    span: CellSpan::DataSecded,
-    max_faults: 1,
-};
+/// OLSC(m, t): m*m-cell data blocks, t corrections each.
+fn olsc_rule(p: &ResolvedParams) -> LineRule {
+    LineRule::PerBlock {
+        block_cells: (p.u64("m") * p.u64("m")) as u32,
+        max_faults: p.u64("t") as u32,
+    }
+}
 
 /// Maps a constructor's `Err(String)` onto a typed geometry error.
 fn geometry_err(scheme: &'static str) -> impl Fn(String) -> BuildError {
@@ -42,6 +43,20 @@ fn geometry_err(scheme: &'static str) -> impl Fn(String) -> BuildError {
         scheme: scheme.to_string(),
         reason,
     }
+}
+
+/// Builds a per-line baseline whose MBIST oracle disables every line
+/// `rule` does not admit.
+fn with_oracle(
+    name: &'static str,
+    code: Code,
+    rule: LineRule,
+    ctx: &BuildCtx,
+) -> Result<Box<dyn LineProtection>, BuildError> {
+    let map = Arc::clone(&ctx.fault_map);
+    let scheme = PerLineEcc::with_oracle(name, code, rule, map, ctx.geometry.lines())
+        .map_err(geometry_err(name))?;
+    Ok(Box::new(scheme))
 }
 
 /// Registers the baseline schemes (`flair`, `secded`, `dected`,
@@ -52,16 +67,7 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
         doc: "per-line SECDED with >= 2-fault lines disabled (FLAIR steady state)",
         params: Vec::new(),
         label: |_| "flair".to_string(),
-        build: |_, ctx| {
-            let scheme = PerLineEcc::try_new(
-                "flair",
-                EccStrength::Secded,
-                std::sync::Arc::clone(&ctx.fault_map),
-                ctx.geometry.lines(),
-            )
-            .map_err(geometry_err("flair"))?;
-            Ok(Box::new(scheme))
-        },
+        build: |_, ctx| with_oracle("flair", Code::Secded, SECDED_RULE, ctx),
         admissibility: |_| SECDED_RULE,
     });
 
@@ -70,16 +76,7 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
         doc: "plain per-line SECDED (the Table 5 area-normalization baseline)",
         params: Vec::new(),
         label: |_| "secded".to_string(),
-        build: |_, ctx| {
-            let scheme = PerLineEcc::try_new(
-                "secded",
-                EccStrength::Secded,
-                std::sync::Arc::clone(&ctx.fault_map),
-                ctx.geometry.lines(),
-            )
-            .map_err(geometry_err("secded"))?;
-            Ok(Box::new(scheme))
-        },
+        build: |_, ctx| with_oracle("secded", Code::Secded, SECDED_RULE, ctx),
         admissibility: |_| SECDED_RULE,
     });
 
@@ -88,20 +85,8 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
         doc: "per-line DEC-TED with >= 3-fault lines disabled",
         params: Vec::new(),
         label: |_| "dected".to_string(),
-        build: |_, ctx| {
-            let scheme = PerLineEcc::try_new(
-                "dected",
-                EccStrength::Dected,
-                std::sync::Arc::clone(&ctx.fault_map),
-                ctx.geometry.lines(),
-            )
-            .map_err(geometry_err("dected"))?;
-            Ok(Box::new(scheme))
-        },
-        admissibility: |_| LineRule::Total {
-            span: CellSpan::DataDected,
-            max_faults: 2,
-        },
+        build: |_, ctx| with_oracle("dected", Code::Dected, DECTED_RULE, ctx),
+        admissibility: |_| DECTED_RULE,
     });
 
     registry.register(SchemeDescriptor {
@@ -119,13 +104,9 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
                 0 => lines as u64 * 4,
                 n => n,
             };
-            let scheme = FlairOnline::try_new(
-                std::sync::Arc::clone(&ctx.fault_map),
-                lines,
-                ctx.geometry.ways,
-                per_pair,
-            )
-            .map_err(geometry_err("flair-online"))?;
+            let map = Arc::clone(&ctx.fault_map);
+            let scheme = PerLineEcc::flair_online(map, lines, ctx.geometry.ways, per_pair)
+                .map_err(geometry_err("flair-online"))?;
             Ok(Box::new(scheme))
         },
         // The online training cost changes runtime, not which lines
@@ -150,19 +131,60 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
         ],
         label: |_| "ms-ecc".to_string(),
         build: |p, ctx| {
-            let scheme = MsEcc::try_with_code(
-                std::sync::Arc::clone(&ctx.fault_map),
-                ctx.geometry.lines(),
-                p.u64("m") as usize,
-                p.u64("t") as usize,
-            )
-            .map_err(geometry_err("ms-ecc"))?;
-            Ok(Box::new(scheme))
+            let code = OlscLine::try_new(p.u64("m") as usize, p.u64("t") as usize)
+                .map_err(geometry_err("ms-ecc"))?;
+            with_oracle("ms-ecc", Code::Olsc(code), olsc_rule(p), ctx)
         },
-        // OLSC(m, t): m*m-cell data blocks, t corrections each.
-        admissibility: |p| LineRule::PerBlock {
-            block_cells: (p.u64("m") * p.u64("m")) as u32,
-            max_faults: p.u64("t") as u32,
-        },
+        admissibility: olsc_rule,
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use killi::registry::SchemeConfig;
+    use killi_fault::map::FaultMap;
+    use killi_sim::cache::CacheGeometry;
+
+    fn build(config: &str) -> Result<Box<dyn LineProtection>, BuildError> {
+        let mut registry = SchemeRegistry::new();
+        register_baselines(&mut registry);
+        let geometry = CacheGeometry {
+            size_bytes: 1024,
+            ways: 4,
+            line_bytes: 64,
+        };
+        let ctx = BuildCtx::new(Arc::new(FaultMap::fault_free(16)), geometry);
+        registry.build(&SchemeConfig::parse(config).unwrap(), &ctx)
+    }
+
+    #[test]
+    fn every_baseline_builds_under_its_registered_name() {
+        for name in ["flair", "secded", "dected", "flair-online", "ms-ecc"] {
+            assert_eq!(build(name).unwrap().name(), name);
+        }
+    }
+
+    #[test]
+    fn ms_ecc_geometry_errors_are_typed() {
+        // Each block's 2tm checkbits fit, but the line's do not for
+        // (8, 3), (4, 2) and (16, 5): 8 x 48, 32 x 16 and 2 x 160 bits
+        // against the 256-bit payload.
+        for (spelling, reason) in [
+            ("ms-ecc:m=5", "block width"),
+            ("ms-ecc:t=5", "out of range"),
+            ("ms-ecc:t=3", "256-bit payload"),
+            ("ms-ecc:m=4", "256-bit payload"),
+            ("ms-ecc:m=16,t=5", "256-bit payload"),
+        ] {
+            match build(spelling) {
+                Err(BuildError::Geometry { scheme, reason: r }) => {
+                    assert_eq!(scheme, "ms-ecc");
+                    assert!(r.contains(reason), "{spelling}: {r}");
+                }
+                Err(other) => panic!("{spelling}: {other}"),
+                Ok(_) => panic!("{spelling} built"),
+            }
+        }
+    }
 }

@@ -12,13 +12,12 @@
 //!   the simulator's `LineProtection` interface, including the §4.4
 //!   replacement optimizations, the §5.2 DEC-TED upgrade and the §5.6.2
 //!   inverted-write masked-fault mitigation,
-//! - [`pipeline`] — the four composable protection layers (detection
-//!   codec, correction store, fault classifier, victim policy) that the
-//!   schemes are assembled from, plus a generic
-//!   [`pipeline::ProtectionPipeline`] driver,
+//! - [`pipeline`] — Killi's detection and classification layers
+//!   ([`pipeline::SegmentedParity`] and [`pipeline::DfhClassifier`]),
+//!   which the scheme calls directly,
 //! - [`registry`] — the data-driven [`registry::SchemeRegistry`] mapping
 //!   declarative [`registry::SchemeConfig`]s (CLI shorthand or JSON) onto
-//!   built pipelines with typed [`registry::BuildError`]s.
+//!   built schemes with typed [`registry::BuildError`]s.
 //!
 //! # Example
 //!
@@ -51,10 +50,6 @@ pub mod registry;
 pub mod scheme;
 
 pub use dfh::Dfh;
-pub use pipeline::{
-    CodecVerdict, CorrectionStore, DetectionCodec, FaultClassifier, ProtectionPipeline,
-    VictimPolicy,
-};
 pub use registry::{
     BuildCtx, BuildError, ParamValue, SchemeConfig, SchemeDescriptor, SchemeRegistry,
 };

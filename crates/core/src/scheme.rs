@@ -10,14 +10,12 @@
 //! to the fault map (the map is touched only to *corrupt* metadata stored
 //! in low-voltage cells, which is physics, not knowledge).
 //!
-//! Structurally, the scheme is glue over the four pipeline layers of
-//! [`crate::pipeline`]: a [`SegmentedParity`] detection codec, the
-//! [`EccCache`] correction store, a [`DfhClassifier`] and a
-//! [`DfhPriorityPolicy`]. The glue exists because Killi dispatches on the
-//! DFH state *per access* (parity-only for `b'00`, parity+SECDED for
-//! `b'01`, payload-dependent for `b'10`), which the generic
-//! [`crate::pipeline::ProtectionPipeline`] driver deliberately does not
-//! model.
+//! The scheme calls its layers directly: [`SegmentedParity`] detects,
+//! the [`EccCache`] stores checkbits, [`DfhClassifier`] holds the DFH
+//! state, and [`KilliScheme`]'s `victim_class` applies the §4.4 victim
+//! priority and the §5.2 capacity veto. Every hook dispatches on the
+//! line's DFH state: parity only for `b'00`, parity plus SECDED for
+//! `b'01`, and whatever payload the entry holds for `b'10`.
 
 use std::sync::Arc;
 
@@ -33,10 +31,7 @@ use killi_sim::protection::{FillOutcome, LineProtection, ReadOutcome};
 use crate::classify::{classify_stable0, classify_stable1, classify_unknown, Verdict};
 use crate::dfh::Dfh;
 use crate::ecc_cache::{EccCache, EccCacheConfig, EccPayload};
-use crate::pipeline::{
-    CorrectionStore, DfhClassifier, DfhPriorityPolicy, FaultClassifier, SegmentedParity,
-    VictimPolicy,
-};
+use crate::pipeline::{DfhClassifier, SegmentedParity};
 
 /// Killi configuration. Defaults reproduce the paper's design; the boolean
 /// switches expose the §4.4 optimizations and the §5.2/§5.6.2 extensions
@@ -114,15 +109,13 @@ struct LineFlags {
 pub struct KilliScheme {
     config: KilliConfig,
     map: Arc<FaultMap>,
-    /// Layer 3: the 2-bit DFH state machine plus transition statistics and
-    /// the scheme-op clock.
+    /// The 2-bit DFH state machine plus transition statistics and the
+    /// scheme-op clock.
     classifier: DfhClassifier,
-    /// Layer 1: the 4/16-bit segmented-parity detection codec.
+    /// The 4/16-bit segmented-parity detection layer.
     parity: SegmentedParity,
-    /// Layer 2: the decoupled correction store.
+    /// The decoupled correction store.
     ecc: EccCache,
-    /// Layer 4: victim priority plus the §5.2 protectability veto.
-    policy: DfhPriorityPolicy,
     flags: Vec<LineFlags>,
     corrections: u64,
     detections: u64,
@@ -165,11 +158,8 @@ impl KilliScheme {
         Ok(KilliScheme {
             config,
             classifier: DfhClassifier::new(l2_lines),
-            parity: SegmentedParity::new(Arc::clone(&map), l2_lines, config.check_latency),
+            parity: SegmentedParity::new(Arc::clone(&map), l2_lines),
             ecc: EccCache::new(config.ecc_cache, l2_lines, l2_ways),
-            policy: DfhPriorityPolicy {
-                priority: config.victim_priority,
-            },
             map,
             flags: vec![LineFlags::default(); l2_lines],
             corrections: 0,
@@ -373,12 +363,19 @@ impl LineProtection for KilliScheme {
     }
 
     fn victim_class(&self, line: LineId) -> Option<u8> {
-        // The classifier supplies the raw DFH class; the policy layer adds
-        // the §5.2 protectability veto (a `b'10` line can only hold data
-        // while its ECC-cache set has room for its checkbits) and the §4.4
-        // priority/ablation decision.
-        let raw = self.classifier.get(line).victim_class();
-        self.policy.victim_class(line, raw, &self.ecc)
+        let dfh = self.classifier.get(line);
+        // §5.2: a `b'10` line can only hold data while its ECC-cache set
+        // has room for its checkbits. The probe runs only for those lines.
+        if dfh == Dfh::Stable1 && !self.ecc.probe(line).protectable() {
+            return None;
+        }
+        // §4.4 priority, or one class for every usable line (the ablation).
+        let class = dfh.victim_class()?;
+        Some(if self.config.victim_priority {
+            class
+        } else {
+            0
+        })
     }
 
     fn on_fill(&mut self, line: LineId, data: &Line512) -> FillOutcome {
@@ -746,7 +743,9 @@ impl LineProtection for KilliScheme {
         m.set(Counter::Corrections, self.corrections);
         m.set(Counter::Detections, self.detections);
         self.classifier.fill_metrics(&mut m);
-        CorrectionStore::fill_metrics(&self.ecc, &mut m);
+        m.set(Counter::EccCacheAccesses, self.ecc.accesses());
+        m.set(Counter::EccCacheDisplacements, self.ecc.evictions());
+        m.ecc_occupancy = *self.ecc.occupancy_histogram();
         m
     }
 }
@@ -987,6 +986,43 @@ mod tests {
         );
         assert_eq!(s2.victim_class(0), Some(0));
         assert_eq!(s2.victim_class(1), Some(0));
+    }
+
+    #[test]
+    fn unprotectable_stable1_line_is_vetoed_with_or_without_priority() {
+        for victim_priority in [true, false] {
+            let faults = vec![
+                (5, vec![fault(9, true)]),
+                (6, vec![fault(3, true), fault(40, true)]),
+            ];
+            let mut s = scheme(
+                faults,
+                KilliConfig {
+                    victim_priority,
+                    ..config()
+                },
+            );
+            let data = Line512::zero();
+            // Line 5 learns b'10 and gives its entry back on eviction;
+            // line 6 is disabled.
+            for line in [5, 6] {
+                s.on_fill(line, &data);
+                let mut arr = stored(&s, line, &data);
+                s.on_read_hit(line, &mut arr);
+            }
+            s.on_evict(5, &stored(&s, 5, &data));
+            assert_eq!(s.dfh(5), Dfh::Stable1);
+            assert_eq!(s.victim_class(6), None, "disabled lines never allocated");
+            let usable = if victim_priority { Some(2) } else { Some(0) };
+            assert_eq!(s.victim_class(5), usable, "the set has room");
+            // Four training lines fill the single ECC-cache set.
+            for line in 0..4 {
+                s.on_fill(line, &Line512::from_seed(line as u64));
+            }
+            assert_eq!(s.victim_class(5), None, "no room for its checkbits");
+            s.on_evict(0, &Line512::from_seed(0));
+            assert_eq!(s.victim_class(5), usable, "room again");
+        }
     }
 
     #[test]
