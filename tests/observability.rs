@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use killi_repro::bench::runner::{run_cell, trace_params, ObsConfig};
-use killi_repro::bench::schemes::SchemeSpec;
+use killi_repro::bench::schemes::{self, SchemeConfig, SchemeSpec};
 use killi_repro::fault::cell_model::{FreqGhz, NormVdd};
 use killi_repro::fault::map::FaultMap;
 use killi_repro::fault::model::{default_registry, FaultModelConfig};
@@ -33,14 +33,15 @@ fn lv_map(gpu: &GpuConfig) -> Arc<FaultMap> {
     Arc::new(model.map(gpu.l2.lines(), NormVdd(0.625), FreqGhz::PEAK, 7))
 }
 
-/// The observer effect must be zero: a recording sink may not change a
-/// single counter relative to the default no-op sink.
+/// The observer effect must be zero: for every registered scheme, a
+/// recording sink may not change a single counter relative to the default
+/// no-op sink.
 #[test]
 fn recording_sink_does_not_perturb_simulation() {
     let gpu = small_gpu();
     let map = lv_map(&gpu);
-    for spec in [SchemeSpec::Killi(16), SchemeSpec::MsEcc, SchemeSpec::Flair] {
-        let scheme = spec.config();
+    for name in schemes::default_registry().names() {
+        let scheme = SchemeConfig::new(name);
         let quiet = run_cell(
             Workload::Fft,
             &scheme,
@@ -61,13 +62,13 @@ fn recording_sink_does_not_perturb_simulation() {
         );
         assert_eq!(
             quiet.stats, traced.stats,
-            "{spec:?}: tracing changed the simulation outcome"
+            "{name}: tracing changed the simulation outcome"
         );
         assert_eq!(quiet.disabled_lines, traced.disabled_lines);
         assert_eq!(
             quiet.metrics.to_json(),
             traced.metrics.to_json(),
-            "{spec:?}: tracing changed the metrics"
+            "{name}: tracing changed the metrics"
         );
         assert!(quiet.trace.is_none(), "no-op sink must not export a trace");
         assert!(traced.trace.is_some(), "recording sink must export a trace");
