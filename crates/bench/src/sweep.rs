@@ -43,11 +43,18 @@ use crate::schemes::{
     build_scheme, default_registry, scheme_label, BuildCtx, BuildError, SchemeConfig, SchemeSpec,
 };
 
-/// Why a [`SweepConfig`] failed validation: either the scheme axis or the
-/// fault-model axis rejected its config. Both sides carry the typed error
-/// of their own registry.
+/// Why a [`SweepConfig`] failed validation: the GPU geometry cannot be
+/// simulated, or the scheme, fault-model or voltage axis rejected its
+/// config. The scheme and fault-model sides carry the typed error of their
+/// own registry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepConfigError {
+    /// The GPU configuration breaks a rule of
+    /// [`killi_sim::gpu::GpuConfig::validate`].
+    Geometry {
+        /// Which rule it breaks.
+        reason: String,
+    },
     /// A protection-scheme config failed to resolve or build.
     Scheme(BuildError),
     /// The fault-model config failed to resolve or build.
@@ -62,6 +69,7 @@ pub enum SweepConfigError {
 impl std::fmt::Display for SweepConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SweepConfigError::Geometry { reason } => write!(f, "invalid GPU geometry: {reason}"),
             SweepConfigError::Scheme(e) => write!(f, "{e}"),
             SweepConfigError::FaultModel(e) => write!(f, "{e}"),
             SweepConfigError::VoltageGrid { reason } => {
@@ -273,12 +281,15 @@ impl SweepConfig {
             * (self.workloads.len() + self.vdds.len() * self.schemes.len() * self.workloads.len())
     }
 
-    /// Validates every scheme config against the registry *and* the
-    /// sweep's cache geometry (via a fault-free test build), plus the
-    /// fault-model config against its registry (via a test build), so a
-    /// bad `--scheme` or `--fault-model` fails before the fan-out phase
-    /// instead of mid-run.
+    /// Validates the GPU geometry, then every scheme config against the
+    /// registry *and* the sweep's cache geometry (via a fault-free test
+    /// build), plus the fault-model config against its registry (via a
+    /// test build), so a bad `--l2kb`, `--scheme` or `--fault-model` fails
+    /// before the fan-out phase instead of mid-run.
     pub fn validate(&self) -> Result<(), SweepConfigError> {
+        self.gpu
+            .validate()
+            .map_err(|reason| SweepConfigError::Geometry { reason })?;
         let ctx = BuildCtx::new(
             Arc::new(FaultMap::fault_free(self.gpu.l2.lines())),
             self.gpu.l2,
@@ -924,6 +935,34 @@ mod tests {
             }
             other => panic!("expected UnknownScheme, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn validate_rejects_unsimulable_geometry_before_building_schemes() {
+        let bad = |edit: fn(&mut GpuConfig)| {
+            let mut config = SweepConfig {
+                schemes: vec![SchemeConfig::new("flair")],
+                ..tiny_sweep()
+            };
+            edit(&mut config.gpu);
+            match config.validate() {
+                Err(SweepConfigError::Geometry { reason }) => reason,
+                other => panic!("expected a geometry error, got {other:?}"),
+            }
+        };
+        assert!(bad(|g| g.l2.line_bytes = 0).contains("line size 0 B"));
+        assert!(bad(|g| g.l2.line_bytes = 48).contains("line size 48 B"));
+        assert!(bad(|g| g.l2.ways = 0).contains("associativity"));
+        assert!(bad(|g| g.l2.ways = 3).contains("3-way sets"));
+        assert!(bad(|g| g.l2.size_bytes = 96 * 1024).contains("192 sets"));
+        assert!(bad(|g| g.l2.size_bytes = 0).contains("0 sets"));
+        assert!(bad(|g| g.cus = 0).contains("CU"));
+        assert!(bad(|g| g.l2_banks = 0).contains("bank count 0"));
+        assert!(bad(|g| g.l2_banks = 3).contains("bank count 3"));
+        let message = SweepConfigError::Geometry {
+            reason: "x".to_string(),
+        };
+        assert_eq!(message.to_string(), "invalid GPU geometry: x");
     }
 
     #[test]

@@ -37,20 +37,39 @@ impl CacheGeometry {
         line_bytes: 64,
     };
 
+    /// Number of sets, or why the geometry cannot be simulated: the line
+    /// size and the set count must be powers of two, and the capacity must
+    /// divide into whole lines and the lines into whole sets.
+    pub fn try_sets(&self) -> Result<usize, String> {
+        let (size, ways, line) = (self.size_bytes, self.ways, self.line_bytes);
+        if !line.is_power_of_two() {
+            return Err(format!("line size {line} B is not a power of two"));
+        }
+        if ways == 0 {
+            return Err("associativity must be at least 1".to_string());
+        }
+        let lines = size / line;
+        if size % line != 0 || lines % ways != 0 {
+            return Err(format!(
+                "{size} B does not divide into {ways}-way sets of {line} B lines"
+            ));
+        }
+        let sets = lines / ways;
+        if !sets.is_power_of_two() {
+            return Err(format!("{sets} sets is not a power of two"));
+        }
+        Ok(sets)
+    }
+
     /// Number of sets.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (capacity not divisible by
-    /// `ways * line_bytes`, or non-power-of-two sets/lines).
+    /// Panics if the geometry is inconsistent; [`CacheGeometry::try_sets`]
+    /// says why instead.
     pub fn sets(&self) -> usize {
-        let lines = self.size_bytes / self.line_bytes;
-        assert_eq!(self.size_bytes % self.line_bytes, 0, "size vs line size");
-        assert_eq!(lines % self.ways, 0, "lines vs ways");
-        let sets = lines / self.ways;
-        assert!(sets.is_power_of_two(), "sets must be a power of two");
-        assert!(self.line_bytes.is_power_of_two(), "line size power of two");
-        sets
+        self.try_sets()
+            .unwrap_or_else(|reason| panic!("invalid cache geometry: {reason}"))
     }
 
     /// Total physical lines.
@@ -718,6 +737,25 @@ mod tests {
             Arc::new(FaultMap::fault_free(geom.lines())),
             Box::new(Unprotected::new()),
         )
+    }
+
+    #[test]
+    fn try_sets_names_each_broken_rule() {
+        let g = |size_bytes, ways, line_bytes| CacheGeometry {
+            size_bytes,
+            ways,
+            line_bytes,
+        };
+        assert_eq!(CacheGeometry::PAPER_L2.try_sets(), Ok(2048));
+        assert_eq!(g(1024, 16, 64).try_sets(), Ok(1));
+        let err = |geom: CacheGeometry| geom.try_sets().unwrap_err();
+        assert!(err(g(1024, 4, 0)).contains("not a power of two"));
+        assert!(err(g(1536, 4, 48)).contains("not a power of two"));
+        assert!(err(g(1024, 0, 64)).contains("associativity"));
+        assert!(err(g(1000, 4, 64)).contains("does not divide"));
+        assert!(err(g(1024, 3, 64)).contains("does not divide"));
+        assert!(err(g(3072, 4, 64)).contains("12 sets"));
+        assert!(err(g(0, 4, 64)).contains("0 sets"));
     }
 
     #[test]

@@ -66,6 +66,28 @@ impl Default for GpuConfig {
 }
 
 impl GpuConfig {
+    /// Checks the hardware rules the simulator relies on: at least one
+    /// CU, L1 and L2 geometries that [`CacheGeometry::try_sets`] accepts,
+    /// and a power-of-two L2 bank count.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.cus == 0 {
+            return Err("a GPU needs at least one CU".to_string());
+        }
+        self.l1
+            .try_sets()
+            .map_err(|reason| format!("L1: {reason}"))?;
+        self.l2
+            .try_sets()
+            .map_err(|reason| format!("L2: {reason}"))?;
+        if !self.l2_banks.is_power_of_two() {
+            return Err(format!(
+                "L2 bank count {} is not a power of two",
+                self.l2_banks
+            ));
+        }
+        Ok(())
+    }
+
     /// A scaled-down configuration for fast tests (64 KB L2, 2 CUs).
     pub fn small_test() -> Self {
         GpuConfig {

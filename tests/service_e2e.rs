@@ -292,6 +292,16 @@ fn hostile_requests_get_4xx_and_never_wedge_the_service() {
              \"workloads\":[\"fft\"],\"ops_per_cu\":10}",
             "OLSC whose line checkbits exceed the payload",
         ),
+        (
+            "{\"root_seed\":1,\"replications\":1,\"vdds\":[0.65,0.6],\"schemes\":[\"flair\"],\
+             \"workloads\":[\"fft\"],\"ops_per_cu\":10,\"gpu\":{\"line_bytes\":0}}",
+            "zero-byte cache lines",
+        ),
+        (
+            "{\"root_seed\":1,\"replications\":1,\"vdds\":[0.65,0.6],\"schemes\":[\"flair\"],\
+             \"workloads\":[\"fft\"],\"ops_per_cu\":10,\"gpu\":{\"l2_kb\":96}}",
+            "an L2 whose set count is not a power of two",
+        ),
     ] {
         let resp = client.post("/v1/jobs", payload.as_bytes()).expect(what);
         assert_eq!(resp.status, 400, "{what}: {}", resp.text());
@@ -333,4 +343,28 @@ fn hostile_requests_get_4xx_and_never_wedge_the_service() {
 
     handle.shutdown();
     runner.join().expect("server thread");
+}
+
+/// A `gpu` object drawn near the geometry rules' boundaries is either a
+/// typed parse error or a job that runs: parsing never panics, and every
+/// payload the parser accepts runs a small sweep without panicking.
+#[test]
+fn gpu_geometry_near_the_boundaries_is_rejected_or_runs() {
+    killi_check::check_cases("gpu_geometry_boundaries", 512, |g| {
+        let scheme = *g.pick(&["flair", "killi", "flair-online"]);
+        let cus = g.u64_below(4);
+        let l2_kb = *g.pick(&[0u64, 1, 48, 64, 96, 128]);
+        let l2_ways = g.u64_below(18);
+        let line_bytes = *g.pick(&[0u64, 1, 32, 48, 64, 128]);
+        let l2_banks = g.u64_below(10);
+        let payload = format!(
+            "{{\"root_seed\":1,\"replications\":1,\"vdds\":[0.65,0.6],\"schemes\":[\"{scheme}\"],\
+             \"workloads\":[\"fft\"],\"ops_per_cu\":20,\"threads\":1,\"gpu\":{{\"cus\":{cus},\
+             \"l2_kb\":{l2_kb},\"l2_ways\":{l2_ways},\"line_bytes\":{line_bytes},\
+             \"l2_banks\":{l2_banks}}}}}"
+        );
+        if let Ok(spec) = parse_job_spec(payload.as_bytes()) {
+            assert!(spec.run().contains("killi-sweep/v2"), "{payload}");
+        }
+    });
 }
