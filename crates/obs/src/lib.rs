@@ -16,6 +16,7 @@
 //! element-wise [`MetricSet::merge`], which is associative and
 //! commutative by construction.
 
+mod counters;
 pub mod event;
 pub mod json;
 pub mod metrics;

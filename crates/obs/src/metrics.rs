@@ -8,85 +8,36 @@
 //! and commutative — the property the sweep engine's determinism
 //! contract leans on, and that the unit tests here pin down.
 
+use crate::counters::counter_registry;
 use crate::event::KilliEvent;
 
 /// Number of histogram buckets (fixed so merge is element-wise).
 pub const HISTOGRAM_BUCKETS: usize = 16;
 
-/// Every monotonic counter the taxonomy can increment.
-///
-/// The discriminant doubles as the index into `MetricSet::counters`,
-/// and [`Counter::NAMES`] carries the stable JSON names in the same
-/// order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
-    DfhTransitions = 0,
-    ParityChecks,
-    ParityMismatches,
-    SyndromeChecks,
-    Corrections,
-    Detections,
-    EccCacheAccesses,
-    EccCacheInserts,
-    EccCachePromotes,
-    EccCacheDisplacements,
-    EccCacheInvalidations,
-    ErrorInducedMisses,
-    EccInducedMisses,
-    VictimDecisions,
-    FillsRejected,
-    DisabledLines,
-}
-
-impl Counter {
-    /// Number of counters (length of [`Counter::NAMES`]).
-    pub const COUNT: usize = 16;
-
-    /// Stable JSON names, indexed by discriminant.
-    pub const NAMES: [&'static str; Counter::COUNT] = [
-        "dfh_transitions",
-        "parity_checks",
-        "parity_mismatches",
-        "syndrome_checks",
-        "corrections",
-        "detections",
-        "ecc_cache_accesses",
-        "ecc_cache_inserts",
-        "ecc_cache_promotes",
-        "ecc_cache_displacements",
-        "ecc_cache_invalidations",
-        "error_induced_misses",
-        "ecc_induced_misses",
-        "victim_decisions",
-        "fills_rejected",
-        "disabled_lines",
-    ];
-
-    /// All counters in index order.
-    pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::DfhTransitions,
-        Counter::ParityChecks,
-        Counter::ParityMismatches,
-        Counter::SyndromeChecks,
-        Counter::Corrections,
-        Counter::Detections,
-        Counter::EccCacheAccesses,
-        Counter::EccCacheInserts,
-        Counter::EccCachePromotes,
-        Counter::EccCacheDisplacements,
-        Counter::EccCacheInvalidations,
-        Counter::ErrorInducedMisses,
-        Counter::EccInducedMisses,
-        Counter::VictimDecisions,
-        Counter::FillsRejected,
-        Counter::DisabledLines,
-    ];
-
-    /// JSON name of this counter.
-    pub fn name(self) -> &'static str {
-        Counter::NAMES[self as usize]
-    }
+counter_registry! {
+    /// Every monotonic counter the taxonomy can increment.
+    ///
+    /// The discriminant doubles as the index into [`Counters`], and
+    /// [`Counter::NAMES`] carries the stable JSON names in the same order.
+    pub enum Counter;
+    /// One value per [`Counter`]: the counter block of a [`MetricSet`].
+    pub struct Counters;
+    DfhTransitions => "dfh_transitions",
+    ParityChecks => "parity_checks",
+    ParityMismatches => "parity_mismatches",
+    SyndromeChecks => "syndrome_checks",
+    Corrections => "corrections",
+    Detections => "detections",
+    EccCacheAccesses => "ecc_cache_accesses",
+    EccCacheInserts => "ecc_cache_inserts",
+    EccCachePromotes => "ecc_cache_promotes",
+    EccCacheDisplacements => "ecc_cache_displacements",
+    EccCacheInvalidations => "ecc_cache_invalidations",
+    ErrorInducedMisses => "error_induced_misses",
+    EccInducedMisses => "ecc_induced_misses",
+    VictimDecisions => "victim_decisions",
+    FillsRejected => "fills_rejected",
+    DisabledLines => "disabled_lines",
 }
 
 /// A fixed-width histogram: bucket counts plus running count/sum of the
@@ -154,7 +105,7 @@ impl Histogram {
 /// The aggregate metric state for one simulation (or one sweep cell).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MetricSet {
-    counters: [u64; Counter::COUNT],
+    counters: Counters,
     /// `dfh_transitions[from][to]` transition counts (2-bit encoding).
     pub dfh_transitions: [[u64; 4]; 4],
     /// End-of-run DFH population `[Stable0, Unknown, Stable1, Disabled]`
@@ -176,17 +127,17 @@ impl MetricSet {
 
     /// Adds `n` to a counter.
     pub fn add(&mut self, counter: Counter, n: u64) {
-        self.counters[counter as usize] += n;
+        self.counters.add(counter, n);
     }
 
     /// Overwrites a counter (for gauges snapshotted at end of run).
     pub fn set(&mut self, counter: Counter, value: u64) {
-        self.counters[counter as usize] = value;
+        self.counters.set(counter, value);
     }
 
     /// Current value of a counter.
     pub fn get(&self, counter: Counter) -> u64 {
-        self.counters[counter as usize]
+        self.counters.get(counter)
     }
 
     /// Records one DFH transition (also bumps the flat counter).
@@ -239,9 +190,7 @@ impl MetricSet {
     /// Element-wise addition of `other` into `self`. Associative and
     /// commutative; `MetricSet::new()` is the identity.
     pub fn merge(&mut self, other: &MetricSet) {
-        for (c, o) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *c += o;
-        }
+        self.counters.merge(&other.counters);
         for (row, orow) in self
             .dfh_transitions
             .iter_mut()
@@ -263,14 +212,9 @@ impl MetricSet {
     /// fixed, so equal sets produce identical bytes.
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
-        let mut out = String::from("{\"counters\":{");
-        for (i, name) in Counter::NAMES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{}", self.counters[i]);
-        }
-        out.push_str("},\"dfh_transitions\":[");
+        let mut out = String::from("{\"counters\":");
+        self.counters.write_json(&mut out);
+        out.push_str(",\"dfh_transitions\":[");
         for (i, row) in self.dfh_transitions.iter().enumerate() {
             if i > 0 {
                 out.push(',');

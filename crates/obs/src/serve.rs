@@ -14,6 +14,8 @@
 //! [`ServeMetrics::apply`] routing point so every event increments its
 //! counters in exactly one place.
 
+use crate::counters::counter_registry;
+
 /// Job identifiers are 128-bit content hashes, rendered as 32 hex chars.
 pub type JobId = u128;
 
@@ -79,92 +81,30 @@ impl ServeEvent {
     }
 }
 
-/// Every monotonic counter the service taxonomy can increment.
-///
-/// The discriminant doubles as the index into `ServeMetrics::counters`,
-/// and [`ServeCounter::NAMES`] carries the stable JSON names in the
-/// same order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum ServeCounter {
-    JobsAccepted = 0,
-    JobsEnqueued,
-    JobsDequeued,
-    JobsCompleted,
-    JobsFailed,
-    SweepExecutions,
-    CacheHits,
-    CacheInserts,
-    CacheEvictions,
-    RejectedQueueFull,
-    RejectedDraining,
-    BadRequests,
-}
-
-impl ServeCounter {
-    /// Number of counters (length of [`ServeCounter::NAMES`]).
-    pub const COUNT: usize = 12;
-
-    /// Stable JSON names, indexed by discriminant.
-    pub const NAMES: [&'static str; ServeCounter::COUNT] = [
-        "jobs_accepted",
-        "jobs_enqueued",
-        "jobs_dequeued",
-        "jobs_completed",
-        "jobs_failed",
-        "sweep_executions",
-        "cache_hits",
-        "cache_inserts",
-        "cache_evictions",
-        "rejected_queue_full",
-        "rejected_draining",
-        "bad_requests",
-    ];
-
-    /// All counters in index order.
-    pub const ALL: [ServeCounter; ServeCounter::COUNT] = [
-        ServeCounter::JobsAccepted,
-        ServeCounter::JobsEnqueued,
-        ServeCounter::JobsDequeued,
-        ServeCounter::JobsCompleted,
-        ServeCounter::JobsFailed,
-        ServeCounter::SweepExecutions,
-        ServeCounter::CacheHits,
-        ServeCounter::CacheInserts,
-        ServeCounter::CacheEvictions,
-        ServeCounter::RejectedQueueFull,
-        ServeCounter::RejectedDraining,
-        ServeCounter::BadRequests,
-    ];
-
-    /// JSON name of this counter.
-    pub fn name(self) -> &'static str {
-        ServeCounter::NAMES[self as usize]
-    }
-}
-
-/// Aggregate counter state for the daemon.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeMetrics {
-    counters: [u64; ServeCounter::COUNT],
+counter_registry! {
+    /// Every monotonic counter the service taxonomy can increment.
+    ///
+    /// The discriminant doubles as the index into [`ServeMetrics`], and
+    /// [`ServeCounter::NAMES`] carries the stable JSON names in the same
+    /// order.
+    pub enum ServeCounter;
+    /// Aggregate counter state for the daemon.
+    pub struct ServeMetrics;
+    JobsAccepted => "jobs_accepted",
+    JobsEnqueued => "jobs_enqueued",
+    JobsDequeued => "jobs_dequeued",
+    JobsCompleted => "jobs_completed",
+    JobsFailed => "jobs_failed",
+    SweepExecutions => "sweep_executions",
+    CacheHits => "cache_hits",
+    CacheInserts => "cache_inserts",
+    CacheEvictions => "cache_evictions",
+    RejectedQueueFull => "rejected_queue_full",
+    RejectedDraining => "rejected_draining",
+    BadRequests => "bad_requests",
 }
 
 impl ServeMetrics {
-    /// An all-zero set (the merge identity).
-    pub fn new() -> Self {
-        ServeMetrics::default()
-    }
-
-    /// Adds `n` to a counter.
-    pub fn add(&mut self, counter: ServeCounter, n: u64) {
-        self.counters[counter as usize] += n;
-    }
-
-    /// Current value of a counter.
-    pub fn get(&self, counter: ServeCounter) -> u64 {
-        self.counters[counter as usize]
-    }
-
     /// Routes an event to the counters it implies — the single place
     /// the service taxonomy maps onto the registry.
     pub fn apply(&mut self, event: &ServeEvent) {
@@ -186,26 +126,12 @@ impl ServeMetrics {
         }
     }
 
-    /// Element-wise addition of `other` into `self`. Associative and
-    /// commutative; `ServeMetrics::new()` is the identity.
-    pub fn merge(&mut self, other: &ServeMetrics) {
-        for (c, o) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *c += o;
-        }
-    }
-
     /// Serialises the set as a compact JSON object. Field order is
     /// fixed, so equal snapshots produce identical bytes.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("{\"schema\":\"killi-serve-metrics/v1\",\"counters\":{");
-        for (i, name) in ServeCounter::NAMES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{}", self.counters[i]);
-        }
-        out.push_str("}}");
+        let mut out = String::from("{\"schema\":\"killi-serve-metrics/v1\",\"counters\":");
+        self.write_json(&mut out);
+        out.push('}');
         out
     }
 }
@@ -285,6 +211,21 @@ mod tests {
         assert_eq!(
             counters.get("jobs_accepted").and_then(|c| c.as_u64()),
             Some(5)
+        );
+    }
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        let mut m = ServeMetrics::new();
+        m.add(ServeCounter::JobsAccepted, 5);
+        m.add(ServeCounter::BadRequests, 2);
+        assert_eq!(
+            m.to_json(),
+            "{\"schema\":\"killi-serve-metrics/v1\",\"counters\":{\"jobs_accepted\":5,\
+             \"jobs_enqueued\":0,\"jobs_dequeued\":0,\"jobs_completed\":0,\"jobs_failed\":0,\
+             \"sweep_executions\":0,\"cache_hits\":0,\"cache_inserts\":0,\
+             \"cache_evictions\":0,\"rejected_queue_full\":0,\"rejected_draining\":0,\
+             \"bad_requests\":2}}"
         );
     }
 

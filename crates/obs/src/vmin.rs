@@ -17,6 +17,8 @@
 //! itself deterministic and may be embedded in the `killi-vmin/v1`
 //! report.
 
+use crate::counters::counter_registry;
+
 /// Everything observable that happens inside a Vmin campaign.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VminEvent {
@@ -56,86 +58,28 @@ impl VminEvent {
     }
 }
 
-/// Every monotonic counter the campaign taxonomy can increment.
-///
-/// The discriminant doubles as the index into `VminMetrics::counters`,
-/// and [`VminCounter::NAMES`] carries the stable JSON names in the same
-/// order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum VminCounter {
-    CampaignsStarted = 0,
-    CampaignsCompleted,
-    DiesEvaluated,
-    VoltageProbes,
-    BinarySearches,
-    LinearScans,
-    StoresOpened,
-    StoreDiesWritten,
-    StoreBytesWritten,
-    StoreDiesRead,
-}
-
-impl VminCounter {
-    /// Number of counters (length of [`VminCounter::NAMES`]).
-    pub const COUNT: usize = 10;
-
-    /// Stable JSON names, indexed by discriminant.
-    pub const NAMES: [&'static str; VminCounter::COUNT] = [
-        "campaigns_started",
-        "campaigns_completed",
-        "dies_evaluated",
-        "voltage_probes",
-        "binary_searches",
-        "linear_scans",
-        "stores_opened",
-        "store_dies_written",
-        "store_bytes_written",
-        "store_dies_read",
-    ];
-
-    /// All counters in index order.
-    pub const ALL: [VminCounter; VminCounter::COUNT] = [
-        VminCounter::CampaignsStarted,
-        VminCounter::CampaignsCompleted,
-        VminCounter::DiesEvaluated,
-        VminCounter::VoltageProbes,
-        VminCounter::BinarySearches,
-        VminCounter::LinearScans,
-        VminCounter::StoresOpened,
-        VminCounter::StoreDiesWritten,
-        VminCounter::StoreBytesWritten,
-        VminCounter::StoreDiesRead,
-    ];
-
-    /// JSON name of this counter.
-    pub fn name(self) -> &'static str {
-        VminCounter::NAMES[self as usize]
-    }
-}
-
-/// Aggregate counter state for a campaign (or a whole process).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VminMetrics {
-    counters: [u64; VminCounter::COUNT],
+counter_registry! {
+    /// Every monotonic counter the campaign taxonomy can increment.
+    ///
+    /// The discriminant doubles as the index into [`VminMetrics`], and
+    /// [`VminCounter::NAMES`] carries the stable JSON names in the same
+    /// order.
+    pub enum VminCounter;
+    /// Aggregate counter state for a campaign (or a whole process).
+    pub struct VminMetrics;
+    CampaignsStarted => "campaigns_started",
+    CampaignsCompleted => "campaigns_completed",
+    DiesEvaluated => "dies_evaluated",
+    VoltageProbes => "voltage_probes",
+    BinarySearches => "binary_searches",
+    LinearScans => "linear_scans",
+    StoresOpened => "stores_opened",
+    StoreDiesWritten => "store_dies_written",
+    StoreBytesWritten => "store_bytes_written",
+    StoreDiesRead => "store_dies_read",
 }
 
 impl VminMetrics {
-    /// An all-zero set (the merge identity).
-    pub fn new() -> Self {
-        VminMetrics::default()
-    }
-
-    /// Adds `n` to a counter.
-    pub fn add(&mut self, counter: VminCounter, n: u64) {
-        self.counters[counter as usize] += n;
-    }
-
-    /// Current value of a counter.
-    pub fn get(&self, counter: VminCounter) -> u64 {
-        self.counters[counter as usize]
-    }
-
     /// Routes an event to the counters it implies — the single place
     /// the campaign taxonomy maps onto the registry.
     pub fn apply(&mut self, event: &VminEvent) {
@@ -162,26 +106,12 @@ impl VminMetrics {
         }
     }
 
-    /// Element-wise addition of `other` into `self`. Associative and
-    /// commutative; `VminMetrics::new()` is the identity.
-    pub fn merge(&mut self, other: &VminMetrics) {
-        for (c, o) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *c += o;
-        }
-    }
-
     /// Serialises the set as a compact JSON object. Field order is
     /// fixed, so equal snapshots produce identical bytes.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("{\"schema\":\"killi-vmin-metrics/v1\",\"counters\":{");
-        for (i, name) in VminCounter::NAMES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{}", self.counters[i]);
-        }
-        out.push_str("}}");
+        let mut out = String::from("{\"schema\":\"killi-vmin-metrics/v1\",\"counters\":");
+        self.write_json(&mut out);
+        out.push('}');
         out
     }
 }
@@ -255,6 +185,20 @@ mod tests {
         assert_eq!(
             counters.get("dies_evaluated").and_then(|c| c.as_u64()),
             Some(64)
+        );
+    }
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        let mut m = VminMetrics::new();
+        m.add(VminCounter::DiesEvaluated, 64);
+        m.add(VminCounter::StoreDiesRead, 3);
+        assert_eq!(
+            m.to_json(),
+            "{\"schema\":\"killi-vmin-metrics/v1\",\"counters\":{\"campaigns_started\":0,\
+             \"campaigns_completed\":0,\"dies_evaluated\":64,\"voltage_probes\":0,\
+             \"binary_searches\":0,\"linear_scans\":0,\"stores_opened\":0,\
+             \"store_dies_written\":0,\"store_bytes_written\":0,\"store_dies_read\":3}}"
         );
     }
 
