@@ -20,7 +20,8 @@ use killi::registry::{
 use killi_ecc::olsc::OlscLine;
 use killi_sim::protection::LineProtection;
 
-pub use per_line::{Code, PerLineEcc, SECDED_RULE};
+use per_line::SECDED_RULE;
+pub use per_line::{Code, PerLineEcc};
 
 /// Per-line DEC-TED keeps lines with up to two faults in data and
 /// checkbit cells.

@@ -42,7 +42,7 @@ use killi_sim::protection::{FillOutcome, LineProtection, ReadOutcome};
 
 /// Per-line SECDED keeps any single-fault line (data + checkbit cells) in
 /// service; a second fault disables the line.
-pub const SECDED_RULE: LineRule = LineRule::Total {
+pub(crate) const SECDED_RULE: LineRule = LineRule::Total {
     span: CellSpan::DataSecded,
     max_faults: 1,
 };
@@ -306,14 +306,10 @@ impl LineProtection for PerLineEcc {
             return ReadOutcome::ErrorMiss { extra_cycles: 0 };
         };
         let outcome = self.code.check(stored, &payload);
-        let corrected = matches!(
-            outcome,
-            ReadOutcome::Clean {
-                corrected: true,
-                ..
-            }
-        );
-        let detected = matches!(outcome, ReadOutcome::ErrorMiss { .. });
+        let (corrected, detected) = match outcome {
+            ReadOutcome::Clean { corrected, .. } => (corrected, false),
+            ReadOutcome::ErrorMiss { .. } => (false, true),
+        };
         if corrected {
             self.corrections += 1;
         }
@@ -363,12 +359,8 @@ impl std::fmt::Debug for PerLineEcc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DECTED_RULE;
     use killi_fault::map::{layout, CellFault};
-
-    const DECTED_RULE: LineRule = LineRule::Total {
-        span: CellSpan::DataDected,
-        max_faults: 2,
-    };
 
     fn fault(cell: u16) -> CellFault {
         CellFault { cell, stuck: true }
