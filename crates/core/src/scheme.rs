@@ -223,6 +223,28 @@ impl KilliScheme {
         self.parity.observe_training(line, stored, code, parity_hi)
     }
 
+    /// Moves a line whose data `stored` is clean to `b'00` protection: the
+    /// 4-bit stable parity, and no ECC-cache entry, unless the line holds
+    /// dirty data under §5.6.1. A dirty line keeps SECDED over its clean
+    /// data, as [`LineProtection::on_write`] gives a dirty `b'00` line; its
+    /// training entry is rewritten in place, so nothing is displaced.
+    fn settle_stable0(&mut self, line: LineId, stored: &Line512) {
+        let kept = self.flags[line].dirty_protected
+            && self.ecc.update(
+                line,
+                EccPayload::Secded {
+                    code: secded().encode(stored),
+                    parity_hi: 0,
+                },
+            );
+        if !kept {
+            self.ecc.invalidate(line);
+            self.flags[line].dirty_protected = false;
+        }
+        self.parity.install4(line, stored);
+        self.flags[line].dected = false;
+    }
+
     /// Applies a verdict reached on the read/evict path of a `b'01` or
     /// `b'10` line: updates DFH, ECC-cache residency and stable parity.
     /// Returns the bit to correct, if any, and whether data survives.
@@ -230,13 +252,7 @@ impl KilliScheme {
         match verdict {
             Verdict::SendClean { next, correct_bit } => {
                 match next {
-                    Dfh::Stable0 => {
-                        // Entry freed; generate the 4-bit stable parity from
-                        // the array content (clean by the verdict).
-                        self.ecc.invalidate(line);
-                        self.parity.install4(line, stored);
-                        self.flags[line].dected = false;
-                    }
+                    Dfh::Stable0 => self.settle_stable0(line, stored),
                     Dfh::Stable1 => {
                         // Keep the entry. Stable parity reflects the
                         // *corrected* data so the fault shows as a
@@ -284,8 +300,7 @@ impl KilliScheme {
         let verdict = codec.decode(&mut work, check);
         match verdict {
             OlscDecode::Clean => {
-                self.ecc.invalidate(line);
-                self.parity.install4(line, stored);
+                self.settle_stable0(line, stored);
                 self.classifier.transition(line, Dfh::Stable0);
             }
             OlscDecode::Corrected => {
@@ -814,6 +829,38 @@ mod tests {
         assert_eq!(s.dfh(0), Dfh::Stable0);
         assert_eq!(s.ecc_cache().occupancy(), 0, "entry freed on b'00");
         assert_eq!(arr, data);
+    }
+
+    #[test]
+    fn dirty_line_trained_to_stable0_keeps_its_secded_entry() {
+        // §5.6.1: a fault-free line written during training moves to b'00
+        // on its first read, but its data is still dirty, so SECDED must
+        // stay behind the 4-bit parity and correct a later flip.
+        let wb = KilliConfig {
+            write_back_protection: true,
+            ..config()
+        };
+        let mut s = scheme(vec![], wb);
+        let data = Line512::from_seed(2);
+        assert!(s.on_write(0, &data).accepted);
+        let mut arr = stored(&s, 0, &data);
+        match s.on_read_hit(0, &mut arr) {
+            ReadOutcome::Clean { corrected, .. } => assert!(!corrected),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(s.dfh(0), Dfh::Stable0);
+        assert!(
+            matches!(s.ecc.lookup(0), Some(EccPayload::Secded { .. })),
+            "a dirty b'00 line keeps a SECDED entry"
+        );
+        let mut flipped = stored(&s, 0, &data);
+        flipped.flip_bit(100);
+        match s.on_read_hit(0, &mut flipped) {
+            ReadOutcome::Clean { corrected, .. } => assert!(corrected),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(flipped, data, "SECDED corrected the flip");
+        assert_eq!(s.dfh(0), Dfh::Stable0);
     }
 
     #[test]
