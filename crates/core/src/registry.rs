@@ -462,6 +462,51 @@ impl LineRule {
             }
         }
     }
+
+    /// The lowest grid index at which a line is admitted, given each of
+    /// its faults as `(cell, top)`: the cell is faulty at grid indices
+    /// `0..=top` (a voltage-nested fault map over an ascending grid).
+    /// This is the least `g` for which [`Self::admits`] holds on the
+    /// faults with `top >= g`: 0 when the line is admitted with every
+    /// fault, one past the highest `top` when it is never admitted.
+    ///
+    /// `faults` must be sorted by descending `top`. The sweep adds faults
+    /// from the highest `top` down and stops at the first one that breaks
+    /// the rule, at index `top + 1`. That is sound because every rule is
+    /// monotone under fault-set inclusion: removing faults never turns an
+    /// admitted line into a rejected one.
+    pub fn lowest_admitted(&self, faults: &[(u16, usize)]) -> usize {
+        debug_assert!(faults.windows(2).all(|w| w[0].1 >= w[1].1));
+        match *self {
+            LineRule::Total { span, max_faults } => {
+                let mut count = 0u32;
+                for &(cell, top) in faults {
+                    if span.contains(cell) {
+                        count += 1;
+                        if count > max_faults {
+                            return top + 1;
+                        }
+                    }
+                }
+            }
+            LineRule::PerBlock {
+                block_cells,
+                max_faults,
+            } => {
+                let mut per_block = [0u16; layout::DATA.end as usize];
+                for &(cell, top) in faults {
+                    if layout::DATA.contains(&cell) {
+                        let count = &mut per_block[(u32::from(cell) / block_cells.max(1)) as usize];
+                        *count += 1;
+                        if u32::from(*count) > max_faults {
+                            return top + 1;
+                        }
+                    }
+                }
+            }
+        }
+        0
+    }
 }
 
 /// Signature of a descriptor's build function: resolved parameters plus a

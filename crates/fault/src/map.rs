@@ -531,6 +531,64 @@ impl DieFaultTable {
             seed: self.seed,
         }
     }
+
+    /// Calls `emit(line, fault, mask)` for every cell faulty at some point
+    /// of `grid`, in (line, cell) order. Bit `g` of `mask` is set iff the
+    /// cell's key falls below the line's threshold at `grid[g]`, the test
+    /// [`Self::fault_map_at`] applies, so the cell is in
+    /// `fault_map_at(model, grid[g])`. One pass over the candidates
+    /// replaces one derived map per grid point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid` has more than 64 points or a point below the cap
+    /// voltage, or if `model` disagrees with the table (see
+    /// [`Self::fault_map_at`]).
+    pub fn grid_masks(
+        &self,
+        model: &CellFailureModel,
+        grid: &[NormVdd],
+        mut emit: impl FnMut(LineId, CellFault, u64),
+    ) {
+        assert!(grid.len() <= 64, "grid masks hold at most 64 points");
+        for vdd in grid {
+            assert!(
+                vdd.0 >= self.cap_vdd.0,
+                "requested vdd {} below table cap {}",
+                vdd.0,
+                self.cap_vdd.0
+            );
+        }
+        let medians: Vec<f64> = grid
+            .iter()
+            .map(|&vdd| model.p_cell_median(vdd, self.freq, FailureKind::Combined))
+            .collect();
+        let cap_median = model.p_cell_median(self.cap_vdd, self.freq, FailureKind::Combined);
+        let mut thresholds = vec![0u64; grid.len()];
+        for (line, cands) in self.candidates.iter().enumerate() {
+            if cands.is_empty() {
+                continue;
+            }
+            let z = self.z[line];
+            let cap_threshold = unit_threshold(model.line_p(cap_median, z));
+            for (threshold, &median) in thresholds.iter_mut().zip(&medians) {
+                *threshold = unit_threshold(model.line_p(median, z));
+                assert!(
+                    *threshold <= cap_threshold,
+                    "model not monotone against table cap at line {line}"
+                );
+            }
+            for &(key, fault) in cands.iter() {
+                let mask = thresholds
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |mask, (g, &t)| mask | (u64::from(key < t) << g));
+                if mask != 0 {
+                    emit(line, fault, mask);
+                }
+            }
+        }
+    }
 }
 
 /// Converts 64 uniform bits to a standard-normal deviate via the inverse

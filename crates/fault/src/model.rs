@@ -40,7 +40,7 @@ use killi_obs::params::ParamValue;
 use killi_obs::{escape_json, parse_json, JsonValue};
 
 use crate::cell_model::{CellFailureModel, FailureKind, FreqGhz, NormVdd};
-use crate::map::{layout, standard_normal, CellFault, DieFaultTable, FaultMap, MapOptions};
+use crate::map::{layout, standard_normal, CellFault, DieFaultTable, FaultMap, LineId, MapOptions};
 use crate::rng::{hash3, hash3_base, hash3_with_base, splitmix64, to_unit, unit_threshold};
 
 /// A deterministic fault-population generator.
@@ -90,9 +90,21 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
 }
 
 /// One die of a [`FaultModel`], memoized at the grid's cap voltage.
+///
+/// The sweep engine asks for one map per operating point; the Vmin
+/// campaign asks for the whole grid at once through
+/// [`ReplicateDie::grid_masks`], whose cost is proportional to the die's
+/// faulty cells rather than to its lines times the grid.
 pub trait ReplicateDie: Send + Sync {
     /// The die's fault map at `vdd` (which must be `>=` the cap).
     fn map_at(&self, vdd: NormVdd) -> FaultMap;
+
+    /// Calls `emit(line, fault, mask)` once per cell that is faulty at
+    /// some point of `grid` (every point `>=` the cap, at most 64), in
+    /// (line, cell) order. Bit `g` of `mask` is set iff the cell is in
+    /// `map_at(grid[g])`; a voltage-nested model over an ascending grid
+    /// therefore emits prefixes of ones.
+    fn grid_masks(&self, grid: &[NormVdd], emit: &mut dyn FnMut(LineId, CellFault, u64));
 }
 
 /// A declarative fault-model instantiation: a registered name plus
@@ -615,6 +627,10 @@ struct StuckAtDie {
 impl ReplicateDie for StuckAtDie {
     fn map_at(&self, vdd: NormVdd) -> FaultMap {
         self.table.fault_map_at(&self.cell, vdd)
+    }
+
+    fn grid_masks(&self, grid: &[NormVdd], emit: &mut dyn FnMut(LineId, CellFault, u64)) {
+        self.table.grid_masks(&self.cell, grid, emit);
     }
 }
 

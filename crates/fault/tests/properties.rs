@@ -162,3 +162,50 @@ fn mix_is_a_probability_average() {
         assert!((c - 0.25).abs() < 1e-6);
     });
 }
+
+#[test]
+fn grid_masks_equal_the_fold_of_per_grid_maps() {
+    use std::collections::BTreeMap;
+
+    use killi_fault::map::CellFault;
+    use killi_fault::model::{default_registry, FaultModelConfig};
+
+    let registry = default_registry();
+    check("grid_masks_equal_the_fold_of_per_grid_maps", |g| {
+        let name = *g.pick(&["stuck-at", "table"]);
+        let model = registry.build(&FaultModelConfig::new(name)).unwrap();
+        let seed = g.u64();
+        let lines = g.usize_in(1, 200);
+        // 2 to 64 strictly ascending points, 2.5 mV apart at the least.
+        let points = g.usize_in(2, 65);
+        let grid: Vec<NormVdd> = g
+            .distinct(160, points, points)
+            .into_iter()
+            .map(|i| NormVdd(0.5 + 0.0025 * i as f64))
+            .collect();
+        let die = model
+            .die(lines, grid[0], FreqGhz::PEAK, seed)
+            .expect("stuck-at and table factorize across voltage");
+
+        let mut emitted: Vec<(usize, CellFault, u64)> = Vec::new();
+        die.grid_masks(&grid, &mut |line, fault, mask| {
+            emitted.push((line, fault, mask));
+        });
+
+        // The oracle: one map per grid point, folded cell by cell.
+        let mut folded: BTreeMap<(usize, u16), (CellFault, u64)> = BTreeMap::new();
+        for (i, &vdd) in grid.iter().enumerate() {
+            let map = die.map_at(vdd);
+            for line in 0..lines {
+                for &fault in map.line(line) {
+                    folded.entry((line, fault.cell)).or_insert((fault, 0)).1 |= 1 << i;
+                }
+            }
+        }
+        let expected: Vec<(usize, CellFault, u64)> = folded
+            .into_iter()
+            .map(|((line, _), (fault, mask))| (line, fault, mask))
+            .collect();
+        assert_eq!(emitted, expected, "{name}, {lines} lines, {points} points");
+    });
+}

@@ -9,22 +9,27 @@
 //!
 //! Three pieces:
 //!
-//! - [`search`] — the nesting-aware grid search. Voltage-nested fault
-//!   models (the property `killi-fault` tests and every model declares
-//!   via `voltage_nested`) make the pass predicate monotone along the
-//!   grid, so Vmin bisects in `O(log G)` probes; non-nested models
-//!   (`transient`) deterministically fall back to a linear scan.
+//! - [`campaign`] — the engine. Each die becomes one sparse record of
+//!   grid-masked faults: in one pass over the die table for models with
+//!   a per-die factorization (`killi_fault::model::ReplicateDie`), by
+//!   folding a fault map per grid point otherwise. The record reduces to
+//!   per-rule usable-line tables under each scheme's static admissibility
+//!   rule (`killi::registry::LineRule`): for voltage-nested models from
+//!   each line's lowest admitted grid index and a prefix sum, in time
+//!   proportional to the die's faults; for non-nested models
+//!   (`transient`) by applying every rule at every grid point. Parallel
+//!   integer-only evaluation runs on the shared scoped-thread pool,
+//!   followed by sequential aggregation into the byte-deterministic
+//!   `killi-vmin/v1` report (Vmin CDF with exact order statistics,
+//!   capacity-vs-vdd curves, yield tables).
+//! - [`search`] — picks each die's Vmin from its finished usable-line
+//!   table: bisection for voltage-nested models, a linear top-down scan
+//!   for the rest. Both choose among answers already computed; the
+//!   report's `search` block counts their probes.
 //! - [`store`] — the `killi-diestore/v1` streaming die store: a
-//!   write-once sparse serialization of a fleet's fault maps, folded
-//!   across the whole voltage grid into per-cell bitmasks, so campaigns
+//!   write-once sparse serialization of a fleet's records, so campaigns
 //!   re-run against identical silicon without re-synthesis and peak
 //!   memory stays bounded by the chunk size rather than the fleet size.
-//! - [`campaign`] — the engine: per-die usable-line tables under each
-//!   scheme's static admissibility rule (`killi::registry::LineRule`),
-//!   parallel integer-only evaluation on the shared scoped-thread pool,
-//!   sequential aggregation, and the byte-deterministic `killi-vmin/v1`
-//!   report (Vmin CDF with exact order statistics, capacity-vs-vdd
-//!   curves, yield tables).
 
 pub mod bench;
 pub mod campaign;

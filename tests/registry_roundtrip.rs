@@ -1,14 +1,16 @@
 //! Property tests for the scheme registry's declarative configs: every
 //! `SchemeConfig` must survive a JSON round-trip unchanged, the CLI
 //! shorthand must agree with the JSON spelling, and malformed or unknown
-//! configs must surface as typed [`BuildError`]s — never panics.
+//! configs must surface as typed [`BuildError`]s — never panics. Every
+//! registered scheme's `LineRule` must be monotone under fault-set
+//! inclusion, and its lowest-admitted sweep must agree with `admits`.
 
 use std::sync::Arc;
 
 use killi_repro::bench::schemes::{
-    default_registry, BuildCtx, BuildError, ParamValue, SchemeConfig,
+    default_registry, BuildCtx, BuildError, LineRule, ParamValue, SchemeConfig,
 };
-use killi_repro::fault::map::FaultMap;
+use killi_repro::fault::map::{CellFault, FaultMap};
 use killi_repro::sim::cache::CacheGeometry;
 
 fn geometry() -> CacheGeometry {
@@ -291,6 +293,92 @@ fn every_registered_scheme_builds_or_fails_typed_under_random_params() {
                     "{config}: unexpected {e}"
                 );
             }
+        }
+    });
+}
+
+/// Every registered scheme's admissibility rule, by scheme name.
+fn registered_rules() -> Vec<(&'static str, LineRule)> {
+    let registry = default_registry();
+    registry
+        .names()
+        .into_iter()
+        .map(|name| {
+            (
+                name,
+                registry.admissibility(&SchemeConfig::new(name)).unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// A random line's faulty cells: sparse, dense (more than 500 faults), or
+/// packed into the parity and checkbit cells past the data payload.
+fn random_faults(g: &mut killi_check::Gen) -> Vec<CellFault> {
+    let mut cells = match g.usize_in(0, 4) {
+        0 => g.distinct(560, 501, 560),
+        1 => g.distinct(48, 1, 48).into_iter().map(|c| c + 512).collect(),
+        _ => g.distinct(560, 0, 12),
+    };
+    cells.extend(g.distinct(512, 0, 3));
+    cells
+        .into_iter()
+        .map(|cell| CellFault {
+            cell: cell as u16,
+            stuck: g.bool(),
+        })
+        .collect()
+}
+
+#[test]
+fn every_registered_line_rule_is_monotone_under_fault_set_inclusion() {
+    let rules = registered_rules();
+    killi_check::check_cases("line_rule_monotone", 256, |g| {
+        let faults = random_faults(g);
+        let subset: Vec<CellFault> = faults.iter().copied().filter(|_| g.bool()).collect();
+        for (name, rule) in &rules {
+            if rule.admits(&faults) {
+                assert!(
+                    rule.admits(&subset),
+                    "{name}: admits {} faults but not {} of them",
+                    faults.len(),
+                    subset.len()
+                );
+            }
+        }
+    });
+}
+
+#[test]
+fn lowest_admitted_sweep_equals_the_per_grid_oracle() {
+    let rules = registered_rules();
+    killi_check::check_cases("lowest_admitted_oracle", 256, |g| {
+        let grid_len = g.usize_in(2, 65);
+        let mut faults: Vec<(CellFault, usize)> = random_faults(g)
+            .into_iter()
+            .map(|f| (f, g.usize_in(0, grid_len)))
+            .collect();
+        faults.sort_by_key(|&(_, top)| std::cmp::Reverse(top));
+        let tops: Vec<(u16, usize)> = faults.iter().map(|&(f, top)| (f.cell, top)).collect();
+        for (name, rule) in &rules {
+            // The least grid index whose fault set (faults with top >= g)
+            // the rule admits; the empty set at grid_len always is.
+            let oracle = (0..=grid_len)
+                .find(|&at| {
+                    let present: Vec<CellFault> = faults
+                        .iter()
+                        .filter(|&&(_, top)| top >= at)
+                        .map(|&(f, _)| f)
+                        .collect();
+                    rule.admits(&present)
+                })
+                .expect("the empty fault set is admitted");
+            assert_eq!(
+                rule.lowest_admitted(&tops),
+                oracle,
+                "{name}: {} faults over {grid_len} grid points",
+                faults.len()
+            );
         }
     });
 }
