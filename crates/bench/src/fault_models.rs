@@ -15,7 +15,7 @@ pub use killi_fault::model::{
 pub fn build_fault_model(
     config: &FaultModelConfig,
 ) -> Result<Arc<dyn FaultModel>, FaultModelBuildError> {
-    default_fault_registry().build(config)
+    default_fault_registry().build(config, &())
 }
 
 /// The report label of a config (e.g. `stuck-at`,

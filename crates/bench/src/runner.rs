@@ -12,7 +12,7 @@ use killi_sim::trace::Trace;
 use killi_workloads::{TraceParams, Workload};
 
 use crate::fault_models::{build_fault_model, FaultModelConfig};
-use crate::schemes::{build_scheme, scheme_label, BuildCtx, SchemeConfig};
+use crate::schemes::{build_scheme, scheme_label, BuildCtx, SchemeConfig, BASELINE};
 
 /// Matrix configuration.
 #[derive(Debug, Clone)]
@@ -176,7 +176,11 @@ pub fn run_matrix(
     }
 
     crate::exec::par_map(config.threads, &jobs, None, |_, &(w, s)| {
-        let map = if s.is_baseline() { &free_map } else { &lv_map };
+        let map = if s.name == BASELINE {
+            &free_map
+        } else {
+            &lv_map
+        };
         let trace = w.trace(&trace_params(&config.gpu, config.ops_per_cu, config.seed));
         run_cell(
             w,

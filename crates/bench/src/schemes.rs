@@ -11,11 +11,13 @@
 
 use std::sync::OnceLock;
 
-use killi::registry::{register_killi_schemes, SchemeRegistry};
+use killi::registry::{admissibility, register_killi_schemes, SchemeRegistry};
 use killi_baselines::register_baselines;
 use killi_sim::protection::LineProtection;
 
-pub use killi::registry::{BuildCtx, BuildError, CellSpan, LineRule, ParamValue, SchemeConfig};
+pub use killi::registry::{
+    BuildCtx, BuildError, CellSpan, LineRule, ParamValue, SchemeConfig, BASELINE,
+};
 
 /// The process-wide registry with every built-in scheme declared
 /// (Killi variants + baselines).
@@ -45,7 +47,7 @@ pub fn scheme_label(config: &SchemeConfig) -> Result<String, BuildError> {
 /// The static line-admissibility rule of a declarative config via
 /// [`default_registry`] (the Vmin campaign's binning predicate).
 pub fn scheme_admissibility(config: &SchemeConfig) -> Result<LineRule, BuildError> {
-    default_registry().admissibility(config)
+    admissibility(default_registry(), config)
 }
 
 /// Every protection configuration the experiments compare.
@@ -104,7 +106,7 @@ impl SchemeSpec {
         let ratio =
             |name: &str, r: usize| SchemeConfig::new(name).with("ratio", ParamValue::U64(r as u64));
         match *self {
-            SchemeSpec::Baseline => SchemeConfig::new("baseline"),
+            SchemeSpec::Baseline => SchemeConfig::new(BASELINE),
             SchemeSpec::Dected => SchemeConfig::new("dected"),
             SchemeSpec::Flair => SchemeConfig::new("flair"),
             SchemeSpec::FlairOnline => SchemeConfig::new("flair-online"),

@@ -30,7 +30,7 @@
 //! use killi_sim::trace::{Trace, TraceOp};
 //!
 //! let config = GpuConfig::small_test();
-//! let model = default_registry().build(&FaultModelConfig::default()).unwrap();
+//! let model = default_registry().build(&FaultModelConfig::default(), &()).unwrap();
 //! let map = Arc::new(model.map(config.l2.lines(), NormVdd::LV_0_625, FreqGhz::PEAK, 1));
 //! let killi = KilliScheme::new(
 //!     KilliConfig::with_ratio(16), Arc::clone(&map),

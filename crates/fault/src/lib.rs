@@ -21,7 +21,7 @@
 //! use killi_fault::cell_model::{FreqGhz, NormVdd};
 //! use killi_fault::model::{default_registry, FaultModelConfig};
 //!
-//! let model = default_registry().build(&FaultModelConfig::default()).unwrap();
+//! let model = default_registry().build(&FaultModelConfig::default(), &()).unwrap();
 //! let map = model.map(1024, NormVdd::LV_0_625, FreqGhz::PEAK, 42);
 //! let faulty_lines = (0..map.lines()).filter(|&l| map.data_fault_count(l) > 0).count();
 //! assert!(faulty_lines < map.lines()); // most lines are fault-free at 0.625 VDD

@@ -173,7 +173,7 @@ fn grid_masks_equal_the_fold_of_per_grid_maps() {
     let registry = default_registry();
     check("grid_masks_equal_the_fold_of_per_grid_maps", |g| {
         let name = *g.pick(&["stuck-at", "table"]);
-        let model = registry.build(&FaultModelConfig::new(name)).unwrap();
+        let model = registry.build(&FaultModelConfig::new(name), &()).unwrap();
         let seed = g.u64();
         let lines = g.usize_in(1, 200);
         // 2 to 64 strictly ascending points, 2.5 mV apart at the least.

@@ -847,7 +847,7 @@ mod tests {
         // silent data corruption — this validates the SDC detector.
         let g = small_geom();
         let model = default_registry()
-            .build(&FaultModelConfig::default())
+            .build(&FaultModelConfig::default(), &())
             .expect("stuck-at always builds");
         let map = model.map(g.lines(), NormVdd(0.55), FreqGhz::PEAK, 3);
         let faulty_line = (0..g.lines())

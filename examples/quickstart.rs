@@ -20,7 +20,7 @@ fn main() {
     // try `FaultModelConfig::parse("clustered:rows=4,corr=0.8")` for the
     // row-correlated variant.
     let model = default_registry()
-        .build(&FaultModelConfig::default())
+        .build(&FaultModelConfig::default(), &())
         .expect("stuck-at always builds");
     let map = Arc::new(model.map(config.l2.lines(), NormVdd::LV_0_625, FreqGhz::PEAK, 42));
     let faulty_lines = (0..map.lines())

@@ -33,7 +33,7 @@ fn main() {
     // A voltage sweep needs a voltage-nested model (the registry's
     // `stuck-at` and `clustered` qualify; `transient` declares it does not).
     let model = default_registry()
-        .build(&FaultModelConfig::default())
+        .build(&FaultModelConfig::default(), &())
         .expect("stuck-at always builds");
     assert!(
         model.voltage_nested(),

@@ -21,7 +21,7 @@ fn main() {
         ..GpuConfig::default()
     };
     let model = default_registry()
-        .build(&FaultModelConfig::default())
+        .build(&FaultModelConfig::default(), &())
         .expect("stuck-at always builds");
     let map = Arc::new(model.map(config.l2.lines(), NormVdd::LV_0_625, FreqGhz::PEAK, 42));
     let params = TraceParams::paper(100_000, 42);

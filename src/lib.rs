@@ -24,7 +24,7 @@
 //! use killi_repro::fault::line_stats::LineFaultDistribution;
 //! use killi_repro::fault::model::{default_registry, FaultModelConfig};
 //!
-//! let model = default_registry().build(&FaultModelConfig::default()).unwrap();
+//! let model = default_registry().build(&FaultModelConfig::default(), &()).unwrap();
 //! let cell = model.cell_model().expect("stuck-at exposes its curve");
 //! let dist = LineFaultDistribution::at(cell, NormVdd::LV_0_625, FreqGhz::PEAK);
 //! assert!(dist.zero + dist.one > 0.95);

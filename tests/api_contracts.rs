@@ -69,7 +69,7 @@ fn default_and_new_agree() {
     // fault-model config is the default cell model.
     let registry = killi_repro::fault::model::default_registry();
     let stuck_at = registry
-        .build(&killi_repro::fault::model::FaultModelConfig::default())
+        .build(&killi_repro::fault::model::FaultModelConfig::default(), &())
         .expect("stuck-at always builds");
     assert_eq!(
         stuck_at

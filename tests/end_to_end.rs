@@ -30,7 +30,7 @@ fn small_gpu() -> GpuConfig {
 
 fn lv_map(lines: usize, vdd: f64, seed: u64) -> Arc<FaultMap> {
     let model = default_registry()
-        .build(&FaultModelConfig::default())
+        .build(&FaultModelConfig::default(), &())
         .expect("stuck-at always builds");
     Arc::new(model.map(lines, NormVdd(vdd), FreqGhz::PEAK, seed))
 }

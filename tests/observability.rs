@@ -28,7 +28,7 @@ fn small_gpu() -> GpuConfig {
 
 fn lv_map(gpu: &GpuConfig) -> Arc<FaultMap> {
     let model = default_registry()
-        .build(&FaultModelConfig::default())
+        .build(&FaultModelConfig::default(), &())
         .expect("stuck-at always builds");
     Arc::new(model.map(gpu.l2.lines(), NormVdd(0.625), FreqGhz::PEAK, 7))
 }

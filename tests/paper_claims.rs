@@ -12,7 +12,7 @@ use killi_repro::model::coverage::coverage_at;
 /// reaches it now: through the registry's `stuck-at` model.
 fn paper_cell_model() -> CellFailureModel {
     default_registry()
-        .build(&FaultModelConfig::default())
+        .build(&FaultModelConfig::default(), &())
         .expect("stuck-at always builds")
         .cell_model()
         .expect("stuck-at exposes its analytic curve")
@@ -129,7 +129,7 @@ fn fault_monotonicity_enables_voltage_reclaim() {
     // voltages": every fault present at the higher voltage is present at
     // the lower one, never vice versa.
     let model = default_registry()
-        .build(&FaultModelConfig::default())
+        .build(&FaultModelConfig::default(), &())
         .expect("stuck-at always builds");
     let hi = model.map(1024, NormVdd(0.625), FreqGhz::PEAK, 4);
     let lo = model.map(1024, NormVdd(0.575), FreqGhz::PEAK, 4);
