@@ -184,7 +184,7 @@ impl OlscLine {
         if !matches!(m, 4 | 8 | 16) {
             return Err(format!("OLSC block width m={m} is not one of 4, 8, 16"));
         }
-        if t == 0 || 2 * t > m + 1 {
+        if t == 0 || t > m.div_ceil(2) {
             return Err(format!(
                 "OLSC t={t} out of range for m={m} (need 1 <= t, 2t <= m+1)"
             ));
@@ -225,6 +225,11 @@ impl OlscLine {
     /// `t * blocks` only when errors spread evenly).
     pub fn t_per_block(&self) -> usize {
         self.t
+    }
+
+    /// Data bits per block (m * m).
+    pub fn block_bits(&self) -> usize {
+        self.k
     }
 
     /// Encodes a line into its packed checkbits.
@@ -407,7 +412,15 @@ mod tests {
 
     #[test]
     fn geometry_outside_the_payload_is_an_error() {
-        for (m, t) in [(8, 3), (4, 2), (16, 5), (8, 5), (8, 0), (5, 2)] {
+        for (m, t) in [
+            (8, 3),
+            (4, 2),
+            (16, 5),
+            (8, 5),
+            (8, 0),
+            (5, 2),
+            (8, usize::MAX),
+        ] {
             assert!(OlscLine::try_new(m, t).is_err(), "OLSC({m}, {t}) built");
         }
         for (m, t) in CODES {

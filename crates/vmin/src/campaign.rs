@@ -1111,6 +1111,38 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_codes_and_models_that_cannot_be_built() {
+        // An OLSC code its build rejects has no binning rule either: the
+        // campaign must not bin dies for it.
+        for spelling in [
+            "ms-ecc:m=0",
+            "ms-ecc:t=3",
+            "ms-ecc:m=65536",
+            "ms-ecc:m=4294967296",
+        ] {
+            let mut c = small_config();
+            c.schemes[1] = SchemeConfig::parse(spelling).unwrap();
+            match c.validated() {
+                Err(VminConfigError::Scheme(BuildError::Build { name, .. })) => {
+                    assert_eq!(name, "ms-ecc", "{spelling}");
+                }
+                other => panic!("{spelling}: {other:?}"),
+            }
+        }
+        // A non-finite fault-model parameter is a typed error, not a panic.
+        let mut c = small_config();
+        c.fault_model = FaultModelConfig::parse("table:sigma=nan").unwrap();
+        let err = c.validated().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                VminConfigError::FaultModel(FaultModelBuildError::InvalidParam { .. })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn validation_canonicalizes_grid_ascending() {
         let mut c = small_config();
         c.vdds = vec![0.7, 0.65, 0.6, 0.55];
