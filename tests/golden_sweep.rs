@@ -17,13 +17,14 @@
 //! KILLI_BLESS=1 cargo test --test golden_sweep
 //! ```
 
-use std::path::PathBuf;
-
 use killi_repro::bench::schemes::{default_registry, SchemeConfig, SchemeSpec};
 use killi_repro::bench::sweep::{run_sweep, SweepConfig};
 use killi_repro::sim::cache::CacheGeometry;
 use killi_repro::sim::gpu::GpuConfig;
 use killi_repro::workloads::Workload;
+
+mod common;
+use common::check_or_bless;
 
 /// The PR-3 reference configuration (shared with `perf_equivalence.rs`).
 fn reference_sweep(threads: usize) -> SweepConfig {
@@ -52,28 +53,6 @@ fn reference_sweep(threads: usize) -> SweepConfig {
         progress_every: 0,
         trace_capacity: Some(256),
     }
-}
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join(name)
-}
-
-fn check_or_bless(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("KILLI_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {} ({e}); run with KILLI_BLESS=1", name));
-    assert_eq!(
-        actual, golden,
-        "{name} diverged from the pre-refactor golden bytes"
-    );
 }
 
 /// The codec schemes below Killi's range: OLSC (`ms-ecc`, `killi-olsc`),

@@ -20,8 +20,6 @@
 //! 3. **Hostile stores** — a die store whose record breaks voltage
 //!    nesting makes a campaign on a nested model return a typed error.
 
-use std::path::PathBuf;
-
 use killi_repro::bench::fault_models::FaultModelConfig;
 use killi_repro::bench::schemes::{default_registry as scheme_registry, SchemeConfig, SchemeSpec};
 use killi_repro::fault::model::default_registry as fault_registry;
@@ -29,6 +27,9 @@ use killi_repro::vmin::{
     check_report, run_campaign, CampaignError, DieEntry, DieRecord, DieStoreWriter, SearchMode,
     StoreMeta, VminConfig, DEFAULT_GRID,
 };
+
+mod common;
+use common::check_or_bless;
 
 /// Parses a `killi-vmin/v1` report and drops the `search` block — the
 /// probe accounting is the one part that legitimately differs between
@@ -114,28 +115,6 @@ fn nesting_aware_search_matches_the_exhaustive_oracle_for_every_model() {
         check_report(&auto_out.report.to_json())
             .unwrap_or_else(|e| panic!("{}: {e}", descriptor.name));
     }
-}
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join(name)
-}
-
-fn check_or_bless(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("KILLI_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {} ({e}); run with KILLI_BLESS=1", name));
-    assert_eq!(
-        actual, golden,
-        "{name} diverged from the recorded golden bytes"
-    );
 }
 
 #[test]
