@@ -35,6 +35,15 @@
 //! | `clustered`| MoRS-style row/column-correlated stuck-at faults         | yes |
 //! | `transient`| random/burst/MSB-biased flips over a stuck-at base       | no  |
 //! | `table`    | stuck-at drawn from a measured CDF (inline or from file) | yes |
+//!
+//! Every registered model also factorizes across voltage
+//! ([`FaultModel::die`]): a die's persistent faults are hashed once, into
+//! a [`DieFaultTable`] at the lowest voltage of interest, and every
+//! operating point is derived from it. `stuck-at` and `table` keep one
+//! variation draw per line, `clustered` one per (line, column group), and
+//! `transient` merges each operating point's overlay flips into its
+//! stuck-at base. A Vmin campaign reads a whole grid from one die
+//! ([`ReplicateDie::grid_masks`]) in a single pass.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -43,7 +52,9 @@ use killi_obs::params::ParamValue;
 use killi_obs::registry::{self, DefaultName, Descriptor, Kind, ParamSpec, ResolvedParams};
 
 use crate::cell_model::{CellFailureModel, FailureKind, FreqGhz, NormVdd};
-use crate::map::{layout, standard_normal, CellFault, DieFaultTable, FaultMap, LineId, MapOptions};
+use crate::map::{
+    layout, standard_normal, CellFault, CellGroups, DieFaultTable, FaultMap, LineId, MapOptions,
+};
 use crate::rng::{hash3, hash3_base, hash3_with_base, splitmix64, to_unit, unit_threshold};
 
 /// A deterministic fault-population generator.
@@ -65,8 +76,9 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
     }
 
     /// A memoized per-die table covering every voltage `>= cap_vdd`, for
-    /// sweep engines that derive many maps of one die. Models without a
-    /// cross-voltage factorization return `None` and the engine falls
+    /// sweep engines and Vmin campaigns that derive many maps of one die.
+    /// Every registered model returns one. A model without a
+    /// cross-voltage factorization may return `None`; callers then fall
     /// back to [`Self::map`] per operating point.
     fn die(
         &self,
@@ -96,17 +108,20 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
 ///
 /// The sweep engine asks for one map per operating point; the Vmin
 /// campaign asks for the whole grid at once through
-/// [`ReplicateDie::grid_masks`], whose cost is proportional to the die's
-/// faulty cells rather than to its lines times the grid.
+/// [`ReplicateDie::grid_masks`]. For a persistent model that costs time
+/// proportional to the die's faulty cells; `transient` adds one overlay
+/// hash pass per grid point.
 pub trait ReplicateDie: Send + Sync {
-    /// The die's fault map at `vdd` (which must be `>=` the cap).
+    /// The die's fault map at `vdd` (which must be `>=` the cap), equal
+    /// to the model's [`FaultModel::map`] there.
     fn map_at(&self, vdd: NormVdd) -> FaultMap;
 
     /// Calls `emit(line, fault, mask)` once per cell that is faulty at
     /// some point of `grid` (every point `>=` the cap, at most 64), in
     /// (line, cell) order. Bit `g` of `mask` is set iff the cell is in
-    /// `map_at(grid[g])`; a voltage-nested model over an ascending grid
-    /// therefore emits prefixes of ones.
+    /// `map_at(grid[g])`, and `fault` is the cell as `map_at` has it at
+    /// the lowest such point. A voltage-nested model over an ascending
+    /// grid therefore emits prefixes of ones.
     fn grid_masks(&self, grid: &[NormVdd], emit: &mut dyn FnMut(LineId, CellFault, u64));
 }
 
@@ -236,7 +251,7 @@ impl FaultModel for ParametricStuckAt {
         freq: FreqGhz,
         seed: u64,
     ) -> Option<Box<dyn ReplicateDie>> {
-        Some(Box::new(StuckAtDie {
+        Some(Box::new(TableDie {
             table: DieFaultTable::build(lines, &self.cell, cap_vdd, freq, seed),
             cell: self.cell.clone(),
         }))
@@ -251,19 +266,24 @@ impl FaultModel for ParametricStuckAt {
     }
 }
 
-/// One memoized die of [`ParametricStuckAt`].
-struct StuckAtDie {
+/// One memoized die of a persistent model ([`ParametricStuckAt`] or
+/// [`ClusteredModel`]): its candidate table and the probability curve the
+/// table was built from.
+struct TableDie {
     table: DieFaultTable,
     cell: CellFailureModel,
 }
 
-impl ReplicateDie for StuckAtDie {
+impl ReplicateDie for TableDie {
     fn map_at(&self, vdd: NormVdd) -> FaultMap {
         self.table.fault_map_at(&self.cell, vdd)
     }
 
     fn grid_masks(&self, grid: &[NormVdd], emit: &mut dyn FnMut(LineId, CellFault, u64)) {
-        self.table.grid_masks(&self.cell, grid, emit);
+        let mut masks = self.table.grid_masks(&self.cell, grid);
+        for line in 0..self.table.lines() {
+            masks.line(line, |fault, mask| emit(line, fault, mask));
+        }
     }
 }
 
@@ -305,14 +325,22 @@ impl ClusteredModel {
         let col_seed = splitmix64(seed ^ 0xC01_5EED_0000_0002); // "COL" domain
         standard_normal(hash3(col_seed, group, 0xF00D))
     }
+
+    /// What each column group adds to a line's draw: `col_corr` times
+    /// the group's die-wide draw.
+    fn column_offsets(&self, seed: u64) -> Vec<f64> {
+        let groups = usize::from(layout::CELLS_PER_LINE).div_ceil(self.col_cells.max(1) as usize);
+        (0..groups)
+            .map(|g| self.col_corr * self.z_col(seed, g as u64))
+            .collect()
+    }
 }
 
 impl FaultModel for ClusteredModel {
     fn map(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
         let median = self.cell.p_cell_median(vdd, freq, FailureKind::Combined);
-        let groups = usize::from(layout::CELLS_PER_LINE).div_ceil(self.col_cells.max(1) as usize);
         // Column-group draws are shared die-wide; hoist them.
-        let z_cols: Vec<f64> = (0..groups).map(|g| self.z_col(seed, g as u64)).collect();
+        let offsets = self.column_offsets(seed);
         let mut faults = Vec::with_capacity(lines);
         let mut scratch = Vec::new();
         let mut mean_p_line = 0.0;
@@ -321,8 +349,8 @@ impl FaultModel for ClusteredModel {
             let z_line = self.z_line(seed, line as u64);
             scratch.clear();
             let mut p_line = 0.0;
-            for (g, &z_col) in z_cols.iter().enumerate() {
-                let z = z_line + self.col_corr * z_col;
+            for (g, &offset) in offsets.iter().enumerate() {
+                let z = z_line + offset;
                 let p = self.cell.line_p(median, z);
                 let threshold = unit_threshold(p);
                 // col_cells is validated to be in [1, CELLS_PER_LINE], so
@@ -347,6 +375,33 @@ impl FaultModel for ClusteredModel {
         }
         let mean_p_line = mean_p_line / lines.max(1) as f64;
         FaultMap::from_parts(faults, median, mean_p_line, vdd, freq, seed)
+    }
+
+    fn die(
+        &self,
+        lines: usize,
+        cap_vdd: NormVdd,
+        freq: FreqGhz,
+        seed: u64,
+    ) -> Option<Box<dyn ReplicateDie>> {
+        let groups = CellGroups::Columns {
+            // col_cells is validated to be in [1, CELLS_PER_LINE].
+            cells: self.col_cells as u16,
+            offsets: self.column_offsets(seed),
+        };
+        let table = DieFaultTable::build_grouped(
+            lines,
+            &self.cell,
+            cap_vdd,
+            freq,
+            seed,
+            groups,
+            |line, _| self.z_line(seed, line as u64),
+        );
+        Some(Box::new(TableDie {
+            table,
+            cell: self.cell.clone(),
+        }))
     }
 
     fn voltage_nested(&self) -> bool {
@@ -389,78 +444,64 @@ struct TransientModel {
 }
 
 impl TransientModel {
+    /// The overlay's hash domain at one operating point. It folds the
+    /// voltage in: transient populations at different operating points
+    /// are independent draws.
+    fn overlay_seed(seed: u64, vdd: NormVdd) -> u64 {
+        splitmix64(seed ^ 0x7EAB_5EED ^ vdd.0.to_bits())
+    }
+
+    /// Replaces `out` with the transient flips of `line` under overlay
+    /// seed `tseed`, in cell order.
+    fn flips(&self, tseed: u64, line: LineId, out: &mut Vec<CellFault>) {
+        out.clear();
+        let tbase = hash3_base(tseed, line as u64);
+        let (first, step, p) = match self.mode {
+            TransientMode::Random => (0, 1, self.rate),
+            TransientMode::Msb => (7, 8, (self.rate * 8.0).min(1.0)),
+            TransientMode::Burst => {
+                let cells = u64::from(layout::CELLS_PER_LINE);
+                if to_unit(hash3_with_base(tbase, 0xB0B5)) < self.rate {
+                    let start = hash3_with_base(tbase, 0x57A7) % cells;
+                    for i in 0..self.burst_len {
+                        let cell = ((start + i) % cells) as u16;
+                        let h = hash3_with_base(tbase, 0x1_0000 + u64::from(cell));
+                        out.push(CellFault {
+                            cell,
+                            stuck: h & (1 << 63) != 0,
+                        });
+                    }
+                    out.sort_unstable_by_key(|f| f.cell);
+                }
+                return;
+            }
+        };
+        let threshold = unit_threshold(p);
+        for cell in (first..layout::CELLS_PER_LINE).step_by(step) {
+            let h = hash3_with_base(tbase, u64::from(cell));
+            if (h >> 11) < threshold {
+                out.push(CellFault {
+                    cell,
+                    stuck: h & (1 << 63) != 0,
+                });
+            }
+        }
+    }
+
     /// Merges the transient overlay into a persistent base map. The base
     /// wins on conflicts (a stuck cell cannot also be flipped); the
     /// result stays sorted by cell index like every generated map.
-    fn overlay(&self, base: FaultMap, lines: usize, vdd: NormVdd) -> FaultMap {
+    fn overlay(&self, base: FaultMap, vdd: NormVdd) -> FaultMap {
         let seed = base.seed();
         let (_, freq) = base.operating_point();
-        // The overlay domain folds the voltage in: transient populations
-        // at different operating points are independent draws.
-        let tseed = splitmix64(seed ^ 0x7EAB_5EED ^ vdd.0.to_bits());
-        let threshold = match self.mode {
-            TransientMode::Random => unit_threshold(self.rate),
-            TransientMode::Burst => 0,
-            TransientMode::Msb => unit_threshold((self.rate * 8.0).min(1.0)),
-        };
-        let mut faults = Vec::with_capacity(lines);
-        let mut scratch: Vec<CellFault> = Vec::new();
-        for line in 0..lines {
-            let tbase = hash3_base(tseed, line as u64);
-            scratch.clear();
-            match self.mode {
-                TransientMode::Random | TransientMode::Msb => {
-                    for cell in 0..layout::CELLS_PER_LINE {
-                        if self.mode == TransientMode::Msb && cell % 8 != 7 {
-                            continue;
-                        }
-                        let h = hash3_with_base(tbase, u64::from(cell));
-                        if (h >> 11) < threshold {
-                            scratch.push(CellFault {
-                                cell,
-                                stuck: h & (1 << 63) != 0,
-                            });
-                        }
-                    }
-                }
-                TransientMode::Burst => {
-                    let h = hash3_with_base(tbase, 0xB0B5);
-                    if to_unit(h) < self.rate {
-                        let start =
-                            hash3_with_base(tbase, 0x57A7) % u64::from(layout::CELLS_PER_LINE);
-                        for i in 0..self.burst_len {
-                            let cell = ((start + i) % u64::from(layout::CELLS_PER_LINE)) as u16;
-                            let hb = hash3_with_base(tbase, 0x1_0000 + u64::from(cell));
-                            scratch.push(CellFault {
-                                cell,
-                                stuck: hb & (1 << 63) != 0,
-                            });
-                        }
-                        scratch.sort_unstable_by_key(|f| f.cell);
-                    }
-                }
-            }
-            // Merge (both sides sorted): persistent faults win.
-            let persistent = base.line(line);
-            let mut merged = Vec::with_capacity(persistent.len() + scratch.len());
-            let mut t = scratch.iter().peekable();
-            for &p in persistent {
-                while let Some(&&next) = t.peek() {
-                    if next.cell < p.cell {
-                        merged.push(next);
-                        t.next();
-                    } else {
-                        if next.cell == p.cell {
-                            t.next();
-                        }
-                        break;
-                    }
-                }
-                merged.push(p);
-            }
-            merged.extend(t.copied());
-            faults.push(merged.into_boxed_slice());
-        }
+        let tseed = Self::overlay_seed(seed, vdd);
+        let mut flips = Vec::new();
+        let faults = (0..base.lines())
+            .map(|line| {
+                self.flips(tseed, line, &mut flips);
+                merge_persistent(base.line(line), &flips)
+            })
+            .collect();
         // The derived statistics describe the persistent substrate; the
         // transient layer is an overlay on top of them.
         FaultMap::from_parts(
@@ -474,15 +515,51 @@ impl TransientModel {
     }
 }
 
+/// Merges a line's persistent faults with its transient flips (both
+/// sorted by cell); the persistent fault wins where both hit one cell.
+fn merge_persistent(persistent: &[CellFault], flips: &[CellFault]) -> Box<[CellFault]> {
+    let mut merged = Vec::with_capacity(persistent.len() + flips.len());
+    let mut t = flips.iter().peekable();
+    for &p in persistent {
+        while let Some(&&next) = t.peek() {
+            if next.cell < p.cell {
+                merged.push(next);
+                t.next();
+            } else {
+                if next.cell == p.cell {
+                    t.next();
+                }
+                break;
+            }
+        }
+        merged.push(p);
+    }
+    merged.extend(t.copied());
+    merged.into_boxed_slice()
+}
+
 impl FaultModel for TransientModel {
     fn map(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
         let base = FaultMap::generate(lines, &self.cell, MapOptions::new(vdd, freq, seed));
-        self.overlay(base, lines, vdd)
+        self.overlay(base, vdd)
     }
 
     fn map_reference(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
         let base = FaultMap::generate(lines, &self.cell, MapOptions::new(vdd, freq, seed).dense());
-        self.overlay(base, lines, vdd)
+        self.overlay(base, vdd)
+    }
+
+    fn die(
+        &self,
+        lines: usize,
+        cap_vdd: NormVdd,
+        freq: FreqGhz,
+        seed: u64,
+    ) -> Option<Box<dyn ReplicateDie>> {
+        Some(Box::new(TransientDie {
+            base: DieFaultTable::build(lines, &self.cell, cap_vdd, freq, seed),
+            model: self.clone(),
+        }))
     }
 
     fn voltage_nested(&self) -> bool {
@@ -492,6 +569,79 @@ impl FaultModel for TransientModel {
     fn cell_model(&self) -> Option<&CellFailureModel> {
         Some(&self.cell)
     }
+}
+
+/// One memoized die of [`TransientModel`]: the persistent base as a
+/// candidate table built once at the cap voltage. Each operating point
+/// merges in that point's overlay flips.
+struct TransientDie {
+    base: DieFaultTable,
+    model: TransientModel,
+}
+
+impl ReplicateDie for TransientDie {
+    fn map_at(&self, vdd: NormVdd) -> FaultMap {
+        let base = self.base.fault_map_at(&self.model.cell, vdd);
+        self.model.overlay(base, vdd)
+    }
+
+    fn grid_masks(&self, grid: &[NormVdd], emit: &mut dyn FnMut(LineId, CellFault, u64)) {
+        let tseeds: Vec<u64> = grid
+            .iter()
+            .map(|&vdd| TransientModel::overlay_seed(self.base.seed(), vdd))
+            .collect();
+        let mut masks = self.base.grid_masks(&self.model.cell, grid);
+        let mut point_flips = Vec::new();
+        // The line's flips at every grid point, as (flip, grid index).
+        let mut flips: Vec<(CellFault, u32)> = Vec::new();
+        for line in 0..self.base.lines() {
+            flips.clear();
+            for (g, &tseed) in tseeds.iter().enumerate() {
+                self.model.flips(tseed, line, &mut point_flips);
+                flips.extend(point_flips.iter().map(|&f| (f, g as u32)));
+            }
+            // Stable, so each cell's flips stay in grid order.
+            flips.sort_by_key(|(f, _)| f.cell);
+            let mut rest = flips.as_slice();
+            masks.line(line, |fault, mask| {
+                while rest.first().is_some_and(|(f, _)| f.cell < fault.cell) {
+                    let (flip, flip_mask) = take_cell(&mut rest);
+                    emit(line, flip, flip_mask);
+                }
+                if rest.first().is_some_and(|(f, _)| f.cell == fault.cell) {
+                    // A cell keeps the polarity of its lowest faulty grid
+                    // point, where the persistent fault wins a tie.
+                    let (flip, flip_mask) = take_cell(&mut rest);
+                    let first = if mask.trailing_zeros() <= flip_mask.trailing_zeros() {
+                        fault
+                    } else {
+                        flip
+                    };
+                    emit(line, first, mask | flip_mask);
+                } else {
+                    emit(line, fault, mask);
+                }
+            });
+            while !rest.is_empty() {
+                let (flip, flip_mask) = take_cell(&mut rest);
+                emit(line, flip, flip_mask);
+            }
+        }
+    }
+}
+
+/// Splits the flips of the first cell off `flips` (sorted by cell, each
+/// cell's in grid order): that cell's flip at its lowest grid point and
+/// its grid mask.
+fn take_cell(flips: &mut &[(CellFault, u32)]) -> (CellFault, u64) {
+    let (first, _) = flips[0];
+    let n = flips
+        .iter()
+        .take_while(|(f, _)| f.cell == first.cell)
+        .count();
+    let (cell, rest) = flips.split_at(n);
+    *flips = rest;
+    (first, cell.iter().fold(0, |mask, &(_, g)| mask | 1 << g))
 }
 
 // ---------------------------------------------------------------------------
@@ -584,6 +734,14 @@ fn table_anchors(p: &ResolvedParams) -> Result<Vec<(f64, f64)>, BuildError> {
         return Err(model_err(
             "anchor voltages must be strictly increasing".to_string(),
         ));
+    }
+    // The model declares itself voltage-nested: a cell failing at one
+    // voltage must fail at every lower one, so p may not rise with vdd.
+    if let Some(w) = anchors.windows(2).find(|w| w[0].1 < w[1].1) {
+        return Err(model_err(format!(
+            "anchor log10_p must not increase with voltage ({:?}@{:?} then {:?}@{:?})",
+            w[0].0, w[0].1, w[1].0, w[1].1
+        )));
     }
     Ok(anchors)
 }
@@ -862,17 +1020,21 @@ mod tests {
     }
 
     #[test]
-    fn stuck_at_die_matches_per_voltage_maps() {
+    fn every_model_die_matches_per_voltage_maps() {
         let r = registry();
-        let model = r.build(&FaultModelConfig::default(), &()).unwrap();
-        let die = model
-            .die(64, NormVdd(0.55), FreqGhz::PEAK, 9)
-            .expect("stuck-at factorizes across voltage");
-        for vdd in [0.55, 0.6, 0.7] {
-            assert_maps_equal(
-                &die.map_at(NormVdd(vdd)),
-                &model.map(64, NormVdd(vdd), FreqGhz::PEAK, 9),
-            );
+        for name in r.names() {
+            let model = r.build(&FaultModelConfig::new(name), &()).unwrap();
+            let die = model
+                .die(64, NormVdd(0.55), FreqGhz::PEAK, 9)
+                .unwrap_or_else(|| panic!("{name} factorizes across voltage"));
+            for vdd in [0.55, 0.6, 0.7] {
+                let (a, b) = (
+                    die.map_at(NormVdd(vdd)),
+                    model.map(64, NormVdd(vdd), FreqGhz::PEAK, 9),
+                );
+                assert_maps_equal(&a, &b);
+                assert_eq!(a.mean_p_line().to_bits(), b.mean_p_line().to_bits());
+            }
         }
     }
 
@@ -1006,6 +1168,34 @@ mod tests {
                 "cannot build fault model `table`: anchor values must be finite"
             );
         }
+    }
+
+    #[test]
+    fn table_anchors_rising_with_voltage_are_typed_errors() {
+        let r = registry();
+        for anchors in ["0.5@-10;0.7@-2", "0.5@-2;0.6@-4;0.7@-3.9"] {
+            let config =
+                FaultModelConfig::new("table").with("anchors", ParamValue::Str(anchors.into()));
+            let err = r.build(&config, &()).map(|_| ()).unwrap_err();
+            assert!(matches!(err, BuildError::Build { .. }), "{anchors}: {err}");
+            assert!(
+                err.to_string()
+                    .contains("anchor log10_p must not increase with voltage"),
+                "{anchors}: {err}"
+            );
+            assert!(r.canonicalize(&config).is_err(), "{anchors}");
+        }
+        // Flat stretches keep nesting and still build.
+        let flat = FaultModelConfig::new("table")
+            .with("anchors", ParamValue::Str("0.5@-3;0.6@-3;0.7@-9".into()));
+        let model = r.build(&flat, &()).unwrap();
+        let die = model.die(64, NormVdd(0.5), FreqGhz::PEAK, 3).unwrap();
+        die.grid_masks(
+            &[NormVdd(0.5), NormVdd(0.55), NormVdd(0.65)],
+            &mut |_, _, mask| {
+                assert_eq!(mask & mask.wrapping_add(1), 0, "{mask:#b} is not a prefix");
+            },
+        );
     }
 
     #[test]

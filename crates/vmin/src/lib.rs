@@ -10,18 +10,18 @@
 //! Three pieces:
 //!
 //! - [`campaign`] — the engine. Each die becomes one sparse record of
-//!   grid-masked faults: in one pass over the die table for models with
-//!   a per-die factorization (`killi_fault::model::ReplicateDie`), by
-//!   folding a fault map per grid point otherwise. The record reduces to
-//!   per-rule usable-line tables under each scheme's static admissibility
-//!   rule (`killi::registry::LineRule`): for voltage-nested models from
-//!   each line's lowest admitted grid index and a prefix sum, in time
-//!   proportional to the die's faults; for non-nested models
-//!   (`transient`) by applying every rule at every grid point. Parallel
-//!   integer-only evaluation runs on the shared scoped-thread pool,
-//!   followed by sequential aggregation into the byte-deterministic
-//!   `killi-vmin/v1` report (Vmin CDF with exact order statistics,
-//!   capacity-vs-vdd curves, yield tables).
+//!   grid-masked faults, emitted in one pass by the fault model's per-die
+//!   factorization (`killi_fault::model::ReplicateDie`), which every
+//!   registered model has. The record reduces to per-rule usable-line
+//!   tables under each scheme's static admissibility rule
+//!   (`killi::registry::LineRule`), line by line: a line whose masks are
+//!   prefixes of ones is binned at its lowest admitted grid index and the
+//!   bins are prefix-summed, in time proportional to the die's faults;
+//!   any other line of a non-nested model (`transient`) has every rule
+//!   applied at every grid point. Parallel integer-only evaluation runs
+//!   on the shared scoped-thread pool, followed by sequential aggregation
+//!   into the byte-deterministic `killi-vmin/v1` report (Vmin CDF with
+//!   exact order statistics, capacity-vs-vdd curves, yield tables).
 //! - [`search`] — picks each die's Vmin from its finished usable-line
 //!   table: bisection for voltage-nested models, a linear top-down scan
 //!   for the rest. Both choose among answers already computed; the
