@@ -22,6 +22,7 @@ use killi_repro::bench::schemes::{
     build_scheme, default_registry, scheme_admissibility, BuildCtx, BuildError, LineRule,
     ParamValue, SchemeConfig,
 };
+use killi_repro::fault::cell_model::{FreqGhz, NormVdd};
 use killi_repro::fault::map::{CellFault, FaultMap};
 use killi_repro::obs::parse_json;
 use killi_repro::obs::registry::{Config, Descriptor, Registry};
@@ -325,7 +326,9 @@ fn draw_value(g: &mut killi_check::Gen, default: &ParamValue) -> (String, String
         ParamValue::U64(_) => (g.u64_below(64) + 1).to_string(),
         ParamValue::F64(_) => format!("{:?}", g.f64_in(0.0, 1.0)),
         ParamValue::Bool(_) => g.bool().to_string(),
-        ParamValue::Str(_) => g.pick(&["random", "burst", "0.5@-0.3;0.6@-4"]).to_string(),
+        ParamValue::Str(_) => g
+            .pick(&["random", "burst", "0.5@-0.3;0.6@-4", "0.5@-10;0.7@-2"])
+            .to_string(),
     };
     let json = match default {
         ParamValue::Str(_) => format!("\"{cli}\""),
@@ -386,15 +389,29 @@ fn every_registered_scheme_builds_or_fails_typed_under_random_params() {
     // Every scheme and every fault model under hostile parameters: NaN,
     // the infinities, -0.0, 1e300, 2^32, 2^64 and u64::MAX, in both
     // spellings. Builds and admissibility rules return a value or a typed
-    // error; nothing panics.
+    // error; nothing panics. Every fault model that builds also builds a
+    // die, derives its maps at two voltages and reads its grid masks
+    // over both.
     let ctx = ctx();
+    let grid = [NormVdd(0.55), NormVdd(0.65)];
     killi_check::check_cases("registry_build_fuzz", 256, |g| {
         fuzz_registry(g, default_registry(), |config| {
             let _ = build_scheme(config, &ctx);
             let _ = scheme_admissibility(config);
         });
         fuzz_registry(g, default_fault_registry(), |config| {
-            let _ = build_fault_model(config);
+            let Ok(model) = build_fault_model(config) else {
+                return;
+            };
+            let die = model
+                .die(64, grid[0], FreqGhz::PEAK, 7)
+                .unwrap_or_else(|| panic!("{config} offers no die"));
+            for vdd in grid {
+                die.map_at(vdd);
+            }
+            die.grid_masks(&grid, &mut |_, _, mask| {
+                assert!(mask != 0 && mask < 1 << grid.len(), "{config}: {mask:#b}");
+            });
         });
     });
 }

@@ -309,6 +309,17 @@ fn hostile_requests_get_4xx_and_never_wedge_the_service() {
         ),
         (
             "{\"root_seed\":1,\"replications\":1,\"vdds\":[0.65,0.6],\"schemes\":[\"flair\"],\
+             \"fault_model\":\"table:anchors=0.5@-10;0.7@-2\",\"workloads\":[\"fft\"],\
+             \"ops_per_cu\":10}",
+            "a sweep over a table CDF that rises with voltage",
+        ),
+        (
+            "{\"mode\":\"vmin\",\"root_seed\":1,\"dies\":2,\"lines\":64,\"vdds\":[0.6,0.65],\
+             \"schemes\":[\"flair\"],\"fault_model\":\"table:anchors=0.5@-10;0.7@-2\"}",
+            "a Vmin campaign over a table CDF that rises with voltage",
+        ),
+        (
+            "{\"root_seed\":1,\"replications\":1,\"vdds\":[0.65,0.6],\"schemes\":[\"flair\"],\
              \"workloads\":[\"fft\"],\"ops_per_cu\":10,\"gpu\":{\"l2_kb\":96}}",
             "an L2 whose set count is not a power of two",
         ),
