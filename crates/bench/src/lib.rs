@@ -12,9 +12,8 @@
 //!   `stuck-at` helpers every experiment shares,
 //! - [`empirical`] — Monte-Carlo validation of the §5.3 coverage algebra,
 //! - [`report`] — text-table rendering,
-//! - [`timing`] — the in-repo micro-benchmark harness for `benches/`,
-//! - [`perf`] — the `killi bench` before/after suite for the sweep hot
-//!   path (fault-map build, single simulation, full sweep).
+//! - [`timing`] — the in-repo micro-benchmark harness for the `codecs`
+//!   and `cache` benches.
 //!
 //! The crate has no binaries: `killi repro [--only fig4,table6] [--ops N]
 //! [--replications N]` runs the experiment table and writes each
@@ -24,7 +23,6 @@ pub mod empirical;
 pub mod exec;
 pub mod experiments;
 pub mod fault_models;
-pub mod perf;
 pub mod report;
 pub mod runner;
 pub mod schemes;

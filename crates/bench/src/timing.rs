@@ -1,4 +1,6 @@
-//! Self-contained micro-benchmark harness for the `benches/` targets.
+//! Self-contained micro-benchmark harness for the `benches/` targets
+//! (`codecs` and `cache`). End-to-end timings of sweeps, campaigns and
+//! the service come from the repository benchmark, `examples/benchmark`.
 //!
 //! The workspace builds offline, so the benches cannot use an external
 //! harness crate; this module provides the small core they need: warmup,
@@ -51,29 +53,6 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
     );
 }
 
-/// Times `f` over `samples` runs and returns the median wall time per run
-/// in nanoseconds, without printing. For macro-benchmarks whose single
-/// run is already long (the `killi bench` suite): no adaptive iteration
-/// count, and a warmup run only when `samples > 1` (a one-sample
-/// measurement of a multi-second run should not pay double).
-///
-/// The return value of `f` goes through `std::hint::black_box`.
-pub fn measure<T>(samples: usize, mut f: impl FnMut() -> T) -> u128 {
-    let samples = samples.max(1);
-    if samples > 1 {
-        std::hint::black_box(f());
-    }
-    let mut times: Vec<u128> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[samples / 2]
-}
-
 /// Formats nanoseconds with an adaptive unit.
 fn human_ns(ns: u128) -> String {
     if ns >= 1_000_000_000 {
@@ -96,13 +75,6 @@ mod tests {
         std::env::set_var("KILLI_BENCH_MS", "2");
         bench("timing/self_test", || 1 + 1);
         std::env::remove_var("KILLI_BENCH_MS");
-    }
-
-    #[test]
-    fn measure_returns_positive_median() {
-        let t = measure(3, || std::hint::black_box((0..1000u64).sum::<u64>()));
-        assert!(t > 0);
-        assert!(measure(0, || 1) > 0, "samples clamp to 1");
     }
 
     #[test]

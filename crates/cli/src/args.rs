@@ -84,9 +84,9 @@ impl From<std::io::Error> for ArgError {
     }
 }
 
-/// Flags that take no value: their presence is the value (`--quick`,
-/// `--build-check`, `--help`, `--wait`).
-const BOOLEAN_FLAGS: [&str; 4] = ["quick", "build-check", "help", "wait"];
+/// Flags that take no value: their presence is the value
+/// (`--build-check`, `--help`, `--wait`).
+const BOOLEAN_FLAGS: [&str; 3] = ["build-check", "help", "wait"];
 
 impl Args {
     /// Parses an iterator of arguments (exclusive of the binary name).
@@ -344,13 +344,11 @@ mod tests {
 
     #[test]
     fn boolean_flags_take_no_value() {
-        let a = parse(&["bench", "--quick", "--out", "x.json"]).unwrap();
-        assert!(a.has("quick"));
-        assert_eq!(a.get_or("out", ""), "x.json");
-        let trailing = parse(&["bench", "--quick"]).unwrap();
-        assert!(trailing.has("quick"));
-        let schemes = parse(&["schemes", "--build-check"]).unwrap();
+        let schemes = parse(&["schemes", "--build-check", "--out", "x.json"]).unwrap();
         assert!(schemes.has("build-check"));
+        assert_eq!(schemes.get_or("out", ""), "x.json");
+        let trailing = parse(&["schemes", "--build-check"]).unwrap();
+        assert!(trailing.has("build-check"));
         let help = parse(&["serve", "--help"]).unwrap();
         assert!(help.has("help"));
         let wait = parse(&["submit", "--wait", "--file", "j.json"]).unwrap();

@@ -31,7 +31,6 @@
 //!   re-run against identical silicon without re-synthesis and peak
 //!   memory stays bounded by the chunk size rather than the fleet size.
 
-pub mod bench;
 pub mod campaign;
 pub mod search;
 pub mod store;

@@ -43,8 +43,8 @@ pub enum SearchMode {
     /// otherwise (the production mode).
     #[default]
     Auto,
-    /// Always scan linearly — the oracle the property tests and the
-    /// `killi bench --suite vmin` "before" side compare against.
+    /// Always scan linearly — the oracle the property tests compare
+    /// against.
     Exhaustive,
 }
 
