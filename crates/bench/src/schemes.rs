@@ -9,10 +9,12 @@
 //! [`SchemeSpec::config`], so the registry remains the single point of
 //! construction and label formatting.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use killi::registry::{admissibility, register_killi_schemes, SchemeRegistry};
 use killi_baselines::register_baselines;
+use killi_fault::map::FaultMap;
+use killi_sim::cache::CacheGeometry;
 use killi_sim::protection::LineProtection;
 
 pub use killi::registry::{
@@ -37,6 +39,18 @@ pub fn build_scheme(
     ctx: &BuildCtx,
 ) -> Result<Box<dyn LineProtection>, BuildError> {
     default_registry().build(config, ctx)
+}
+
+/// Test-builds every scheme against a fault-free map of `l2`, so a
+/// config the registry accepts but that cannot run on this cache (an
+/// OLSC code wider than the ECC-cache payload, an ECC cache the L2
+/// cannot index) fails with a typed error before any simulation runs.
+pub fn check_builds(schemes: &[SchemeConfig], l2: CacheGeometry) -> Result<(), BuildError> {
+    let ctx = BuildCtx::new(Arc::new(FaultMap::fault_free(l2.lines())), l2);
+    for scheme in schemes {
+        build_scheme(scheme, &ctx)?;
+    }
+    Ok(())
 }
 
 /// The display label of a declarative config via [`default_registry`].
