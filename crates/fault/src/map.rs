@@ -172,19 +172,6 @@ impl FaultMap {
         }
     }
 
-    /// Shim for the perf_equivalence oracle, which needs the dense path
-    /// by name. Everything else goes through [`Self::generate`].
-    #[doc(hidden)]
-    pub fn build_dense(
-        lines: usize,
-        model: &CellFailureModel,
-        vdd: NormVdd,
-        freq: FreqGhz,
-        seed: u64,
-    ) -> Self {
-        Self::generate(lines, model, MapOptions::new(vdd, freq, seed).dense())
-    }
-
     /// The dense reference construction (see
     /// [`Construction::DenseReference`]). The optimized construction and
     /// the sparse [`DieFaultTable`] derivation are property-tested to
@@ -997,7 +984,8 @@ mod tests {
             for v in [0.5, 0.55, 0.575, 0.6, 0.625, 0.675, 1.0] {
                 for f in [0.4, 1.0] {
                     let fast = build(96, NormVdd(v), FreqGhz(f), seed);
-                    let dense = FaultMap::build_dense(96, &model(), NormVdd(v), FreqGhz(f), seed);
+                    let options = MapOptions::new(NormVdd(v), FreqGhz(f), seed).dense();
+                    let dense = FaultMap::generate(96, &model(), options);
                     assert_maps_identical(&fast, &dense);
                 }
             }
@@ -1010,7 +998,8 @@ mod tests {
         let table = DieFaultTable::build(128, &model(), cap, FreqGhz::PEAK, 42);
         for v in [0.55, 0.575, 0.6, 0.625, 0.65, 0.7, 1.0] {
             let derived = table.fault_map_at(&model(), NormVdd(v));
-            let dense = FaultMap::build_dense(128, &model(), NormVdd(v), FreqGhz::PEAK, 42);
+            let options = MapOptions::new(NormVdd(v), FreqGhz::PEAK, 42).dense();
+            let dense = FaultMap::generate(128, &model(), options);
             assert_maps_identical(&derived, &dense);
         }
     }
