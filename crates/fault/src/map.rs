@@ -18,7 +18,10 @@ use killi_ecc::bits::{Line512, LINE_BITS};
 use killi_ecc::secded::SecdedCode;
 
 use crate::cell_model::{CellFailureModel, FailureKind, FreqGhz, NormVdd};
-use crate::rng::{hash3, hash3_base, hash3_with_base, to_unit, unit_threshold};
+use crate::rng::{
+    for_each_failing_cell, hash3, hash3_base, hash3_with_base, to_unit, unit_threshold,
+    CellThresholds,
+};
 
 /// Cell-index layout of a protected line. Data cells come first; metadata
 /// cells follow so every protection scheme draws its faults from the same
@@ -47,6 +50,18 @@ pub struct CellFault {
     pub cell: u16,
     /// The value the cell is stuck at.
     pub stuck: bool,
+}
+
+impl CellFault {
+    /// The fault of `cell` whose draw `h` fell below its threshold: stuck
+    /// at `h`'s top bit.
+    #[inline]
+    pub(crate) fn drawn(cell: u16, h: u64) -> Self {
+        CellFault {
+            cell,
+            stuck: h & (1 << 63) != 0,
+        }
+    }
 }
 
 /// Identifies a physical line in the cache (set-major: `set * ways + way`).
@@ -147,19 +162,14 @@ impl FaultMap {
             let z = standard_normal(hash3_with_base(base, 0xF00D));
             let p = model.line_p(median, z);
             mean_p_line += p;
-            let threshold = unit_threshold(p);
             scratch.clear();
-            if threshold > 0 {
-                for cell in 0..layout::CELLS_PER_LINE {
-                    let h = hash3_with_base(base, u64::from(cell));
-                    if (h >> 11) < threshold {
-                        scratch.push(CellFault {
-                            cell,
-                            stuck: h & (1 << 63) != 0,
-                        });
-                    }
-                }
-            }
+            for_each_failing_cell(
+                base,
+                0..layout::CELLS_PER_LINE,
+                1,
+                CellThresholds::Uniform(unit_threshold(p)),
+                |cell, h| scratch.push(CellFault::drawn(cell, h)),
+            );
             faults.push(scratch.as_slice().into());
         }
         FaultMap {
@@ -432,10 +442,30 @@ impl CellGroups {
     }
 
     /// The variation draw of group `g` in a line whose own draw is `z`.
-    fn z(&self, z: f64, g: usize) -> f64 {
+    pub(crate) fn z(&self, z: f64, g: usize) -> f64 {
         match self {
             CellGroups::Line => z,
             CellGroups::Columns { offsets, .. } => z + offsets[g],
+        }
+    }
+
+    /// The cell thresholds of a line whose group `g` of `n` cells has
+    /// threshold `group_threshold(g, n)`, called in group order: one
+    /// value for [`CellGroups::Line`], else written cell by cell into
+    /// `per_cell`.
+    pub(crate) fn thresholds<'a>(
+        &self,
+        per_cell: &'a mut [u64; layout::CELLS_PER_LINE as usize],
+        mut group_threshold: impl FnMut(usize, usize) -> u64,
+    ) -> CellThresholds<'a> {
+        match self {
+            CellGroups::Line => CellThresholds::Uniform(group_threshold(0, per_cell.len())),
+            CellGroups::Columns { cells, .. } => {
+                for (g, group) in per_cell.chunks_mut(usize::from(*cells)).enumerate() {
+                    group.fill(group_threshold(g, group.len()));
+                }
+                CellThresholds::PerCell(per_cell)
+            }
         }
     }
 
@@ -523,29 +553,18 @@ impl DieFaultTable {
         let mut candidates = Vec::with_capacity(lines);
         let mut z_draws = Vec::with_capacity(lines);
         let mut scratch = Vec::new();
+        let mut per_cell = [0; layout::CELLS_PER_LINE as usize];
         for line in 0..lines {
             let base = hash3_base(seed, line as u64);
             let z = z_of(line, base);
             z_draws.push(z);
             scratch.clear();
-            for g in 0..groups.count() {
-                let threshold = unit_threshold(model.line_p(median, groups.z(z, g)));
-                if threshold == 0 {
-                    continue;
-                }
-                for cell in groups.range(g) {
-                    let h = hash3_with_base(base, u64::from(cell));
-                    if (h >> 11) < threshold {
-                        scratch.push((
-                            h >> 11,
-                            CellFault {
-                                cell,
-                                stuck: h & (1 << 63) != 0,
-                            },
-                        ));
-                    }
-                }
-            }
+            let thresholds = groups.thresholds(&mut per_cell, |g, _| {
+                unit_threshold(model.line_p(median, groups.z(z, g)))
+            });
+            for_each_failing_cell(base, 0..layout::CELLS_PER_LINE, 1, thresholds, |cell, h| {
+                scratch.push((h >> 11, CellFault::drawn(cell, h)))
+            });
             candidates.push(scratch.as_slice().into());
         }
         DieFaultTable {

@@ -55,7 +55,10 @@ use crate::cell_model::{CellFailureModel, FailureKind, FreqGhz, NormVdd};
 use crate::map::{
     layout, standard_normal, CellFault, CellGroups, DieFaultTable, FaultMap, LineId, MapOptions,
 };
-use crate::rng::{hash3, hash3_base, hash3_with_base, splitmix64, to_unit, unit_threshold};
+use crate::rng::{
+    for_each_failing_cell, hash3, hash3_base, hash3_with_base, splitmix64, to_unit, unit_threshold,
+    CellThresholds,
+};
 
 /// A deterministic fault-population generator.
 ///
@@ -326,13 +329,17 @@ impl ClusteredModel {
         standard_normal(hash3(col_seed, group, 0xF00D))
     }
 
-    /// What each column group adds to a line's draw: `col_corr` times
-    /// the group's die-wide draw.
-    fn column_offsets(&self, seed: u64) -> Vec<f64> {
+    /// The die's column groups of `col_cells` cells, each adding
+    /// `col_corr` times its die-wide draw to a line's draw.
+    fn column_groups(&self, seed: u64) -> CellGroups {
         let groups = usize::from(layout::CELLS_PER_LINE).div_ceil(self.col_cells.max(1) as usize);
-        (0..groups)
-            .map(|g| self.col_corr * self.z_col(seed, g as u64))
-            .collect()
+        CellGroups::Columns {
+            // col_cells is validated to be in [1, CELLS_PER_LINE].
+            cells: self.col_cells as u16,
+            offsets: (0..groups)
+                .map(|g| self.col_corr * self.z_col(seed, g as u64))
+                .collect(),
+        }
     }
 }
 
@@ -340,36 +347,24 @@ impl FaultModel for ClusteredModel {
     fn map(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
         let median = self.cell.p_cell_median(vdd, freq, FailureKind::Combined);
         // Column-group draws are shared die-wide; hoist them.
-        let offsets = self.column_offsets(seed);
+        let groups = self.column_groups(seed);
         let mut faults = Vec::with_capacity(lines);
         let mut scratch = Vec::new();
+        let mut per_cell = [0; layout::CELLS_PER_LINE as usize];
         let mut mean_p_line = 0.0;
         for line in 0..lines {
             let base = hash3_base(seed, line as u64);
             let z_line = self.z_line(seed, line as u64);
             scratch.clear();
             let mut p_line = 0.0;
-            for (g, &offset) in offsets.iter().enumerate() {
-                let z = z_line + offset;
-                let p = self.cell.line_p(median, z);
-                let threshold = unit_threshold(p);
-                // col_cells is validated to be in [1, CELLS_PER_LINE], so
-                // this arithmetic stays in u16 range.
-                let start = (g as u64 * self.col_cells) as u16;
-                let end = (start + self.col_cells as u16).min(layout::CELLS_PER_LINE);
-                p_line += p * f64::from(end - start);
-                if threshold > 0 {
-                    for cell in start..end {
-                        let h = hash3_with_base(base, u64::from(cell));
-                        if (h >> 11) < threshold {
-                            scratch.push(CellFault {
-                                cell,
-                                stuck: h & (1 << 63) != 0,
-                            });
-                        }
-                    }
-                }
-            }
+            let thresholds = groups.thresholds(&mut per_cell, |g, cells| {
+                let p = self.cell.line_p(median, groups.z(z_line, g));
+                p_line += p * cells as f64;
+                unit_threshold(p)
+            });
+            for_each_failing_cell(base, 0..layout::CELLS_PER_LINE, 1, thresholds, |cell, h| {
+                scratch.push(CellFault::drawn(cell, h))
+            });
             mean_p_line += p_line / f64::from(layout::CELLS_PER_LINE);
             faults.push(scratch.as_slice().into());
         }
@@ -384,18 +379,13 @@ impl FaultModel for ClusteredModel {
         freq: FreqGhz,
         seed: u64,
     ) -> Option<Box<dyn ReplicateDie>> {
-        let groups = CellGroups::Columns {
-            // col_cells is validated to be in [1, CELLS_PER_LINE].
-            cells: self.col_cells as u16,
-            offsets: self.column_offsets(seed),
-        };
         let table = DieFaultTable::build_grouped(
             lines,
             &self.cell,
             cap_vdd,
             freq,
             seed,
-            groups,
+            self.column_groups(seed),
             |line, _| self.z_line(seed, line as u64),
         );
         Some(Box::new(TableDie {
@@ -476,16 +466,13 @@ impl TransientModel {
                 return;
             }
         };
-        let threshold = unit_threshold(p);
-        for cell in (first..layout::CELLS_PER_LINE).step_by(step) {
-            let h = hash3_with_base(tbase, u64::from(cell));
-            if (h >> 11) < threshold {
-                out.push(CellFault {
-                    cell,
-                    stuck: h & (1 << 63) != 0,
-                });
-            }
-        }
+        for_each_failing_cell(
+            tbase,
+            first..layout::CELLS_PER_LINE,
+            step,
+            CellThresholds::Uniform(unit_threshold(p)),
+            |cell, h| out.push(CellFault::drawn(cell, h)),
+        );
     }
 
     /// Merges the transient overlay into a persistent base map. The base

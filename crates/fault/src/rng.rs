@@ -5,6 +5,16 @@
 //! every voltage below `V` — holds by construction: each cell draws one
 //! uniform threshold from a stateless hash and is faulty whenever the
 //! voltage-dependent failure probability exceeds it.
+//!
+//! Every fault map draws its cells through one crate-private kernel,
+//! `for_each_failing_cell`: given a line's hoisted [`hash3_base`] it
+//! visits, in cell order, each cell whose draw falls below its
+//! threshold. On x86-64 it hashes 64 cells per block into a branch-free
+//! hit mask, compiled for AVX-512 or AVX2 and picked at run time; other
+//! CPUs run the per-cell loop, which is also the test oracle of the
+//! blocked clones.
+
+use std::ops::Range;
 
 /// SplitMix64 finalizer: avalanches a 64-bit value.
 #[inline]
@@ -57,6 +67,241 @@ pub fn to_unit(h: u64) -> f64 {
 #[inline]
 pub fn unit_threshold(p: f64) -> u64 {
     (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// The failure thresholds of one line's cells in a
+/// [`for_each_failing_cell`] pass: a cell fails when its key `h >> 11`
+/// is below its threshold.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum CellThresholds<'a> {
+    /// One threshold for every cell.
+    Uniform(u64),
+    /// Cell `c`'s threshold is `per_cell[c]`.
+    PerCell(&'a [u64]),
+}
+
+impl CellThresholds<'_> {
+    #[inline]
+    fn at(self, cell: usize) -> u64 {
+        match self {
+            CellThresholds::Uniform(t) => t,
+            CellThresholds::PerCell(per_cell) => per_cell[cell],
+        }
+    }
+}
+
+/// Visits, in cell order, each cell `c` of `cells` stepped by `step`
+/// whose draw `h = hash3_with_base(base, c)` fails, `(h >> 11) <
+/// thresholds.at(c)`, and passes `(c, h)` to `hit`. Hashes nothing when
+/// every threshold is 0. Bit-identical to hashing cell by cell on every
+/// CPU.
+///
+/// # Panics
+///
+/// Panics if `step` is 0, or if per-cell thresholds do not cover
+/// `cells`.
+pub(crate) fn for_each_failing_cell(
+    base: u64,
+    cells: Range<u16>,
+    step: u16,
+    thresholds: CellThresholds<'_>,
+    mut hit: impl FnMut(u16, u64),
+) {
+    assert!(step > 0, "cell step must be positive");
+    let none_fail = match thresholds {
+        CellThresholds::Uniform(t) => t == 0,
+        CellThresholds::PerCell(per_cell) => per_cell
+            [usize::from(cells.start)..usize::from(cells.end)]
+            .iter()
+            .step_by(usize::from(step))
+            .all(|&t| t == 0),
+    };
+    if none_fail {
+        return;
+    }
+    Kernel::detect().run(base, cells, step, thresholds, &mut hit);
+}
+
+/// One implementation of [`for_each_failing_cell`]'s draw pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// One hash and one compare per cell: other CPUs, and the oracle.
+    PerCell,
+    /// The blocked pass compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// The blocked pass compiled for AVX-512 (F, DQ, VL and BW); DQ turns
+    /// the hash's 64-bit multiplies into `vpmullq`.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Kernel {
+    /// The fastest kernel this CPU runs.
+    #[inline]
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if Kernel::Avx512.supported() {
+                return Kernel::Avx512;
+            }
+            if Kernel::Avx2.supported() {
+                return Kernel::Avx2;
+            }
+        }
+        Kernel::PerCell
+    }
+
+    /// Whether this CPU has every feature the kernel is compiled with.
+    #[inline]
+    fn supported(self) -> bool {
+        match self {
+            Kernel::PerCell => true,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => {
+                is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512dq")
+                    && is_x86_feature_detected!("avx512vl")
+                    && is_x86_feature_detected!("avx512bw")
+            }
+        }
+    }
+
+    /// Runs the draw pass with this kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU does not support the kernel.
+    fn run<F: FnMut(u16, u64)>(
+        self,
+        base: u64,
+        cells: Range<u16>,
+        step: u16,
+        thresholds: CellThresholds<'_>,
+        hit: &mut F,
+    ) {
+        assert!(
+            self.supported(),
+            "{self:?} kernel needs CPU features this host lacks"
+        );
+        match self {
+            Kernel::PerCell => per_cell_pass(base, cells, step, thresholds, hit),
+            // SAFETY: `supported()` just checked that this CPU has AVX2,
+            // the one feature `blocked_pass_avx2` is compiled with.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { blocked_pass_avx2(base, cells, step, thresholds, hit) },
+            // SAFETY: `supported()` just checked that this CPU has
+            // AVX-512 F, DQ, VL and BW, every feature
+            // `blocked_pass_avx512` is compiled with.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => unsafe { blocked_pass_avx512(base, cells, step, thresholds, hit) },
+        }
+    }
+}
+
+/// The per-cell draw pass: one hash and one compare per cell.
+fn per_cell_pass<F: FnMut(u16, u64)>(
+    base: u64,
+    cells: Range<u16>,
+    step: u16,
+    thresholds: CellThresholds<'_>,
+    hit: &mut F,
+) {
+    for cell in cells.step_by(usize::from(step)) {
+        let h = hash3_with_base(base, u64::from(cell));
+        if (h >> 11) < thresholds.at(usize::from(cell)) {
+            hit(cell, h);
+        }
+    }
+}
+
+/// Cells per block of [`blocked_pass`]: one bit of the hit mask each.
+#[cfg(any(target_arch = "x86_64", test))]
+const BLOCK: usize = 64;
+
+/// The blocked draw pass, in plain Rust for the compiler to vectorize:
+/// it hashes a block of 64 cells, ORs their compares into a hit mask
+/// without branches, clears the lanes past the range and walks the set
+/// bits. Compiled for baseline x86-64 it is slower than
+/// [`per_cell_pass`], so only the `#[target_feature]` clones run it.
+#[cfg(any(target_arch = "x86_64", test))]
+#[inline(always)]
+fn blocked_pass<F: FnMut(u16, u64)>(
+    base: u64,
+    cells: Range<u16>,
+    step: u16,
+    thresholds: CellThresholds<'_>,
+    hit: &mut F,
+) {
+    let step = usize::from(step);
+    let start = usize::from(cells.start);
+    let count = usize::from(cells.end.saturating_sub(cells.start)).div_ceil(step);
+    let uniform = match thresholds {
+        CellThresholds::Uniform(t) => [t; BLOCK],
+        CellThresholds::PerCell(_) => [0; BLOCK],
+    };
+    let mut gathered = [0u64; BLOCK];
+    let mut hashes = [0u64; BLOCK];
+    for first in (0..count).step_by(BLOCK) {
+        let lanes = (count - first).min(BLOCK);
+        let block_start = start + first * step;
+        for (k, h) in hashes.iter_mut().enumerate() {
+            *h = hash3_with_base(base, (block_start + k * step) as u64);
+        }
+        let block_thresholds: &[u64; BLOCK] = match thresholds {
+            CellThresholds::Uniform(_) => &uniform,
+            CellThresholds::PerCell(per_cell) if step == 1 && lanes == BLOCK => per_cell
+                [block_start..block_start + BLOCK]
+                .try_into()
+                .expect("a block is 64 cells"),
+            CellThresholds::PerCell(per_cell) => {
+                for (k, t) in gathered[..lanes].iter_mut().enumerate() {
+                    *t = per_cell[block_start + k * step];
+                }
+                &gathered
+            }
+        };
+        let mut mask = 0u64;
+        for (k, (&h, &t)) in hashes.iter().zip(block_thresholds).enumerate() {
+            mask |= u64::from((h >> 11) < t) << k;
+        }
+        if lanes < BLOCK {
+            mask &= (1 << lanes) - 1;
+        }
+        while mask != 0 {
+            let k = mask.trailing_zeros() as usize;
+            hit((block_start + k * step) as u16, hashes[k]);
+            mask &= mask - 1;
+        }
+    }
+}
+
+/// [`blocked_pass`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn blocked_pass_avx2<F: FnMut(u16, u64)>(
+    base: u64,
+    cells: Range<u16>,
+    step: u16,
+    thresholds: CellThresholds<'_>,
+    hit: &mut F,
+) {
+    blocked_pass(base, cells, step, thresholds, hit);
+}
+
+/// [`blocked_pass`] compiled for AVX-512.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512bw")]
+fn blocked_pass_avx512<F: FnMut(u16, u64)>(
+    base: u64,
+    cells: Range<u16>,
+    step: u16,
+    thresholds: CellThresholds<'_>,
+    hit: &mut F,
+) {
+    blocked_pass(base, cells, step, thresholds, hit);
 }
 
 /// Hierarchical deterministic seed derivation: folds a domain label and a
@@ -174,6 +419,148 @@ mod tests {
                     "mismatch at p={p:e} h={h:#x}"
                 );
             }
+        }
+    }
+
+    /// The draws a pass must visit: the per-cell `hash3_with_base` loop,
+    /// written out independently of every kernel.
+    fn per_cell_draws(
+        base: u64,
+        cells: Range<u16>,
+        step: u16,
+        thresholds: CellThresholds<'_>,
+    ) -> Vec<(u16, u64)> {
+        let mut draws = Vec::new();
+        let mut cell = cells.start;
+        while cell < cells.end {
+            let h = hash3_with_base(base, u64::from(cell));
+            if (h >> 11) < thresholds.at(usize::from(cell)) {
+                draws.push((cell, h));
+            }
+            cell += step;
+        }
+        draws
+    }
+
+    /// The draws of every pass this host can run, each called directly:
+    /// the per-cell kernel, each supported blocked clone, the blocked
+    /// body compiled for the baseline CPU, and the dispatching entry
+    /// point.
+    fn every_pass(
+        base: u64,
+        cells: Range<u16>,
+        step: u16,
+        thresholds: CellThresholds<'_>,
+    ) -> Vec<(String, Vec<(u16, u64)>)> {
+        let mut kernels = vec![Kernel::PerCell];
+        #[cfg(target_arch = "x86_64")]
+        kernels.extend([Kernel::Avx2, Kernel::Avx512]);
+        let mut passes = Vec::new();
+        for kernel in kernels.into_iter().filter(|k| k.supported()) {
+            let mut draws = Vec::new();
+            kernel.run(base, cells.clone(), step, thresholds, &mut |c, h| {
+                draws.push((c, h));
+            });
+            passes.push((format!("{kernel:?}"), draws));
+        }
+        let mut draws = Vec::new();
+        blocked_pass(base, cells.clone(), step, thresholds, &mut |c, h| {
+            draws.push((c, h))
+        });
+        passes.push(("baseline blocked".to_string(), draws));
+        let mut draws = Vec::new();
+        for_each_failing_cell(base, cells, step, thresholds, |c, h| draws.push((c, h)));
+        passes.push(("dispatched".to_string(), draws));
+        passes
+    }
+
+    fn assert_every_pass_matches(
+        base: u64,
+        cells: Range<u16>,
+        step: u16,
+        thresholds: CellThresholds<'_>,
+    ) {
+        let expected = per_cell_draws(base, cells.clone(), step, thresholds);
+        for (name, draws) in every_pass(base, cells.clone(), step, thresholds) {
+            assert_eq!(
+                draws, expected,
+                "{name} pass differs on base {base:#x}, cells {cells:?}, step {step}, \
+                 thresholds {thresholds:?}"
+            );
+        }
+    }
+
+    /// One group threshold: none, the smallest, every cell, a
+    /// log-uniform probability in [1e-9, 0.5], or exactly the key of a
+    /// cell in `cells` (which must then not fail).
+    fn group_threshold(g: &mut killi_check::Gen, base: u64, cells: Range<u16>) -> u64 {
+        match g.usize_in(0, 4) {
+            0 => *g.pick(&[0, 1, 1 << 53]),
+            1 | 2 => unit_threshold(10f64.powf(g.f64_in(-9.0, 0.5f64.log10()))),
+            _ if cells.is_empty() => 1,
+            _ => {
+                let cell = g.usize_in(usize::from(cells.start), usize::from(cells.end));
+                hash3_with_base(base, cell as u64) >> 11
+            }
+        }
+    }
+
+    #[test]
+    fn every_kernel_visits_the_per_cell_draws() {
+        const CELLS: u16 = 560;
+        killi_check::check_cases("every_kernel_visits_the_per_cell_draws", 512, |g| {
+            let base = g.u64();
+            let step = *g.pick(&[1u16, 8]);
+            let start = g.usize_in(0, usize::from(CELLS) + 1) as u16;
+            // A third of the ranges end at the line's last cell, so
+            // most of those end in a partial block.
+            let end = if g.bool() && g.bool() {
+                CELLS
+            } else {
+                g.usize_in(usize::from(start), usize::from(CELLS) + 1) as u16
+            };
+            let uniform = group_threshold(g, base, start..end);
+            assert_every_pass_matches(base, start..end, step, CellThresholds::Uniform(uniform));
+            let group = g.usize_in(1, usize::from(CELLS) + 1);
+            let mut per_cell = vec![0; usize::from(CELLS)];
+            for first in (0..usize::from(CELLS)).step_by(group) {
+                let last = (first + group).min(usize::from(CELLS));
+                let t = group_threshold(g, base, first as u16..last as u16);
+                per_cell[first..last].fill(t);
+            }
+            assert_every_pass_matches(base, start..end, step, CellThresholds::PerCell(&per_cell));
+        });
+    }
+
+    #[test]
+    fn a_partial_last_block_visits_every_cell_to_the_end() {
+        let base = hash3_base(42, 7);
+        for step in [1u16, 8] {
+            for cells in [0..560, 7..560, 500..560, 0..64, 1..65, 559..560, 560..560] {
+                let visited: Vec<u16> =
+                    every_pass(base, cells.clone(), step, CellThresholds::Uniform(1 << 53))
+                        .into_iter()
+                        .map(|(_, draws)| draws.into_iter().map(|(c, _)| c).collect())
+                        .fold(Vec::new(), |all, pass: Vec<u16>| {
+                            assert!(
+                                all.is_empty() || all == pass,
+                                "passes disagree on {cells:?}"
+                            );
+                            pass
+                        });
+                let expected: Vec<u16> = cells.clone().step_by(usize::from(step)).collect();
+                assert_eq!(visited, expected, "cells {cells:?}, step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_threshold_hashes_nothing() {
+        let zeros = [0u64; 560];
+        for thresholds in [CellThresholds::Uniform(0), CellThresholds::PerCell(&zeros)] {
+            for_each_failing_cell(1, 0..560, 1, thresholds, |c, _| {
+                panic!("cell {c} failed at threshold 0")
+            });
         }
     }
 
