@@ -209,6 +209,13 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     };
+    // Like any Unix filter, a command whose reader hangs up (`killi vmin
+    // | head -1`) ends quietly on SIGPIPE instead of panicking on the
+    // failed print. The server keeps ignoring it, or a client closing
+    // its socket would kill the server.
+    if command != "serve" {
+        killi_serve::signal::restore_default_sigpipe();
+    }
     if args.has("help") {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
@@ -257,6 +264,9 @@ fn cmd_coverage(args: &Args) -> Result<(), ArgError> {
 
 fn cmd_area(args: &Args) -> Result<(), ArgError> {
     let ratio = positive(args, "ratio", 64)?;
+    // The entry count below is only meaningful for a Killi that builds.
+    let killi = SchemeConfig::new("killi").with("ratio", ParamValue::U64(ratio as u64));
+    check_builds(&[killi], GpuConfig::default().l2).map_err(|e| io_msg(e.to_string()))?;
     let code = args.get_or("code", "secded");
     let bits = match code.as_str() {
         "secded" => checkbits::SECDED,
@@ -289,7 +299,7 @@ fn cmd_area(args: &Args) -> Result<(), ArgError> {
 
 fn cmd_faultmap(args: &Args) -> Result<(), ArgError> {
     let vdd = flag_vdd(args, 0.625)?;
-    let lines: usize = args.get_num("lines", 32768)?;
+    let lines = positive(args, "lines", 32768)?;
     let seed = args.flag_u64("seed", 42)?;
     let fault_model = parse_fault_model(&args.get_or("fault-model", "stuck-at"))?;
     let model = build_fault_model(&fault_model).map_err(|e| io_msg(e.to_string()))?;
@@ -1470,6 +1480,14 @@ mod tests {
             (
                 &["area", "--ratio", "0"],
                 "--ratio: '0' is not a positive number",
+            ),
+            (
+                &["faultmap", "--lines", "0"],
+                "--lines: '0' is not a positive number",
+            ),
+            (
+                &["area", "--ratio", "16384"],
+                "cannot build `killi`: ECC cache smaller than one set",
             ),
         ] {
             let (_, run) = COMMANDS

@@ -8,6 +8,10 @@
 //!
 //! On non-unix targets [`install`] is a no-op and shutdown is driven by
 //! [`Handle::shutdown`](crate::server::Handle::shutdown) alone.
+//!
+//! [`restore_default_sigpipe`] undoes the Rust runtime's ignored
+//! SIGPIPE, for command-line tools whose output may be piped into a
+//! reader that exits early.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -29,7 +33,10 @@ mod imp {
     use std::sync::atomic::Ordering;
 
     const SIGINT: i32 = 2;
+    const SIGPIPE: i32 = 13;
     const SIGTERM: i32 = 15;
+    /// `SIG_DFL`: the signal's default action.
+    const SIG_DFL: usize = 0;
 
     extern "C" {
         /// POSIX `signal(2)`; handler and return are `void (*)(int)`
@@ -49,15 +56,26 @@ mod imp {
             signal(SIGINT, on_signal as *const () as usize);
         }
     }
+
+    /// Puts SIGPIPE back to its default action, ending the process,
+    /// which the Rust runtime replaces with "ignore" at start-up.
+    pub fn restore_default_sigpipe() {
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
+        }
+    }
 }
 
 #[cfg(not(unix))]
 mod imp {
     /// Signals are unix-only here; shutdown goes through the handle.
     pub fn install() {}
+
+    /// There is no SIGPIPE off unix.
+    pub fn restore_default_sigpipe() {}
 }
 
-pub use imp::install;
+pub use imp::{install, restore_default_sigpipe};
 
 #[cfg(test)]
 mod tests {
