@@ -533,34 +533,12 @@ mod tests {
     }
 
     #[test]
-    fn a_partial_last_block_visits_every_cell_to_the_end() {
+    fn every_kernel_visits_every_cell_of_whole_partial_and_empty_blocks() {
         let base = hash3_base(42, 7);
         for step in [1u16, 8] {
             for cells in [0..560, 7..560, 500..560, 0..64, 1..65, 559..560, 560..560] {
-                let visited: Vec<u16> =
-                    every_pass(base, cells.clone(), step, CellThresholds::Uniform(1 << 53))
-                        .into_iter()
-                        .map(|(_, draws)| draws.into_iter().map(|(c, _)| c).collect())
-                        .fold(Vec::new(), |all, pass: Vec<u16>| {
-                            assert!(
-                                all.is_empty() || all == pass,
-                                "passes disagree on {cells:?}"
-                            );
-                            pass
-                        });
-                let expected: Vec<u16> = cells.clone().step_by(usize::from(step)).collect();
-                assert_eq!(visited, expected, "cells {cells:?}, step {step}");
+                assert_every_pass_matches(base, cells, step, CellThresholds::Uniform(1 << 53));
             }
-        }
-    }
-
-    #[test]
-    fn a_zero_threshold_hashes_nothing() {
-        let zeros = [0u64; 560];
-        for thresholds in [CellThresholds::Uniform(0), CellThresholds::PerCell(&zeros)] {
-            for_each_failing_cell(1, 0..560, 1, thresholds, |c, _| {
-                panic!("cell {c} failed at threshold 0")
-            });
         }
     }
 
