@@ -512,7 +512,7 @@ mod tests {
             let base = g.u64();
             let step = *g.pick(&[1u16, 8]);
             let start = g.usize_in(0, usize::from(CELLS) + 1) as u16;
-            // A third of the ranges end at the line's last cell, so
+            // A quarter of the ranges end at the line's last cell, so
             // most of those end in a partial block.
             let end = if g.bool() && g.bool() {
                 CELLS

@@ -60,6 +60,8 @@ mod imp {
     /// Puts SIGPIPE back to its default action, ending the process,
     /// which the Rust runtime replaces with "ignore" at start-up.
     pub fn restore_default_sigpipe() {
+        // SAFETY: `SIG_DFL` is a valid disposition for SIGPIPE, and
+        // `signal(2)` touches no memory Rust owns.
         unsafe {
             signal(SIGPIPE, SIG_DFL);
         }
