@@ -456,7 +456,7 @@ mod tests {
         let (outcome, arr) = fill_and_read(&mut s, &map, 1, &data);
         assert_eq!(outcome, Some(false));
         assert_eq!(arr, data);
-        assert_eq!(s.protection_stats().corrections, 1);
+        assert_eq!(s.metrics().get(Counter::Corrections), 1);
         assert_eq!(s.hit_latency_extra(), 1);
     }
 
@@ -468,7 +468,7 @@ mod tests {
         let (outcome, arr) = fill_and_read(&mut s, &map, 0, &data);
         assert_eq!(outcome, Some(true));
         assert_eq!(arr, data);
-        assert_eq!(s.protection_stats().corrections, 1);
+        assert_eq!(s.metrics().get(Counter::Corrections), 1);
         assert_eq!(s.hit_latency_extra(), 2);
     }
 
@@ -487,7 +487,7 @@ mod tests {
             ReadOutcome::ErrorMiss { .. } => {}
             other => panic!("{other:?}"),
         }
-        assert_eq!(s.protection_stats().detections, 1);
+        assert_eq!(s.metrics().get(Counter::Detections), 1);
     }
 
     #[test]
@@ -514,7 +514,7 @@ mod tests {
         s.on_evict(2, &data);
         s.reset();
         assert_eq!(disabled(&s), 1, "oracle map survives reset");
-        assert_eq!(s.protection_stats().corrections, 1, "counts survive");
+        assert_eq!(s.metrics().get(Counter::Corrections), 1, "counts survive");
         assert_eq!(s.checkbits, vec![None; 16], "no checkbits survive");
     }
 
@@ -672,7 +672,7 @@ mod tests {
         fill_and_read(&mut s, &map, 2, &data);
         s.reset();
         assert_eq!(usable_ways_of_set0(&s), vec![2, 4, 6, 8, 10, 12, 14]);
-        assert_eq!(s.protection_stats().corrections, 1, "counts survive");
+        assert_eq!(s.metrics().get(Counter::Corrections), 1, "counts survive");
     }
 
     #[test]

@@ -877,7 +877,7 @@ mod tests {
         assert_eq!(arr, data, "delivered data corrected");
         assert_eq!(s.dfh(0), Dfh::Stable1);
         assert_eq!(s.ecc_cache().occupancy(), 1, "b'10 keeps its entry");
-        assert_eq!(s.protection_stats().corrections, 1);
+        assert_eq!(s.metrics().get(Counter::Corrections), 1);
 
         // Subsequent reads keep correcting and stay in b'10.
         let mut arr2 = stored(&s, 0, &data);
@@ -902,7 +902,7 @@ mod tests {
         }
         assert_eq!(s.dfh(0), Dfh::Disabled);
         assert_eq!(s.victim_class(0), None, "disabled lines never allocated");
-        assert_eq!(s.protection_stats().disabled_lines, 1);
+        assert_eq!(s.metrics().get(Counter::DisabledLines), 1);
         assert_eq!(s.ecc_cache().occupancy(), 0);
     }
 
@@ -993,7 +993,7 @@ mod tests {
         }
         let fill = s.on_fill(4, &data);
         assert_eq!(fill.invalidate, vec![0], "LRU-protected line displaced");
-        assert_eq!(s.protection_stats().ecc_cache_evictions, 1);
+        assert_eq!(s.metrics().get(Counter::EccCacheDisplacements), 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use killi_ecc::bits::Line512;
 use killi_fault::map::{FaultMap, LineId};
 use killi_fault::soft::SoftErrorInjector;
-use killi_obs::{KilliEvent, Sink};
+use killi_obs::{Counter, KilliEvent, Sink};
 
 use crate::mem::MainMemory;
 use crate::protection::{LineProtection, ReadOutcome};
@@ -697,8 +697,7 @@ impl L2Cache {
     /// Merges protection-scheme counters into the L2 stats and returns a
     /// snapshot.
     pub fn finalized_stats(&mut self) -> SimStats {
-        let p = self.protection.protection_stats();
-        self.stats.ecc_cache_accesses = p.ecc_cache_accesses;
+        self.stats.ecc_cache_accesses = self.protection.metrics().get(Counter::EccCacheAccesses);
         self.stats
     }
 }

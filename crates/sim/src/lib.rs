@@ -40,7 +40,7 @@ pub mod tracefile;
 
 pub use cache::{CacheGeometry, L2Cache, WritePolicy};
 pub use gpu::{GpuConfig, GpuSim};
-pub use protection::{FillOutcome, LineProtection, ProtectionStats, ReadOutcome};
+pub use protection::{FillOutcome, LineProtection, ReadOutcome};
 pub use stats::SimStats;
 pub use trace::{Trace, TraceOp};
 
@@ -50,9 +50,7 @@ pub use trace::{Trace, TraceOp};
 pub mod prelude {
     pub use crate::cache::{CacheGeometry, WritePolicy};
     pub use crate::gpu::{GpuConfig, GpuSim};
-    pub use crate::protection::{
-        FillOutcome, LineProtection, ProtectionStats, ReadOutcome, Unprotected,
-    };
+    pub use crate::protection::{FillOutcome, LineProtection, ReadOutcome, Unprotected};
     pub use crate::stats::SimStats;
     pub use killi_obs::{Counter, KilliEvent, MetricSet, Sink};
 }

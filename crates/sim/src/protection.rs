@@ -7,7 +7,7 @@
 
 use killi_ecc::bits::Line512;
 use killi_fault::map::LineId;
-use killi_obs::{Counter, MetricSet, Sink};
+use killi_obs::{MetricSet, Sink};
 
 /// Result of a fill-time hook.
 #[derive(Debug, Clone)]
@@ -50,40 +50,6 @@ pub enum ReadOutcome {
         /// Extra cycles charged before the refetch starts.
         extra_cycles: u32,
     },
-}
-
-/// Per-scheme counters surfaced into experiment reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProtectionStats {
-    /// Lines currently classified/known as disabled.
-    pub disabled_lines: u64,
-    /// Error corrections performed on the read path.
-    pub corrections: u64,
-    /// Detected-uncorrectable events (error-induced misses signalled).
-    pub detections: u64,
-    /// ECC-cache accesses (0 for schemes without one).
-    pub ecc_cache_accesses: u64,
-    /// L2 lines invalidated because their ECC-cache entry was evicted.
-    pub ecc_cache_evictions: u64,
-    /// Lines per DFH state, indexed by the hardware encoding
-    /// (`None` for schemes without DFH bits).
-    pub dfh_census: Option<[u64; 4]>,
-}
-
-impl ProtectionStats {
-    /// Projects the legacy flat counters out of a [`MetricSet`] — the
-    /// bridge that lets `protection_stats()` be a default method on top
-    /// of the richer `metrics()` snapshot.
-    pub fn from_metrics(m: &MetricSet) -> Self {
-        ProtectionStats {
-            disabled_lines: m.get(Counter::DisabledLines),
-            corrections: m.get(Counter::Corrections),
-            detections: m.get(Counter::Detections),
-            ecc_cache_accesses: m.get(Counter::EccCacheAccesses),
-            ecc_cache_evictions: m.get(Counter::EccCacheDisplacements),
-            dfh_census: m.dfh_census,
-        }
-    }
 }
 
 /// Protection-scheme hooks invoked by the L2 cache model.
@@ -152,17 +118,11 @@ pub trait LineProtection {
         let _ = sink;
     }
 
-    /// Snapshot of the scheme's metric registry. This is the primary
-    /// reporting path; schemes fill in the counters they own (disabled
-    /// lines, corrections, DFH transition matrix, …). Default: empty.
+    /// Snapshot of the scheme's metric registry, the one reporting path:
+    /// schemes fill in the counters they own (disabled lines,
+    /// corrections, DFH census and transition matrix, …). Default: empty.
     fn metrics(&self) -> MetricSet {
         MetricSet::new()
-    }
-
-    /// Legacy flat counters, derived from [`LineProtection::metrics`].
-    /// Kept as the stable accessor for existing reports and tests.
-    fn protection_stats(&self) -> ProtectionStats {
-        ProtectionStats::from_metrics(&self.metrics())
     }
 }
 
@@ -222,7 +182,7 @@ mod tests {
         }
         assert_eq!(d, before);
         assert_eq!(u.on_fill(0, &d).invalidate.len(), 0);
-        assert_eq!(u.protection_stats(), ProtectionStats::default());
+        assert_eq!(u.metrics(), MetricSet::new());
         assert_eq!(u.hit_latency_extra(), 0);
     }
 }

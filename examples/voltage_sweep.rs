@@ -74,7 +74,7 @@ fn main() {
         let census = sim
             .l2()
             .protection()
-            .protection_stats()
+            .metrics()
             .dfh_census
             .expect("Killi reports a DFH census");
         println!(

@@ -55,7 +55,7 @@ fn run_killi(vdd: f64, ratio: usize, workload: Workload, seed: u64) -> (SimStats
     let census = sim
         .l2()
         .protection()
-        .protection_stats()
+        .metrics()
         .dfh_census
         .expect("killi census");
     (stats, census)
