@@ -26,11 +26,33 @@ use crate::report::{pct, Table};
 use crate::runner::{
     baseline_of, run_cell, run_matrix, trace_params, MatrixConfig, ObsConfig, RunResult,
 };
-use crate::schemes::{build_scheme, BuildCtx, KilliAblation, SchemeConfig, SchemeSpec};
+use crate::schemes::{build_scheme, scheme_label, BuildCtx, SchemeConfig};
 use crate::sweep::{json_array, run_sweep, Accumulator, SweepConfig};
 
 /// Root seed of every experiment's fault maps and traces.
 const SEED: u64 = 42;
+
+/// The Figure 4/5 comparison set, as registry spellings.
+pub const FIGURE4: [&str; 8] = [
+    "dected",
+    "flair",
+    "ms-ecc",
+    "killi:ratio=256",
+    "killi:ratio=128",
+    "killi:ratio=64",
+    "killi:ratio=32",
+    "killi:ratio=16",
+];
+
+/// The config of a built-in registry spelling.
+fn scheme(spelling: &str) -> SchemeConfig {
+    SchemeConfig::parse(spelling).expect("built-in spellings parse")
+}
+
+/// The report label of a built-in registry spelling.
+fn label(spelling: &str) -> String {
+    scheme_label(&scheme(spelling)).expect("built-in spellings are registered")
+}
 
 /// One `killi repro` invocation: the simulation scale, plus the Figure 4
 /// matrix, which is run on first use and shared by fig4, fig5 and table6.
@@ -236,19 +258,12 @@ pub fn fig2(seed: u64) -> String {
 /// Runs the Figure 4/5 simulation matrix once; both figures and Table 6
 /// are derived from the result set.
 pub fn perf_matrix(config: &MatrixConfig) -> Vec<RunResult> {
-    let schemes: Vec<_> = SchemeSpec::figure4_set()
-        .iter()
-        .map(SchemeSpec::config)
-        .collect();
-    run_matrix(&Workload::ALL, &schemes, config)
+    run_matrix(&Workload::ALL, &FIGURE4.map(scheme), config)
 }
 
 /// Figure 4: kernel execution time normalized to the fault-free baseline.
 pub fn fig4(results: &[RunResult]) -> String {
-    let schemes: Vec<String> = SchemeSpec::figure4_set()
-        .iter()
-        .map(SchemeSpec::label)
-        .collect();
+    let schemes = FIGURE4.map(label);
     let mut header = vec!["workload".to_string()];
     header.extend(schemes.iter().cloned());
     let mut t = Table::new(header);
@@ -284,7 +299,7 @@ pub fn fig4(results: &[RunResult]) -> String {
 /// compute-bound (< 50) and memory-bound (> 100) plots.
 pub fn fig5(results: &[RunResult]) -> String {
     let schemes: Vec<String> = std::iter::once("baseline".to_string())
-        .chain(SchemeSpec::figure4_set().iter().map(SchemeSpec::label))
+        .chain(FIGURE4.map(label))
         .collect();
     let render_bucket = |memory_bound: bool| -> String {
         let mut header = vec!["workload".to_string()];
@@ -485,25 +500,23 @@ pub fn table7() -> String {
 /// extensions, on the capacity-sensitive workloads.
 pub fn ablations(config: &MatrixConfig) -> String {
     let workloads = [Workload::Xsbench, Workload::Fft, Workload::Pennant];
-    let specs = [
-        SchemeSpec::Killi(64),
-        SchemeSpec::KilliAblation(KilliAblation::NoVictimPriority),
-        SchemeSpec::KilliAblation(KilliAblation::NoEvictionTraining),
-        SchemeSpec::KilliAblation(KilliAblation::NoPromotion),
-        SchemeSpec::KilliDected(64),
-        SchemeSpec::KilliInverted(64),
-        SchemeSpec::FlairOnline,
+    let spellings = [
+        "killi:ratio=64",
+        "killi-no-victim-prio",
+        "killi-no-evict-train",
+        "killi-no-promotion",
+        "killi-dected:ratio=64",
+        "killi-invchk:ratio=64",
+        "flair-online",
     ];
-    let configs: Vec<_> = specs.iter().map(SchemeSpec::config).collect();
-    let results = run_matrix(&workloads, &configs, config);
+    let results = run_matrix(&workloads, &spellings.map(scheme), config);
     let mut header = vec!["scheme".to_string()];
     for w in workloads {
         header.push(format!("{} time", w.name()));
         header.push(format!("{} mpki", w.name()));
     }
     let mut t = Table::new(header);
-    for s in specs {
-        let label = s.label();
+    for label in spellings.map(label) {
         let mut row = vec![label.clone()];
         for w in workloads {
             let base = baseline_of(&results, w.name());
@@ -542,8 +555,8 @@ pub fn lowvmin(repro: &Repro) -> Vec<String> {
         let config = SweepConfig {
             vdds: vec![vdd],
             schemes: vec![
-                SchemeSpec::MsEcc.config(),
-                SchemeSpec::KilliOlsc(ratio).config(),
+                scheme("ms-ecc"),
+                scheme(&format!("killi-olsc:ratio={ratio}")),
             ],
             workloads: vec![Workload::Xsbench, Workload::Pennant],
             gpu: GpuConfig::default(),
@@ -581,7 +594,7 @@ pub fn dvfs(repro: &Repro) -> String {
     let runs: Vec<(u64, u64)> = par_map(repro.threads, &jobs, Some(&progress), |_, &(w, rep)| {
         let map = lv_map(gpu.l2.lines(), derive_seed(SEED, "die", &[rep]));
         let killi = build_scheme(
-            &SchemeSpec::Killi(64).config(),
+            &scheme("killi:ratio=64"),
             &BuildCtx::new(Arc::clone(&map), gpu.l2),
         )
         .expect("killi builds on the paper's L2");
@@ -661,7 +674,7 @@ pub fn writeback(ops_per_cu: usize) -> String {
     };
     let map = lv_map(gpu.l2.lines(), SEED);
     let ctx = BuildCtx::new(Arc::clone(&map), gpu.l2);
-    let build = |spec: SchemeSpec| build_scheme(&spec.config(), &ctx).expect("scheme builds");
+    let build = |spelling| build_scheme(&scheme(spelling), &ctx).expect("scheme builds");
     let mut t = Table::new(vec![
         "workload",
         "scheme",
@@ -681,9 +694,9 @@ pub fn writeback(ops_per_cu: usize) -> String {
             gpu.l2.ways,
         );
         let schemes: [(&str, Box<dyn LineProtection>); 3] = [
-            ("killi (plain)", build(SchemeSpec::Killi(64))),
+            ("killi (plain)", build("killi:ratio=64")),
             ("killi + 5.6.1", Box::new(escalated)),
-            ("flair (secded/line)", build(SchemeSpec::Flair)),
+            ("flair (secded/line)", build("flair")),
         ];
         for (name, protection) in schemes {
             let mut sim = GpuSim::new(gpu, Arc::clone(&map), protection, SEED);
@@ -771,12 +784,11 @@ pub fn fleet_yield(threads: usize) -> String {
 pub fn eccsweep(ops_per_cu: usize) -> String {
     let gpu = GpuConfig::default();
     let workload = Workload::Xsbench;
-    let cell = |scheme: &str, map: &Arc<FaultMap>| {
-        let scheme = SchemeConfig::parse(scheme).expect("registry spelling");
+    let cell = |spelling: &str, map: &Arc<FaultMap>| {
         let trace = workload.trace(&trace_params(&gpu, ops_per_cu, SEED));
         run_cell(
             workload,
-            &scheme,
+            &scheme(spelling),
             &gpu,
             trace,
             map,

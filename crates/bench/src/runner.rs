@@ -214,8 +214,15 @@ pub fn try_baseline_of<'a>(results: &'a [RunResult], workload: &str) -> Option<&
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schemes::SchemeSpec;
     use killi_sim::cache::CacheGeometry;
+
+    /// The configs of registry spellings.
+    fn schemes(spellings: &[&str]) -> Vec<SchemeConfig> {
+        spellings
+            .iter()
+            .map(|s| SchemeConfig::parse(s).unwrap())
+            .collect()
+    }
 
     fn tiny_config() -> MatrixConfig {
         MatrixConfig {
@@ -243,7 +250,7 @@ mod tests {
         let config = tiny_config();
         let results = run_matrix(
             &[Workload::Hacc, Workload::Xsbench],
-            &[SchemeSpec::Flair.config(), SchemeSpec::Killi(16).config()],
+            &schemes(&["flair", "killi:ratio=16"]),
             &config,
         );
         assert_eq!(results.len(), 2 + 2 * 2);
@@ -271,8 +278,9 @@ mod tests {
         c1.threads = 1;
         let mut c4 = tiny_config();
         c4.threads = 4;
-        let a = run_matrix(&[Workload::Fft], &[SchemeSpec::Killi(32).config()], &c1);
-        let b = run_matrix(&[Workload::Fft], &[SchemeSpec::Killi(32).config()], &c4);
+        let killi = schemes(&["killi:ratio=32"]);
+        let a = run_matrix(&[Workload::Fft], &killi, &c1);
+        let b = run_matrix(&[Workload::Fft], &killi, &c4);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.stats, y.stats, "{}/{}", x.workload, x.scheme);
@@ -286,7 +294,7 @@ mod tests {
         // fault — no silent corruption remains.
         let results = run_matrix(
             &[Workload::Xsbench, Workload::Fft],
-            &[SchemeSpec::KilliInverted(16).config()],
+            &schemes(&["killi-invchk:ratio=16"]),
             &tiny_config(),
         );
         for r in results.iter().filter(|r| r.scheme != "baseline") {
@@ -305,10 +313,7 @@ mod tests {
         config.vdd = NormVdd(0.55);
         let results = run_matrix(
             &[Workload::Fft],
-            &[
-                SchemeSpec::Killi(16).config(),
-                SchemeSpec::KilliInverted(16).config(),
-            ],
+            &schemes(&["killi:ratio=16", "killi-invchk:ratio=16"]),
             &config,
         );
         let sdc = |scheme: &str| {
@@ -329,11 +334,7 @@ mod tests {
     #[test]
     fn protected_schemes_never_run_faster_than_baseline_much() {
         let config = tiny_config();
-        let results = run_matrix(
-            &[Workload::Hacc],
-            &[SchemeSpec::Killi(16).config()],
-            &config,
-        );
+        let results = run_matrix(&[Workload::Hacc], &schemes(&["killi:ratio=16"]), &config);
         let base = baseline_of(&results, "hacc");
         let killi = results.iter().find(|r| r.scheme == "killi-1:16").unwrap();
         let norm = killi.stats.normalized_time(&base.stats);

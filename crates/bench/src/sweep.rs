@@ -39,9 +39,7 @@ use crate::fault_models::{
 };
 use crate::report::Table;
 use crate::runner::{run_cell, trace_params, ObsConfig};
-use crate::schemes::{
-    check_builds, default_registry, scheme_label, BuildError, SchemeConfig, SchemeSpec,
-};
+use crate::schemes::{check_builds, default_registry, scheme_label, BuildError, SchemeConfig};
 
 /// Why a [`SweepConfig`] failed validation: the GPU geometry cannot be
 /// simulated, or the scheme, fault-model or voltage axis rejected its
@@ -271,7 +269,7 @@ impl SweepConfig {
             root_seed,
             replications,
             vdds: vec![0.65, 0.625, 0.6],
-            schemes: vec![SchemeSpec::Killi(64).config()],
+            schemes: vec![SchemeConfig::parse("killi:ratio=64").expect("a valid spelling")],
             fault_model: FaultModelConfig::default(),
             workloads: vec![Workload::Xsbench, Workload::Hacc],
             ops_per_cu,
@@ -905,7 +903,7 @@ mod tests {
             root_seed: 7,
             replications: 2,
             vdds: vec![0.625, 0.6],
-            schemes: vec![SchemeSpec::Killi(16).config()],
+            schemes: vec![SchemeConfig::parse("killi:ratio=16").unwrap()],
             fault_model: FaultModelConfig::default(),
             workloads: vec![Workload::Fft, Workload::Hacc],
             ops_per_cu: 1500,

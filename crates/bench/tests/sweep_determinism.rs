@@ -4,7 +4,7 @@
 //! results citable — a reported CI can be reproduced from (config, root
 //! seed) alone, on any machine.
 
-use killi_bench::schemes::SchemeSpec;
+use killi_bench::schemes::SchemeConfig;
 use killi_bench::sweep::{run_sweep, SweepConfig};
 use killi_sim::cache::CacheGeometry;
 use killi_sim::gpu::GpuConfig;
@@ -15,7 +15,10 @@ fn tiny(threads: usize) -> SweepConfig {
         root_seed: 2024,
         replications: 2,
         vdds: vec![0.625, 0.6],
-        schemes: vec![SchemeSpec::Killi(16).config(), SchemeSpec::MsEcc.config()],
+        schemes: vec![
+            SchemeConfig::parse("killi:ratio=16").unwrap(),
+            SchemeConfig::new("ms-ecc"),
+        ],
         fault_model: killi_bench::fault_models::stuck_at(),
         workloads: vec![Workload::Xsbench, Workload::Fft],
         ops_per_cu: 2_000,

@@ -27,6 +27,13 @@ pub enum ArgError {
     },
     /// A positional argument after the subcommand.
     UnexpectedPositional { arg: String },
+    /// A flag the command does not read; `accepted` lists the flags it
+    /// does, so a typo fails instead of silently running the default.
+    UnknownFlag {
+        command: String,
+        flag: String,
+        accepted: Vec<String>,
+    },
     /// An unrecognized subcommand; `known` is the full dispatch table
     /// so the message always lists every real command.
     UnknownCommand { command: String, known: Vec<String> },
@@ -59,6 +66,15 @@ impl std::fmt::Display for ArgError {
                 expected,
             } => write!(f, "--{flag}: '{value}' is not {expected}"),
             ArgError::UnexpectedPositional { arg } => write!(f, "unexpected argument '{arg}'"),
+            ArgError::UnknownFlag {
+                command,
+                flag,
+                accepted,
+            } => write!(
+                f,
+                "unknown flag --{flag} for '{command}' (flags: --{})",
+                accepted.join(", --")
+            ),
             ArgError::UnknownCommand { command, known } => write!(
                 f,
                 "unknown command '{command}' (commands: {})",
@@ -115,6 +131,25 @@ impl Args {
             }
         }
         Ok(out)
+    }
+
+    /// Checks that `command` reads every flag given; `accepted` lists the
+    /// flags it reads, separated by spaces.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::UnknownFlag`] for the first unknown flag in
+    /// name order.
+    pub fn check_flags(&self, command: &str, accepted: &str) -> Result<(), ArgError> {
+        let accepted: Vec<String> = accepted.split_whitespace().map(String::from).collect();
+        match self.flags.keys().filter(|f| !accepted.contains(f)).min() {
+            None => Ok(()),
+            Some(flag) => Err(ArgError::UnknownFlag {
+                command: command.to_string(),
+                flag: flag.clone(),
+                accepted,
+            }),
+        }
     }
 
     /// Reads a flag, falling back to `default`.

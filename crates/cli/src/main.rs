@@ -7,11 +7,10 @@
 //!                 [--fault-model clustered:rows=4,corr=0.8]
 //! killi schemes   [--build-check]
 //! killi fault-models [--build-check]
-//! killi simulate  [--workload xsbench] [--scheme killi] [--ratio 64]
-//!                 [--vdd 0.625] [--ops 100000] [--seed 42]
-//!                 [--fault-model stuck-at]
+//! killi simulate  [--workload xsbench] [--scheme killi] [--vdd 0.625]
+//!                 [--ops 100000] [--seed 42] [--fault-model stuck-at]
 //! killi sweep     [--replications 8] [--threads 4] [--vdds 0.65,0.625,0.6]
-//!                 [--workloads xsbench,hacc] [--schemes killi] [--ratio 64]
+//!                 [--workloads xsbench,hacc] [--schemes killi]
 //!                 [--scheme-file FILE.json] [--fault-model stuck-at]
 //!                 [--ops 10000] [--seed 42] [--l2kb 512] [--out FILE.json]
 //!                 [--trace FILE.jsonl] [--trace-capacity 4096]
@@ -19,9 +18,9 @@
 //!                 [--fault-model stuck-at] [--store FILE.kds] [--out FILE.json]
 //!                 | --check FILE.json
 //! killi record    --out trace.ktrc [--workload fft] [--ops 100000]
-//! killi replay    --in trace.ktrc [--scheme killi] [--vdd 0.625]
+//! killi replay    --in trace.ktrc [--scheme killi] [--vdd 0.625] [--seed 42]
 //!                 [--fault-model stuck-at]
-//! killi profile   [--workload fft | --in trace.ktrc] [--ops 100000]
+//! killi profile   [--workload fft | --in trace.ktrc] [--ops 100000] [--seed 42]
 //! killi stats     --in results/sweep.json
 //! killi trace     [--workload fft] [--scheme killi] [--capacity 4096]
 //!                 [--out FILE.jsonl] | --check FILE.jsonl
@@ -85,24 +84,27 @@ USAGE:
                   from its defaults and round-trips it through the service
                   job payload (CI smoke).
   killi simulate  [--workload xsbench] [--scheme killi|dected|flair|ms-ecc]
-                  [--ratio 64] [--vdd 0.625] [--ops 100000] [--seed 42]
+                  [--vdd 0.625] [--ops 100000] [--seed 42]
                   [--fault-model stuck-at]
   killi sweep     [--replications 8] [--threads N] [--vdds 0.65,0.625,0.6]
-                  [--workloads xsbench,hacc] [--schemes killi] [--ratio 64]
+                  [--workloads xsbench,hacc] [--schemes killi]
                   [--scheme-file FILE.json] [--fault-model stuck-at]
                   [--ops 10000] [--seed 42] [--l2kb 512] [--progress 10]
                   [--out results/sweep.json]
                   [--trace FILE.jsonl] [--trace-capacity 4096]
                   Monte-Carlo sweep: statistics (mean/stddev/95% CI) over
                   seed-derived replicate fault maps, written as JSON.
-                  --scheme entries accept registry shorthand, e.g.
-                  killi:ratio=16,ecc_sets=64,ecc_ways=8; --scheme-file
-                  reads a JSON list of {\"scheme\": ..., params} objects.
+                  --schemes entries accept registry shorthand, e.g.
+                  killi:ratio=16,ecc_sets=64,ecc_ways=8; a parameter left
+                  unset takes the registry default (killi-olsc: ratio 8).
+                  --scheme-file reads a JSON list whose items are
+                  shorthand strings or {\"name\": ..., \"params\": {...}}
+                  objects.
                   --fault-model picks the map generator (see
                   'killi fault-models'), e.g. transient:rate=0.001.
   killi vmin      [--dies 100] [--lines 4096] [--target 0.99] [--seed 42]
                   [--vdds 0.55,0.575,0.6,0.625,0.65,0.675,0.7]
-                  [--schemes killi,flair|all] [--ratio 64]
+                  [--schemes killi,flair|all]
                   [--scheme-file FILE.json] [--fault-model stuck-at]
                   [--threads N] [--progress 0] [--store FILE.kds]
                   [--out results/VMIN.json]
@@ -118,14 +120,14 @@ USAGE:
                   Validates a killi-vmin/v1 report (schema + binning
                   invariants).
   killi record    --out trace.ktrc [--workload fft] [--ops 100000] [--seed 42]
-  killi replay    --in trace.ktrc  [--scheme killi] [--ratio 64] [--vdd 0.625]
+  killi replay    --in trace.ktrc  [--scheme killi] [--vdd 0.625] [--seed 42]
                   [--fault-model stuck-at]
-  killi profile   [--workload fft | --in trace.ktrc] [--ops 100000]
+  killi profile   [--workload fft | --in trace.ktrc] [--ops 100000] [--seed 42]
   killi stats     --in results/sweep.json
                   Per-scheme observability digest of a killi-sweep/v2
                   report: DFH transitions and the error-induced vs
                   ECC-cache-induced miss split.
-  killi trace     [--workload fft] [--scheme killi] [--ratio 64]
+  killi trace     [--workload fft] [--scheme killi]
                   [--vdd 0.625] [--ops 20000] [--seed 42] [--capacity 4096]
                   [--fault-model stuck-at] [--out FILE.jsonl]
                   Runs one traced simulation and emits the killi-obs/v1
@@ -165,36 +167,66 @@ Run 'killi <command> --help' (or bare 'killi') to print this text.
 /// A subcommand implementation.
 type Command = fn(&Args) -> Result<(), ArgError>;
 
-/// The dispatch table. Both command lookup and the unknown-command
-/// error derive from this one list, so the error can never advertise a
-/// stale set of subcommands.
-const COMMANDS: &[(&str, Command)] = &[
-    ("coverage", cmd_coverage),
-    ("area", cmd_area),
-    ("faultmap", cmd_faultmap),
-    ("schemes", cmd_schemes),
-    ("fault-models", cmd_fault_models),
-    ("simulate", cmd_simulate),
-    ("sweep", cmd_sweep),
-    ("vmin", cmd_vmin),
-    ("record", cmd_record),
-    ("replay", cmd_replay),
-    ("profile", cmd_profile),
-    ("stats", cmd_stats),
-    ("trace", cmd_trace),
-    ("serve", cmd_serve),
-    ("submit", cmd_submit),
-    ("status", cmd_status),
-    ("fetch", cmd_fetch),
-    ("repro", cmd_repro),
+/// The dispatch table: each command's name, the flags it reads
+/// (space-separated) and its implementation. Command lookup and the
+/// unknown-command and unknown-flag errors all derive from this one list,
+/// so an error can never advertise a stale set of commands or flags.
+const COMMANDS: &[(&str, &str, Command)] = &[
+    ("coverage", "vdd fault-model", cmd_coverage),
+    ("area", "ratio code", cmd_area),
+    ("faultmap", "vdd lines seed fault-model", cmd_faultmap),
+    ("schemes", "build-check", cmd_schemes),
+    ("fault-models", "build-check", cmd_fault_models),
+    (
+        "simulate",
+        "workload scheme vdd ops seed fault-model",
+        cmd_simulate,
+    ),
+    (
+        "sweep",
+        "replications threads vdds workloads schemes scheme-file fault-model ops seed l2kb \
+         progress out trace trace-capacity",
+        cmd_sweep,
+    ),
+    (
+        "vmin",
+        "dies lines target seed vdds schemes scheme-file fault-model threads progress store \
+         out check",
+        cmd_vmin,
+    ),
+    ("record", "out workload ops seed", cmd_record),
+    ("replay", "in scheme vdd seed fault-model", cmd_replay),
+    ("profile", "workload in ops seed", cmd_profile),
+    ("stats", "in", cmd_stats),
+    (
+        "trace",
+        "workload scheme vdd ops seed capacity fault-model out check",
+        cmd_trace,
+    ),
+    (
+        "serve",
+        "host port workers queue-depth cache-cap",
+        cmd_serve,
+    ),
+    ("submit", "url file wait", cmd_submit),
+    ("status", "job url", cmd_status),
+    ("fetch", "job url out wait", cmd_fetch),
+    ("repro", "only ops replications", cmd_repro),
 ];
 
-/// Every registered subcommand name, in table order.
-fn command_names() -> Vec<String> {
-    COMMANDS
-        .iter()
-        .map(|(name, _)| (*name).to_string())
-        .collect()
+/// Runs the command `args` names after checking that it reads every flag
+/// given, so a mistyped or removed flag fails instead of silently running
+/// with the default.
+fn dispatch(args: &Args) -> Result<(), ArgError> {
+    let command = args.command.as_deref().unwrap_or_default();
+    let Some((name, flags, run)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return Err(ArgError::UnknownCommand {
+            command: command.to_string(),
+            known: COMMANDS.iter().map(|(name, ..)| name.to_string()).collect(),
+        });
+    };
+    args.check_flags(name, flags)?;
+    run(args)
 }
 
 fn main() -> ExitCode {
@@ -220,14 +252,7 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let result = match COMMANDS.iter().find(|(name, _)| *name == command) {
-        Some((_, run)) => run(&args),
-        None => Err(ArgError::UnknownCommand {
-            command: command.to_string(),
-            known: command_names(),
-        }),
-    };
-    match result {
+    match dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -238,7 +263,7 @@ fn main() -> ExitCode {
 
 fn cmd_coverage(args: &Args) -> Result<(), ArgError> {
     let vdd = flag_vdd(args, 0.6)?;
-    let fault_model = parse_fault_model(&args.get_or("fault-model", "stuck-at"))?;
+    let fault_model = flag_config(args, "fault-model", STUCK_AT, default_fault_registry())?;
     let built = build_fault_model(&fault_model).map_err(|e| io_msg(e.to_string()))?;
     let model = built.cell_model().cloned().ok_or_else(|| {
         io_msg(format!(
@@ -301,7 +326,7 @@ fn cmd_faultmap(args: &Args) -> Result<(), ArgError> {
     let vdd = flag_vdd(args, 0.625)?;
     let lines = positive(args, "lines", 32768)?;
     let seed = args.flag_u64("seed", 42)?;
-    let fault_model = parse_fault_model(&args.get_or("fault-model", "stuck-at"))?;
+    let fault_model = flag_config(args, "fault-model", STUCK_AT, default_fault_registry())?;
     let model = build_fault_model(&fault_model).map_err(|e| io_msg(e.to_string()))?;
     let map = model.map(lines, NormVdd(vdd), FreqGhz::PEAK, seed);
     let measured = LineFaultDistribution::measured(&map);
@@ -328,85 +353,64 @@ fn cmd_faultmap(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// The error for a registry spelling that `--flag` rejected: it names the
-/// flag and lists every registered name.
-fn config_err<D: Descriptor>(
+/// Parses the registry spellings `--flag` gave (`default` when it is
+/// absent) and validates each against `registry`. Spellings are joined
+/// by commas, and a spelling's own parameters may follow it:
+/// `killi:ratio=16,ecc_sets=64,ecc_ways=8,dected` is two schemes (see
+/// [`registry::Config::parse_list`]). A parameter left unset takes the
+/// registry default. An error names the flag and lists every registered
+/// name.
+fn flag_configs<D: Descriptor>(
+    args: &Args,
+    flag: &str,
+    default: &str,
     registry: &Registry<D>,
-    flag: &str,
-    input: &str,
-    e: registry::BuildError<D::Kind>,
-) -> ArgError {
-    let registered = registry.names().join(", ");
-    ArgError::invalid(
-        flag,
-        input,
-        format!("valid ({e}); registered: {registered}"),
-    )
-}
-
-/// Injects `--ratio N` into a scheme that declares a `ratio` parameter
-/// its spelling left unset (for back-compat), then validates it against
-/// the registry. `input` is the spelling `--flag` gave.
-fn finish_scheme(
-    flag: &str,
-    input: &str,
-    config: SchemeConfig,
-    ratio: usize,
-) -> Result<SchemeConfig, ArgError> {
-    let registry = default_registry();
-    let declares_ratio = registry
-        .descriptor(&config.name)
-        .is_some_and(|d| d.params.iter().any(|p| p.name == "ratio"));
-    let config = if declares_ratio && config.get("ratio").is_none() {
-        config.with("ratio", ParamValue::U64(ratio as u64))
-    } else {
-        config
+) -> Result<Vec<registry::Config<D::Kind>>, ArgError> {
+    let input = args.get_or(flag, default);
+    let err = |spelling: &str, e: registry::BuildError<D::Kind>| {
+        let registered = registry.names().join(", ");
+        ArgError::invalid(
+            flag,
+            spelling,
+            format!("valid ({e}); registered: {registered}"),
+        )
     };
-    registry
-        .validate(&config)
-        .map_err(|e| config_err(registry, flag, input, e))?;
-    Ok(config)
+    let configs = registry::Config::parse_list(&input).map_err(|e| err(&input, e))?;
+    for config in &configs {
+        registry
+            .validate(config)
+            .map_err(|e| err(&config.to_string(), e))?;
+    }
+    Ok(configs)
 }
 
-/// Parses a `--scheme` value through the registry. Accepts the plain name
-/// (`killi`) and the parameterized shorthand
-/// (`killi:ratio=16,ecc_sets=64`).
-fn parse_scheme(input: &str, ratio: usize) -> Result<SchemeConfig, ArgError> {
-    let config = SchemeConfig::parse(input)
-        .map_err(|e| config_err(default_registry(), "scheme", input, e))?;
-    finish_scheme("scheme", input, config, ratio)
+/// The one registry spelling a single-valued `--flag` takes (see
+/// [`flag_configs`]).
+fn flag_config<D: Descriptor>(
+    args: &Args,
+    flag: &str,
+    default: &str,
+    registry: &Registry<D>,
+) -> Result<registry::Config<D::Kind>, ArgError> {
+    let mut configs = flag_configs(args, flag, default, registry)?;
+    if configs.len() > 1 {
+        let noun = <D::Kind as registry::Kind>::NOUN;
+        let input = args.get_or(flag, default);
+        return Err(ArgError::invalid(flag, &input, format!("a single {noun}")));
+    }
+    Ok(configs.remove(0))
 }
 
 /// The schemes of `--scheme-file`, a JSON list that takes precedence, or
-/// else of `--schemes`: `--scheme` spellings joined by commas, in which a
-/// scheme's own parameters may follow it
-/// (`killi:ratio=16,ecc_sets=64,ecc_ways=8,dected` is two schemes; see
-/// [`SchemeConfig::parse_list`]).
-fn parse_schemes(args: &Args, ratio: usize) -> Result<Vec<SchemeConfig>, ArgError> {
+/// else of `--schemes` (see [`flag_configs`]).
+fn parse_schemes(args: &Args) -> Result<Vec<SchemeConfig>, ArgError> {
     let scheme_file = args.get_or("scheme-file", "");
     if !scheme_file.is_empty() {
         let io_err = |message: String| io_msg(format!("{scheme_file}: {message}"));
         let text = std::fs::read_to_string(&scheme_file).map_err(|e| io_err(e.to_string()))?;
         return SchemeConfig::list_from_json(&text, "schemes").map_err(|e| io_err(e.to_string()));
     }
-    let raw = args.get_or("schemes", "killi");
-    let configs = SchemeConfig::parse_list(&raw)
-        .map_err(|e| config_err(default_registry(), "schemes", &raw, e))?;
-    configs
-        .into_iter()
-        .map(|config| finish_scheme("schemes", &config.to_string(), config, ratio))
-        .collect()
-}
-
-/// Parses a `--fault-model` value through the fault-model registry.
-/// Accepts the plain name (`stuck-at`) and the parameterized shorthand
-/// (`clustered:rows=4,corr=0.8`).
-fn parse_fault_model(input: &str) -> Result<FaultModelConfig, ArgError> {
-    let registry = default_fault_registry();
-    let err = |e| config_err(registry, "fault-model", input, e);
-    let config = FaultModelConfig::parse(input).map_err(err)?;
-    registry.validate(&config).map_err(err)?;
-    Ok(config)
+    flag_configs(args, "schemes", "killi", default_registry())
 }
 
 /// Prints the `parameters:` section of `killi schemes` and `killi
@@ -558,15 +562,14 @@ fn cmd_schemes(args: &Args) -> Result<(), ArgError> {
 
 fn cmd_simulate(args: &Args) -> Result<(), ArgError> {
     let workload: Workload = args.flag_enum("workload", "xsbench")?;
-    let ratio: usize = args.get_num("ratio", 64)?;
-    let scheme = parse_scheme(&args.get_or("scheme", "killi"), ratio)?;
+    let scheme = flag_config(args, "scheme", "killi", default_registry())?;
     let vdd = flag_vdd(args, 0.625)?;
     let ops = positive(args, "ops", 100_000)?;
     let seed = args.flag_u64("seed", 42)?;
 
     let mut config = MatrixConfig::paper(ops, seed);
     config.vdd = NormVdd(vdd);
-    config.fault_model = parse_fault_model(&args.get_or("fault-model", "stuck-at"))?;
+    config.fault_model = flag_config(args, "fault-model", STUCK_AT, default_fault_registry())?;
     check_builds(std::slice::from_ref(&scheme), config.gpu.l2)
         .map_err(|e| io_msg(e.to_string()))?;
     build_fault_model(&config.fault_model).map_err(|e| io_msg(e.to_string()))?;
@@ -614,8 +617,7 @@ fn cmd_record(args: &Args) -> Result<(), ArgError> {
 
 fn cmd_replay(args: &Args) -> Result<(), ArgError> {
     let input = args.require("in", "replay")?;
-    let ratio: usize = args.get_num("ratio", 64)?;
-    let scheme = parse_scheme(&args.get_or("scheme", "killi"), ratio)?;
+    let scheme = flag_config(args, "scheme", "killi", default_registry())?;
     let vdd = flag_vdd(args, 0.625)?;
     let seed = args.flag_u64("seed", 42)?;
 
@@ -625,7 +627,7 @@ fn cmd_replay(args: &Args) -> Result<(), ArgError> {
         cus: trace.cus(),
         ..GpuConfig::default()
     };
-    let fault_model = parse_fault_model(&args.get_or("fault-model", "stuck-at"))?;
+    let fault_model = flag_config(args, "fault-model", STUCK_AT, default_fault_registry())?;
     let model = build_fault_model(&fault_model).map_err(|e| io_msg(e.to_string()))?;
     let map = Arc::new(model.map(config.l2.lines(), NormVdd(vdd), FreqGhz::PEAK, seed));
     let ctx = BuildCtx::new(Arc::clone(&map), config.l2);
@@ -683,7 +685,6 @@ fn cmd_profile(args: &Args) -> Result<(), ArgError> {
 
 fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
     let replications: usize = args.get_num("replications", 8)?;
-    let ratio: usize = args.get_num("ratio", 64)?;
     let ops: usize = args.get_num("ops", 10_000)?;
     let seed = args.flag_u64("seed", 42)?;
     let threads: usize = args
@@ -702,7 +703,7 @@ fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
         s.parse::<Workload>()
             .map_err(|e| ArgError::invalid("workloads", s, e.to_string()))
     })?;
-    let schemes = parse_schemes(args, ratio)?;
+    let schemes = parse_schemes(args)?;
 
     let gpu = GpuConfig {
         l2: killi_sim::cache::CacheGeometry {
@@ -717,7 +718,7 @@ fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
         replications,
         vdds,
         schemes,
-        fault_model: parse_fault_model(&args.get_or("fault-model", "stuck-at"))?,
+        fault_model: flag_config(args, "fault-model", STUCK_AT, default_fault_registry())?,
         workloads,
         ops_per_cu: ops,
         gpu,
@@ -783,7 +784,6 @@ fn cmd_vmin(args: &Args) -> Result<(), ArgError> {
     let lines: usize = args.get_num("lines", 4096)?;
     let target = args.flag_f64("target", 0.99)?;
     let seed = args.flag_u64("seed", 42)?;
-    let ratio: usize = args.get_num("ratio", 64)?;
     let threads: usize = args
         .get_num(
             "threads",
@@ -808,7 +808,7 @@ fn cmd_vmin(args: &Args) -> Result<(), ArgError> {
             .map(|d| SchemeConfig::new(d.name))
             .collect()
     } else {
-        parse_schemes(args, ratio)?
+        parse_schemes(args)?
     };
     let store = args.get_or("store", "");
     let out = args.get_or("out", "results/VMIN.json");
@@ -820,7 +820,7 @@ fn cmd_vmin(args: &Args) -> Result<(), ArgError> {
         target,
         vdds,
         schemes,
-        fault_model: parse_fault_model(&args.get_or("fault-model", "stuck-at"))?,
+        fault_model: flag_config(args, "fault-model", STUCK_AT, default_fault_registry())?,
         threads,
         progress_every: args.get_num("progress", 0)?,
         store: (!store.is_empty()).then(|| std::path::PathBuf::from(&store)),
@@ -1021,8 +1021,7 @@ fn cmd_trace(args: &Args) -> Result<(), ArgError> {
         return check_trace(&args.require("check", "trace --check")?);
     }
     let workload: Workload = args.flag_enum("workload", "fft")?;
-    let ratio: usize = args.get_num("ratio", 64)?;
-    let scheme = parse_scheme(&args.get_or("scheme", "killi"), ratio)?;
+    let scheme = flag_config(args, "scheme", "killi", default_registry())?;
     let vdd = flag_vdd(args, 0.625)?;
     let ops: usize = args.get_num("ops", 20_000)?;
     let seed = args.flag_u64("seed", 42)?;
@@ -1031,7 +1030,7 @@ fn cmd_trace(args: &Args) -> Result<(), ArgError> {
 
     let gpu = GpuConfig::default();
     check_builds(std::slice::from_ref(&scheme), gpu.l2).map_err(|e| io_msg(e.to_string()))?;
-    let fault_model = parse_fault_model(&args.get_or("fault-model", "stuck-at"))?;
+    let fault_model = flag_config(args, "fault-model", STUCK_AT, default_fault_registry())?;
     let map = if scheme.name == BASELINE {
         Arc::new(FaultMap::fault_free(gpu.l2.lines()))
     } else {
@@ -1364,7 +1363,7 @@ mod tests {
             "--schemes",
             "killi:ratio=16,ecc_sets=64,ecc_ways=8,dected",
         ]);
-        let schemes = parse_schemes(&args, 64).unwrap();
+        let schemes = parse_schemes(&args).unwrap();
         assert_eq!(
             spelled(&schemes),
             ["killi:ratio=16,ecc_sets=64,ecc_ways=8", "dected"]
@@ -1372,27 +1371,21 @@ mod tests {
     }
 
     #[test]
-    fn schemes_take_the_ratio_flag_where_they_declare_an_unset_ratio() {
-        let args = parse(&[
-            "vmin",
-            "--schemes",
-            "killi:check_latency=2,ecc_ways=8,dected,killi-olsc:ratio=4",
-        ]);
-        let schemes = parse_schemes(&args, 16).unwrap();
+    fn an_unset_ratio_is_the_registry_default() {
+        let args = parse(&["vmin", "--schemes", "killi-olsc,killi,killi-olsc:ratio=4"]);
+        let schemes = parse_schemes(&args).unwrap();
         assert_eq!(
             spelled(&schemes),
-            [
-                "killi:check_latency=2,ecc_ways=8,ratio=16",
-                "dected",
-                "killi-olsc:ratio=4"
-            ]
+            ["killi-olsc", "killi", "killi-olsc:ratio=4"]
         );
+        let labels: Vec<String> = schemes.iter().map(|s| scheme_label(s).unwrap()).collect();
+        assert_eq!(labels, ["killi-olsc-1:8", "killi-1:64", "killi-olsc-1:4"]);
     }
 
     #[test]
     fn an_unknown_scheme_names_the_schemes_flag() {
         let args = parse(&["sweep", "--schemes", "killi,frobnicate"]);
-        let err = parse_schemes(&args, 64).unwrap_err();
+        let err = parse_schemes(&args).unwrap_err();
         assert!(
             matches!(&err, ArgError::InvalidValue { flag, value, .. }
                 if flag == "schemes" && value == "frobnicate"),
@@ -1490,12 +1483,58 @@ mod tests {
                 "cannot build `killi`: ECC cache smaller than one set",
             ),
         ] {
-            let (_, run) = COMMANDS
-                .iter()
-                .find(|(name, _)| *name == argv[0])
-                .expect("a registered command");
-            let err = run(&parse(argv)).expect_err("rejected before any simulation");
+            let err = dispatch(&parse(argv)).expect_err("rejected before any simulation");
             assert!(err.to_string().contains(message), "{argv:?}: {err}");
         }
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_before_running() {
+        for argv in [
+            ["sweep", "--ratio", "16"],
+            ["sweep", "--replicatoins", "1"],
+            ["simulate", "--vdds", "0.5"],
+            ["vmin", "--replications", "4"],
+        ] {
+            let err = dispatch(&parse(&argv)).expect_err("an unknown flag");
+            let prefix = format!("unknown flag {} for '{}'", argv[1], argv[0]);
+            assert!(matches!(err, ArgError::UnknownFlag { .. }), "{err:?}");
+            assert!(err.to_string().starts_with(&prefix), "{err}");
+        }
+        // `area --ratio` is the area model's ECC-cache ratio, not a scheme
+        // parameter; no other command reads a ratio.
+        for (name, flags, _) in COMMANDS {
+            let ratio = flags.split_whitespace().any(|f| f == "ratio");
+            assert_eq!(ratio, *name == "area", "{name}");
+        }
+    }
+
+    #[test]
+    fn usage_documents_exactly_the_flags_each_command_reads() {
+        use std::collections::{BTreeMap, BTreeSet};
+        // A block opens with `  killi <command>` and runs over its indented
+        // continuation lines; a command may have several blocks.
+        let mut documented: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        let mut command = None;
+        for line in USAGE.lines() {
+            if let Some(rest) = line.strip_prefix("  killi ") {
+                command = rest.split_whitespace().next();
+            } else if !line.starts_with("   ") {
+                command = None;
+            }
+            if let Some(command) = command {
+                let flags = line.split("--").skip(1).filter_map(|piece| {
+                    piece
+                        .split(|c: char| !c.is_ascii_alphanumeric() && c != '-')
+                        .next()
+                });
+                documented.entry(command).or_default().extend(flags);
+            }
+        }
+        let table: BTreeMap<&str, BTreeSet<&str>> = COMMANDS
+            .iter()
+            .map(|(name, flags, _)| (*name, flags.split_whitespace().collect()))
+            .collect();
+        assert_eq!(documented, table);
     }
 }

@@ -8,8 +8,8 @@
 //! - [`Config`] — a name plus overrides, with three interchangeable
 //!   spellings: CLI shorthand (`killi:ratio=16,ecc_ways=8`, see
 //!   [`Config::parse`]), JSON (`{"name": "killi", "params": {"ratio":
-//!   16}}`, see [`Config::from_json`]) and [`Config::new`] +
-//!   [`Config::with`];
+//!   16}}` or the shorthand as a JSON string, see [`Config::from_json`])
+//!   and [`Config::new`] + [`Config::with`];
 //! - [`BuildError`] — every failure mode as a typed error, never a panic;
 //! - [`ParamSpec`] and [`ResolvedParams`] — declared parameters, and the
 //!   values of one config after defaulting and type coercion;
@@ -155,8 +155,13 @@ impl<K: Kind> Config<K> {
         out
     }
 
-    /// A config from a parsed JSON object.
+    /// A config from a parsed JSON value: a shorthand string (see
+    /// [`Config::parse`]) or a `{"name": ..., "params": {...}}` object.
+    /// Every JSON input (lists, service jobs) parses configs through it.
     pub fn from_json_value(v: &JsonValue) -> Result<Self, BuildError<K>> {
+        if let JsonValue::Str(shorthand) = v {
+            return Self::parse(shorthand);
+        }
         let Some(name) = v.get("name").and_then(JsonValue::as_str) else {
             let reason = format!("{} object needs a string `name`", K::MODIFIER);
             return Err(BuildError::json(reason));
@@ -185,9 +190,10 @@ impl<K: Kind> Config<K> {
         Self::from_json_value(&v)
     }
 
-    /// A list of configs from JSON text: either a bare array of config
-    /// objects or an object holding that array under `key`
-    /// (`{"schemes": [...]}`).
+    /// A list of configs from JSON text: either a bare array of configs
+    /// (each a shorthand string or an object, see
+    /// [`Config::from_json_value`]) or an object holding that array under
+    /// `key` (`{"schemes": [...]}`).
     pub fn list_from_json(text: &str, key: &str) -> Result<Vec<Self>, BuildError<K>> {
         let v = parse_json(text).map_err(|e| BuildError::json(e.to_string()))?;
         let items = v

@@ -7,9 +7,10 @@
 //! `"sweep"` is a Monte-Carlo sweep, `"vmin"` a fleet Vmin campaign.
 //!
 //! Sweep fields: `root_seed`, `replications`, `vdds`, `schemes`,
-//! `workloads`, `ops_per_cu` (required). Schemes accept both spellings
-//! the registry knows — objects (`{"name": "killi", "params": {...}}`)
-//! and CLI shorthand strings (`"killi:ratio=16"`). The optional
+//! `workloads`, `ops_per_cu` (required). Schemes take either JSON
+//! spelling of a registry config — objects (`{"name": "killi", "params":
+//! {...}}`) or shorthand strings (`"killi:ratio=16"`), parsed by
+//! `Config::from_json_value` as every other JSON input is. The optional
 //! `fault_model` takes the same two spellings against the fault-model
 //! registry (`"clustered:rows=4"` or `{"name": "clustered", ...}`) and
 //! defaults to the paper's `stuck-at`; different models canonicalize to
@@ -37,7 +38,6 @@ use killi_bench::fault_models::FaultModelConfig;
 use killi_bench::schemes::SchemeConfig;
 use killi_bench::sweep::{run_sweep_validated, SweepConfig, ValidatedSweepConfig};
 use killi_fault::rng::splitmix64;
-use killi_obs::registry::{Config, Kind};
 use killi_obs::serve::JobId;
 use killi_obs::{parse_json, JsonValue};
 use killi_sim::gpu::GpuConfig;
@@ -170,16 +170,6 @@ fn parse_gpu(v: &JsonValue) -> Result<GpuConfig, SpecError> {
     Ok(gpu)
 }
 
-/// A scheme or fault model in either spelling: a shorthand string or a
-/// `{"name": ..., "params": {...}}` object.
-fn parse_config<K: Kind>(v: &JsonValue) -> Result<Config<K>, SpecError> {
-    match v {
-        JsonValue::Str(shorthand) => Config::parse(shorthand),
-        other => Config::from_json_value(other),
-    }
-    .map_err(|e| spec_err(e.to_string()))
-}
-
 fn parse_schemes(v: &JsonValue) -> Result<Vec<SchemeConfig>, SpecError> {
     let items = v
         .as_array()
@@ -187,7 +177,10 @@ fn parse_schemes(v: &JsonValue) -> Result<Vec<SchemeConfig>, SpecError> {
     if items.is_empty() {
         return Err(spec_err("`schemes` must not be empty"));
     }
-    items.iter().map(parse_config).collect()
+    items
+        .iter()
+        .map(|item| SchemeConfig::from_json_value(item).map_err(|e| spec_err(e.to_string())))
+        .collect()
 }
 
 fn parse_workloads(v: &JsonValue) -> Result<Vec<Workload>, SpecError> {
@@ -327,7 +320,9 @@ fn parse_vmin_spec(
         )?,
         fault_model: match v.get("fault_model") {
             None => FaultModelConfig::default(),
-            Some(fm) => parse_config(fm)?,
+            Some(fm) => {
+                FaultModelConfig::from_json_value(fm).map_err(|e| spec_err(e.to_string()))?
+            }
         },
         threads: parse_threads(v)?,
         progress_every: 0,
@@ -364,7 +359,9 @@ fn parse_sweep_spec(
         )?,
         fault_model: match v.get("fault_model") {
             None => FaultModelConfig::default(),
-            Some(fm) => parse_config(fm)?,
+            Some(fm) => {
+                FaultModelConfig::from_json_value(fm).map_err(|e| spec_err(e.to_string()))?
+            }
         },
         workloads: parse_workloads(
             v.get("workloads")

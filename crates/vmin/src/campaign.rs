@@ -87,7 +87,7 @@ impl Default for VminConfig {
             lines: 4096,
             target: 0.99,
             vdds: DEFAULT_GRID.to_vec(),
-            schemes: vec![killi_bench::schemes::SchemeSpec::Killi(64).config()],
+            schemes: vec![SchemeConfig::parse("killi:ratio=64").expect("a valid spelling")],
             fault_model: FaultModelConfig::default(),
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -1101,8 +1101,8 @@ mod tests {
             target: 0.99,
             vdds: vec![0.55, 0.6, 0.65, 0.7],
             schemes: vec![
-                killi_bench::schemes::SchemeSpec::Killi(64).config(),
-                killi_bench::schemes::SchemeSpec::Flair.config(),
+                SchemeConfig::parse("killi:ratio=64").unwrap(),
+                SchemeConfig::new("flair"),
             ],
             threads: 2,
             ..VminConfig::default()

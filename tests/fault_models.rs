@@ -17,7 +17,7 @@ use killi_repro::bench::fault_models::{
     build_fault_model, default_fault_registry, fault_model_label, stuck_at, FaultModelConfig,
     STUCK_AT,
 };
-use killi_repro::bench::schemes::{default_registry as scheme_registry, SchemeConfig, SchemeSpec};
+use killi_repro::bench::schemes::{default_registry as scheme_registry, SchemeConfig};
 use killi_repro::bench::sweep::{run_sweep, SweepConfig};
 use killi_repro::fault::cell_model::{FreqGhz, NormVdd};
 use killi_repro::fault::map::FaultMap;
@@ -36,7 +36,7 @@ fn one_cell_sweep(fault_model: FaultModelConfig) -> SweepConfig {
         root_seed: 99,
         replications: 2,
         vdds: vec![0.625, 0.6],
-        schemes: vec![SchemeSpec::Killi(16).config()],
+        schemes: vec![SchemeConfig::parse("killi:ratio=16").unwrap()],
         fault_model,
         workloads: vec![Workload::Fft],
         ops_per_cu: 800,

@@ -17,7 +17,7 @@
 //! KILLI_BLESS=1 cargo test --test golden_sweep
 //! ```
 
-use killi_repro::bench::schemes::{default_registry, SchemeConfig, SchemeSpec};
+use killi_repro::bench::schemes::{default_registry, SchemeConfig};
 use killi_repro::bench::sweep::{run_sweep, SweepConfig};
 use killi_repro::sim::cache::CacheGeometry;
 use killi_repro::sim::gpu::GpuConfig;
@@ -32,7 +32,7 @@ fn reference_sweep(threads: usize) -> SweepConfig {
         root_seed: 2024,
         replications: 2,
         vdds: vec![0.65, 0.6],
-        schemes: vec![SchemeSpec::Killi(16).config()],
+        schemes: vec![SchemeConfig::parse("killi:ratio=16").unwrap()],
         // The registry-built stuck-at model must reproduce the pre-registry
         // fault maps bit for bit — the golden bytes pin that.
         fault_model: killi_repro::bench::fault_models::stuck_at(),

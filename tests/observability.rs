@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use killi_repro::bench::runner::{run_cell, trace_params, ObsConfig};
-use killi_repro::bench::schemes::{self, SchemeConfig, SchemeSpec};
+use killi_repro::bench::schemes::{self, SchemeConfig};
 use killi_repro::fault::cell_model::{FreqGhz, NormVdd};
 use killi_repro::fault::map::FaultMap;
 use killi_repro::fault::model::{default_registry, FaultModelConfig};
@@ -87,7 +87,7 @@ fn exported_trace_is_well_formed_jsonl() {
     };
     let r = run_cell(
         Workload::Xsbench,
-        &SchemeSpec::Killi(16).config(),
+        &SchemeConfig::parse("killi:ratio=16").unwrap(),
         &gpu,
         Workload::Xsbench.trace(&trace_params(&gpu, 3_000, 11)),
         &map,
@@ -125,7 +125,7 @@ fn run_cell_metrics_agree_with_sim_stats() {
     let map = lv_map(&gpu);
     let r = run_cell(
         Workload::Fft,
-        &SchemeSpec::Killi(16).config(),
+        &SchemeConfig::parse("killi:ratio=16").unwrap(),
         &gpu,
         Workload::Fft.trace(&trace_params(&gpu, 3_000, 11)),
         &map,

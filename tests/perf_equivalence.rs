@@ -3,7 +3,7 @@
 //! unshared reference path ([`run_sweep_reference`]) — same report JSON,
 //! same event-trace artifact — at every thread count.
 
-use killi_repro::bench::schemes::SchemeSpec;
+use killi_repro::bench::schemes::SchemeConfig;
 use killi_repro::bench::sweep::{run_sweep, run_sweep_reference, SweepConfig};
 use killi_repro::sim::cache::CacheGeometry;
 use killi_repro::sim::gpu::GpuConfig;
@@ -14,7 +14,7 @@ fn tiny_sweep(threads: usize, trace_capacity: Option<usize>) -> SweepConfig {
         root_seed: 2024,
         replications: 2,
         vdds: vec![0.65, 0.6],
-        schemes: vec![SchemeSpec::Killi(16).config()],
+        schemes: vec![SchemeConfig::parse("killi:ratio=16").unwrap()],
         fault_model: killi_repro::bench::fault_models::stuck_at(),
         workloads: vec![Workload::Fft, Workload::Hacc],
         ops_per_cu: 1200,

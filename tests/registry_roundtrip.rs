@@ -130,6 +130,13 @@ fn list_round_trips_through_both_json_shapes() {
         SchemeConfig::list_from_json(&wrapped, "schemes").unwrap(),
         configs
     );
+    // A list item may take either spelling: a shorthand string or an
+    // object.
+    let mixed = r#"["killi:ratio=16", {"name": "dected"}]"#;
+    assert_eq!(
+        SchemeConfig::list_from_json(mixed, "schemes").unwrap(),
+        [configs[1].clone(), SchemeConfig::new("dected")]
+    );
 }
 
 #[test]

@@ -2,15 +2,19 @@
 //! substrate and must uphold the same safety contract, while exhibiting
 //! the capability ordering the paper establishes.
 
+use killi_bench::experiments::FIGURE4;
 use killi_bench::runner::{baseline_of, run_matrix, MatrixConfig};
-use killi_bench::schemes::{SchemeConfig, SchemeSpec};
+use killi_bench::schemes::SchemeConfig;
 use killi_repro::fault::cell_model::NormVdd;
 use killi_repro::sim::cache::CacheGeometry;
 use killi_repro::sim::gpu::GpuConfig;
 use killi_repro::workloads::Workload;
 
-fn configs(specs: &[SchemeSpec]) -> Vec<SchemeConfig> {
-    specs.iter().map(SchemeSpec::config).collect()
+fn configs(spellings: &[&str]) -> Vec<SchemeConfig> {
+    spellings
+        .iter()
+        .map(|s| SchemeConfig::parse(s).unwrap())
+        .collect()
 }
 
 fn config(vdd: f64) -> MatrixConfig {
@@ -38,7 +42,7 @@ fn config(vdd: f64) -> MatrixConfig {
 fn no_scheme_silently_corrupts_at_operating_point() {
     let results = run_matrix(
         &[Workload::Xsbench, Workload::Fft],
-        &configs(&SchemeSpec::figure4_set()),
+        &configs(&FIGURE4),
         &config(0.625),
     );
     for r in &results {
@@ -58,7 +62,7 @@ fn no_scheme_silently_corrupts_at_operating_point() {
 fn stronger_codes_disable_fewer_lines() {
     let results = run_matrix(
         &[Workload::Xsbench],
-        &configs(&[SchemeSpec::Flair, SchemeSpec::Dected, SchemeSpec::MsEcc]),
+        &configs(&["flair", "dected", "ms-ecc"]),
         &config(0.575), // aggressive voltage separates the schemes
     );
     let disabled = |s: &str| {
@@ -86,11 +90,7 @@ fn stronger_codes_disable_fewer_lines() {
 fn every_scheme_close_to_baseline_at_operating_point() {
     // Figure 4's headline: at 0.625 x VDD all techniques stay within a few
     // percent of the fault-free nominal baseline.
-    let results = run_matrix(
-        &[Workload::Miniamr],
-        &configs(&SchemeSpec::figure4_set()),
-        &config(0.625),
-    );
+    let results = run_matrix(&[Workload::Miniamr], &configs(&FIGURE4), &config(0.625));
     let base = baseline_of(&results, "miniamr");
     for r in results.iter().filter(|r| r.scheme != "baseline") {
         let norm = r.stats.normalized_time(&base.stats);
@@ -102,11 +102,7 @@ fn every_scheme_close_to_baseline_at_operating_point() {
 fn killi_tracks_ecc_cache_size_monotonically_on_capacity_sensitive_load() {
     let results = run_matrix(
         &[Workload::Xsbench],
-        &configs(&[
-            SchemeSpec::Killi(256),
-            SchemeSpec::Killi(64),
-            SchemeSpec::Killi(16),
-        ]),
+        &configs(&["killi:ratio=256", "killi:ratio=64", "killi:ratio=16"]),
         &config(0.625),
     );
     let mpki = |s: &str| results.iter().find(|r| r.scheme == s).unwrap().stats.mpki();
@@ -120,7 +116,7 @@ fn flair_online_training_costs_performance() {
     // DMR/MBIST phase sacrifices capacity and shows up as extra misses.
     let results = run_matrix(
         &[Workload::Xsbench],
-        &configs(&[SchemeSpec::Flair, SchemeSpec::FlairOnline]),
+        &configs(&["flair", "flair-online"]),
         &config(0.625),
     );
     let cycles = |s: &str| results.iter().find(|r| r.scheme == s).unwrap().stats.cycles;
@@ -138,7 +134,7 @@ fn killi_dected_upgrade_reduces_disabled_lines() {
     // two-fault lines that plain Killi must disable.
     let results = run_matrix(
         &[Workload::Xsbench],
-        &configs(&[SchemeSpec::Killi(16), SchemeSpec::KilliDected(16)]),
+        &configs(&["killi:ratio=16", "killi-dected:ratio=16"]),
         &config(0.6),
     );
     let disabled = |s: &str| {
@@ -162,7 +158,7 @@ fn inverted_write_check_classifies_without_error_misses() {
     // misses plain Killi needs for (re)classification largely disappear.
     let results = run_matrix(
         &[Workload::Xsbench],
-        &configs(&[SchemeSpec::Killi(16), SchemeSpec::KilliInverted(16)]),
+        &configs(&["killi:ratio=16", "killi-invchk:ratio=16"]),
         &config(0.6),
     );
     let err = |s: &str| {

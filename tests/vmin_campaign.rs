@@ -21,7 +21,7 @@
 //!    nesting makes a campaign on a nested model return a typed error.
 
 use killi_repro::bench::fault_models::FaultModelConfig;
-use killi_repro::bench::schemes::{default_registry as scheme_registry, SchemeConfig, SchemeSpec};
+use killi_repro::bench::schemes::{default_registry as scheme_registry, SchemeConfig};
 use killi_repro::fault::model::default_registry as fault_registry;
 use killi_repro::vmin::{
     check_report, run_campaign, CampaignError, DieEntry, DieRecord, DieStoreWriter, SearchMode,
@@ -52,7 +52,10 @@ fn small_campaign(fault_model: FaultModelConfig, search: SearchMode) -> VminConf
         lines: 512,
         target: 0.99,
         vdds: vec![0.55, 0.6, 0.65, 0.7],
-        schemes: vec![SchemeSpec::Killi(16).config(), SchemeSpec::Flair.config()],
+        schemes: vec![
+            SchemeConfig::parse("killi:ratio=16").unwrap(),
+            SchemeConfig::new("flair"),
+        ],
         fault_model,
         threads: 2,
         progress_every: 0,
