@@ -603,7 +603,7 @@ fn cmd_record(args: &Args) -> Result<(), ArgError> {
     let out = args.require("out", "record")?;
     let trace = workload.trace(&TraceParams::paper(ops, seed));
     let mut file = std::io::BufWriter::new(std::fs::File::create(&out)?);
-    killi_sim::tracefile::save(trace, &mut file)?;
+    killi_sim::tracefile::save(&trace, &mut file)?;
     use std::io::Write as _;
     file.flush()?;
     let bytes = std::fs::metadata(&out)?.len();
@@ -656,11 +656,11 @@ fn cmd_profile(args: &Args) -> Result<(), ArgError> {
         let ops: usize = args.get_num("ops", 100_000)?;
         let seed = args.flag_u64("seed", 42)?;
         println!("profile of generated {} ({} ops/CU):", workload.name(), ops);
-        TraceProfile::of(workload.trace(&TraceParams::paper(ops, seed)))
+        TraceProfile::of(&workload.trace(&TraceParams::paper(ops, seed)))
     } else {
         let mut file = std::io::BufReader::new(std::fs::File::open(&input)?);
         println!("profile of {input}:");
-        TraceProfile::of(killi_sim::tracefile::load(&mut file)?)
+        TraceProfile::of(&killi_sim::tracefile::load(&mut file)?)
     };
     println!("  CUs                 {:>12}", profile.cus);
     println!("  operations          {:>12}", profile.ops);

@@ -132,11 +132,22 @@ impl DfhArray {
         }
     }
 
-    /// Counts lines in each state, indexed by [`Dfh::bits`].
+    /// Counts lines in each state, indexed by [`Dfh::bits`]: per packed
+    /// word, one popcount per two-bit pattern instead of a decode per line.
     pub fn census(&self) -> [u64; 4] {
+        // Bit 0 of every two-bit lane.
+        const LOW: u64 = 0x5555_5555_5555_5555;
         let mut counts = [0u64; 4];
-        for line in 0..self.lines {
-            counts[self.get(line).bits() as usize] += 1;
+        for (i, &word) in self.words.iter().enumerate() {
+            // The lanes past the last line (in the last word) do not count.
+            let past = ((i + 1) * 32).saturating_sub(self.lines);
+            let lanes = LOW >> (2 * past);
+            let lo = word & lanes;
+            let hi = (word >> 1) & lanes;
+            counts[0b00] += u64::from((lanes & !(lo | hi)).count_ones());
+            counts[0b01] += u64::from((lo & !hi).count_ones());
+            counts[0b10] += u64::from((hi & !lo).count_ones());
+            counts[0b11] += u64::from((lo & hi).count_ones());
         }
         counts
     }
@@ -236,6 +247,31 @@ mod tests {
         assert_eq!(c[Dfh::Disabled.bits() as usize], 1);
         a.reset();
         assert_eq!(a.census()[Dfh::Unknown.bits() as usize], 100);
+    }
+
+    #[test]
+    fn popcount_census_matches_the_per_line_count() {
+        // A small xorshift stream: the array sizes below end in a partial
+        // word except 32, 64 and 96.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for lines in (1..=97).chain([1000, 32_768 + 5]) {
+            let mut a = DfhArray::new(lines);
+            for _ in 0..(next() as usize % (2 * lines)) {
+                let line = next() as usize % lines;
+                a.set(line, Dfh::from_bits((next() & 0b11) as u8));
+            }
+            let mut per_line = [0u64; 4];
+            for line in 0..lines {
+                per_line[a.get(line).bits() as usize] += 1;
+            }
+            assert_eq!(a.census(), per_line, "{lines} lines");
+        }
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl DfhClassifier {
         }
     }
 
-    /// Number of lines in the disabled (`b'11`) state.
-    pub fn disabled_lines(&self) -> u64 {
-        self.dfh.census()[Dfh::Disabled.bits() as usize]
-    }
-
     /// Returns every line to `b'01`.
     pub fn reset(&mut self) {
         // Voltage change / reboot: relearn everything (§2.4). Transition
@@ -119,12 +114,17 @@ impl DfhClassifier {
         self.sink = sink;
     }
 
-    /// Contributes the transition matrix, census and training latency to
-    /// a [`MetricSet`].
+    /// Contributes the transition matrix, census (and the disabled-line
+    /// count it holds) and training latency to a [`MetricSet`].
     pub fn fill_metrics(&self, m: &mut MetricSet) {
         m.dfh_transitions = self.transitions;
         m.set(Counter::DfhTransitions, m.total_transitions());
-        m.dfh_census = Some(self.dfh.census());
+        let census = self.dfh.census();
+        m.set(
+            Counter::DisabledLines,
+            census[Dfh::Disabled.bits() as usize],
+        );
+        m.dfh_census = Some(census);
         m.training_latency_ops = self.training_hist;
     }
 }

@@ -754,7 +754,6 @@ impl LineProtection for KilliScheme {
 
     fn metrics(&self) -> MetricSet {
         let mut m = MetricSet::new();
-        m.set(Counter::DisabledLines, self.classifier.disabled_lines());
         m.set(Counter::Corrections, self.corrections);
         m.set(Counter::Detections, self.detections);
         self.classifier.fill_metrics(&mut m);

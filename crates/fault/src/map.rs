@@ -67,10 +67,56 @@ impl CellFault {
 /// Identifies a physical line in the cache (set-major: `set * ways + way`).
 pub type LineId = usize;
 
+/// The faults of every line of a map, packed: line `l`'s faults are
+/// `cells[offsets[l]..offsets[l + 1]]`, in cell order. Constructors push
+/// a line's faults and then close it with [`LineFaults::end_line`].
+#[derive(Debug, Clone)]
+pub(crate) struct LineFaults {
+    offsets: Vec<u32>,
+    cells: Vec<CellFault>,
+}
+
+impl LineFaults {
+    /// An empty list with room for `lines` lines.
+    pub(crate) fn with_lines(lines: usize) -> Self {
+        let mut offsets = Vec::with_capacity(lines + 1);
+        offsets.push(0);
+        LineFaults {
+            offsets,
+            cells: Vec::new(),
+        }
+    }
+
+    /// Adds a fault to the open line.
+    #[inline]
+    pub(crate) fn push(&mut self, fault: CellFault) {
+        self.cells.push(fault);
+    }
+
+    /// Closes the open line; the next pushes go to the line after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the map holds more than `u32::MAX` faults.
+    pub(crate) fn end_line(&mut self) {
+        let end = u32::try_from(self.cells.len()).expect("fault map exceeds u32::MAX faults");
+        self.offsets.push(end);
+    }
+
+    fn lines(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    #[inline]
+    fn line(&self, line: LineId) -> &[CellFault] {
+        &self.cells[self.offsets[line] as usize..self.offsets[line + 1] as usize]
+    }
+}
+
 /// The fault population of a cache at one operating point.
 #[derive(Debug, Clone)]
 pub struct FaultMap {
-    faults: Vec<Box<[CellFault]>>,
+    faults: LineFaults,
     p_cell_median: f64,
     mean_p_line: f64,
     vdd: NormVdd,
@@ -152,8 +198,7 @@ impl FaultMap {
         seed: u64,
     ) -> Self {
         let median = model.p_cell_median(vdd, freq, FailureKind::Combined);
-        let mut faults = Vec::with_capacity(lines);
-        let mut scratch = Vec::new();
+        let mut faults = LineFaults::with_lines(lines);
         let mut mean_p_line = 0.0;
         for line in 0..lines {
             let base = hash3_base(seed, line as u64);
@@ -162,15 +207,14 @@ impl FaultMap {
             let z = standard_normal(hash3_with_base(base, 0xF00D));
             let p = model.line_p(median, z);
             mean_p_line += p;
-            scratch.clear();
             for_each_failing_cell(
                 base,
                 0..layout::CELLS_PER_LINE,
                 1,
                 CellThresholds::Uniform(unit_threshold(p)),
-                |cell, h| scratch.push(CellFault::drawn(cell, h)),
+                |cell, h| faults.push(CellFault::drawn(cell, h)),
             );
-            faults.push(scratch.as_slice().into());
+            faults.end_line();
         }
         FaultMap {
             faults,
@@ -193,24 +237,22 @@ impl FaultMap {
         freq: FreqGhz,
         seed: u64,
     ) -> Self {
-        let mut faults = Vec::with_capacity(lines);
-        let mut scratch = Vec::new();
+        let mut faults = LineFaults::with_lines(lines);
         let mut mean_p_line = 0.0;
         for line in 0..lines {
             let z = standard_normal(hash3(seed, line as u64, 0xF00D));
             let p = model.p_cell_for_line(vdd, freq, FailureKind::Combined, z);
             mean_p_line += p;
-            scratch.clear();
             for cell in 0..layout::CELLS_PER_LINE {
                 let h = hash3(seed, line as u64, u64::from(cell));
                 if to_unit(h) < p {
-                    scratch.push(CellFault {
+                    faults.push(CellFault {
                         cell,
                         stuck: h & (1 << 63) != 0,
                     });
                 }
             }
-            faults.push(scratch.as_slice().into());
+            faults.end_line();
         }
         FaultMap {
             faults,
@@ -226,7 +268,7 @@ impl FaultMap {
     /// post-process another model's output (e.g. transient overlays) use
     /// to keep the derived statistics coherent.
     pub(crate) fn from_parts(
-        faults: Vec<Box<[CellFault]>>,
+        faults: LineFaults,
         p_cell_median: f64,
         mean_p_line: f64,
         vdd: NormVdd,
@@ -246,8 +288,15 @@ impl FaultMap {
     /// A map with an explicit fault population (targeted fault-injection
     /// tests and ablations).
     pub fn from_faults(faults: Vec<Vec<CellFault>>) -> Self {
+        let mut packed = LineFaults::with_lines(faults.len());
+        for line in &faults {
+            for &fault in line {
+                packed.push(fault);
+            }
+            packed.end_line();
+        }
         FaultMap {
-            faults: faults.into_iter().map(|v| v.into_boxed_slice()).collect(),
+            faults: packed,
             p_cell_median: 0.0,
             mean_p_line: 0.0,
             vdd: NormVdd::NOMINAL,
@@ -259,7 +308,10 @@ impl FaultMap {
     /// A map with no faults (nominal voltage baseline).
     pub fn fault_free(lines: usize) -> Self {
         FaultMap {
-            faults: vec![Box::from([]); lines],
+            faults: LineFaults {
+                offsets: vec![0; lines + 1],
+                cells: Vec::new(),
+            },
             p_cell_median: 0.0,
             mean_p_line: 0.0,
             vdd: NormVdd::NOMINAL,
@@ -270,7 +322,7 @@ impl FaultMap {
 
     /// Number of physical lines covered.
     pub fn lines(&self) -> usize {
-        self.faults.len()
+        self.faults.lines()
     }
 
     /// The median per-cell failure probability the map was drawn from.
@@ -298,13 +350,14 @@ impl FaultMap {
     /// # Panics
     ///
     /// Panics if `line` is out of range.
+    #[inline]
     pub fn line(&self, line: LineId) -> &[CellFault] {
-        &self.faults[line]
+        self.faults.line(line)
     }
 
     /// Number of faults among a line's cells within `range`.
     pub fn count_in(&self, line: LineId, range: std::ops::Range<u16>) -> usize {
-        self.faults[line]
+        self.line(line)
             .iter()
             .filter(|f| range.contains(&f.cell))
             .count()
@@ -318,7 +371,7 @@ impl FaultMap {
     /// Applies stuck-at corruption to a line's data payload, as the SRAM
     /// array would store it.
     pub fn corrupt_data(&self, line: LineId, data: &mut Line512) {
-        for f in self.faults[line].iter() {
+        for f in self.line(line) {
             if f.cell < LINE_BITS as u16 {
                 data.set_bit(f.cell as usize, f.stuck);
             }
@@ -328,7 +381,7 @@ impl FaultMap {
     /// Applies stuck-at corruption to the 16 training-mode parity cells.
     pub fn corrupt_parity16(&self, line: LineId, parity: u16) -> u16 {
         let mut out = parity;
-        for f in self.faults[line].iter() {
+        for f in self.line(line) {
             if layout::PARITY16.contains(&f.cell) {
                 let bit = f.cell - layout::PARITY16.start;
                 if f.stuck {
@@ -344,7 +397,7 @@ impl FaultMap {
     /// Applies stuck-at corruption to the 4 stable-mode parity cells.
     pub fn corrupt_parity4(&self, line: LineId, parity: u8) -> u8 {
         let mut out = parity;
-        for f in self.faults[line].iter() {
+        for f in self.line(line) {
             if layout::PARITY4.contains(&f.cell) {
                 let bit = f.cell - layout::PARITY4.start;
                 if f.stuck {
@@ -361,7 +414,7 @@ impl FaultMap {
     /// storing checkbits in the LV array).
     pub fn corrupt_secded(&self, line: LineId, code: SecdedCode) -> SecdedCode {
         let mut out = code.0;
-        for f in self.faults[line].iter() {
+        for f in self.line(line) {
             if layout::SECDED.contains(&f.cell) {
                 let bit = f.cell - layout::SECDED.start;
                 if f.stuck {
@@ -377,7 +430,7 @@ impl FaultMap {
     /// Applies stuck-at corruption to DEC-TED checkbit cells.
     pub fn corrupt_dected(&self, line: LineId, code: DectedCode) -> DectedCode {
         let mut out = code.0;
-        for f in self.faults[line].iter() {
+        for f in self.line(line) {
             if layout::DECTED.contains(&f.cell) {
                 let bit = u32::from(f.cell - layout::DECTED.start);
                 if f.stuck {
@@ -638,11 +691,10 @@ impl DieFaultTable {
         self.assert_above_cap(vdd);
         let median = model.p_cell_median(vdd, self.freq, FailureKind::Combined);
         let cap_median = model.p_cell_median(self.cap_vdd, self.freq, FailureKind::Combined);
-        let mut faults = Vec::with_capacity(self.lines());
+        let mut faults = LineFaults::with_lines(self.lines());
         let mut mean_p_line = 0.0;
         let mut probs = Vec::with_capacity(self.groups.count());
         for (line, cands) in self.candidates.iter().enumerate() {
-            let mut line_faults = Vec::new();
             let mut rest = &cands[..];
             probs.clear();
             for g in 0..self.groups.count() {
@@ -657,15 +709,14 @@ impl DieFaultTable {
                 let end = self.groups.range(g).end;
                 let (group, tail) = rest.split_at(rest.partition_point(|(_, f)| f.cell < end));
                 rest = tail;
-                line_faults.extend(
-                    group
-                        .iter()
-                        .filter(|(key, _)| *key < threshold)
-                        .map(|&(_, f)| f),
-                );
+                for &(key, fault) in group {
+                    if key < threshold {
+                        faults.push(fault);
+                    }
+                }
             }
             mean_p_line += self.groups.line_mean(&probs);
-            faults.push(line_faults.into_boxed_slice());
+            faults.end_line();
         }
         FaultMap {
             faults,

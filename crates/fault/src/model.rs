@@ -53,7 +53,8 @@ use killi_obs::registry::{self, DefaultName, Descriptor, Kind, ParamSpec, Resolv
 
 use crate::cell_model::{CellFailureModel, FailureKind, FreqGhz, NormVdd};
 use crate::map::{
-    layout, standard_normal, CellFault, CellGroups, DieFaultTable, FaultMap, LineId, MapOptions,
+    layout, standard_normal, CellFault, CellGroups, DieFaultTable, FaultMap, LineFaults, LineId,
+    MapOptions,
 };
 use crate::rng::{
     for_each_failing_cell, hash3, hash3_base, hash3_with_base, splitmix64, to_unit, unit_threshold,
@@ -348,14 +349,12 @@ impl FaultModel for ClusteredModel {
         let median = self.cell.p_cell_median(vdd, freq, FailureKind::Combined);
         // Column-group draws are shared die-wide; hoist them.
         let groups = self.column_groups(seed);
-        let mut faults = Vec::with_capacity(lines);
-        let mut scratch = Vec::new();
+        let mut faults = LineFaults::with_lines(lines);
         let mut per_cell = [0; layout::CELLS_PER_LINE as usize];
         let mut mean_p_line = 0.0;
         for line in 0..lines {
             let base = hash3_base(seed, line as u64);
             let z_line = self.z_line(seed, line as u64);
-            scratch.clear();
             let mut p_line = 0.0;
             let thresholds = groups.thresholds(&mut per_cell, |g, cells| {
                 let p = self.cell.line_p(median, groups.z(z_line, g));
@@ -363,10 +362,10 @@ impl FaultModel for ClusteredModel {
                 unit_threshold(p)
             });
             for_each_failing_cell(base, 0..layout::CELLS_PER_LINE, 1, thresholds, |cell, h| {
-                scratch.push(CellFault::drawn(cell, h))
+                faults.push(CellFault::drawn(cell, h))
             });
             mean_p_line += p_line / f64::from(layout::CELLS_PER_LINE);
-            faults.push(scratch.as_slice().into());
+            faults.end_line();
         }
         let mean_p_line = mean_p_line / lines.max(1) as f64;
         FaultMap::from_parts(faults, median, mean_p_line, vdd, freq, seed)
@@ -483,12 +482,11 @@ impl TransientModel {
         let (_, freq) = base.operating_point();
         let tseed = Self::overlay_seed(seed, vdd);
         let mut flips = Vec::new();
-        let faults = (0..base.lines())
-            .map(|line| {
-                self.flips(tseed, line, &mut flips);
-                merge_persistent(base.line(line), &flips)
-            })
-            .collect();
+        let mut faults = LineFaults::with_lines(base.lines());
+        for line in 0..base.lines() {
+            self.flips(tseed, line, &mut flips);
+            merge_persistent(base.line(line), &flips, &mut faults);
+        }
         // The derived statistics describe the persistent substrate; the
         // transient layer is an overlay on top of them.
         FaultMap::from_parts(
@@ -502,10 +500,10 @@ impl TransientModel {
     }
 }
 
-/// Merges a line's persistent faults with its transient flips (both
-/// sorted by cell); the persistent fault wins where both hit one cell.
-fn merge_persistent(persistent: &[CellFault], flips: &[CellFault]) -> Box<[CellFault]> {
-    let mut merged = Vec::with_capacity(persistent.len() + flips.len());
+/// Appends a line's persistent faults merged with its transient flips
+/// (both sorted by cell) to `merged` as one line; the persistent fault
+/// wins where both hit one cell.
+fn merge_persistent(persistent: &[CellFault], flips: &[CellFault], merged: &mut LineFaults) {
     let mut t = flips.iter().peekable();
     for &p in persistent {
         while let Some(&&next) = t.peek() {
@@ -521,8 +519,10 @@ fn merge_persistent(persistent: &[CellFault], flips: &[CellFault]) -> Box<[CellF
         }
         merged.push(p);
     }
-    merged.extend(t.copied());
-    merged.into_boxed_slice()
+    for &flip in t {
+        merged.push(flip);
+    }
+    merged.end_line();
 }
 
 impl FaultModel for TransientModel {

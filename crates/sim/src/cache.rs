@@ -1,11 +1,15 @@
 //! Cache structures: geometry, a tag-only L1, and the banked, protected,
 //! write-through GPU L2 data cache.
 //!
-//! The L2 stores real 64-byte payloads *as the faulty SRAM array would hold
-//! them*: fills apply the fault map's stuck-at corruption, reads hand the
-//! corrupted content to the protection scheme, and the simulator compares
-//! delivered data against the architectural value from memory to count
-//! silent data corruptions.
+//! The L2 hands protection schemes exactly the 64-byte payloads the faulty
+//! SRAM array holds, derived on read rather than stored: a valid line's
+//! content is its memory line, corrupted by the fault map's stuck-at
+//! cells, XOR any soft-error flips since its install. That equals what the
+//! array would store because a resident line's architectural value never
+//! changes under it: every store either re-installs the line or evicts it
+//! before memory moves on. Reads hand the derived content to the scheme,
+//! and the simulator compares delivered data against the architectural
+//! value from memory to count silent data corruptions.
 
 use std::sync::Arc;
 
@@ -14,7 +18,7 @@ use killi_fault::map::{FaultMap, LineId};
 use killi_fault::soft::SoftErrorInjector;
 use killi_obs::{Counter, KilliEvent, Sink};
 
-use crate::mem::MainMemory;
+use crate::mem::{IntMap, MainMemory};
 use crate::protection::{LineProtection, ReadOutcome};
 use crate::stats::SimStats;
 
@@ -267,7 +271,9 @@ pub enum WritePolicy {
 /// Line metadata is struct-of-arrays: valid/dirty flags are bit-packed 64
 /// lines to the word and tags/LRU stamps live in their own contiguous
 /// arrays, so victim search and tag match sweep flat memory instead of
-/// striding over per-line records.
+/// striding over per-line records. There is no payload array: a line's
+/// content is derived from the [`MainMemory`] every access is handed, so
+/// every access of one cache must be handed the same memory.
 pub struct L2Cache {
     geom: CacheGeometry,
     addr_map: AddrMap,
@@ -278,7 +284,9 @@ pub struct L2Cache {
     valid: BitVec,
     dirty: BitVec,
     tags: Vec<u64>,
-    data: Vec<Line512>,
+    /// Soft-error flips of a line since its install, XORed over its
+    /// derived content. Sparse: only lines an upset struck have an entry.
+    soft_flips: IntMap<LineId, Line512>,
     lru: Vec<u64>,
     clock: u64,
     bank_free: Vec<u64>,
@@ -325,7 +333,7 @@ impl L2Cache {
             valid: BitVec::zeroed(lines),
             dirty: BitVec::zeroed(lines),
             tags: vec![0; lines],
-            data: vec![Line512::zero(); lines],
+            soft_flips: IntMap::default(),
             lru: vec![0; lines],
             clock: 0,
             bank_free: vec![0; banks],
@@ -426,10 +434,40 @@ impl L2Cache {
         best_invalid.map(|(_, w)| w).or(best_valid.map(|(_, w)| w))
     }
 
-    fn invalidate_line(&mut self, id: LineId, notify: bool) {
+    /// Line-aligned address of the line valid line `id` holds.
+    fn addr_of(&self, id: LineId) -> u64 {
+        let set = (id / self.geom.ways) as u64;
+        (self.tags[id] << self.addr_map.tag_shift) | (set << self.addr_map.line_shift)
+    }
+
+    /// What the array holds for valid line `id` whose intended content is
+    /// `intended`: the stuck-at cells' values, then the soft flips.
+    fn array_content(&self, id: LineId, intended: &Line512) -> Line512 {
+        let mut stored = *intended;
+        self.map.corrupt_data(id, &mut stored);
+        if let Some(flips) = self.soft_flips.get(&id) {
+            stored ^= *flips;
+        }
+        stored
+    }
+
+    /// What the array holds for valid line `id`.
+    fn stored(&self, id: LineId, mem: &MainMemory) -> Line512 {
+        self.array_content(id, &mem.line_data(self.addr_of(id)))
+    }
+
+    /// The array now holds line `id`'s intended content as its faulty
+    /// cells store it: earlier soft flips are overwritten.
+    fn installed(&mut self, id: LineId) {
+        if !self.soft_flips.is_empty() {
+            self.soft_flips.remove(&id);
+        }
+    }
+
+    fn invalidate_line(&mut self, id: LineId, notify: bool, mem: &MainMemory) {
         if self.valid.get(id) {
             if notify {
-                let stored = self.data[id];
+                let stored = self.stored(id, mem);
                 self.protection.on_evict(id, &stored);
             }
             self.retire_dirty(id);
@@ -443,9 +481,7 @@ impl L2Cache {
         if self.dirty.get(id) {
             self.dirty.set(id, false);
             self.stats.writebacks += 1;
-            let set = id / self.geom.ways;
-            let addr = (self.tags[id] * self.addr_map.sets as u64 + set as u64)
-                * self.geom.line_bytes as u64;
+            let addr = self.addr_of(id);
             self.pending_writebacks.push(addr);
         }
     }
@@ -459,10 +495,10 @@ impl L2Cache {
     /// A line lost its protection metadata: let the scheme try to
     /// reclassify it in place (an extra data-array read); invalidate it
     /// only if it cannot stand on its own.
-    fn handle_displaced(&mut self, victim: LineId) {
+    fn handle_displaced(&mut self, victim: LineId, mem: &MainMemory) {
         if self.valid.get(victim) {
             self.stats.l2_data_accesses += 1;
-            let stored = self.data[victim];
+            let stored = self.stored(victim, mem);
             if self.protection.on_displaced(victim, &stored) {
                 return; // salvaged: verified and re-protected in place
             }
@@ -476,19 +512,22 @@ impl L2Cache {
     }
 
     /// Invalidates any copy of `addr` (store path / external request),
-    /// notifying the scheme so eviction-time training still happens.
-    pub fn invalidate_addr(&mut self, addr: u64) {
+    /// notifying the scheme so eviction-time training still happens. Call
+    /// it before `addr`'s memory value changes: training sees the bits the
+    /// array held.
+    pub fn invalidate_addr(&mut self, addr: u64, mem: &MainMemory) {
         let set = self.addr_map.set_of(addr);
         let tag = self.addr_map.tag_of(addr);
         if let Some(w) = self.find_way(set, tag) {
-            self.invalidate_line(self.geom.line_id(set, w), true);
+            self.invalidate_line(self.geom.line_id(set, w), true, mem);
         }
     }
 
-    /// Fills `addr` into `set`; returns extra fill latency and the line
-    /// installed into (None when the set was unusable). Does not charge
-    /// the memory latency (the caller accounts it).
-    fn fill(&mut self, addr: u64, mem: &MainMemory) -> (u32, Option<LineId>) {
+    /// Fills `addr`, whose memory content is `intended`, into its set;
+    /// returns extra fill latency and the line installed into (None when
+    /// the set was unusable). Does not charge the memory latency (the
+    /// caller accounts it).
+    fn fill(&mut self, addr: u64, intended: &Line512, mem: &MainMemory) -> (u32, Option<LineId>) {
         let set = self.addr_map.set_of(addr);
         // Eviction-time training may reclassify the chosen victim as
         // disabled; re-pick until a usable way survives its own eviction.
@@ -499,7 +538,7 @@ impl L2Cache {
             };
             let id = self.geom.line_id(set, way);
             let was_valid = self.valid.get(id);
-            self.invalidate_line(id, true); // train on eviction if it held data
+            self.invalidate_line(id, true, mem); // train on eviction if it held data
             if let Some(class) = self.protection.victim_class(id) {
                 self.sink.emit(|| KilliEvent::VictimDecision {
                     line: id as u32,
@@ -509,12 +548,11 @@ impl L2Cache {
                 break id;
             }
         };
-        let intended = mem.line_data(self.geom.line_addr(addr));
-        let outcome = self.protection.on_fill(id, &intended);
+        let outcome = self.protection.on_fill(id, intended);
         for victim in &outcome.invalidate {
             debug_assert_ne!(*victim, id, "scheme invalidated the line it filled");
             if *victim != id {
-                self.handle_displaced(*victim);
+                self.handle_displaced(*victim, mem);
             }
         }
         if !outcome.accepted {
@@ -523,9 +561,7 @@ impl L2Cache {
                 .emit(|| KilliEvent::FillRejected { line: id as u32 });
             return (outcome.extra_cycles, None);
         }
-        let mut stored = intended;
-        self.map.corrupt_data(id, &mut stored);
-        self.data[id] = stored;
+        self.installed(id);
         self.tags[id] = self.addr_map.tag_of(addr);
         self.valid.set(id, true);
         self.dirty.set(id, false);
@@ -536,6 +572,7 @@ impl L2Cache {
     }
 
     /// Services a load at time `now`. Returns total latency and hit/miss.
+    /// `mem` must be the memory every earlier access of this cache used.
     pub fn access_load(&mut self, addr: u64, now: u64, mem: &mut MainMemory) -> LoadResult {
         let line_addr = self.geom.line_addr(addr);
         let set = self.addr_map.set_of(addr);
@@ -549,9 +586,16 @@ impl L2Cache {
             self.lru[id] = self.clock;
             self.protection.on_promote(id);
             self.stats.l2_data_accesses += 1;
+            let intended = mem.line_data(line_addr);
+            let mut delivered = self.array_content(id, &intended);
             // Transient upsets strike the array content itself.
-            self.soft.maybe_upset(&mut self.data[id]);
-            let mut delivered = self.data[id];
+            let flipped = self.soft.maybe_upset(&mut delivered);
+            if !flipped.is_empty() {
+                let flips = self.soft_flips.entry(id).or_insert_with(Line512::zero);
+                for bit in flipped {
+                    flips.flip_bit(bit);
+                }
+            }
             match self.protection.on_read_hit(id, &mut delivered) {
                 ReadOutcome::Clean {
                     extra_cycles,
@@ -562,7 +606,7 @@ impl L2Cache {
                     if corrected {
                         self.stats.corrections += 1;
                     }
-                    if delivered != mem.line_data(line_addr) {
+                    if delivered != intended {
                         self.stats.sdc_events += 1;
                     }
                     self.stats.l2_hits += 1;
@@ -579,15 +623,15 @@ impl L2Cache {
                         self.stats.dirty_data_loss += 1;
                         self.dirty.set(id, false);
                     }
-                    self.invalidate_line(id, false); // scheme already updated
+                    self.invalidate_line(id, false, mem); // scheme already updated
                 }
             }
         }
         // Miss path (demand miss or error-induced refetch).
         self.stats.l2_misses += 1;
         self.stats.mem_reads += 1;
-        mem.read(line_addr);
-        let (extra, _) = self.fill(addr, mem);
+        let line = mem.read(line_addr);
+        let (extra, _) = self.fill(addr, &line, mem);
         latency += mem.latency() + extra;
         self.drain_writebacks(mem);
         LoadResult {
@@ -597,20 +641,23 @@ impl L2Cache {
     }
 
     /// Services a store at time `now`. Returns the L2-side latency (stores
-    /// are posted; CUs do not stall on them).
+    /// are posted; CUs do not stall on them). `mem` must be the memory
+    /// every earlier access of this cache used.
     pub fn access_store(&mut self, addr: u64, now: u64, mem: &mut MainMemory) -> u32 {
         let line_addr = self.geom.line_addr(addr);
         let latency = self.bank_delay(line_addr, now) + self.tag_latency;
         self.stats.l2_tag_accesses += 1;
-        if self.write_policy != WritePolicy::WriteBack {
-            mem.write(line_addr);
-            self.stats.mem_writes += 1;
-        }
         match self.write_policy {
             WritePolicy::BypassInvalidate => {
-                self.invalidate_addr(addr);
+                // Evict first: the line's content derives from memory, so
+                // eviction training must see it before the store lands.
+                self.invalidate_addr(addr, mem);
+                mem.write(line_addr);
+                self.stats.mem_writes += 1;
             }
             WritePolicy::WriteThroughUpdate => {
+                mem.write(line_addr);
+                self.stats.mem_writes += 1;
                 let set = self.addr_map.set_of(addr);
                 let tag = self.addr_map.tag_of(addr);
                 if let Some(way) = self.find_way(set, tag) {
@@ -620,16 +667,14 @@ impl L2Cache {
                     let outcome = self.protection.on_fill(id, &intended);
                     for victim in &outcome.invalidate {
                         if *victim != id {
-                            self.handle_displaced(*victim);
+                            self.handle_displaced(*victim, mem);
                         }
                     }
                     if outcome.accepted {
-                        let mut stored = intended;
-                        self.map.corrupt_data(id, &mut stored);
-                        self.data[id] = stored;
+                        self.installed(id);
                         self.stats.l2_data_accesses += 1;
                     } else {
-                        self.invalidate_line(id, false);
+                        self.invalidate_line(id, false, mem);
                     }
                 }
             }
@@ -639,38 +684,35 @@ impl L2Cache {
                 mem.bump_version(line_addr);
                 let set = self.addr_map.set_of(addr);
                 let tag = self.addr_map.tag_of(addr);
-                let id = match self.find_way(set, tag) {
+                let (intended, id) = match self.find_way(set, tag) {
                     Some(way) => {
                         let id = self.geom.line_id(set, way);
                         self.clock += 1;
                         self.lru[id] = self.clock;
-                        Some(id)
+                        (mem.line_data(line_addr), Some(id))
                     }
                     None => {
                         // Write-allocate: fetch and install, then update.
                         self.stats.mem_reads += 1;
-                        mem.read(line_addr);
-                        self.fill(addr, mem).1
+                        let line = mem.read(line_addr);
+                        (line, self.fill(addr, &line, mem).1)
                     }
                 };
                 if let Some(id) = id {
-                    let intended = mem.line_data(line_addr);
                     let outcome = self.protection.on_write(id, &intended);
                     for victim in &outcome.invalidate {
                         if *victim != id {
-                            self.handle_displaced(*victim);
+                            self.handle_displaced(*victim, mem);
                         }
                     }
                     if outcome.accepted {
-                        let mut stored = intended;
-                        self.map.corrupt_data(id, &mut stored);
-                        self.data[id] = stored;
+                        self.installed(id);
                         self.dirty.set(id, true);
                         self.stats.l2_data_accesses += 1;
                     } else {
                         // The scheme refuses to hold this dirty data: send
                         // it straight to memory instead.
-                        self.invalidate_line(id, false);
+                        self.invalidate_line(id, false, mem);
                         mem.writeback(line_addr);
                         self.stats.mem_writes += 1;
                     }
@@ -688,9 +730,9 @@ impl L2Cache {
     /// Drains all valid lines through the eviction path (end-of-kernel or
     /// test introspection). In write-back mode any dirty lines are queued
     /// for write-back and drained by the next memory-carrying access.
-    pub fn flush(&mut self) {
+    pub fn flush(&mut self, mem: &MainMemory) {
         for id in 0..self.geom.lines() {
-            self.invalidate_line(id, true);
+            self.invalidate_line(id, true, mem);
         }
     }
 
@@ -877,7 +919,7 @@ mod tests {
         let mut c = l2(small_geom());
         let mut mem = MainMemory::new(1, 10);
         c.access_load(0x40, 0, &mut mem);
-        c.flush();
+        c.flush(&mem);
         assert!(!c.access_load(0x40, 100, &mut mem).hit);
     }
 

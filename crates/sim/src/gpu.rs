@@ -105,6 +105,8 @@ impl GpuConfig {
 }
 
 struct CuState {
+    /// Index of the CU's next op in its trace stream.
+    next: usize,
     time: u64,
     pending: BinaryHeap<Reverse<u64>>,
     done: bool,
@@ -173,9 +175,10 @@ impl GpuSim {
             self.config.cus,
             "trace CU count mismatches config"
         );
-        let mut streams = trace.into_streams();
+        let streams = trace.per_cu();
         let mut cus: Vec<CuState> = (0..self.config.cus)
             .map(|_| CuState {
+                next: 0,
                 time: 0,
                 pending: BinaryHeap::new(),
                 done: false,
@@ -191,7 +194,7 @@ impl GpuSim {
             .filter(|&i| !cus[i].done)
             .min_by_key(|&i| cus[i].time)
         {
-            let Some(op) = streams[cu].next() else {
+            let Some(&op) = streams[cu].get(cus[cu].next) else {
                 // Drain outstanding loads, then retire the CU.
                 let drained = cus[cu]
                     .pending
@@ -205,6 +208,7 @@ impl GpuSim {
             };
             self.sink.tick();
             let state = &mut cus[cu];
+            state.next += 1;
             match op {
                 TraceOp::Compute(n) => {
                     stats.instructions += u64::from(n);

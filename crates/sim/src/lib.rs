@@ -6,7 +6,8 @@
 //! - [`mem`] — a fixed-latency main memory with synthesized, versioned
 //!   content (the architectural source of truth for the write-through L2),
 //! - [`cache`] — cache geometry, a tag-only L1, and the banked,
-//!   fault-injected, write-through GPU L2 that stores real payloads,
+//!   fault-injected, write-through GPU L2, which hands schemes exactly the
+//!   bits its faulty array holds, derived on read,
 //! - [`protection`] — the [`protection::LineProtection`] trait every scheme
 //!   (Killi and all baselines) implements,
 //! - [`gpu`] — the 8-CU timing driver with bounded outstanding-load windows,

@@ -7,16 +7,53 @@
 //! so whole-GPU footprints cost a few bytes per *written* line only.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use killi_ecc::bits::Line512;
 use killi_fault::rng::{hash3, splitmix64};
+
+/// A fixed (unseeded) hasher for the simulator's integer-keyed maps. They
+/// are only probed, never iterated, so their order cannot reach a result.
+/// Their keys are line addresses and line ids of the trace being
+/// simulated, so colliding keys could only slow the run of whoever chose
+/// that trace; SipHash's flood resistance buys nothing here. A folded
+/// 64x64-bit multiply spreads line addresses, whose low bits are all zero,
+/// over the table.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let full = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (full as u64) ^ ((full >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+/// A hash map keyed by simulator-made integers (see [`IntHasher`]).
+pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// Fixed-latency main memory with synthesized content.
 #[derive(Debug, Clone)]
 pub struct MainMemory {
     seed: u64,
     latency: u32,
-    versions: HashMap<u64, u32>,
+    versions: IntMap<u64, u32>,
     reads: u64,
     writes: u64,
 }
@@ -27,7 +64,7 @@ impl MainMemory {
         MainMemory {
             seed,
             latency,
-            versions: HashMap::new(),
+            versions: IntMap::default(),
             reads: 0,
             writes: 0,
         }

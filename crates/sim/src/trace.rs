@@ -5,6 +5,8 @@
 //! outstanding-load window, which is how a GPU wavefront scheduler hides
 //! memory latency.
 
+use std::sync::Arc;
+
 /// One operation in a compute unit's instruction stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceOp {
@@ -17,90 +19,44 @@ pub enum TraceOp {
     Compute(u32),
 }
 
-/// A per-CU operation stream. Boxed iterators keep multi-million-op traces
-/// out of memory.
-pub type OpStream = Box<dyn Iterator<Item = TraceOp>>;
-
-/// A complete multi-CU workload trace.
+/// A complete multi-CU workload trace: one op buffer per compute unit,
+/// shared rather than copied, so every simulation of one (workload, seed)
+/// — e.g. every scheme cell of a sweep replicate — replays the same
+/// buffer.
 pub struct Trace {
-    streams: Vec<OpStream>,
+    per_cu: Arc<Vec<Vec<TraceOp>>>,
 }
 
 impl Trace {
-    /// Builds a trace from per-CU op streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is empty.
-    pub fn new(streams: Vec<OpStream>) -> Self {
-        assert!(!streams.is_empty(), "trace needs at least one CU stream");
-        Trace { streams }
-    }
-
-    /// Convenience constructor from in-memory op vectors (tests, examples).
-    pub fn from_vecs(per_cu: Vec<Vec<TraceOp>>) -> Self {
-        Self::new(
-            per_cu
-                .into_iter()
-                .map(|v| Box::new(v.into_iter()) as OpStream)
-                .collect(),
-        )
-    }
-
-    /// Builds a trace over a shared op buffer without copying it. Many
-    /// simulations of the same (workload, seed) — e.g. every scheme cell of
-    /// a sweep replicate — can each call this on one `Arc`'d buffer; each
-    /// per-CU stream is a cursor into the shared vectors, yielding exactly
-    /// the ops `from_vecs` would.
+    /// Builds a trace from in-memory per-CU op vectors.
     ///
     /// # Panics
     ///
     /// Panics if `per_cu` is empty.
-    pub fn from_shared(per_cu: std::sync::Arc<Vec<Vec<TraceOp>>>) -> Self {
-        Self::new(
-            (0..per_cu.len())
-                .map(|cu| {
-                    Box::new(SharedStream {
-                        buf: std::sync::Arc::clone(&per_cu),
-                        cu,
-                        next: 0,
-                    }) as OpStream
-                })
-                .collect(),
-        )
+    pub fn from_vecs(per_cu: Vec<Vec<TraceOp>>) -> Self {
+        Self::from_shared(Arc::new(per_cu))
+    }
+
+    /// Builds a trace over a shared op buffer without copying it. Many
+    /// simulations of the same (workload, seed) can each call this on one
+    /// `Arc`'d buffer and replay exactly the ops `from_vecs` would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_cu` is empty.
+    pub fn from_shared(per_cu: Arc<Vec<Vec<TraceOp>>>) -> Self {
+        assert!(!per_cu.is_empty(), "trace needs at least one CU stream");
+        Trace { per_cu }
     }
 
     /// Number of compute units in the trace.
     pub fn cus(&self) -> usize {
-        self.streams.len()
+        self.per_cu.len()
     }
 
-    /// Consumes the trace into its streams.
-    pub fn into_streams(self) -> Vec<OpStream> {
-        self.streams
-    }
-}
-
-/// Cursor over one CU's ops inside a shared buffer (see
-/// [`Trace::from_shared`]).
-struct SharedStream {
-    buf: std::sync::Arc<Vec<Vec<TraceOp>>>,
-    cu: usize,
-    next: usize,
-}
-
-impl Iterator for SharedStream {
-    type Item = TraceOp;
-
-    fn next(&mut self) -> Option<TraceOp> {
-        let op = self.buf[self.cu].get(self.next).copied();
-        self.next += 1;
-        op
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.buf[self.cu].len().saturating_sub(self.next);
-        (rem, Some(rem))
+    /// The op streams, one per compute unit.
+    pub fn per_cu(&self) -> &[Vec<TraceOp>] {
+        &self.per_cu
     }
 }
 
@@ -121,15 +77,13 @@ mod tests {
             vec![TraceOp::Store(64)],
         ]);
         assert_eq!(t.cus(), 2);
-        let streams = t.into_streams();
-        let first: Vec<_> = streams.into_iter().next().unwrap().collect();
-        assert_eq!(first, vec![TraceOp::Load(0), TraceOp::Compute(5)]);
+        assert_eq!(t.per_cu()[0], vec![TraceOp::Load(0), TraceOp::Compute(5)]);
     }
 
     #[test]
     #[should_panic(expected = "at least one CU")]
     fn empty_trace_rejected() {
-        Trace::new(Vec::new());
+        Trace::from_vecs(Vec::new());
     }
 
     #[test]
@@ -139,14 +93,13 @@ mod tests {
             vec![TraceOp::Store(128)],
             vec![],
         ];
-        let shared = std::sync::Arc::new(ops.clone());
+        let shared = Arc::new(ops.clone());
         // Two traces over one buffer, plus the owned reference.
         for _ in 0..2 {
-            let t = Trace::from_shared(std::sync::Arc::clone(&shared));
+            let t = Trace::from_shared(Arc::clone(&shared));
             assert_eq!(t.cus(), 3);
-            let got: Vec<Vec<TraceOp>> =
-                t.into_streams().into_iter().map(|s| s.collect()).collect();
-            assert_eq!(got, ops);
+            assert_eq!(t.per_cu(), Trace::from_vecs(ops.clone()).per_cu());
+            assert!(std::ptr::eq(t.per_cu(), shared.as_slice()), "no copy");
         }
     }
 }

@@ -62,23 +62,19 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Serializes a trace. Consumes the op streams (they are single-pass
-/// iterators); to both save and run a trace, generate it twice — the
-/// generators are deterministic.
+/// Serializes a trace.
 ///
 /// # Errors
 ///
 /// Propagates writer errors.
-pub fn save<W: Write>(trace: Trace, w: &mut W) -> io::Result<()> {
-    let streams = trace.into_streams();
+pub fn save<W: Write>(trace: &Trace, w: &mut W) -> io::Result<()> {
     w.write_all(MAGIC)?;
     w.write_all(&[VERSION])?;
-    write_varint(w, streams.len() as u64)?;
-    for stream in streams {
-        let ops: Vec<TraceOp> = stream.collect();
+    write_varint(w, trace.cus() as u64)?;
+    for ops in trace.per_cu() {
         write_varint(w, ops.len() as u64)?;
         let mut prev_addr = 0i64;
-        for op in ops {
+        for &op in ops {
             match op {
                 TraceOp::Load(a) => {
                     w.write_all(&[0])?;
@@ -162,9 +158,9 @@ pub fn load<R: Read>(r: &mut R) -> io::Result<Trace> {
             };
             ops.push(op);
         }
-        streams.push(Box::new(ops.into_iter()) as crate::trace::OpStream);
+        streams.push(ops);
     }
-    Ok(Trace::new(streams))
+    Ok(Trace::from_vecs(streams))
 }
 
 #[cfg(test)]
@@ -173,13 +169,8 @@ mod tests {
 
     fn roundtrip(per_cu: Vec<Vec<TraceOp>>) -> Vec<Vec<TraceOp>> {
         let mut buf = Vec::new();
-        save(Trace::from_vecs(per_cu), &mut buf).unwrap();
-        load(&mut buf.as_slice())
-            .unwrap()
-            .into_streams()
-            .into_iter()
-            .map(|s| s.collect())
-            .collect()
+        save(&Trace::from_vecs(per_cu), &mut buf).unwrap();
+        load(&mut buf.as_slice()).unwrap().per_cu().to_vec()
     }
 
     #[test]
@@ -201,7 +192,7 @@ mod tests {
     fn sequential_traces_compress_well() {
         let ops: Vec<TraceOp> = (0..10_000).map(|i| TraceOp::Load(i * 64)).collect();
         let mut buf = Vec::new();
-        save(Trace::from_vecs(vec![ops]), &mut buf).unwrap();
+        save(&Trace::from_vecs(vec![ops]), &mut buf).unwrap();
         // 10k sequential loads: tag + 1-2 byte delta each.
         assert!(buf.len() < 10_000 * 4, "{} bytes", buf.len());
     }

@@ -32,19 +32,17 @@ pub struct TraceProfile {
 }
 
 impl TraceProfile {
-    /// Profiles a trace (consumes it; generators are deterministic, so
-    /// re-generate to run the same workload afterwards).
-    pub fn of(trace: Trace) -> Self {
-        let streams = trace.into_streams();
-        let cus = streams.len();
+    /// Profiles a trace.
+    pub fn of(trace: &Trace) -> Self {
+        let cus = trace.cus();
         let mut ops = 0u64;
         let mut instructions = 0u64;
         let mut loads = 0u64;
         let mut stores = 0u64;
         let mut compute = 0u64;
         let mut lines: HashMap<u64, u64> = HashMap::new();
-        for stream in streams {
-            for op in stream {
+        for stream in trace.per_cu() {
+            for &op in stream {
                 ops += 1;
                 match op {
                     TraceOp::Load(a) => {
@@ -109,7 +107,7 @@ mod tests {
 
     #[test]
     fn profile_counts_are_consistent() {
-        let p = TraceProfile::of(Workload::Xsbench.trace(&params()));
+        let p = TraceProfile::of(&Workload::Xsbench.trace(&params()));
         assert_eq!(p.cus, 2);
         assert!(p.ops > 0);
         assert_eq!(
@@ -122,11 +120,11 @@ mod tests {
 
     #[test]
     fn footprints_scale_with_the_configured_l2() {
-        let small = TraceProfile::of(Workload::Xsbench.trace(&params()));
+        let small = TraceProfile::of(&Workload::Xsbench.trace(&params()));
         let mut big_params = params();
         big_params.l2_bytes *= 4;
         big_params.ops_per_cu *= 8; // enough ops to touch the larger table
-        let big = TraceProfile::of(Workload::Xsbench.trace(&big_params));
+        let big = TraceProfile::of(&Workload::Xsbench.trace(&big_params));
         assert!(
             big.footprint_bytes > 2 * small.footprint_bytes,
             "{} vs {}",
@@ -137,8 +135,8 @@ mod tests {
 
     #[test]
     fn compute_bound_kernels_have_high_compute_per_access() {
-        let hacc = TraceProfile::of(Workload::Hacc.trace(&params()));
-        let snap = TraceProfile::of(Workload::Snap.trace(&params()));
+        let hacc = TraceProfile::of(&Workload::Hacc.trace(&params()));
+        let snap = TraceProfile::of(&Workload::Snap.trace(&params()));
         assert!(hacc.compute_per_access > 4.0 * snap.compute_per_access);
     }
 
@@ -146,15 +144,15 @@ mod tests {
     fn streaming_kernels_have_low_reuse() {
         let mut p = params();
         p.ops_per_cu = 20_000;
-        let snap = TraceProfile::of(Workload::Snap.trace(&p));
-        let hacc = TraceProfile::of(Workload::Hacc.trace(&p));
+        let snap = TraceProfile::of(&Workload::Snap.trace(&p));
+        let hacc = TraceProfile::of(&Workload::Hacc.trace(&p));
         assert!(snap.mean_reuse < hacc.mean_reuse / 4.0);
     }
 
     #[test]
     fn write_shares_differ_by_kernel_character() {
-        let fft = TraceProfile::of(Workload::Fft.trace(&params()));
-        let xsbench = TraceProfile::of(Workload::Xsbench.trace(&params()));
+        let fft = TraceProfile::of(&Workload::Fft.trace(&params()));
+        let xsbench = TraceProfile::of(&Workload::Xsbench.trace(&params()));
         assert!(fft.write_share > xsbench.write_share);
     }
 }

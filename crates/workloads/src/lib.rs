@@ -452,7 +452,7 @@ mod tests {
         for w in Workload::ALL {
             let t = w.trace(&params());
             assert_eq!(t.cus(), 2, "{}", w.name());
-            let ops: Vec<_> = t.into_streams().remove(0).collect();
+            let ops = &t.per_cu()[0];
             assert!(
                 ops.len() >= params().ops_per_cu - 16,
                 "{}: {} ops",
@@ -465,19 +465,9 @@ mod tests {
     #[test]
     fn traces_are_deterministic() {
         for w in [Workload::Xsbench, Workload::Comd, Workload::Fft] {
-            let a: Vec<Vec<TraceOp>> = w
-                .trace(&params())
-                .into_streams()
-                .into_iter()
-                .map(|s| s.collect())
-                .collect();
-            let b: Vec<Vec<TraceOp>> = w
-                .trace(&params())
-                .into_streams()
-                .into_iter()
-                .map(|s| s.collect())
-                .collect();
-            assert_eq!(a, b, "{}", w.name());
+            let a = w.trace(&params());
+            let b = w.trace(&params());
+            assert_eq!(a.per_cu(), b.per_cu(), "{}", w.name());
         }
     }
 
@@ -485,34 +475,21 @@ mod tests {
     fn different_seeds_differ() {
         let mut p2 = params();
         p2.seed = 43;
-        let a: Vec<TraceOp> = Workload::Xsbench
-            .trace(&params())
-            .into_streams()
-            .remove(0)
-            .collect();
-        let b: Vec<TraceOp> = Workload::Xsbench
-            .trace(&p2)
-            .into_streams()
-            .remove(0)
-            .collect();
-        assert_ne!(a, b);
+        let a = Workload::Xsbench.trace(&params());
+        let b = Workload::Xsbench.trace(&p2);
+        assert_ne!(a.per_cu()[0], b.per_cu()[0]);
     }
 
     #[test]
     fn cus_see_different_streams() {
-        let streams: Vec<Vec<TraceOp>> = Workload::Lulesh
-            .trace(&params())
-            .into_streams()
-            .into_iter()
-            .map(|s| s.collect())
-            .collect();
-        assert_ne!(streams[0], streams[1]);
+        let t = Workload::Lulesh.trace(&params());
+        assert_ne!(t.per_cu()[0], t.per_cu()[1]);
     }
 
     #[test]
     fn addresses_are_line_aligned() {
         for w in Workload::ALL {
-            for op in w.trace(&params()).into_streams().remove(0).take(500) {
+            for &op in w.trace(&params()).per_cu()[0].iter().take(500) {
                 if let TraceOp::Load(a) | TraceOp::Store(a) = op {
                     assert_eq!(a % 64, 0, "{}: unaligned {a:#x}", w.name());
                 }
@@ -525,7 +502,7 @@ mod tests {
         let ratio = |w: Workload| {
             let mut mem = 0u64;
             let mut comp = 0u64;
-            for op in w.trace(&params()).into_streams().remove(0) {
+            for &op in &w.trace(&params()).per_cu()[0] {
                 match op {
                     TraceOp::Compute(c) => comp += u64::from(c),
                     _ => mem += 1,

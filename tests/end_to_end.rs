@@ -220,7 +220,7 @@ fn recorded_trace_replays_identically() {
         l2_bytes: config.l2.size_bytes,
     };
     let mut buf = Vec::new();
-    killi_repro::sim::tracefile::save(Workload::Fft.trace(&params), &mut buf)
+    killi_repro::sim::tracefile::save(&Workload::Fft.trace(&params), &mut buf)
         .expect("in-memory save");
     let replayed = killi_repro::sim::tracefile::load(&mut buf.as_slice()).expect("load");
 
