@@ -1129,8 +1129,8 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     let workers = config.workers;
     let server = Server::bind(config)?;
     println!("listening on http://{}", server.local_addr());
-    // The port announcement must reach a piped stdout before the accept
-    // loop starts, or CI would poll a file that never fills.
+    // The port announcement must reach a piped stdout before the server
+    // starts serving, or CI would poll a file that never fills.
     use std::io::Write as _;
     std::io::stdout().flush()?;
     eprintln!(

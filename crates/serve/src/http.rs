@@ -3,18 +3,21 @@
 //! Just enough of the protocol for the service's five endpoints: one
 //! request per connection (`Connection: close`), `Content-Length`
 //! bodies only (no chunked encoding), a hard body cap so hostile
-//! clients cannot balloon memory, and read timeouts so a stalled peer
-//! cannot pin a worker. Parsing failures are typed [`HttpError`]s the
-//! server turns into 4xx responses — never panics.
+//! clients cannot balloon memory, and one deadline per exchange, so a
+//! peer that trickles its request or stops reading the response cannot
+//! pin a connection handler. Parsing failures are typed [`HttpError`]s
+//! the server turns into 4xx responses — never panics.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Largest accepted request body (and header section), in bytes.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
 
-/// Per-connection socket read timeout.
+/// Time a client has, from its connection being accepted, to send the
+/// whole request; writing the response gets whatever is left of it.
 pub const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Why a request could not be read.
@@ -55,12 +58,49 @@ fn malformed(reason: &str) -> HttpError {
     HttpError::Malformed(reason.to_string())
 }
 
-/// Reads one request from the stream.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    stream
-        .set_read_timeout(Some(READ_TIMEOUT))
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-    let mut reader = BufReader::new(stream);
+/// A socket each of whose reads and writes may block only until one
+/// deadline, so the deadline bounds a whole request or response, not
+/// each read of it.
+struct Deadlined<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Deadlined<'_> {
+    /// The time left, or a `TimedOut` error once the deadline passed.
+    fn remaining(&self) -> std::io::Result<Duration> {
+        match self.deadline.checked_duration_since(Instant::now()) {
+            Some(left) if !left.is_zero() => Ok(left),
+            _ => Err(std::io::Error::new(
+                ErrorKind::TimedOut,
+                "request deadline passed",
+            )),
+        }
+    }
+}
+
+impl Read for Deadlined<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.remaining()?))?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Deadlined<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.remaining()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// Reads one request from the stream; a request not complete by
+/// `deadline` is an [`HttpError::Io`].
+pub fn read_request(stream: &TcpStream, deadline: Instant) -> Result<Request, HttpError> {
+    let mut reader = BufReader::new(Deadlined { stream, deadline });
 
     let mut line = String::new();
     read_line(&mut reader, &mut line)?;
@@ -111,7 +151,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
 }
 
 /// Reads one CRLF- (or LF-) terminated line, without the terminator.
-fn read_line(reader: &mut BufReader<&mut TcpStream>, out: &mut String) -> Result<(), HttpError> {
+fn read_line(reader: &mut impl BufRead, out: &mut String) -> Result<(), HttpError> {
     out.clear();
     let mut buf = Vec::new();
     // Bound the line read so an unterminated line cannot grow forever.
@@ -150,6 +190,44 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
+/// A response body: bytes built for this response, or a stored report
+/// shared with the result cache, which is written without a copy.
+#[derive(Debug, Clone)]
+pub enum Body {
+    /// Bytes owned by this response.
+    Owned(Vec<u8>),
+    /// A report shared with the result cache.
+    Shared(Arc<str>),
+}
+
+impl Body {
+    /// The bytes to send.
+    pub fn as_bytes(&self) -> &[u8] {
+        match self {
+            Body::Owned(bytes) => bytes,
+            Body::Shared(text) => text.as_bytes(),
+        }
+    }
+}
+
+impl From<Vec<u8>> for Body {
+    fn from(bytes: Vec<u8>) -> Self {
+        Body::Owned(bytes)
+    }
+}
+
+impl From<String> for Body {
+    fn from(text: String) -> Self {
+        Body::Owned(text.into_bytes())
+    }
+}
+
+impl From<Arc<str>> for Body {
+    fn from(text: Arc<str>) -> Self {
+        Body::Shared(text)
+    }
+}
+
 /// One response to write. Bodies are JSON throughout the API.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -158,12 +236,12 @@ pub struct Response {
     /// Extra headers as `(name, value)` pairs (e.g. `Retry-After`).
     pub headers: Vec<(&'static str, String)>,
     /// Body bytes.
-    pub body: Vec<u8>,
+    pub body: Body,
 }
 
 impl Response {
     /// A JSON response with no extra headers.
-    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Self {
+    pub fn json(status: u16, body: impl Into<Body>) -> Self {
         Response {
             status,
             headers: Vec::new(),
@@ -178,14 +256,16 @@ impl Response {
         self
     }
 
-    /// Writes the response; errors are returned for logging, the
+    /// Writes the response; errors, including a client that has not
+    /// taken it all by `deadline`, are returned for logging, and the
     /// connection is closed either way.
-    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+    pub fn write_to(&self, stream: &TcpStream, deadline: Instant) -> std::io::Result<()> {
+        let body = self.body.as_bytes();
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n",
             self.status,
             reason(self.status),
-            self.body.len()
+            body.len()
         );
         for (name, value) in &self.headers {
             head.push_str(name);
@@ -194,9 +274,9 @@ impl Response {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
-        stream.flush()
+        let mut out = Deadlined { stream, deadline };
+        out.write_all(head.as_bytes())?;
+        out.write_all(body)
     }
 }
 
@@ -222,8 +302,8 @@ mod tests {
             let mut s = TcpStream::connect(addr).unwrap();
             write(&mut s);
         });
-        let (mut stream, _) = listener.accept().unwrap();
-        let parsed = read_request(&mut stream);
+        let (stream, _) = listener.accept().unwrap();
+        let parsed = read_request(&stream, Instant::now() + READ_TIMEOUT);
         client.join().unwrap();
         parsed
     }
@@ -288,14 +368,61 @@ mod tests {
     }
 
     #[test]
+    fn a_trickling_client_is_cut_off_at_the_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // One byte every 50 ms: each read gets a byte well inside any
+        // per-read timeout, but the whole request needs 1.4 s.
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            for byte in b"GET /v1/healthz HTTP/1.1\r\n\r\n" {
+                if s.write_all(&[*byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let start = Instant::now();
+        let result = read_request(&stream, start + Duration::from_millis(300));
+        let took = start.elapsed();
+        drop(stream);
+        client.join().unwrap();
+        assert!(matches!(result, Err(HttpError::Io(_))), "got {result:?}");
+        assert!(
+            took >= Duration::from_millis(300) && took < Duration::from_secs(1),
+            "cut off after {took:?}"
+        );
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_is_cut_off_at_the_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Connected, never reads: 32 MiB outgrows both sockets' buffers.
+        let client = TcpStream::connect(addr).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let response = Response::json(200, vec![b' '; 32 << 20]);
+        let start = Instant::now();
+        let result = response.write_to(&stream, start + Duration::from_millis(300));
+        let took = start.elapsed();
+        drop(client);
+        assert!(result.is_err(), "the whole body was taken");
+        assert!(
+            took >= Duration::from_millis(300) && took < Duration::from_secs(1),
+            "cut off after {took:?}"
+        );
+    }
+
+    #[test]
     fn response_writes_headers_and_body() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
+            let (stream, _) = listener.accept().unwrap();
             Response::json(429, error_body("queue full"))
                 .with_header("retry-after", "1")
-                .write_to(&mut stream)
+                .write_to(&stream, Instant::now() + READ_TIMEOUT)
                 .unwrap();
         });
         let mut client = TcpStream::connect(addr).unwrap();

@@ -1,28 +1,52 @@
-//! The daemon: accept loop, bounded FIFO queue, fixed worker pool, and
-//! the content-addressed result store.
+//! The daemon: connection handlers, bounded FIFO queue, fixed worker
+//! pool, and the content-addressed result store.
 //!
-//! Concurrency model: the accept loop handles one connection at a time
+//! Concurrency model: two handler threads each block in `accept` on
+//! their own clone of the listener and serve the connection they get
 //! (every request is a cheap parse or a map lookup — the expensive work
-//! happens on the workers), workers block on a `Condvar` over the
-//! queue, and all shared state sits behind one `Mutex`. Reports are
-//! `Arc<str>`-shared so serving a cached report never copies the bytes.
+//! happens on the workers). A client that sends its request slowly
+//! holds one handler, for at most [`READ_TIMEOUT`], while the other
+//! keeps answering. Workers block on
+//! a `Condvar` over the queue, and all shared state sits behind one
+//! `Mutex`. Reports are `Arc<str>`-shared so serving a cached report
+//! never copies the bytes.
 //!
 //! Shutdown: [`Handle::shutdown`] (or a SIGTERM/SIGINT relayed through
 //! [`crate::signal`]) flips the drain flag. From then on submissions
-//! get 503, reads keep working, workers finish the queue, and
-//! [`Server::run`] returns once the last job lands — completed results
-//! are never lost mid-drain (regression-tested in `service_e2e`).
+//! get 503, reads keep working and workers finish the queue. The worker
+//! that finishes the last job wakes [`Server::run`], which wakes each
+//! handler out of `accept` with a connection of its own, joins every
+//! thread and returns — completed results are never lost mid-drain
+//! (regression-tested in `service_e2e`).
 
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use killi_obs::serve::{format_job_id, parse_job_id, JobId, ServeEvent, ServeMetrics};
 
-use crate::http::{error_body, read_request, HttpError, Request, Response};
+use crate::http::{error_body, read_request, HttpError, Request, Response, READ_TIMEOUT};
 use crate::spec::{job_id_for, parse_job_spec, JobSpec};
+
+/// Connection handlers per server. Requests are cheap, so two answer
+/// whatever the workers can keep up with, and the second keeps one slow
+/// client from stalling everyone else. Each handler costs a thread
+/// spawn at start-up and, under glibc, a malloc arena.
+const HANDLERS: usize = 2;
+
+/// How often [`Server::run`] looks at [`crate::signal::triggered`]
+/// while it waits for a drain, when `heed_signals` is on.
+const SIGNAL_POLL: Duration = Duration::from_millis(50);
+
+/// Pause before a handler retries `accept` after the process ran out
+/// of file descriptors or memory.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Why taking the state lock can fail.
+const POISONED: &str = "a thread panicked while holding the server state";
 
 /// Tuning of one server instance.
 #[derive(Debug, Clone)]
@@ -41,7 +65,7 @@ pub struct ServerConfig {
     /// job, so tests can fill the queue deterministically. Zero in
     /// production.
     pub job_start_delay_ms: u64,
-    /// Whether the accept loop watches [`crate::signal::triggered`].
+    /// Whether [`Server::run`] watches [`crate::signal::triggered`].
     /// The CLI daemon keeps this on; in-process tests turn it off so a
     /// signal test elsewhere in the binary cannot drain them.
     pub heed_signals: bool,
@@ -102,7 +126,7 @@ struct Inner {
     running: usize,
     /// Completion order of cached reports, oldest first (FIFO eviction).
     done_order: VecDeque<JobId>,
-    events: Vec<ServeEvent>,
+    events: VecDeque<ServeEvent>,
     metrics: ServeMetrics,
 }
 
@@ -113,20 +137,71 @@ impl Inner {
     fn emit(&mut self, event: ServeEvent) {
         self.metrics.apply(&event);
         if self.events.len() == EVENT_LOG_CAP {
-            self.events.remove(0);
+            self.events.pop_front();
         }
-        self.events.push(event);
+        self.events.push_back(event);
     }
 }
 
 struct Shared {
     state: Mutex<Inner>,
     work_ready: Condvar,
+    /// Notified when a drain may have finished: when it begins and when
+    /// a worker completes a job during it.
+    drain_done: Condvar,
     /// Set once; from then on submissions are rejected and workers
     /// exit when the queue runs dry.
     draining: AtomicBool,
+    /// Set once the drain finished; a handler that accepts a connection
+    /// from then on exits instead of serving it.
+    stopping: AtomicBool,
     config: ServerConfig,
     local_addr: SocketAddr,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.state.lock().expect(POISONED)
+    }
+
+    /// Flips the drain flag and wakes every waiter. The caller holds
+    /// the state lock (`_held`), so a thread that checked the flag under
+    /// it cannot miss the wake-up.
+    fn begin_drain(&self, _held: &Inner) {
+        self.draining.store(true, Ordering::SeqCst);
+        self.work_ready.notify_all();
+        self.drain_done.notify_all();
+    }
+
+    /// Whether a drain began and no job is left queued or running.
+    fn drained(&self, inner: &Inner) -> bool {
+        self.draining.load(Ordering::SeqCst) && inner.queue.is_empty() && inner.running == 0
+    }
+
+    /// Blocks until a drain has finished. With `heed_signals`, also
+    /// begins one when [`crate::signal::triggered`] turns true.
+    fn wait_for_drain(&self) {
+        let mut inner = self.lock();
+        loop {
+            if self.config.heed_signals
+                && crate::signal::triggered()
+                && !self.draining.load(Ordering::SeqCst)
+            {
+                self.begin_drain(&inner);
+            }
+            if self.drained(&inner) {
+                return;
+            }
+            inner = if self.config.heed_signals {
+                self.drain_done
+                    .wait_timeout(inner, SIGNAL_POLL)
+                    .expect(POISONED)
+                    .0
+            } else {
+                self.drain_done.wait(inner).expect(POISONED)
+            };
+        }
+    }
 }
 
 /// A cheap cloneable view onto a running server, for shutdown and
@@ -147,8 +222,8 @@ impl Handle {
     /// Begins a graceful drain: new submissions get 503, queued and
     /// running jobs finish, then [`Server::run`] returns.
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.work_ready.notify_all();
+        let inner = self.shared.lock();
+        self.shared.begin_drain(&inner);
     }
 
     /// Whether a drain is in progress (or finished).
@@ -158,22 +233,20 @@ impl Handle {
 
     /// Snapshot of the service counters.
     pub fn metrics(&self) -> ServeMetrics {
-        self.shared.state.lock().unwrap().metrics
+        self.shared.lock().metrics
     }
 
     /// Snapshot of the event log (the most recent few thousand events;
     /// older ones fall off the front).
     pub fn events(&self) -> Vec<ServeEvent> {
-        self.shared.state.lock().unwrap().events.clone()
+        self.shared.lock().events.iter().copied().collect()
     }
 
     /// The stored report bytes of a job, if it completed and is still
     /// cached. Lets tests verify drained results without a socket.
     pub fn report(&self, id: JobId) -> Option<Arc<str>> {
         self.shared
-            .state
             .lock()
-            .unwrap()
             .jobs
             .get(&id)
             .and_then(|j| j.report.clone())
@@ -181,13 +254,7 @@ impl Handle {
 
     /// State name of a job (`queued`/`running`/`done`/`failed`).
     pub fn job_state(&self, id: JobId) -> Option<&'static str> {
-        self.shared
-            .state
-            .lock()
-            .unwrap()
-            .jobs
-            .get(&id)
-            .map(|j| j.state.name())
+        self.shared.lock().jobs.get(&id).map(|j| j.state.name())
     }
 }
 
@@ -207,7 +274,9 @@ impl Server {
             shared: Arc::new(Shared {
                 state: Mutex::new(Inner::default()),
                 work_ready: Condvar::new(),
+                drain_done: Condvar::new(),
                 draining: AtomicBool::new(false),
+                stopping: AtomicBool::new(false),
                 config,
                 local_addr,
             }),
@@ -226,52 +295,97 @@ impl Server {
         self.shared.local_addr
     }
 
-    /// Runs the accept loop until a graceful drain completes. Checks
-    /// [`crate::signal::triggered`] each poll tick, so a process-level
-    /// SIGTERM/SIGINT (when [`crate::signal::install`] was called)
-    /// starts the drain without any handle plumbing.
+    /// Serves requests until a graceful drain completes. When
+    /// `heed_signals` is on, a process-level SIGTERM/SIGINT (when
+    /// [`crate::signal::install`] was called) starts the drain without
+    /// any handle plumbing. Errors from `accept` never end the run: the
+    /// handlers retry them.
     pub fn run(self) -> std::io::Result<()> {
-        let workers = self.shared.config.workers.max(1);
-        let mut pool = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let shared = Arc::clone(&self.shared);
-            pool.push(std::thread::spawn(move || worker_loop(&shared, worker)));
-        }
+        let listeners = (0..HANDLERS)
+            .map(|_| self.listener.try_clone())
+            .collect::<std::io::Result<Vec<_>>>()?;
+        // Handlers first: the first request waits on no worker spawn.
+        let handlers: Vec<_> = listeners
+            .into_iter()
+            .map(|listener| {
+                let shared = Arc::clone(&self.shared);
+                std::thread::spawn(move || handler_loop(&shared, &listener))
+            })
+            .collect();
+        let workers: Vec<_> = (0..self.shared.config.workers.max(1))
+            .map(|worker| {
+                let shared = Arc::clone(&self.shared);
+                std::thread::spawn(move || worker_loop(&shared, worker))
+            })
+            .collect();
 
-        self.listener.set_nonblocking(true)?;
-        loop {
-            if self.shared.config.heed_signals && crate::signal::triggered() {
-                self.shared.draining.store(true, Ordering::SeqCst);
-                self.shared.work_ready.notify_all();
-            }
-            match self.listener.accept() {
-                Ok((mut stream, _)) => {
-                    // Request handling is cheap (parse + map ops); the
-                    // heavy lifting happens on the worker pool.
-                    let _ = stream.set_nodelay(true);
-                    handle_connection(&self.shared, &mut stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if self.shared.draining.load(Ordering::SeqCst) {
-                        let inner = self.shared.state.lock().unwrap();
-                        if inner.queue.is_empty() && inner.running == 0 {
-                            break;
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.shared.wait_for_drain();
 
-        // Drain finished: wake any still-parked workers so they observe
-        // the empty queue + drain flag and exit.
-        self.shared.work_ready.notify_all();
-        for thread in pool {
+        // Every handler is blocked in `accept` or finishing a request:
+        // one connection each wakes them, and each exits on its next
+        // accept. Should a connect fail, the handlers stay detached
+        // rather than hang the join.
+        self.shared.stopping.store(true, Ordering::SeqCst);
+        let wake = wake_addr(self.shared.local_addr);
+        let woken = (0..HANDLERS)
+            .filter(|_| TcpStream::connect(wake).is_ok())
+            .count();
+        for thread in workers {
             let _ = thread.join();
+        }
+        if woken == HANDLERS {
+            for thread in handlers {
+                let _ = thread.join();
+            }
         }
         Ok(())
     }
+}
+
+/// Where [`Server::run`] connects to wake its handlers: the bound
+/// address, with an unspecified IP (`0.0.0.0`, `::`) replaced by
+/// loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// One connection handler: accept, serve, repeat, until a finished
+/// drain wakes it.
+fn handler_loop(shared: &Shared, listener: &TcpListener) {
+    loop {
+        let accepted = listener.accept();
+        if shared.stopping.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _)) => {
+                let _ = stream.set_nodelay(true);
+                handle_connection(shared, &stream);
+            }
+            // Errors about one connection (`ECONNABORTED`, `EPROTO`, ...)
+            // leave the listener usable: accept the next one. Running
+            // out of descriptors or memory passes as connections close.
+            Err(e) if out_of_resources(&e) => std::thread::sleep(ACCEPT_BACKOFF),
+            Err(_) => {}
+        }
+    }
+}
+
+/// Whether an `accept` error says the process or system ran out of
+/// file descriptors (`EMFILE`, `ENFILE`; the numbers Linux, macOS and
+/// the BSDs share) or of memory, rather than something about one
+/// connection.
+fn out_of_resources(e: &std::io::Error) -> bool {
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    e.kind() == ErrorKind::OutOfMemory || matches!(e.raw_os_error(), Some(ENFILE | EMFILE))
 }
 
 /// One worker: pull, execute, store; exit when draining finds the queue
@@ -279,7 +393,7 @@ impl Server {
 fn worker_loop(shared: &Shared, worker: usize) {
     loop {
         let job = {
-            let mut inner = shared.state.lock().unwrap();
+            let mut inner = shared.lock();
             loop {
                 if let Some(id) = inner.queue.pop_front() {
                     inner.running += 1;
@@ -291,7 +405,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 if shared.draining.load(Ordering::SeqCst) {
                     break None;
                 }
-                inner = shared.work_ready.wait(inner).unwrap();
+                inner = shared.work_ready.wait(inner).expect(POISONED);
             }
         };
         let Some((id, config)) = job else {
@@ -306,7 +420,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
         // worker down with it; the job lands as Failed instead.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| config.run()));
 
-        let mut inner = shared.state.lock().unwrap();
+        let mut inner = shared.lock();
         inner.running -= 1;
         let record = inner.jobs.get_mut(&id).expect("running job has a record");
         match outcome {
@@ -320,9 +434,12 @@ fn worker_loop(shared: &Shared, worker: usize) {
             }
             Err(panic) => {
                 record.state = JobState::Failed;
-                record.error = Some(panic_message(&panic));
+                record.error = Some(panic_message("sweep", &panic));
                 inner.emit(ServeEvent::JobFailed { job: id });
             }
+        }
+        if shared.drained(&inner) {
+            shared.drain_done.notify_all();
         }
     }
 }
@@ -339,36 +456,39 @@ fn evict_over_capacity(inner: &mut Inner, cap: usize) {
     }
 }
 
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
+/// `"{what} panicked: {message}"`, with the panic's message when it
+/// carries one.
+fn panic_message(what: &str, panic: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
-        format!("sweep panicked: {s}")
+        format!("{what} panicked: {s}")
     } else if let Some(s) = panic.downcast_ref::<String>() {
-        format!("sweep panicked: {s}")
+        format!("{what} panicked: {s}")
     } else {
-        "sweep panicked".to_string()
+        format!("{what} panicked")
     }
 }
 
-/// Reads one request, routes it, writes one response.
-fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
-    // The accept loop runs the listener nonblocking; the request socket
-    // itself must block (with the read timeout `read_request` sets).
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    let response = match read_request(stream) {
-        Ok(request) => route(shared, &request),
-        Err(HttpError::Io(_)) => return, // peer went away; nothing to say
+/// Reads one request, routes it, writes one response, all within
+/// [`READ_TIMEOUT`] of the accept.
+fn handle_connection(shared: &Shared, stream: &TcpStream) {
+    let deadline = Instant::now() + READ_TIMEOUT;
+    let response = match read_request(stream, deadline) {
+        Ok(request) => guarded(|| route(shared, &request)),
+        // The peer went away or ran out of time; nothing to say.
+        Err(HttpError::Io(_)) => return,
         Err(e) => {
-            shared.state.lock().unwrap().emit(ServeEvent::BadRequest);
-            let status = match e {
-                HttpError::TooLarge => 400,
-                _ => 400,
-            };
-            Response::json(status, error_body(&e.to_string()))
+            shared.lock().emit(ServeEvent::BadRequest);
+            Response::json(400, error_body(&e.to_string()))
         }
     };
-    let _ = response.write_to(stream);
+    let _ = response.write_to(stream, deadline);
+}
+
+/// Runs `route`, turning a panic in it (a bug, not a request) into a
+/// 500 with an error body, so the handler thread lives on.
+fn guarded(route: impl FnOnce() -> Response) -> Response {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(route))
+        .unwrap_or_else(|panic| Response::json(500, error_body(&panic_message("request", &panic))))
 }
 
 fn route(shared: &Shared, request: &Request) -> Response {
@@ -384,7 +504,7 @@ fn route(shared: &Shared, request: &Request) -> Response {
             ),
         ),
         ("GET", "/v1/metrics") => {
-            let json = shared.state.lock().unwrap().metrics.to_json();
+            let json = shared.lock().metrics.to_json();
             Response::json(200, json)
         }
         ("GET", _) if path.starts_with("/v1/jobs/") => job_get(shared, path),
@@ -408,13 +528,13 @@ fn job_get(shared: &Shared, path: &str) -> Response {
         None => (rest, false),
     };
     let Some(id) = parse_job_id(id_text) else {
-        shared.state.lock().unwrap().emit(ServeEvent::BadRequest);
+        shared.lock().emit(ServeEvent::BadRequest);
         return Response::json(
             400,
             error_body(&format!("`{id_text}` is not a 32-hex-char job id")),
         );
     };
-    let inner = shared.state.lock().unwrap();
+    let inner = shared.lock();
     let Some(record) = inner.jobs.get(&id) else {
         return Response::json(404, error_body(&format!("no job {id_text}")));
     };
@@ -422,7 +542,7 @@ fn job_get(shared: &Shared, path: &str) -> Response {
         return Response::json(200, status_body(id, record));
     }
     match (record.state, &record.report) {
-        (JobState::Done, Some(report)) => Response::json(200, report.as_bytes()),
+        (JobState::Done, Some(report)) => Response::json(200, Arc::clone(report)),
         (JobState::Done, None) => Response::json(
             404,
             error_body("report evicted from cache; resubmit the job to recompute"),
@@ -452,17 +572,22 @@ fn status_body(id: JobId, record: &JobRecord) -> Vec<u8> {
     body.into_bytes()
 }
 
+/// The 503 of a submission during a drain.
+fn rejected_draining(inner: &mut Inner) -> Response {
+    inner.emit(ServeEvent::Draining);
+    Response::json(503, error_body("draining; not accepting new jobs"))
+        .with_header("retry-after", "5")
+}
+
 /// `POST /v1/jobs`.
 fn submit(shared: &Shared, body: &[u8]) -> Response {
     if shared.draining.load(Ordering::SeqCst) {
-        shared.state.lock().unwrap().emit(ServeEvent::Draining);
-        return Response::json(503, error_body("draining; not accepting new jobs"))
-            .with_header("retry-after", "5");
+        return rejected_draining(&mut shared.lock());
     }
     let config = match parse_job_spec(body) {
         Ok(config) => config,
         Err(e) => {
-            shared.state.lock().unwrap().emit(ServeEvent::BadRequest);
+            shared.lock().emit(ServeEvent::BadRequest);
             return Response::json(400, error_body(&e.to_string()));
         }
     };
@@ -470,7 +595,7 @@ fn submit(shared: &Shared, body: &[u8]) -> Response {
     let canonical = config.canonical_json();
     let id_text = format_job_id(id);
 
-    let mut inner = shared.state.lock().unwrap();
+    let mut inner = shared.lock();
     if let Some(record) = inner.jobs.get(&id) {
         if record.canonical != canonical {
             // 2^-128 territory, but the canonical string makes it
@@ -493,6 +618,12 @@ fn submit(shared: &Shared, body: &[u8]) -> Response {
         // Done but evicted: fall through and re-enqueue below.
     }
 
+    // A drain that began while the body was parsed may already have
+    // found the queue empty; the flag is set under this lock, so
+    // checking it here keeps every enqueued job inside the drain.
+    if shared.draining.load(Ordering::SeqCst) {
+        return rejected_draining(&mut inner);
+    }
     if inner.queue.len() >= shared.config.queue_depth {
         let depth = inner.queue.len();
         inner.emit(ServeEvent::QueueFull { depth });
@@ -519,4 +650,91 @@ fn submit(shared: &Shared, body: &[u8]) -> Response {
         202,
         format!("{{\"job\":\"{id_text}\",\"state\":\"queued\",\"cached\":false}}"),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn a_relayed_signal_drains_the_server_and_run_returns() {
+        // The only server in this test binary that heeds signals: the
+        // triggered flag stays set for the rest of the process.
+        let server = Server::bind(ServerConfig {
+            heed_signals: true,
+            ..ServerConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        let handle = server.handle();
+        let (done, returned) = mpsc::channel();
+        let runner = std::thread::spawn(move || done.send(server.run().is_ok()));
+        crate::signal::trigger_for_test();
+        assert_eq!(
+            returned.recv_timeout(Duration::from_secs(5)),
+            Ok(true),
+            "run() did not return after the signal"
+        );
+        assert!(handle.is_draining());
+        runner.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_panic_while_routing_answers_500_and_the_thread_lives_on() {
+        let response = guarded(|| panic!("routing bug"));
+        assert_eq!(response.status, 500);
+        assert_eq!(
+            response.body.as_bytes(),
+            b"{\"error\":\"request panicked: routing bug\"}"
+        );
+        let next = guarded(|| Response::json(200, "{}".to_string()));
+        assert_eq!(next.status, 200);
+    }
+
+    #[test]
+    fn only_running_out_of_resources_backs_off_accept() {
+        for (error, backs_off) in [
+            (std::io::Error::from_raw_os_error(24), true), // EMFILE
+            (std::io::Error::from_raw_os_error(23), true), // ENFILE
+            (std::io::Error::from(ErrorKind::OutOfMemory), true),
+            (std::io::Error::from(ErrorKind::ConnectionAborted), false),
+            (std::io::Error::from(ErrorKind::Interrupted), false),
+        ] {
+            assert_eq!(out_of_resources(&error), backs_off, "{error:?}");
+        }
+    }
+
+    #[test]
+    fn handlers_of_an_unspecified_bind_are_woken_through_loopback() {
+        for (bound, wake) in [
+            ("0.0.0.0:7171", "127.0.0.1:7171"),
+            ("[::]:7171", "[::1]:7171"),
+            ("127.0.0.1:7171", "127.0.0.1:7171"),
+            ("10.1.2.3:80", "10.1.2.3:80"),
+        ] {
+            assert_eq!(
+                wake_addr(bound.parse().unwrap()),
+                wake.parse::<SocketAddr>().unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn the_event_log_keeps_the_most_recent_events() {
+        let mut inner = Inner::default();
+        for depth in 0..EVENT_LOG_CAP + 10 {
+            inner.emit(ServeEvent::QueueFull { depth });
+        }
+        assert_eq!(inner.events.len(), EVENT_LOG_CAP);
+        assert_eq!(
+            inner.events.front(),
+            Some(&ServeEvent::QueueFull { depth: 10 })
+        );
+        assert_eq!(
+            inner.events.back(),
+            Some(&ServeEvent::QueueFull {
+                depth: EVENT_LOG_CAP + 9
+            })
+        );
+    }
 }

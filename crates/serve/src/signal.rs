@@ -3,8 +3,10 @@
 //! The repo's offline-build rule leaves no dependency to lean on, so
 //! this goes through the raw C `signal(2)` ABI directly: the handler
 //! just flips an `AtomicBool` (the only thing that is async-signal-safe
-//! anyway), and [`Server::run`](crate::server::Server::run) polls
-//! [`triggered`] from its accept loop to begin a graceful drain.
+//! anyway). [`Server::run`](crate::server::Server::run), which
+//! otherwise sleeps on a condition variable until a drain ends, wakes
+//! every 50 ms to check [`triggered`] and begin a graceful drain; the
+//! connection handlers never look at it.
 //!
 //! On non-unix targets [`install`] is a no-op and shutdown is driven by
 //! [`Handle::shutdown`](crate::server::Handle::shutdown) alone.

@@ -14,6 +14,9 @@
 //!   503.
 //! - **Hostility**: malformed requests are 4xx, never a panic or a
 //!   wedged daemon.
+//! - **Liveness**: a client that stalls mid-request does not delay
+//!   anyone else, and `run()` returns as soon as a drain has nothing
+//!   left to do.
 //!
 //! Servers run with `heed_signals` off so these tests cannot be drained
 //! by the signal-handling test elsewhere in the workspace.
@@ -388,4 +391,99 @@ fn gpu_geometry_near_the_boundaries_is_rejected_or_runs() {
             assert!(spec.run().contains("killi-sweep/v2"), "{payload}");
         }
     });
+}
+
+/// Waits until the server thread has returned; panics if it has not
+/// within `limit`.
+fn await_return(runner: std::thread::JoinHandle<()>, limit: Duration) {
+    let deadline = Instant::now() + limit;
+    while !runner.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "run() did not return within {limit:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    runner.join().expect("server thread");
+}
+
+#[test]
+fn a_stalled_request_does_not_delay_other_clients() {
+    let (handle, client, runner) = start_server(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    // Half a request line, then silence: this connection holds whoever
+    // reads it until the request deadline. Connected first, it is
+    // accepted first.
+    let mut stalled = TcpStream::connect(handle.local_addr()).expect("connect");
+    stalled.write_all(b"GET /v1/hea").expect("write");
+
+    let t = Instant::now();
+    let health = client.get("/v1/healthz").expect("healthz");
+    let waited = t.elapsed();
+    assert_eq!(health.status, 200, "{}", health.text());
+    assert!(
+        waited < Duration::from_secs(1),
+        "healthz waited {waited:?} behind a stalled connection"
+    );
+
+    drop(stalled);
+    handle.shutdown();
+    await_return(runner, Duration::from_secs(15));
+}
+
+#[test]
+fn shutdown_of_an_idle_server_returns_promptly() {
+    let (handle, client, runner) = start_server(ServerConfig::default());
+    assert_eq!(client.get("/v1/healthz").expect("healthz").status, 200);
+    handle.shutdown();
+    await_return(runner, Duration::from_secs(1));
+}
+
+#[test]
+fn a_drain_during_a_running_job_returns_once_it_finishes_and_keeps_its_report() {
+    let (handle, client, runner) = start_server(ServerConfig {
+        workers: 1,
+        job_start_delay_ms: 300,
+        ..ServerConfig::default()
+    });
+    let job = "{\"root_seed\": 5, \"replications\": 1, \"vdds\": [0.65, 0.625], \
+               \"schemes\": [\"killi:ratio=16\"], \"workloads\": [\"fft\"], \
+               \"ops_per_cu\": 200, \"gpu\": {\"cus\": 2, \"l2_kb\": 64}}";
+    let (status, body) = submit_job(&client, job);
+    assert_eq!(status, 202, "{body}");
+    let id = parse_job_id(field(&body, "job").unwrap()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.job_state(id) != Some("running") {
+        assert!(
+            Instant::now() < deadline,
+            "the worker never started the job"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    handle.shutdown();
+    // run() may not return while the job runs, and must return soon
+    // after it lands. Read `is_finished` first: once it is true, the job
+    // must already be done.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let returned = runner.is_finished();
+        let state = handle.job_state(id);
+        assert!(
+            !returned || state == Some("done"),
+            "run() returned with the job {state:?}"
+        );
+        if state == Some("done") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the job never finished");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    await_return(runner, Duration::from_secs(1));
+
+    assert_eq!(handle.job_state(id), Some("done"));
+    let report = handle.report(id).expect("the drained job's report is kept");
+    assert!(report.contains("killi-sweep/v2"), "report shape");
 }
