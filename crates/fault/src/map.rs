@@ -577,15 +577,7 @@ impl DieFaultTable {
         freq: FreqGhz,
         seed: u64,
     ) -> Self {
-        Self::build_grouped(
-            lines,
-            model,
-            cap_vdd,
-            freq,
-            seed,
-            CellGroups::Line,
-            |_, base| standard_normal(hash3_with_base(base, 0xF00D)),
-        )
+        Self::build_grouped(lines, model, cap_vdd, freq, seed, CellGroups::Line, line_z)
     }
 
     /// Builds a candidate table whose line `l` draws `z_of(l, base)`, with
@@ -602,22 +594,12 @@ impl DieFaultTable {
         groups: CellGroups,
         z_of: impl Fn(LineId, u64) -> f64,
     ) -> Self {
-        let median = model.p_cell_median(cap_vdd, freq, FailureKind::Combined);
         let mut candidates = Vec::with_capacity(lines);
         let mut z_draws = Vec::with_capacity(lines);
+        let mut draw = CandidateDraw::new(model, &groups, cap_vdd, freq, seed, z_of);
         let mut scratch = Vec::new();
-        let mut per_cell = [0; layout::CELLS_PER_LINE as usize];
         for line in 0..lines {
-            let base = hash3_base(seed, line as u64);
-            let z = z_of(line, base);
-            z_draws.push(z);
-            scratch.clear();
-            let thresholds = groups.thresholds(&mut per_cell, |g, _| {
-                unit_threshold(model.line_p(median, groups.z(z, g)))
-            });
-            for_each_failing_cell(base, 0..layout::CELLS_PER_LINE, 1, thresholds, |cell, h| {
-                scratch.push((h >> 11, CellFault::drawn(cell, h)))
-            });
+            z_draws.push(draw.line(line, &mut scratch));
             candidates.push(scratch.as_slice().into());
         }
         DieFaultTable {
@@ -638,33 +620,6 @@ impl DieFaultTable {
     /// The lowest voltage this table can derive maps for.
     pub fn cap_vdd(&self) -> NormVdd {
         self.cap_vdd
-    }
-
-    /// The die seed the table was drawn from.
-    pub(crate) fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The thresholds of group `g` of `line` at each of `medians`, checked
-    /// against the group's cap-voltage threshold.
-    fn group_thresholds(
-        &self,
-        model: &CellFailureModel,
-        line: LineId,
-        g: usize,
-        cap_median: f64,
-        medians: &[f64],
-        thresholds: &mut [u64],
-    ) {
-        let z = self.groups.z(self.z[line], g);
-        let cap_threshold = unit_threshold(model.line_p(cap_median, z));
-        for (threshold, &median) in thresholds.iter_mut().zip(medians) {
-            *threshold = unit_threshold(model.line_p(median, z));
-            assert!(
-                *threshold <= cap_threshold,
-                "model not monotone against table cap at line {line}"
-            );
-        }
     }
 
     fn assert_above_cap(&self, vdd: NormVdd) {
@@ -727,77 +682,142 @@ impl DieFaultTable {
             seed: self.seed,
         }
     }
+}
 
-    /// This die's grid masks over `grid`, to be read line by line with
-    /// [`GridMasks::line`]. One pass over the candidates replaces one
-    /// derived map per grid point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grid` has more than 64 points or a point below the cap
-    /// voltage.
-    pub(crate) fn grid_masks<'a>(
-        &'a self,
+/// The variation draw of a line whose hash base is `base`, shared by all
+/// of its cells: the stuck-at model's `z_of` (see
+/// [`DieFaultTable::build_grouped`]).
+pub(crate) fn line_z(_: LineId, base: u64) -> f64 {
+    standard_normal(hash3_with_base(base, 0xF00D))
+}
+
+/// One die's lines drawn at a cap voltage, one line at a time: every cell
+/// of a line is hashed once, and the cells faulty at the cap are kept as
+/// its candidates. The one per-line draw behind both the sweep's
+/// [`DieFaultTable`] and a Vmin campaign's [`LineMasks`].
+pub(crate) struct CandidateDraw<'a, Z> {
+    model: &'a CellFailureModel,
+    groups: &'a CellGroups,
+    cap_median: f64,
+    seed: u64,
+    z_of: Z,
+    per_cell: [u64; layout::CELLS_PER_LINE as usize],
+}
+
+impl<'a, Z: Fn(LineId, u64) -> f64> CandidateDraw<'a, Z> {
+    /// A draw whose line `l` has variation draw `z_of(l, base)`, with
+    /// `base = hash3_base(seed, l)`, and whose cells draw from `groups`.
+    pub(crate) fn new(
         model: &'a CellFailureModel,
-        grid: &[NormVdd],
-    ) -> GridMasks<'a> {
-        assert!(grid.len() <= 64, "grid masks hold at most 64 points");
-        for &vdd in grid {
-            self.assert_above_cap(vdd);
-        }
-        GridMasks {
-            table: self,
+        groups: &'a CellGroups,
+        cap_vdd: NormVdd,
+        freq: FreqGhz,
+        seed: u64,
+        z_of: Z,
+    ) -> Self {
+        CandidateDraw {
             model,
-            medians: grid
-                .iter()
-                .map(|&vdd| model.p_cell_median(vdd, self.freq, FailureKind::Combined))
-                .collect(),
-            cap_median: model.p_cell_median(self.cap_vdd, self.freq, FailureKind::Combined),
-            thresholds: vec![0; grid.len()],
+            groups,
+            cap_median: model.p_cell_median(cap_vdd, freq, FailureKind::Combined),
+            seed,
+            z_of,
+            per_cell: [0; layout::CELLS_PER_LINE as usize],
         }
+    }
+
+    /// Replaces `out` with the candidates of `line`, `(h >> 11, fault)`
+    /// for each cell faulty at the cap voltage, in cell order, and returns
+    /// the line's variation draw.
+    pub(crate) fn line(&mut self, line: LineId, out: &mut Vec<(u64, CellFault)>) -> f64 {
+        let base = hash3_base(self.seed, line as u64);
+        let z = (self.z_of)(line, base);
+        let (model, groups, cap_median) = (self.model, self.groups, self.cap_median);
+        let thresholds = groups.thresholds(&mut self.per_cell, |g, _| {
+            unit_threshold(model.line_p(cap_median, groups.z(z, g)))
+        });
+        out.clear();
+        for_each_failing_cell(base, 0..layout::CELLS_PER_LINE, 1, thresholds, |cell, h| {
+            out.push((h >> 11, CellFault::drawn(cell, h)))
+        });
+        z
     }
 }
 
-/// A [`DieFaultTable`]'s faulty cells over a voltage grid, with their
-/// grid masks (see [`DieFaultTable::grid_masks`]).
-#[derive(Debug)]
-pub(crate) struct GridMasks<'a> {
-    table: &'a DieFaultTable,
-    model: &'a CellFailureModel,
+/// A persistent model's die over a voltage grid, drawn one line at a
+/// time: each line's candidates at the grid's lowest voltage (its cap)
+/// with each cell's grid mask. It holds one line, never the die, and each
+/// line equals what a [`DieFaultTable`] built at the cap derives at every
+/// grid point.
+pub(crate) struct LineMasks<'a, Z> {
+    draw: CandidateDraw<'a, Z>,
+    /// The median cell probability at each grid point.
     medians: Vec<f64>,
-    cap_median: f64,
+    /// The thresholds of one cell group at each grid point.
     thresholds: Vec<u64>,
+    candidates: Vec<(u64, CellFault)>,
+    masks: Vec<(CellFault, u64)>,
 }
 
-impl GridMasks<'_> {
-    /// Calls `emit(fault, mask)` for each cell of `line` faulty at some
-    /// grid point, in cell order. Bit `g` of `mask` is set iff the cell's
-    /// key falls below its group's threshold at `grid[g]`, the test
-    /// [`DieFaultTable::fault_map_at`] applies, so the cell is in
-    /// `fault_map_at(model, grid[g])`.
+impl<'a, Z: Fn(LineId, u64) -> f64> LineMasks<'a, Z> {
+    /// The grid masks of the die whose lines draw as
+    /// [`CandidateDraw::new`] describes.
     ///
     /// # Panics
     ///
-    /// Panics if `line` is out of range or the model disagrees with the
-    /// table (see [`DieFaultTable::fault_map_at`]).
-    pub(crate) fn line(&mut self, line: LineId, mut emit: impl FnMut(CellFault, u64)) {
-        let table = self.table;
+    /// Panics if `grid` has more than 64 points.
+    pub(crate) fn new(
+        model: &'a CellFailureModel,
+        groups: &'a CellGroups,
+        grid: &[NormVdd],
+        freq: FreqGhz,
+        seed: u64,
+        z_of: Z,
+    ) -> Self {
+        assert!(grid.len() <= 64, "grid masks hold at most 64 points");
+        let cap = NormVdd(grid.iter().fold(f64::INFINITY, |cap, vdd| cap.min(vdd.0)));
+        LineMasks {
+            draw: CandidateDraw::new(model, groups, cap, freq, seed, z_of),
+            medians: grid
+                .iter()
+                .map(|&vdd| model.p_cell_median(vdd, freq, FailureKind::Combined))
+                .collect(),
+            thresholds: vec![0; grid.len()],
+            candidates: Vec::new(),
+            masks: Vec::new(),
+        }
+    }
+
+    /// The cells of `line` faulty at some grid point, in cell order, each
+    /// with its grid mask. Bit `g` of a mask is set iff the cell's key
+    /// falls below its group's threshold at `grid[g]`, the test
+    /// [`DieFaultTable::fault_map_at`] applies, so the cell is in the
+    /// model's map at `grid[g]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model's probability at some grid point exceeds the
+    /// one at the cap, where the candidates were drawn.
+    pub(crate) fn line(&mut self, line: LineId) -> &[(CellFault, u64)] {
+        let z = self.draw.line(line, &mut self.candidates);
+        let (model, groups, cap_median) = (self.draw.model, self.draw.groups, self.draw.cap_median);
+        self.masks.clear();
         // `thresholds` holds those of `group`, whose cells end before `end`.
         let (mut group, mut end) = (0, 0);
-        for &(key, fault) in table.candidates[line].iter() {
+        for &(key, fault) in &self.candidates {
             if fault.cell >= end {
-                while table.groups.range(group).end <= fault.cell {
+                while groups.range(group).end <= fault.cell {
                     group += 1;
                 }
-                end = table.groups.range(group).end;
-                table.group_thresholds(
-                    self.model,
-                    line,
-                    group,
-                    self.cap_median,
-                    &self.medians,
-                    &mut self.thresholds,
-                );
+                end = groups.range(group).end;
+                let z = groups.z(z, group);
+                let cap_threshold = unit_threshold(model.line_p(cap_median, z));
+                for (threshold, &median) in self.thresholds.iter_mut().zip(&self.medians) {
+                    *threshold = unit_threshold(model.line_p(median, z));
+                    assert!(
+                        *threshold <= cap_threshold,
+                        "model not monotone against the grid's cap at line {line}"
+                    );
+                }
             }
             let mask = self
                 .thresholds
@@ -805,9 +825,10 @@ impl GridMasks<'_> {
                 .enumerate()
                 .fold(0u64, |mask, (g, &t)| mask | (u64::from(key < t) << g));
             if mask != 0 {
-                emit(fault, mask);
+                self.masks.push((fault, mask));
             }
         }
+        &self.masks
     }
 }
 

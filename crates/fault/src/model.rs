@@ -42,9 +42,14 @@
 //! operating point is derived from it. `stuck-at` and `table` keep one
 //! variation draw per line, `clustered` one per (line, column group), and
 //! `transient` merges each operating point's overlay flips into its
-//! stuck-at base. A Vmin campaign reads a whole grid from one die
-//! ([`ReplicateDie::grid_masks`]) in a single pass.
+//! stuck-at base. A Vmin campaign needs every grid point of a die but
+//! never the whole die at once: [`FaultModel::grid_masks`] streams it
+//! line by line, drawing each line's candidates with the same per-line
+//! code the table runs and emitting their grid masks, so it holds one
+//! line, not a table. [`fold_grid_maps`] of the model's own maps is its
+//! oracle.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -53,8 +58,8 @@ use killi_obs::registry::{self, DefaultName, Descriptor, Kind, ParamSpec, Resolv
 
 use crate::cell_model::{CellFailureModel, FailureKind, FreqGhz, NormVdd};
 use crate::map::{
-    layout, standard_normal, CellFault, CellGroups, DieFaultTable, FaultMap, LineFaults, LineId,
-    MapOptions,
+    layout, line_z, standard_normal, CellFault, CellGroups, DieFaultTable, FaultMap, LineFaults,
+    LineId, LineMasks, MapOptions,
 };
 use crate::rng::{
     for_each_failing_cell, hash3, hash3_base, hash3_with_base, splitmix64, to_unit, unit_threshold,
@@ -80,10 +85,11 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
     }
 
     /// A memoized per-die table covering every voltage `>= cap_vdd`, for
-    /// sweep engines and Vmin campaigns that derive many maps of one die.
-    /// Every registered model returns one. A model without a
-    /// cross-voltage factorization may return `None`; callers then fall
-    /// back to [`Self::map`] per operating point.
+    /// sweep engines that derive many maps of one die (a Vmin campaign
+    /// streams [`Self::grid_masks`] instead). Every registered model
+    /// returns one. A model without a cross-voltage factorization may
+    /// return `None`; callers then fall back to [`Self::map`] per
+    /// operating point.
     fn die(
         &self,
         lines: usize,
@@ -93,6 +99,27 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
     ) -> Option<Box<dyn ReplicateDie>> {
         let _ = (lines, cap_vdd, freq, seed);
         None
+    }
+
+    /// Calls `emit(line, fault, mask)` once per cell of the die `(lines,
+    /// freq, seed)` that is faulty at some point of `grid` (at most 64
+    /// points), in (line, cell) order. Bit `g` of `mask` is set iff the
+    /// cell is in `map(lines, grid[g], freq, seed)`, and `fault` is the
+    /// cell as that map has it at its lowest such `g`. A voltage-nested
+    /// model over an ascending grid therefore emits prefixes of ones.
+    ///
+    /// Every registered model streams its die line by line and holds one
+    /// line at a time; the default folds one whole map per grid point
+    /// ([`fold_grid_maps`]), which is also the oracle of the streams.
+    fn grid_masks(
+        &self,
+        lines: usize,
+        grid: &[NormVdd],
+        freq: FreqGhz,
+        seed: u64,
+        emit: &mut dyn FnMut(LineId, CellFault, u64),
+    ) {
+        fold_grid_maps(lines, grid, |vdd| self.map(lines, vdd, freq, seed), emit);
     }
 
     /// Whether fault sets are nested across voltage: every fault at a
@@ -110,23 +137,50 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
 
 /// One die of a [`FaultModel`], memoized at the grid's cap voltage.
 ///
-/// The sweep engine asks for one map per operating point; the Vmin
-/// campaign asks for the whole grid at once through
-/// [`ReplicateDie::grid_masks`]. For a persistent model that costs time
-/// proportional to the die's faulty cells; `transient` adds one overlay
-/// hash pass per grid point.
+/// The sweep engine asks it for one map per operating point. For a
+/// persistent model that costs time proportional to the die's candidate
+/// cells; `transient` adds one overlay hash pass per operating point.
 pub trait ReplicateDie: Send + Sync {
     /// The die's fault map at `vdd` (which must be `>=` the cap), equal
     /// to the model's [`FaultModel::map`] there.
     fn map_at(&self, vdd: NormVdd) -> FaultMap;
+}
 
-    /// Calls `emit(line, fault, mask)` once per cell that is faulty at
-    /// some point of `grid` (every point `>=` the cap, at most 64), in
-    /// (line, cell) order. Bit `g` of `mask` is set iff the cell is in
-    /// `map_at(grid[g])`, and `fault` is the cell as `map_at` has it at
-    /// the lowest such point. A voltage-nested model over an ascending
-    /// grid therefore emits prefixes of ones.
-    fn grid_masks(&self, grid: &[NormVdd], emit: &mut dyn FnMut(LineId, CellFault, u64));
+/// Folds the maps `map_at(vdd)` of a die's `lines` lines over `grid` into
+/// grid masks and emits them as [`FaultModel::grid_masks`] does: the
+/// trait's default, and the oracle every model's stream is tested
+/// against. It holds one map per grid point.
+pub fn fold_grid_maps(
+    lines: usize,
+    grid: &[NormVdd],
+    map_at: impl Fn(NormVdd) -> FaultMap,
+    emit: &mut dyn FnMut(LineId, CellFault, u64),
+) {
+    let maps: Vec<FaultMap> = grid.iter().map(|&vdd| map_at(vdd)).collect();
+    let mut cells: BTreeMap<u16, (CellFault, u64)> = BTreeMap::new();
+    for line in 0..lines {
+        for (g, map) in maps.iter().enumerate() {
+            for &fault in map.line(line) {
+                cells.entry(fault.cell).or_insert((fault, 0)).1 |= 1 << g;
+            }
+        }
+        for (fault, mask) in std::mem::take(&mut cells).into_values() {
+            emit(line, fault, mask);
+        }
+    }
+}
+
+/// Emits the grid masks of `lines` lines drawn by `masks`, line by line.
+fn emit_lines<Z: Fn(LineId, u64) -> f64>(
+    lines: usize,
+    masks: &mut LineMasks<'_, Z>,
+    emit: &mut dyn FnMut(LineId, CellFault, u64),
+) {
+    for line in 0..lines {
+        for &(fault, mask) in masks.line(line) {
+            emit(line, fault, mask);
+        }
+    }
 }
 
 /// The fault-model registry's [`Kind`]: its messages name a `fault model`.
@@ -261,6 +315,19 @@ impl FaultModel for ParametricStuckAt {
         }))
     }
 
+    fn grid_masks(
+        &self,
+        lines: usize,
+        grid: &[NormVdd],
+        freq: FreqGhz,
+        seed: u64,
+        emit: &mut dyn FnMut(LineId, CellFault, u64),
+    ) {
+        let groups = CellGroups::Line;
+        let mut masks = LineMasks::new(&self.cell, &groups, grid, freq, seed, line_z);
+        emit_lines(lines, &mut masks, emit);
+    }
+
     fn voltage_nested(&self) -> bool {
         true
     }
@@ -281,13 +348,6 @@ struct TableDie {
 impl ReplicateDie for TableDie {
     fn map_at(&self, vdd: NormVdd) -> FaultMap {
         self.table.fault_map_at(&self.cell, vdd)
-    }
-
-    fn grid_masks(&self, grid: &[NormVdd], emit: &mut dyn FnMut(LineId, CellFault, u64)) {
-        let mut masks = self.table.grid_masks(&self.cell, grid);
-        for line in 0..self.table.lines() {
-            masks.line(line, |fault, mask| emit(line, fault, mask));
-        }
     }
 }
 
@@ -391,6 +451,21 @@ impl FaultModel for ClusteredModel {
             table,
             cell: self.cell.clone(),
         }))
+    }
+
+    fn grid_masks(
+        &self,
+        lines: usize,
+        grid: &[NormVdd],
+        freq: FreqGhz,
+        seed: u64,
+        emit: &mut dyn FnMut(LineId, CellFault, u64),
+    ) {
+        let groups = self.column_groups(seed);
+        let mut masks = LineMasks::new(&self.cell, &groups, grid, freq, seed, |line, _| {
+            self.z_line(seed, line as u64)
+        });
+        emit_lines(lines, &mut masks, emit);
     }
 
     fn voltage_nested(&self) -> bool {
@@ -549,6 +624,60 @@ impl FaultModel for TransientModel {
         }))
     }
 
+    /// The stuck-at base's masks, line by line, each line merged with its
+    /// flips at every grid point.
+    fn grid_masks(
+        &self,
+        lines: usize,
+        grid: &[NormVdd],
+        freq: FreqGhz,
+        seed: u64,
+        emit: &mut dyn FnMut(LineId, CellFault, u64),
+    ) {
+        let tseeds: Vec<u64> = grid
+            .iter()
+            .map(|&vdd| Self::overlay_seed(seed, vdd))
+            .collect();
+        let groups = CellGroups::Line;
+        let mut masks = LineMasks::new(&self.cell, &groups, grid, freq, seed, line_z);
+        let mut point_flips = Vec::new();
+        // The line's flips at every grid point, as (flip, grid index).
+        let mut flips: Vec<(CellFault, u32)> = Vec::new();
+        for line in 0..lines {
+            flips.clear();
+            for (g, &tseed) in tseeds.iter().enumerate() {
+                self.flips(tseed, line, &mut point_flips);
+                flips.extend(point_flips.iter().map(|&f| (f, g as u32)));
+            }
+            // Stable, so each cell's flips stay in grid order.
+            flips.sort_by_key(|(f, _)| f.cell);
+            let mut rest = flips.as_slice();
+            for &(fault, mask) in masks.line(line) {
+                while rest.first().is_some_and(|(f, _)| f.cell < fault.cell) {
+                    let (flip, flip_mask) = take_cell(&mut rest);
+                    emit(line, flip, flip_mask);
+                }
+                if rest.first().is_some_and(|(f, _)| f.cell == fault.cell) {
+                    // A cell keeps the polarity of its lowest faulty grid
+                    // point, where the persistent fault wins a tie.
+                    let (flip, flip_mask) = take_cell(&mut rest);
+                    let first = if mask.trailing_zeros() <= flip_mask.trailing_zeros() {
+                        fault
+                    } else {
+                        flip
+                    };
+                    emit(line, first, mask | flip_mask);
+                } else {
+                    emit(line, fault, mask);
+                }
+            }
+            while !rest.is_empty() {
+                let (flip, flip_mask) = take_cell(&mut rest);
+                emit(line, flip, flip_mask);
+            }
+        }
+    }
+
     fn voltage_nested(&self) -> bool {
         false
     }
@@ -570,50 +699,6 @@ impl ReplicateDie for TransientDie {
     fn map_at(&self, vdd: NormVdd) -> FaultMap {
         let base = self.base.fault_map_at(&self.model.cell, vdd);
         self.model.overlay(base, vdd)
-    }
-
-    fn grid_masks(&self, grid: &[NormVdd], emit: &mut dyn FnMut(LineId, CellFault, u64)) {
-        let tseeds: Vec<u64> = grid
-            .iter()
-            .map(|&vdd| TransientModel::overlay_seed(self.base.seed(), vdd))
-            .collect();
-        let mut masks = self.base.grid_masks(&self.model.cell, grid);
-        let mut point_flips = Vec::new();
-        // The line's flips at every grid point, as (flip, grid index).
-        let mut flips: Vec<(CellFault, u32)> = Vec::new();
-        for line in 0..self.base.lines() {
-            flips.clear();
-            for (g, &tseed) in tseeds.iter().enumerate() {
-                self.model.flips(tseed, line, &mut point_flips);
-                flips.extend(point_flips.iter().map(|&f| (f, g as u32)));
-            }
-            // Stable, so each cell's flips stay in grid order.
-            flips.sort_by_key(|(f, _)| f.cell);
-            let mut rest = flips.as_slice();
-            masks.line(line, |fault, mask| {
-                while rest.first().is_some_and(|(f, _)| f.cell < fault.cell) {
-                    let (flip, flip_mask) = take_cell(&mut rest);
-                    emit(line, flip, flip_mask);
-                }
-                if rest.first().is_some_and(|(f, _)| f.cell == fault.cell) {
-                    // A cell keeps the polarity of its lowest faulty grid
-                    // point, where the persistent fault wins a tie.
-                    let (flip, flip_mask) = take_cell(&mut rest);
-                    let first = if mask.trailing_zeros() <= flip_mask.trailing_zeros() {
-                        fault
-                    } else {
-                        flip
-                    };
-                    emit(line, first, mask | flip_mask);
-                } else {
-                    emit(line, fault, mask);
-                }
-            });
-            while !rest.is_empty() {
-                let (flip, flip_mask) = take_cell(&mut rest);
-                emit(line, flip, flip_mask);
-            }
-        }
     }
 }
 
@@ -1176,9 +1261,11 @@ mod tests {
         let flat = FaultModelConfig::new("table")
             .with("anchors", ParamValue::Str("0.5@-3;0.6@-3;0.7@-9".into()));
         let model = r.build(&flat, &()).unwrap();
-        let die = model.die(64, NormVdd(0.5), FreqGhz::PEAK, 3).unwrap();
-        die.grid_masks(
+        model.grid_masks(
+            64,
             &[NormVdd(0.5), NormVdd(0.55), NormVdd(0.65)],
+            FreqGhz::PEAK,
+            3,
             &mut |_, _, mask| {
                 assert_eq!(mask & mask.wrapping_add(1), 0, "{mask:#b} is not a prefix");
             },

@@ -216,7 +216,7 @@ fn grid_masks_equal_the_fold_of_per_grid_maps() {
     use std::collections::BTreeMap;
 
     use killi_fault::map::CellFault;
-    use killi_fault::model::default_registry;
+    use killi_fault::model::{default_registry, fold_grid_maps};
 
     let registry = default_registry();
     check("grid_masks_equal_the_fold_of_per_grid_maps", |g| {
@@ -243,21 +243,28 @@ fn grid_masks_equal_the_fold_of_per_grid_maps() {
         } else {
             g.distinct(160, points, points).into_iter().collect()
         };
-        let grid: Vec<NormVdd> = steps
+        let mut grid: Vec<NormVdd> = steps
             .into_iter()
             .map(|i| NormVdd(0.5 + 0.0025 * i as f64))
             .collect();
-        let die = model
-            .die(lines, grid[0], FreqGhz::PEAK, seed)
-            .unwrap_or_else(|| panic!("{config} offers no die"));
+        // The stream draws at the grid's lowest point wherever it is.
+        if g.usize_in(0, 4) == 0 {
+            grid.reverse();
+        }
 
         let mut emitted: Vec<(usize, CellFault, u64)> = Vec::new();
-        die.grid_masks(&grid, &mut |line, fault, mask| {
-            emitted.push((line, fault, mask));
-        });
+        model.grid_masks(
+            lines,
+            &grid,
+            FreqGhz::PEAK,
+            seed,
+            &mut |line, fault, mask| {
+                emitted.push((line, fault, mask));
+            },
+        );
 
         // The oracle: the model's own map at each grid point, folded cell
-        // by cell; a cell keeps its polarity at its lowest faulty point.
+        // by cell; a cell keeps its polarity at its lowest faulty index.
         let mut folded: BTreeMap<(usize, u16), (CellFault, u64)> = BTreeMap::new();
         for (i, &vdd) in grid.iter().enumerate() {
             let map = model.map(lines, vdd, FreqGhz::PEAK, seed);
@@ -275,5 +282,14 @@ fn grid_masks_equal_the_fold_of_per_grid_maps() {
             emitted, expected,
             "{config}, {lines} lines, {points} points"
         );
+        // The trait's default, which folds the same maps, agrees.
+        let mut by_default = Vec::new();
+        fold_grid_maps(
+            lines,
+            &grid,
+            |vdd| model.map(lines, vdd, FreqGhz::PEAK, seed),
+            &mut |line, fault, mask| by_default.push((line, fault, mask)),
+        );
+        assert_eq!(by_default, expected, "{config}: fold_grid_maps");
     });
 }

@@ -14,14 +14,17 @@
 //! Shutdown: [`Handle::shutdown`] (or a SIGTERM/SIGINT relayed through
 //! [`crate::signal`]) flips the drain flag. From then on submissions
 //! get 503, reads keep working and workers finish the queue. The worker
-//! that finishes the last job wakes [`Server::run`], which wakes each
-//! handler out of `accept` with a connection of its own, joins every
-//! thread and returns — completed results are never lost mid-drain
-//! (regression-tested in `service_e2e`).
+//! that finishes the last job wakes [`Server::run`], which shuts down
+//! every connection whose request is still being read (a handler keeps
+//! a clone of it, registered under the state lock, for just that), wakes
+//! each handler out of `accept` with a connection of its own, joins every
+//! thread and returns. So a stalled client cannot hold a drain, and
+//! completed results are never lost mid-drain (both regression-tested in
+//! `service_e2e`).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::ErrorKind;
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -128,6 +131,12 @@ struct Inner {
     done_order: VecDeque<JobId>,
     events: VecDeque<ServeEvent>,
     metrics: ServeMetrics,
+    /// Set once the drain finished; a handler that accepts a connection
+    /// from then on exits instead of serving it.
+    stopping: bool,
+    /// Per handler, a clone of the connection it is reading a request
+    /// from, so that stopping can cut the read short.
+    reading: [Option<TcpStream>; HANDLERS],
 }
 
 /// Cap on the retained event log; old events fall off the front.
@@ -152,9 +161,6 @@ struct Shared {
     /// Set once; from then on submissions are rejected and workers
     /// exit when the queue runs dry.
     draining: AtomicBool,
-    /// Set once the drain finished; a handler that accepts a connection
-    /// from then on exits instead of serving it.
-    stopping: AtomicBool,
     config: ServerConfig,
     local_addr: SocketAddr,
 }
@@ -276,7 +282,6 @@ impl Server {
                 work_ready: Condvar::new(),
                 drain_done: Condvar::new(),
                 draining: AtomicBool::new(false),
-                stopping: AtomicBool::new(false),
                 config,
                 local_addr,
             }),
@@ -307,9 +312,10 @@ impl Server {
         // Handlers first: the first request waits on no worker spawn.
         let handlers: Vec<_> = listeners
             .into_iter()
-            .map(|listener| {
+            .enumerate()
+            .map(|(handler, listener)| {
                 let shared = Arc::clone(&self.shared);
-                std::thread::spawn(move || handler_loop(&shared, &listener))
+                std::thread::spawn(move || handler_loop(&shared, handler, &listener))
             })
             .collect();
         let workers: Vec<_> = (0..self.shared.config.workers.max(1))
@@ -321,11 +327,19 @@ impl Server {
 
         self.shared.wait_for_drain();
 
-        // Every handler is blocked in `accept` or finishing a request:
-        // one connection each wakes them, and each exits on its next
-        // accept. Should a connect fail, the handlers stay detached
-        // rather than hang the join.
-        self.shared.stopping.store(true, Ordering::SeqCst);
+        // A handler still reading a request would hold the join until
+        // the request deadline: cut those reads short. Every handler is
+        // then blocked in `accept` or finishing a request: one connection
+        // each wakes them, and each exits on its next accept. Should a
+        // connect fail, the handlers stay detached rather than hang the
+        // join.
+        {
+            let mut inner = self.shared.lock();
+            inner.stopping = true;
+            for stream in inner.reading.iter_mut().filter_map(Option::take) {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
         let wake = wake_addr(self.shared.local_addr);
         let woken = (0..HANDLERS)
             .filter(|_| TcpStream::connect(wake).is_ok())
@@ -356,25 +370,35 @@ fn wake_addr(bound: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// One connection handler: accept, serve, repeat, until a finished
-/// drain wakes it.
-fn handler_loop(shared: &Shared, listener: &TcpListener) {
+/// One connection handler (number `handler`): accept, serve, repeat,
+/// until a finished drain wakes it.
+fn handler_loop(shared: &Shared, handler: usize, listener: &TcpListener) {
     loop {
         let accepted = listener.accept();
-        if shared.stopping.load(Ordering::SeqCst) {
+        let mut inner = shared.lock();
+        if inner.stopping {
             return;
         }
-        match accepted {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                handle_connection(shared, &stream);
+        let stream = match accepted {
+            Ok((stream, _)) => stream,
+            Err(e) => {
+                drop(inner);
+                // Errors about one connection (`ECONNABORTED`, `EPROTO`,
+                // ...) leave the listener usable: accept the next one.
+                // Running out of descriptors or memory passes as
+                // connections close.
+                if out_of_resources(&e) {
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                }
+                continue;
             }
-            // Errors about one connection (`ECONNABORTED`, `EPROTO`, ...)
-            // leave the listener usable: accept the next one. Running
-            // out of descriptors or memory passes as connections close.
-            Err(e) if out_of_resources(&e) => std::thread::sleep(ACCEPT_BACKOFF),
-            Err(_) => {}
-        }
+        };
+        // Without a clone (no descriptor left), the read is still bounded
+        // by its deadline.
+        inner.reading[handler] = stream.try_clone().ok();
+        drop(inner);
+        let _ = stream.set_nodelay(true);
+        handle_connection(shared, handler, &stream);
     }
 }
 
@@ -469,10 +493,19 @@ fn panic_message(what: &str, panic: &Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Reads one request, routes it, writes one response, all within
-/// [`READ_TIMEOUT`] of the accept.
-fn handle_connection(shared: &Shared, stream: &TcpStream) {
+/// [`READ_TIMEOUT`] of the accept. A server that stopped while the
+/// request was read answers nothing.
+fn handle_connection(shared: &Shared, handler: usize, stream: &TcpStream) {
     let deadline = Instant::now() + READ_TIMEOUT;
-    let response = match read_request(stream, deadline) {
+    let read = read_request(stream, deadline);
+    {
+        let mut inner = shared.lock();
+        inner.reading[handler] = None;
+        if inner.stopping {
+            return;
+        }
+    }
+    let response = match read {
         Ok(request) => guarded(|| route(shared, &request)),
         // The peer went away or ran out of time; nothing to say.
         Err(HttpError::Io(_)) => return,

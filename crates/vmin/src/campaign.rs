@@ -3,21 +3,23 @@
 //! A campaign answers the deployment question the paper's §6 yield
 //! discussion raises: across a fleet of dies, what is the minimum safe
 //! operating voltage *per protection scheme*, and what fraction of dies
-//! bins at each grid point? Each die is synthesized from the registered
-//! fault model ([`synth_record`]) or streamed out of a [`crate::store`]
-//! die store, reduced to per-rule usable-line tables over the voltage
-//! grid, and binned by [`crate::search::grid_vmin`] over those tables.
+//! bins at each grid point? Each die is reduced to per-rule usable-line
+//! tables over the voltage grid, and binned by
+//! [`crate::search::grid_vmin`] over those tables.
 //!
-//! Every registered model synthesizes a die in one pass over its die
-//! factorization ([`killi_fault::model::ReplicateDie::grid_masks`]).
-//! Evaluation then decides line by line. A line whose masks are all
-//! prefixes of ones (every line of a voltage-nested model, and most lines
-//! of `transient`) is binned at its lowest admitted grid index under each
-//! distinct rule ([`LineRule::lowest_admitted`]), and a prefix sum turns
-//! the bins into usable-line counts: O(faults + lines x rules + grid) per
-//! die. Any other line is evaluated at every grid point when the model
-//! is not nested, and is a typed [`CampaignError::NotNested`] when it is.
-//! Evaluating every line point by point is the test oracle.
+//! A die is evaluated line by line, so it is never held whole. Without a
+//! die store, the fault model streams each line's grid masks
+//! ([`killi_fault::FaultModel::grid_masks`]) straight into a per-line
+//! accumulator; with one, the store's records feed the same accumulator,
+//! and [`synth_record`] collects the stream into the records the store
+//! builder writes. A line whose masks are all prefixes of ones (every
+//! line of a voltage-nested model, and most lines of `transient`) is
+//! binned at its lowest admitted grid index under each distinct rule
+//! ([`LineRule::lowest_admitted`]), and a prefix sum turns the bins into
+//! usable-line counts: O(faults + lines x rules + grid) per die. Any other
+//! line is evaluated at every grid point when the model is not nested,
+//! and is a typed [`CampaignError::NotNested`] when it is. Evaluating
+//! every line point by point is the test oracle.
 //!
 //! Determinism contract: the parallel phase produces only per-die
 //! integer outcomes (grid indices and counts); every floating-point
@@ -25,7 +27,6 @@
 //! report is byte-identical at any thread count and across the
 //! store/direct synthesis paths.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use killi::registry::{BuildError, LineRule, SchemeConfig};
@@ -37,7 +38,7 @@ use killi_bench::schemes::{default_registry, scheme_admissibility, scheme_label}
 use killi_bench::sweep::{validate_voltage_grid, Accumulator};
 use killi_fault::model::default_registry as default_fault_registry;
 use killi_fault::rng::derive_seed;
-use killi_fault::{CellFault, FaultMap, FaultModel, FreqGhz, NormVdd};
+use killi_fault::{CellFault, FaultModel, FreqGhz, LineId, NormVdd};
 use killi_obs::{VminEvent, VminMetrics};
 
 use crate::search::{grid_vmin, SearchMode, SearchStats};
@@ -181,6 +182,12 @@ impl VminConfig {
         if self.lines == 0 {
             return Err(VminConfigError::Config {
                 reason: "a die needs at least one line".to_string(),
+            });
+        }
+        // Die records and stores index lines with a u32.
+        if u32::try_from(self.lines).is_err() {
+            return Err(VminConfigError::Config {
+                reason: format!("a die has at most {} lines, got {}", u32::MAX, self.lines),
             });
         }
         if !(self.target > 0.0 && self.target <= 1.0) {
@@ -493,67 +500,43 @@ impl VminReport {
     }
 }
 
-/// Synthesizes one die's grid-folded sparse record from the fault
-/// model: its die factorization emits every faulty cell's grid mask in
-/// one pass ([`killi_fault::model::ReplicateDie::grid_masks`]). Every
-/// registered model offers one; a model that does not builds a fault map
-/// per grid point, and `fold_grid_maps` folds them cell by cell.
+/// Synthesizes one die's grid-folded sparse record: the fault model's
+/// stream of grid masks ([`killi_fault::FaultModel::grid_masks`]),
+/// collected. A campaign without a die store evaluates that stream line by
+/// line instead and never holds a record.
+///
+/// # Panics
+///
+/// Panics if `lines` exceeds `u32::MAX`, the record's line index.
 pub fn synth_record(model: &dyn FaultModel, lines: usize, grid: &[f64], seed: u64) -> DieRecord {
-    let vdds: Vec<NormVdd> = grid.iter().map(|&v| NormVdd(v)).collect();
-    let entries = match model.die(lines, vdds[0], FreqGhz::PEAK, seed) {
-        Some(die) => {
-            let mut entries = Vec::new();
-            die.grid_masks(&vdds, &mut |line, fault, mask| {
-                entries.push(DieEntry {
-                    line: line as u32,
-                    cell: fault.cell,
-                    stuck: fault.stuck,
-                    mask,
-                });
-            });
-            entries
-        }
-        None => fold_grid_maps(lines, &vdds, |vdd| {
-            model.map(lines, vdd, FreqGhz::PEAK, seed)
-        }),
-    };
+    let mut entries = Vec::new();
+    model.grid_masks(
+        lines,
+        &normalized(grid),
+        FreqGhz::PEAK,
+        seed,
+        &mut |line, fault, mask| entries.push(die_entry(line, fault, mask)),
+    );
     DieRecord { seed, entries }
 }
 
-/// Folds the fault maps `map_at(vdd)` over the grid into entries sorted
-/// by `(line, cell)`, each carrying the polarity of its first faulty grid
-/// point and its grid mask. Also the oracle of the die factorizations.
-fn fold_grid_maps(
-    lines: usize,
-    grid: &[NormVdd],
-    map_at: impl Fn(NormVdd) -> FaultMap,
-) -> Vec<DieEntry> {
-    let mut folded: BTreeMap<(u32, u16), (bool, u64)> = BTreeMap::new();
-    for (g, &vdd) in grid.iter().enumerate() {
-        let map = map_at(vdd);
-        for line in 0..lines {
-            for fault in map.line(line) {
-                let entry = folded
-                    .entry((line as u32, fault.cell))
-                    .or_insert((fault.stuck, 0));
-                entry.1 |= 1 << g;
-            }
-        }
+fn normalized(grid: &[f64]) -> Vec<NormVdd> {
+    grid.iter().map(|&v| NormVdd(v)).collect()
+}
+
+/// A streamed cell as a record entry.
+fn die_entry(line: LineId, fault: CellFault, mask: u64) -> DieEntry {
+    DieEntry {
+        line: u32::try_from(line).expect("a die has at most u32::MAX lines"),
+        cell: fault.cell,
+        stuck: fault.stuck,
+        mask,
     }
-    folded
-        .into_iter()
-        .map(|((line, cell), (stuck, mask))| DieEntry {
-            line,
-            cell,
-            stuck,
-            mask,
-        })
-        .collect()
 }
 
 /// One die's integer outcome: everything the sequential aggregation
 /// phase needs, with no floats computed in parallel.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct DieOutcome {
     /// Per-scheme Vmin grid index (`-1` = fails the whole grid).
     vmin_idx: Vec<i32>,
@@ -578,27 +561,44 @@ struct EvalContext<'a> {
 /// indices. `Err` carries an entry whose grid mask is not a prefix of
 /// ones although the model is voltage-nested.
 fn evaluate_die(rec: &DieRecord, ctx: &EvalContext<'_>) -> Result<DieOutcome, DieEntry> {
-    let usable = usable_lines(rec, ctx)?;
-    let mut stats = SearchStats::default();
-    let vmin_idx = ctx
-        .rule_of
-        .iter()
-        .map(|&r| {
-            grid_vmin(
-                ctx.grid_len,
-                ctx.nested,
-                ctx.mode,
-                |g| usable[r][g] >= ctx.min_usable,
-                &mut stats,
-            )
-            .map_or(-1, |g| g as i32)
-        })
-        .collect();
-    Ok(DieOutcome {
-        vmin_idx,
-        usable,
-        stats,
-    })
+    let mut usable = UsableLines::new(ctx);
+    for line in rec.entries.chunk_by(|a, b| a.line == b.line) {
+        usable.add_line(line)?;
+    }
+    Ok(usable.finish())
+}
+
+/// [`evaluate_die`] of [`synth_record`]'s record, without the record: the
+/// model's stream feeds each line to the accumulator once the stream has
+/// moved past it, so only one line of the die is ever held.
+fn stream_die(
+    model: &dyn FaultModel,
+    grid: &[NormVdd],
+    seed: u64,
+    ctx: &EvalContext<'_>,
+) -> Result<DieOutcome, DieEntry> {
+    let mut usable = UsableLines::new(ctx);
+    let mut line: Vec<DieEntry> = Vec::new();
+    let mut added = Ok(());
+    model.grid_masks(
+        ctx.lines,
+        grid,
+        FreqGhz::PEAK,
+        seed,
+        &mut |l, fault, mask| {
+            let entry = die_entry(l, fault, mask);
+            if line.first().is_some_and(|first| first.line != entry.line) {
+                added = added.and_then(|()| usable.add_line(&line));
+                line.clear();
+            }
+            line.push(entry);
+        },
+    );
+    if !line.is_empty() {
+        added = added.and_then(|()| usable.add_line(&line));
+    }
+    added?;
+    Ok(usable.finish())
 }
 
 /// Whether `mask` is a prefix of ones inside a grid of `grid_len` points:
@@ -608,7 +608,7 @@ fn is_prefix(mask: u64, grid_len: usize) -> bool {
     ones > 0 && ones <= grid_len && mask & mask.wrapping_add(1) == 0
 }
 
-/// `usable[rule][g]` of one die, decided line by line.
+/// One die's `usable[rule][g]`, accumulated line by line.
 ///
 /// A line whose masks are all prefixes of ones has each fault at grid
 /// indices `0..=top`. Each rule bins the line at its lowest admitted grid
@@ -616,52 +616,100 @@ fn is_prefix(mask: u64, grid_len: usize) -> bool {
 /// that index up, so these lines add a prefix sum over the bins, in
 /// O(faults + lines x rules + grid). Any other line is evaluated at every
 /// grid point ([`admit_per_point`]) when the model is not nested, and is
-/// an error when it is.
-fn usable_lines(rec: &DieRecord, ctx: &EvalContext<'_>) -> Result<Vec<Vec<u32>>, DieEntry> {
-    // lowest[r][g]: prefix lines rule r first admits at grid index g
-    // (g == grid_len: never on the grid).
-    let mut lowest = vec![vec![0u32; ctx.grid_len + 1]; ctx.rules.len()];
-    let mut usable = vec![vec![0u32; ctx.grid_len]; ctx.rules.len()];
-    let mut faulty_lines = 0u32;
-    // A prefix line's cells bucketed by top index, then flattened highest
-    // first.
-    let mut by_top: Vec<Vec<u16>> = vec![Vec::new(); ctx.grid_len];
-    let mut faults: Vec<(u16, usize)> = Vec::new();
-    let mut scratch: Vec<CellFault> = Vec::new();
-    for line in rec.entries.chunk_by(|a, b| a.line == b.line) {
-        faulty_lines += 1;
+/// an error when it is. Lines never added are fault-free.
+struct UsableLines<'a> {
+    ctx: &'a EvalContext<'a>,
+    /// `lowest[r][g]`: prefix lines rule `r` first admits at grid index
+    /// `g` (`g == grid_len`: never on the grid).
+    lowest: Vec<Vec<u32>>,
+    /// The counts of the lines evaluated point by point; [`Self::finish`]
+    /// adds the binned and the fault-free lines.
+    usable: Vec<Vec<u32>>,
+    faulty_lines: u32,
+    /// A prefix line's cells bucketed by top index, then flattened
+    /// highest first into `faults`.
+    by_top: Vec<Vec<u16>>,
+    faults: Vec<(u16, usize)>,
+    scratch: Vec<CellFault>,
+}
+
+impl<'a> UsableLines<'a> {
+    fn new(ctx: &'a EvalContext<'a>) -> Self {
+        UsableLines {
+            ctx,
+            lowest: vec![vec![0; ctx.grid_len + 1]; ctx.rules.len()],
+            usable: vec![vec![0; ctx.grid_len]; ctx.rules.len()],
+            faulty_lines: 0,
+            by_top: vec![Vec::new(); ctx.grid_len],
+            faults: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Adds one faulty line: its entries, in cell order. `Err` carries
+    /// the line's first entry whose mask is not a prefix of ones when the
+    /// model is voltage-nested.
+    fn add_line(&mut self, line: &[DieEntry]) -> Result<(), DieEntry> {
+        let ctx = self.ctx;
+        self.faulty_lines += 1;
         if let Some(e) = line.iter().find(|e| !is_prefix(e.mask, ctx.grid_len)) {
             if ctx.nested {
                 return Err(*e);
             }
-            admit_per_point(line, ctx, &mut usable, &mut scratch);
-            continue;
+            admit_per_point(line, ctx, &mut self.usable, &mut self.scratch);
+            return Ok(());
         }
         for e in line {
-            by_top[e.mask.trailing_ones() as usize - 1].push(e.cell);
+            self.by_top[e.mask.trailing_ones() as usize - 1].push(e.cell);
         }
-        faults.clear();
-        for (top, cells) in by_top.iter_mut().enumerate().rev() {
-            faults.extend(cells.drain(..).map(|cell| (cell, top)));
+        self.faults.clear();
+        for (top, cells) in self.by_top.iter_mut().enumerate().rev() {
+            self.faults.extend(cells.drain(..).map(|cell| (cell, top)));
         }
-        for (bins, rule) in lowest.iter_mut().zip(ctx.rules) {
-            bins[rule.lowest_admitted(&faults)] += 1;
+        for (bins, rule) in self.lowest.iter_mut().zip(ctx.rules) {
+            bins[rule.lowest_admitted(&self.faults)] += 1;
+        }
+        Ok(())
+    }
+
+    /// The finished tables and each scheme's Vmin grid index over them.
+    fn finish(mut self) -> DieOutcome {
+        let ctx = self.ctx;
+        let fault_free = ctx.lines as u32 - self.faulty_lines;
+        for (table, bins) in self.usable.iter_mut().zip(&self.lowest) {
+            let mut admitted = fault_free;
+            for (count, &n) in table.iter_mut().zip(bins) {
+                admitted += n;
+                *count += admitted;
+            }
+        }
+        let usable = self.usable;
+        let mut stats = SearchStats::default();
+        let vmin_idx = ctx
+            .rule_of
+            .iter()
+            .map(|&r| {
+                grid_vmin(
+                    ctx.grid_len,
+                    ctx.nested,
+                    ctx.mode,
+                    |g| usable[r][g] >= ctx.min_usable,
+                    &mut stats,
+                )
+                .map_or(-1, |g| g as i32)
+            })
+            .collect();
+        DieOutcome {
+            vmin_idx,
+            usable,
+            stats,
         }
     }
-    let fault_free = ctx.lines as u32 - faulty_lines;
-    for (table, bins) in usable.iter_mut().zip(&lowest) {
-        let mut admitted = fault_free;
-        for (count, &n) in table.iter_mut().zip(bins) {
-            admitted += n;
-            *count += admitted;
-        }
-    }
-    Ok(usable)
 }
 
 /// Counts one line's faults into `usable[rule][g]` at every grid point
 /// where the rule admits the faults present there: the definition the
-/// prefix-sum binning of [`usable_lines`] must match.
+/// prefix-sum binning of [`UsableLines`] must match.
 fn admit_per_point(
     line: &[DieEntry],
     ctx: &EvalContext<'_>,
@@ -691,7 +739,7 @@ fn admit_per_point(
 }
 
 /// `usable[rule][g]` with every faulty line evaluated point by point: the
-/// oracle of [`usable_lines`].
+/// oracle of [`UsableLines`].
 #[cfg(test)]
 fn usable_per_grid(rec: &DieRecord, ctx: &EvalContext<'_>) -> Vec<Vec<u32>> {
     let mut usable = vec![vec![0u32; ctx.grid_len]; ctx.rules.len()];
@@ -790,10 +838,11 @@ fn build_store(
     Ok(())
 }
 
-/// Runs a validated campaign: streams (or synthesizes) every die,
-/// searches its per-scheme Vmin, and folds the fleet into a
-/// [`VminReport`]. Peak memory is bounded by the chunk size (a few
-/// dies per worker thread), never by the fleet size.
+/// Runs a validated campaign: streams every die from the fault model (or
+/// reads it from the die store), searches its per-scheme Vmin, and folds
+/// the fleet into a [`VminReport`]. Without a store, each worker holds one
+/// line of one die; with one, a chunk of records (a few per worker
+/// thread) is read at a time. Peak memory never grows with the fleet.
 pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, CampaignError> {
     let c = config.config();
     let model = build_fault_model(&c.fault_model).expect("config validated");
@@ -866,6 +915,7 @@ pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, Camp
         nested,
         mode: c.search,
     };
+    let grid = normalized(&c.vdds);
     let threads = c.threads.max(1);
     let chunk = (threads * 4).max(1);
     let progress = (c.progress_every > 0).then(|| Progress::new("vmin", c.dies, c.progress_every));
@@ -886,14 +936,13 @@ pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, Camp
                 })
             }
             None => {
-                // Direct path: fuse synthesis and evaluation per die so
-                // no chunk of fault maps is ever resident at once.
+                // Direct path: each die is streamed line by line into its
+                // evaluation, so no die record is ever resident.
                 let seeds: Vec<u64> = (start..end)
                     .map(|i| derive_seed(c.root_seed, "die", &[i as u64]))
                     .collect();
                 par_map(threads, &seeds, progress.as_ref(), |_, &seed| {
-                    let rec = synth_record(model.as_ref(), c.lines, &c.vdds, seed);
-                    evaluate_die(&rec, &ctx)
+                    stream_die(model.as_ref(), &grid, seed, &ctx)
                 })
             }
         };
@@ -1091,6 +1140,8 @@ pub fn check_report(text: &str) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
+    use killi_fault::model::fold_grid_maps;
+
     use super::*;
 
     fn small_config() -> VminConfig {
@@ -1120,6 +1171,12 @@ mod tests {
         let mut c = small_config();
         c.dies = 0;
         assert!(matches!(c.validated(), Err(VminConfigError::Config { .. })));
+        // Die records index lines with a u32: a larger die would wrap.
+        if let Some(lines) = (u32::MAX as usize).checked_add(1) {
+            let mut c = small_config();
+            c.lines = lines;
+            assert!(matches!(c.validated(), Err(VminConfigError::Config { .. })));
+        }
         let mut c = small_config();
         c.target = 0.0;
         assert!(matches!(c.validated(), Err(VminConfigError::Config { .. })));
@@ -1347,7 +1404,7 @@ mod tests {
                 mode: SearchMode::Auto,
             };
             assert_eq!(
-                usable_lines(&rec, &ctx).unwrap(),
+                evaluate_die(&rec, &ctx).unwrap().usable,
                 usable_per_grid(&rec, &ctx)
             );
         });
@@ -1371,12 +1428,81 @@ mod tests {
             let model = build_fault_model(&FaultModelConfig::parse(&spelling).unwrap()).unwrap();
             for seed in [1, 2024] {
                 let rec = synth_record(model.as_ref(), 256, &DEFAULT_GRID, seed);
-                let folded =
-                    fold_grid_maps(256, &grid, |vdd| model.map(256, vdd, FreqGhz::PEAK, seed));
+                let mut folded = Vec::new();
+                fold_grid_maps(
+                    256,
+                    &grid,
+                    |vdd| model.map(256, vdd, FreqGhz::PEAK, seed),
+                    &mut |line, fault, mask| folded.push(die_entry(line, fault, mask)),
+                );
                 assert!(!folded.is_empty(), "{spelling}: no faults on the grid");
                 assert_eq!(rec.entries, folded, "{spelling}, seed {seed}");
             }
         }
+    }
+
+    /// A registered fault model with random parameters.
+    fn random_fault_model(g: &mut killi_check::Gen) -> FaultModelConfig {
+        let spelling = match g.usize_in(0, 4) {
+            0 => "stuck-at".to_string(),
+            1 => {
+                let corr = g.f64_in(0.0, 1.0);
+                let col_corr = g.f64_in(0.0, 0.999 * (1.0 - corr * corr).sqrt());
+                format!(
+                    "clustered:rows={},corr={corr},col_cells={},col_corr={col_corr}",
+                    g.usize_in(1, 17),
+                    g.pick(&[1, 7, 64, 560])
+                )
+            }
+            2 => {
+                let mode = *g.pick(&["random", "burst", "msb"]);
+                let rate = g.f64_in(0.0, if mode == "burst" { 0.5 } else { 0.05 });
+                format!(
+                    "transient:mode={mode},rate={rate},burst_len={}",
+                    g.usize_in(1, 17)
+                )
+            }
+            _ => format!("table:sigma={}", g.f64_in(0.0, 3.0)),
+        };
+        FaultModelConfig::parse(&spelling).unwrap()
+    }
+
+    #[test]
+    fn a_streamed_die_evaluates_as_its_record() {
+        let rules = registered_rules();
+        let rule_of: Vec<usize> = (0..rules.len()).collect();
+        killi_check::check("a_streamed_die_evaluates_as_its_record", |g| {
+            let config = random_fault_model(g);
+            let model = build_fault_model(&config).unwrap();
+            let lines = g.usize_in(1, 97);
+            let points = g.usize_in(2, 17);
+            let mut vdds: Vec<f64> = g
+                .distinct(100, points, points)
+                .into_iter()
+                .map(|i| 0.5 + 0.0025 * i as f64)
+                .collect();
+            // A descending grid turns a nested model's prefixes into
+            // suffixes, which both paths must reject with the same entry.
+            if g.usize_in(0, 4) == 0 {
+                vdds.reverse();
+            }
+            let seed = g.u64();
+            let ctx = EvalContext {
+                lines,
+                grid_len: points,
+                rules: &rules,
+                rule_of: &rule_of,
+                min_usable: (g.f64_in(0.5, 1.0) * lines as f64).ceil() as u32,
+                nested: model.voltage_nested(),
+                mode: *g.pick(&[SearchMode::Auto, SearchMode::Exhaustive]),
+            };
+            let rec = synth_record(model.as_ref(), lines, &vdds, seed);
+            let streamed = stream_die(model.as_ref(), &normalized(&vdds), seed, &ctx);
+            assert_eq!(streamed, evaluate_die(&rec, &ctx), "{config}, {vdds:?}");
+            if let Ok(outcome) = streamed {
+                assert_eq!(outcome.usable, usable_per_grid(&rec, &ctx), "{config}");
+            }
+        });
     }
 
     #[test]

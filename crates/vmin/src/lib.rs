@@ -9,16 +9,16 @@
 //!
 //! Three pieces:
 //!
-//! - [`campaign`] — the engine. Each die becomes one sparse record of
-//!   grid-masked faults, emitted in one pass by the fault model's per-die
-//!   factorization (`killi_fault::model::ReplicateDie`), which every
-//!   registered model has. The record reduces to per-rule usable-line
+//! - [`campaign`] — the engine. The fault model streams each die line by
+//!   line as grid-masked faults (`killi_fault::FaultModel::grid_masks`),
+//!   and each line is reduced, as it arrives, into per-rule usable-line
 //!   tables under each scheme's static admissibility rule
-//!   (`killi::registry::LineRule`), line by line: a line whose masks are
-//!   prefixes of ones is binned at its lowest admitted grid index and the
-//!   bins are prefix-summed, in time proportional to the die's faults;
-//!   any other line of a non-nested model (`transient`) has every rule
-//!   applied at every grid point. Parallel integer-only evaluation runs
+//!   (`killi::registry::LineRule`): a line whose masks are prefixes of
+//!   ones is binned at its lowest admitted grid index and the bins are
+//!   prefix-summed, in time proportional to the die's faults; any other
+//!   line of a non-nested model (`transient`) has every rule applied at
+//!   every grid point. No die is held whole; a die store's records feed
+//!   the same per-line reduction. Parallel integer-only evaluation runs
 //!   on the shared scoped-thread pool, followed by sequential aggregation
 //!   into the byte-deterministic `killi-vmin/v1` report (Vmin CDF with
 //!   exact order statistics, capacity-vs-vdd curves, yield tables).
@@ -27,9 +27,11 @@
 //!   for the rest. Both choose among answers already computed; the
 //!   report's `search` block counts their probes.
 //! - [`store`] — the `killi-diestore/v1` streaming die store: a
-//!   write-once sparse serialization of a fleet's records, so campaigns
-//!   re-run against identical silicon without re-synthesis and peak
-//!   memory stays bounded by the chunk size rather than the fleet size.
+//!   write-once sparse serialization of a fleet's records
+//!   ([`campaign::synth_record`] collects each die's stream into one), so
+//!   campaigns re-run against identical silicon without re-synthesis and
+//!   peak memory stays bounded by the chunk size rather than the fleet
+//!   size.
 
 pub mod campaign;
 pub mod search;

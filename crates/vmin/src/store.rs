@@ -390,7 +390,11 @@ impl DieStoreReader {
         let index_offset = u64_of(&footer[0..8]);
         let checksum = u64_of(&footer[8..16]);
         let index_len = 8u64 * dies as u64;
-        if index_offset < header_end || index_offset + index_len + 24 != file_len {
+        // The offset is read from the file: a hostile one must not wrap.
+        let index_end = index_offset
+            .checked_add(index_len)
+            .and_then(|end| end.checked_add(24));
+        if index_offset < header_end || index_end != Some(file_len) {
             return format_err("index offset inconsistent with file size");
         }
 
@@ -408,7 +412,9 @@ impl DieStoreReader {
             }
         }
         if let (Some(&first), Some(&last)) = (offsets.first(), offsets.last()) {
-            if first != header_end || last + 12 > index_offset {
+            // The last record's 12-byte head must end by the index.
+            let room = index_offset.checked_sub(last);
+            if first != header_end || room.is_none_or(|room| room < 12) {
                 return format_err("index offsets outside the record region");
             }
         }

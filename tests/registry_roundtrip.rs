@@ -416,7 +416,7 @@ fn every_registered_scheme_builds_or_fails_typed_under_random_params() {
             for vdd in grid {
                 die.map_at(vdd);
             }
-            die.grid_masks(&grid, &mut |_, _, mask| {
+            model.grid_masks(64, &grid, FreqGhz::PEAK, 7, &mut |_, _, mask| {
                 assert!(mask != 0 && mask < 1 << grid.len(), "{config}: {mask:#b}");
             });
         });

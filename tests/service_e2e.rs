@@ -326,6 +326,11 @@ fn hostile_requests_get_4xx_and_never_wedge_the_service() {
              \"workloads\":[\"fft\"],\"ops_per_cu\":10,\"gpu\":{\"l2_kb\":96}}",
             "an L2 whose set count is not a power of two",
         ),
+        (
+            "{\"mode\":\"vmin\",\"root_seed\":1,\"dies\":2,\"lines\":4294967296,\
+             \"vdds\":[0.6,0.65],\"schemes\":[\"flair\"]}",
+            "a Vmin campaign whose dies have more lines than a u32 indexes",
+        ),
     ] {
         let resp = client.post("/v1/jobs", payload.as_bytes()).expect(what);
         assert_eq!(resp.status, 400, "{what}: {}", resp.text());
@@ -431,6 +436,29 @@ fn a_stalled_request_does_not_delay_other_clients() {
     drop(stalled);
     handle.shutdown();
     await_return(runner, Duration::from_secs(15));
+}
+
+#[test]
+fn a_drain_does_not_wait_for_a_request_still_being_read() {
+    let (handle, client, runner) = start_server(ServerConfig::default());
+    // Half a request line, then silence, held open through the drain.
+    let mut stalled = TcpStream::connect(handle.local_addr()).expect("connect");
+    stalled.write_all(b"GET /v1/hea").expect("write");
+    // Connections are accepted in order, so once the other handler has
+    // answered this, the stalled one is being read.
+    assert_eq!(client.get("/v1/healthz").expect("healthz").status, 200);
+
+    handle.shutdown();
+    await_return(runner, Duration::from_secs(2));
+    // The stalled client gets its connection closed, not an answer.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("read timeout");
+    let mut answer = [0u8; 64];
+    assert!(
+        stalled.read(&mut answer).map_or(true, |n| n == 0),
+        "a cut-short request was answered"
+    );
 }
 
 #[test]

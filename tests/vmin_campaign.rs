@@ -18,14 +18,16 @@
 //!    KILLI_BLESS=1 cargo test --test vmin_campaign
 //!    ```
 //! 3. **Hostile stores** — a die store whose record breaks voltage
-//!    nesting makes a campaign on a nested model return a typed error.
+//!    nesting makes a campaign on a nested model return a typed error,
+//!    and truncated, bit-flipped or field-overwritten store bytes make
+//!    opening and reading it return a typed error, never panic.
 
 use killi_repro::bench::fault_models::FaultModelConfig;
 use killi_repro::bench::schemes::{default_registry as scheme_registry, SchemeConfig};
 use killi_repro::fault::model::default_registry as fault_registry;
 use killi_repro::vmin::{
-    check_report, run_campaign, CampaignError, DieEntry, DieRecord, DieStoreWriter, SearchMode,
-    StoreMeta, VminConfig, DEFAULT_GRID,
+    check_report, run_campaign, CampaignError, DieEntry, DieRecord, DieStoreReader, DieStoreWriter,
+    SearchMode, StoreError, StoreMeta, VminConfig, DEFAULT_GRID,
 };
 
 mod common;
@@ -285,6 +287,125 @@ fn a_store_record_that_breaks_nesting_is_a_typed_error() {
                 assert_eq!((die, entry), (bad_die, hostile));
             }
             other => panic!("mask {mask:#b}: expected a typed error, got {other:?}"),
+        }
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// FNV-1a, as the die store checksums its header and index.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn hostile_die_store_bytes_are_typed_errors() {
+    let dir = std::env::temp_dir().join(format!("killi-vmin-fuzz-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("store.kds");
+    let write_store = |dies: u32| {
+        let meta = StoreMeta {
+            root_seed: 9,
+            lines: 64,
+            grid: DEFAULT_GRID.to_vec(),
+            fault_model: "stuck-at".to_string(),
+            dies,
+        };
+        let mut writer = DieStoreWriter::create(&path, meta).unwrap();
+        for die in 0..dies {
+            let entries = (0..die + 2)
+                .map(|i| DieEntry {
+                    line: 3 * i,
+                    cell: (7 * i) as u16,
+                    stuck: i % 2 == 0,
+                    mask: (1 << (i % 7 + 1)) - 1,
+                })
+                .collect();
+            writer
+                .append(&DieRecord {
+                    seed: u64::from(die),
+                    entries,
+                })
+                .unwrap();
+        }
+        writer.finish().unwrap();
+        std::fs::read(&path).unwrap()
+    };
+
+    // A footer offset near u64::MAX used to overflow the size check.
+    let mut one = write_store(1);
+    let footer = one.len() - 24;
+    one[footer..footer + 8].copy_from_slice(&(u64::MAX - 4).to_le_bytes());
+    std::fs::write(&path, &one).unwrap();
+    match DieStoreReader::open(&path) {
+        Err(StoreError::Format { reason }) => {
+            assert!(reason.contains("index offset inconsistent"), "{reason}");
+        }
+        other => panic!("expected a format error, got {other:?}"),
+    }
+
+    // The fields of the valid three-die store, as (offset, width).
+    let good = write_store(3);
+    let grid_len = DEFAULT_GRID.len();
+    let label_end = 38 + 8 * grid_len + "stuck-at".len();
+    let header_end = label_end + 4;
+    let footer = good.len() - 24;
+    let index_offset = u64::from_le_bytes(good[footer..footer + 8].try_into().unwrap()) as usize;
+    let mut fields: Vec<(usize, usize)> = vec![(18, 8), (26, 4), (30, 4)];
+    fields.extend((0..grid_len).map(|i| (34 + 8 * i, 8)));
+    fields.extend([(34 + 8 * grid_len, 4), (label_end, 4)]);
+    fields.extend((index_offset..footer).step_by(8).map(|at| (at, 8)));
+    fields.extend([(footer, 8), (footer + 8, 8)]);
+    // Each record's seed, entry count and first entry's fields.
+    for die in 0..3 {
+        let at = index_offset + 8 * die;
+        let record = u64::from_le_bytes(good[at..at + 8].try_into().unwrap()) as usize;
+        fields.extend([(record, 8), (record + 8, 4), (record + 12, 4)]);
+        fields.extend([(record + 16, 2), (record + 18, 1), (record + 20, 8)]);
+    }
+    let hostile: [u64; 8] = [
+        0,
+        1,
+        u64::from(u32::MAX),
+        u64::MAX,
+        u64::MAX - 4,
+        f64::NAN.to_bits(),
+        f64::INFINITY.to_bits(),
+        good.len() as u64,
+    ];
+
+    killi_check::check_cases("die_store_bytes_fuzz", 1024, |g| {
+        let mut bytes = good.clone();
+        match g.usize_in(0, 4) {
+            0 => bytes.truncate(g.usize_in(0, good.len())),
+            1 => {
+                for _ in 0..g.usize_in(1, 9) {
+                    let at = g.usize_in(0, bytes.len());
+                    bytes[at] ^= 1 << g.usize_in(0, 8);
+                }
+            }
+            reseal => {
+                let &(at, width) = g.pick(&fields);
+                let value = g.pick(&hostile).to_le_bytes();
+                bytes[at..at + width].copy_from_slice(&value[..width]);
+                // Half the overwrites re-seal the checksum, so the checks
+                // behind it see them too.
+                if reseal == 3 {
+                    let sum = fnv1a(
+                        fnv1a(0xcbf2_9ce4_8422_2325, &bytes[..header_end]),
+                        &bytes[index_offset..footer],
+                    );
+                    bytes[footer + 8..footer + 16].copy_from_slice(&sum.to_le_bytes());
+                }
+            }
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        // Each call returns a value or a typed error; a panic fails here.
+        if let Ok(mut reader) = DieStoreReader::open(&path) {
+            for die in 0..=(reader.meta().dies as usize).min(4) {
+                let _ = reader.read_die(die);
+            }
         }
     });
     std::fs::remove_dir_all(&dir).ok();
