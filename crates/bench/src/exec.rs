@@ -1,8 +1,7 @@
 //! Shared scoped-thread work-stealing executor plus progress counters.
 //!
-//! Every parallel phase in the bench crate (the experiment matrix, the
-//! Monte-Carlo sweep engine, the replicated yield/DVFS studies) runs on
-//! this pool. Determinism contract: each job writes only its own result
+//! Every parallel phase in the bench crate (the Monte-Carlo sweep engine,
+//! the replicated yield/DVFS studies) runs on this pool. Determinism contract: each job writes only its own result
 //! slot, so the output vector is a pure function of the job list — the
 //! thread count changes wall-clock time, never results.
 

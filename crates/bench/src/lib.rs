@@ -2,7 +2,8 @@
 //! paper.
 //!
 //! - [`schemes`] — the protection-scheme factory,
-//! - [`runner`] — the parallel (workload x scheme) simulation matrix,
+//! - [`runner`] — one (workload, scheme) simulation, the cell the sweep
+//!   engine fans out,
 //! - [`sweep`] — the Monte-Carlo replication engine (mean/stddev/CI95
 //!   per (vdd, scheme, workload) cell, JSON reports),
 //! - [`exec`] — the shared work-stealing thread pool + progress counters,

@@ -6,7 +6,10 @@
 //! (replicate x NormVdd x scheme x workload) cross-product out over the
 //! shared work-stealing pool ([`crate::exec`]) and aggregates every
 //! [`SimStats`] metric into mean / stddev / 95% confidence interval per
-//! (vdd, scheme, workload) cell.
+//! (vdd, scheme, workload) cell. It is the one path that simulates a
+//! scheme comparison: the paper's single-map experiments (Figures 4/5,
+//! Table 6, the ablations, the ECC-cache sweep) and `killi simulate` are
+//! one-replicate sweeps.
 //!
 //! Determinism contract (regression-tested): all seeds derive from the
 //! root via [`derive_seed`] — replicate `r` draws die
@@ -39,7 +42,9 @@ use crate::fault_models::{
 };
 use crate::report::Table;
 use crate::runner::{run_cell, trace_params, ObsConfig};
-use crate::schemes::{check_builds, default_registry, scheme_label, BuildError, SchemeConfig};
+use crate::schemes::{
+    check_builds, check_distinct_labels, default_registry, scheme_label, BuildError, SchemeConfig,
+};
 
 /// Why a [`SweepConfig`] failed validation: the GPU geometry cannot be
 /// simulated, or the scheme, fault-model or voltage axis rejected its
@@ -290,14 +295,16 @@ impl SweepConfig {
 
     /// Validates the GPU geometry, then every scheme config against the
     /// registry *and* the sweep's cache geometry (via a fault-free test
-    /// build), plus the fault-model config against its registry (via a
-    /// test build), so a bad `--l2kb`, `--scheme` or `--fault-model` fails
-    /// before the fan-out phase instead of mid-run.
+    /// build) and the scheme list for a repeated label (a report keys its
+    /// cells by label), plus the fault-model config against its registry
+    /// (via a test build), so a bad `--l2kb`, `--scheme` or
+    /// `--fault-model` fails before the fan-out phase instead of mid-run.
     pub fn validate(&self) -> Result<(), SweepConfigError> {
         self.gpu
             .validate()
             .map_err(|reason| SweepConfigError::Geometry { reason })?;
         check_builds(&self.schemes, self.gpu.l2)?;
+        check_distinct_labels(&self.schemes)?;
         build_fault_model(&self.fault_model)?;
         validate_voltage_grid(&self.vdds)
             .map_err(|reason| SweepConfigError::VoltageGrid { reason })?;
@@ -427,6 +434,10 @@ pub struct SweepCell {
     pub metrics: [Accumulator; 9],
     /// Observability counters summed over the cell's replicates.
     pub obs: MetricSet,
+    /// Each replicate's raw counters, in replicate order, for readers of
+    /// counters no metric carries (Table 6's access counts). Never
+    /// serialized.
+    pub runs: Vec<SimStats>,
 }
 
 impl SweepCell {
@@ -684,6 +695,7 @@ fn run_sweep_mode(config: &SweepConfig, mode: ArtifactMode) -> SweepReport {
             acc.add(value);
         }
         cell.obs.merge(&r.metrics);
+        cell.runs.push(r.stats);
     };
 
     let mut cells = Vec::new();
@@ -694,6 +706,7 @@ fn run_sweep_mode(config: &SweepConfig, mode: ArtifactMode) -> SweepReport {
             workload: workload.name(),
             metrics: Default::default(),
             obs: MetricSet::new(),
+            runs: Vec::with_capacity(reps),
         };
         for rep in 0..reps {
             fold(&mut cell, w * reps + rep, w, rep);
@@ -711,6 +724,7 @@ fn run_sweep_mode(config: &SweepConfig, mode: ArtifactMode) -> SweepReport {
                     workload: workload.name(),
                     metrics: Default::default(),
                     obs: MetricSet::new(),
+                    runs: Vec::with_capacity(reps),
                 };
                 for rep in 0..reps {
                     fold(&mut cell, job_index, w, rep);
@@ -935,6 +949,31 @@ mod tests {
             }
             other => panic!("expected Unknown, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn validate_rejects_two_schemes_under_one_label() {
+        let config = SweepConfig {
+            schemes: SchemeConfig::parse_list("killi:ratio=16,killi:ratio=16,ecc_ways=8").unwrap(),
+            ..tiny_sweep()
+        };
+        let err = config.clone().validate().unwrap_err();
+        assert_eq!(
+            err,
+            SweepConfigError::Scheme(BuildError::DuplicateLabel {
+                label: "killi-1:16".to_string(),
+                first: "killi:ratio=16".to_string(),
+                second: "killi:ratio=16,ecc_ways=8".to_string(),
+            })
+        );
+        assert_eq!(
+            err.to_string(),
+            "schemes `killi:ratio=16` and `killi:ratio=16,ecc_ways=8` share the label `killi-1:16`"
+        );
+        assert!(matches!(
+            config.validated(),
+            Err(SweepConfigError::Scheme(BuildError::DuplicateLabel { .. }))
+        ));
     }
 
     #[test]

@@ -257,6 +257,16 @@ pub enum BuildError<K> {
         /// What went wrong.
         reason: String,
     },
+    /// Two configs of one list share a label, so a report keyed by
+    /// label could not tell them apart.
+    DuplicateLabel {
+        /// The shared label.
+        label: String,
+        /// The first config's spelling.
+        first: String,
+        /// The second config's spelling.
+        second: String,
+    },
     /// Never constructed: carries the kind, so scheme and fault-model
     /// errors are distinct types.
     #[doc(hidden)]
@@ -292,6 +302,14 @@ impl<K: Kind> fmt::Display for BuildError<K> {
             BuildError::Build { name, reason } => {
                 write!(f, "cannot build {}`{name}`: {reason}", K::BUILD_PREFIX)
             }
+            BuildError::DuplicateLabel {
+                label,
+                first,
+                second,
+            } => write!(
+                f,
+                "{noun}s `{first}` and `{second}` share the label `{label}`"
+            ),
             BuildError::Never(never, _) => match *never {},
         }
     }

@@ -70,16 +70,6 @@ impl SimStats {
             self.l2_hits as f64 / total as f64
         }
     }
-
-    /// Kernel execution time relative to a baseline run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the baseline ran zero cycles.
-    pub fn normalized_time(&self, baseline: &SimStats) -> f64 {
-        assert!(baseline.cycles > 0, "baseline ran zero cycles");
-        self.cycles as f64 / baseline.cycles as f64
-    }
 }
 
 #[cfg(test)]
@@ -110,24 +100,5 @@ mod tests {
         };
         assert!((s.l2_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(SimStats::default().l2_hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn normalized_time() {
-        let base = SimStats {
-            cycles: 1000,
-            ..SimStats::default()
-        };
-        let run = SimStats {
-            cycles: 1080,
-            ..SimStats::default()
-        };
-        assert!((run.normalized_time(&base) - 1.08).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero cycles")]
-    fn normalized_time_requires_baseline() {
-        SimStats::default().normalized_time(&SimStats::default());
     }
 }

@@ -34,7 +34,9 @@ use killi_bench::exec::{par_map, Progress};
 use killi_bench::fault_models::{
     build_fault_model, fault_model_label, FaultModelBuildError, FaultModelConfig,
 };
-use killi_bench::schemes::{default_registry, scheme_admissibility, scheme_label};
+use killi_bench::schemes::{
+    check_distinct_labels, default_registry, scheme_admissibility, scheme_label,
+};
 use killi_bench::sweep::{validate_voltage_grid, Accumulator};
 use killi_fault::model::default_registry as default_fault_registry;
 use killi_fault::rng::derive_seed;
@@ -165,11 +167,16 @@ impl VminConfig {
                 reason: "a campaign needs at least one scheme".to_string(),
             });
         }
-        let registry = default_registry();
-        for scheme in &mut self.schemes {
+        for scheme in &self.schemes {
             // Resolving the admissibility rule exercises name + param
             // validation and proves the scheme supports static binning.
             scheme_admissibility(scheme)?;
+        }
+        // The report bins by label; checked before canonicalization, so
+        // the error names the given spellings.
+        check_distinct_labels(&self.schemes)?;
+        let registry = default_registry();
+        for scheme in &mut self.schemes {
             *scheme = registry.canonicalize(scheme)?;
         }
         build_fault_model(&self.fault_model)?;
@@ -1183,6 +1190,36 @@ mod tests {
         let mut c = small_config();
         c.schemes[0] = SchemeConfig::new("no-such-scheme");
         assert!(matches!(c.validated(), Err(VminConfigError::Scheme(_))));
+    }
+
+    #[test]
+    fn validation_rejects_two_schemes_under_one_label() {
+        // A parameter the label does not show, or a repeated scheme,
+        // would bin two configs under one name.
+        for (spellings, label, second) in [
+            (
+                "killi:ratio=16,killi:ratio=16,ecc_ways=8",
+                "killi-1:16",
+                "killi:ratio=16,ecc_ways=8",
+            ),
+            ("ms-ecc,flair,ms-ecc:m=16,t=2", "ms-ecc", "ms-ecc:m=16,t=2"),
+            // A list of defaults is compared by name.
+            ("flair,dected,flair", "flair", "flair"),
+        ] {
+            let mut c = small_config();
+            c.schemes = SchemeConfig::parse_list(spellings).unwrap();
+            match c.validated() {
+                Err(VminConfigError::Scheme(BuildError::DuplicateLabel {
+                    label: got,
+                    second: got_second,
+                    ..
+                })) => {
+                    assert_eq!(got, label, "{spellings}");
+                    assert_eq!(got_second, second, "{spellings}");
+                }
+                other => panic!("{spellings}: {other:?}"),
+            }
+        }
     }
 
     #[test]

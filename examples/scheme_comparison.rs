@@ -4,16 +4,13 @@
 //!
 //! Run with: `cargo run --release --example scheme_comparison`
 
-use killi_repro::fault::cell_model::NormVdd;
 use killi_repro::model::area::{checkbits, AreaModel};
 
-use killi_bench::runner::{baseline_of, run_matrix, MatrixConfig};
-use killi_bench::schemes::{scheme_label, SchemeConfig};
+use killi_bench::schemes::SchemeConfig;
+use killi_bench::sweep::{run_sweep, SweepConfig};
 use killi_repro::workloads::Workload;
 
 fn main() {
-    let mut config = MatrixConfig::paper(60_000, 42);
-    config.vdd = NormVdd::LV_0_625;
     // Each scheme's registry spelling and the storage it adds.
     let area = AreaModel::paper();
     let schemes = [
@@ -24,25 +21,29 @@ fn main() {
         ("killi:ratio=16", area.killi_bits(16, checkbits::SECDED)),
     ];
     println!("simulating xsbench under 5 protection schemes at 0.625 x VDD ...");
-    let configs: Vec<SchemeConfig> = schemes
-        .iter()
-        .map(|(spelling, _)| SchemeConfig::parse(spelling).expect("a registry spelling"))
-        .collect();
-    let results = run_matrix(&[Workload::Xsbench], &configs, &config);
-    let base = baseline_of(&results, "xsbench");
+    // One replicate at one voltage: every scheme on the same fault map
+    // and trace, against a fault-free baseline.
+    let report = run_sweep(&SweepConfig {
+        vdds: vec![0.625],
+        schemes: schemes
+            .iter()
+            .map(|(spelling, _)| SchemeConfig::parse(spelling).expect("a registry spelling"))
+            .collect(),
+        workloads: vec![Workload::Xsbench],
+        ..SweepConfig::paper(60_000, 42, 1)
+    });
 
     println!();
     println!("scheme        norm.time     MPKI   disabled   area (KiB)");
     println!("---------------------------------------------------------");
-    for (config, (_, bits)) in configs.iter().zip(schemes) {
-        let label = scheme_label(config).expect("a registered scheme");
-        let r = results.iter().find(|r| r.scheme == label).expect("result");
+    // Protected cells follow the baseline, in scheme order.
+    for (cell, (_, bits)) in report.cells[1..].iter().zip(schemes) {
         println!(
             "{:<12}  {:>9.4}  {:>7.2}  {:>9}  {:>11.2}",
-            r.scheme,
-            r.stats.normalized_time(&base.stats),
-            r.stats.mpki(),
-            r.disabled_lines,
+            cell.scheme,
+            cell.metric("norm_time").mean(),
+            cell.metric("mpki").mean(),
+            cell.metric("disabled_lines").mean(),
             AreaModel::kib(bits),
         );
     }

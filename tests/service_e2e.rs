@@ -331,6 +331,17 @@ fn hostile_requests_get_4xx_and_never_wedge_the_service() {
              \"vdds\":[0.6,0.65],\"schemes\":[\"flair\"]}",
             "a Vmin campaign whose dies have more lines than a u32 indexes",
         ),
+        (
+            "{\"root_seed\":1,\"replications\":1,\"vdds\":[0.65,0.6],\
+             \"schemes\":[\"killi:ratio=16\",\"killi:ratio=16,ecc_ways=8\"],\
+             \"workloads\":[\"fft\"],\"ops_per_cu\":10}",
+            "a sweep of two schemes under one label",
+        ),
+        (
+            "{\"mode\":\"vmin\",\"root_seed\":1,\"dies\":2,\"lines\":64,\"vdds\":[0.6,0.65],\
+             \"schemes\":[\"ms-ecc\",{\"name\":\"ms-ecc\",\"params\":{\"m\":16}}]}",
+            "a Vmin campaign binning two schemes under one label",
+        ),
     ] {
         let resp = client.post("/v1/jobs", payload.as_bytes()).expect(what);
         assert_eq!(resp.status, 400, "{what}: {}", resp.text());
