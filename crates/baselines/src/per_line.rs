@@ -405,7 +405,7 @@ mod tests {
         data: &Line512,
     ) -> (Option<bool>, Line512) {
         let fill = s.on_fill(line, data);
-        assert!(fill.accepted && fill.invalidate.is_empty());
+        assert!(fill.accepted && fill.invalidate.is_none());
         let mut arr = *data;
         map.corrupt_data(line, &mut arr);
         let outcome = match s.on_read_hit(line, &mut arr) {

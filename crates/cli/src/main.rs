@@ -577,8 +577,7 @@ fn cmd_simulate(args: &Args) -> Result<(), ArgError> {
         workloads: vec![workload],
         ..SweepConfig::paper(ops, seed, 1)
     };
-    check_builds(&config.schemes, config.gpu.l2).map_err(|e| io_msg(e.to_string()))?;
-    build_fault_model(&config.fault_model).map_err(|e| io_msg(e.to_string()))?;
+    config.validate().map_err(|e| io_msg(e.to_string()))?;
     let report = run_sweep(&config);
     let cell = report.cells.last().expect("the scheme's cell");
     let value = |name: &str| cell.metric(name).mean();

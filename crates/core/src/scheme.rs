@@ -428,7 +428,7 @@ impl LineProtection for KilliScheme {
                 };
                 if let Some((displaced, old_payload)) = self.ecc.insert(line, payload) {
                     self.pending_displaced = Some((displaced, old_payload));
-                    outcome.invalidate.push(displaced);
+                    outcome.invalidate = Some(displaced);
                 }
             }
             Dfh::Stable1 => {
@@ -446,7 +446,7 @@ impl LineProtection for KilliScheme {
                 };
                 if let Some((displaced, old_payload)) = self.ecc.insert(line, payload) {
                     self.pending_displaced = Some((displaced, old_payload));
-                    outcome.invalidate.push(displaced);
+                    outcome.invalidate = Some(displaced);
                 }
             }
             Dfh::Disabled => {
@@ -479,7 +479,7 @@ impl LineProtection for KilliScheme {
                 };
                 if let Some((displaced, old_payload)) = self.ecc.insert(line, payload) {
                     self.pending_displaced = Some((displaced, old_payload));
-                    outcome.invalidate.push(displaced);
+                    outcome.invalidate = Some(displaced);
                 }
                 self.flags[line].dirty_protected = true;
             }
@@ -488,7 +488,7 @@ impl LineProtection for KilliScheme {
                 let payload = EccPayload::Dected(dected().encode(data));
                 if let Some((displaced, old_payload)) = self.ecc.insert(line, payload) {
                     self.pending_displaced = Some((displaced, old_payload));
-                    outcome.invalidate.push(displaced);
+                    outcome.invalidate = Some(displaced);
                 }
                 self.flags[line].dected = true;
                 self.flags[line].dirty_protected = true;
@@ -818,7 +818,7 @@ mod tests {
         let data = Line512::from_seed(1);
         assert_eq!(s.dfh(0), Dfh::Unknown);
         let fill = s.on_fill(0, &data);
-        assert!(fill.accepted && fill.invalidate.is_empty());
+        assert!(fill.accepted && fill.invalidate.is_none());
         assert_eq!(s.ecc_cache().occupancy(), 1);
         let mut arr = stored(&s, 0, &data);
         match s.on_read_hit(0, &mut arr) {
@@ -988,10 +988,10 @@ mod tests {
         let mut s = scheme(vec![], config());
         let data = Line512::from_seed(5);
         for line in 0..4 {
-            assert!(s.on_fill(line, &data).invalidate.is_empty());
+            assert!(s.on_fill(line, &data).invalidate.is_none());
         }
         let fill = s.on_fill(4, &data);
-        assert_eq!(fill.invalidate, vec![0], "LRU-protected line displaced");
+        assert_eq!(fill.invalidate, Some(0), "LRU-protected line displaced");
         assert_eq!(s.metrics().get(Counter::EccCacheDisplacements), 1);
     }
 
@@ -1004,7 +1004,7 @@ mod tests {
         }
         s.on_promote(0); // coordinated promotion makes line 0 MRU
         let fill = s.on_fill(4, &data);
-        assert_eq!(fill.invalidate, vec![1], "line 0 protected by promotion");
+        assert_eq!(fill.invalidate, Some(1), "line 0 protected by promotion");
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl Harness {
                 }
                 let intended = Line512::from_seed(g.u64());
                 let outcome = self.scheme.on_fill(line, &intended);
-                for &victim in &outcome.invalidate {
+                if let Some(victim) = outcome.invalidate {
                     assert_ne!(victim, line, "scheme invalidated the line it filled");
                     if self.valid[victim] {
                         let stored = self.stored(victim);

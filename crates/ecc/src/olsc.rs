@@ -9,16 +9,27 @@
 //! share at most one class across all groups, so a single pass of majority
 //! voting over the `2t` check sums corrects up to `t` errors.
 //!
-//! The line codec works on whole 64-bit words. A block is the contiguous
-//! bit range `b*k .. (b+1)*k` of the line (one word at the default
-//! `m = 8`). Each class parity is an AND against a precomputed class mask
-//! plus a popcount, and the majority vote is bit-sliced: the `2t` per-group
-//! "fired" masks are summed into a bit-sliced counter that is compared
-//! against `t` for all cells of the block at once. Checkbits are packed
-//! into an [`OlscCheck`], block `b`'s check of class `cls` in group `g` at
-//! bit `b * 2tm + g * m + cls`.
-
-use std::sync::OnceLock;
+//! The line codec reads a block as a bit matrix. A block is the contiguous
+//! bit range `b*k .. (b+1)*k` of the line (a quarter word at `m = 4`, one
+//! word at the default `m = 8`, four words at `m = 16`), and its `m` rows
+//! are `m` bits each, cell `(i, j)` at block bit `i * m + j`. Every group's
+//! class parities are a word-wide transform of the rows:
+//!
+//! - the row classes are the row parities;
+//! - the column classes are the XOR of all rows;
+//! - Latin square `g - 1` puts cell `(i, j)` in class `c_i ^ j`, with
+//!   `c_i = gf_mul_small(m, g - 1, i)`, so its class parities are the XOR
+//!   of the rows after row `i`'s bit indices are XOR-permuted by `c_i`.
+//!   That permutation is one masked swap per bit of `c_i` (distance 1, 2,
+//!   4 or 8), applied to every row of a word at once.
+//!
+//! The permutation is its own inverse, so the decoder's error path builds
+//! the cells a group's fired classes cover the same way: the fired classes
+//! copied into every row and permuted. The majority vote is bit-sliced:
+//! the `2t` per-group "fired" masks are summed into a bit-sliced counter
+//! that is compared against `t` for all cells of the block at once.
+//! Checkbits are packed into an [`OlscCheck`], block `b`'s check of class
+//! `cls` in group `g` at bit `b * 2tm + g * m + cls`.
 
 use crate::bits::{Line512, LINE_BITS};
 
@@ -31,14 +42,13 @@ pub const MAX_CHECK_BITS: usize = 256;
 
 /// GF(2^e) multiply for tiny fields (m = 4, 8, 16), used to build the
 /// mutually orthogonal Latin squares.
-pub(crate) fn gf_mul_small(m: usize, a: usize, b: usize) -> usize {
+pub(crate) const fn gf_mul_small(m: usize, a: usize, b: usize) -> usize {
     let poly = match m {
         4 => 0b111,    // x^2 + x + 1
         8 => 0b1011,   // x^3 + x + 1
         16 => 0b10011, // x^4 + x + 1
         _ => unreachable!(),
     };
-    let bits = m.trailing_zeros() as usize;
     let mut acc = 0usize;
     let mut aa = a;
     let mut bb = b;
@@ -52,42 +62,54 @@ pub(crate) fn gf_mul_small(m: usize, a: usize, b: usize) -> usize {
         }
         bb >>= 1;
     }
-    debug_assert!(acc < (1 << bits));
+    debug_assert!(acc < m);
     acc
 }
 
-/// Class masks of every group an `m x m` block supports (rows, columns
-/// and the `m - 1` Latin squares), group-major: `masks[g * m + cls]`
-/// selects the cells of class `cls` in group `g`, cell `i * m + j` at
-/// block bit `i * m + j`. Built once per process for each `m`.
-fn class_masks(m: usize) -> &'static [[u64; 4]] {
-    static TABLES: [OnceLock<Vec<[u64; 4]>>; 3] =
-        [OnceLock::new(), OnceLock::new(), OnceLock::new()];
-    let slot = match m {
-        4 => &TABLES[0],
-        8 => &TABLES[1],
-        16 => &TABLES[2],
-        _ => unreachable!("validated by OlscLine::try_new"),
-    };
-    slot.get_or_init(|| {
-        let groups = m + 1;
-        let mut masks = vec![[0u64; 4]; groups * m];
-        for g in 0..groups {
-            for i in 0..m {
-                for j in 0..m {
-                    let cls = match g {
-                        0 => i,                             // rows
-                        1 => j,                             // columns
-                        _ => gf_mul_small(m, g - 1, i) ^ j, // L_{g-1}
-                    };
-                    let cell = i * m + j;
-                    masks[g * m + cls][cell / 64] |= 1 << (cell % 64);
+/// The bits a swap at distance `1 << s` moves up: the low half of every
+/// aligned `2 << s`-bit group.
+const LOW_HALVES: [u64; 4] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0F0F_0F0F_0F0F_0F0F,
+    0x00FF_00FF_00FF_00FF,
+];
+
+/// The row permutations of the Latin squares of one block width `m`:
+/// `[a][s][w]` selects, in word `w` of a block, the low halves of the swap
+/// at distance `1 << s` in every row `i` whose offset
+/// `gf_mul_small(m, a, i)` has bit `s` set. Square `a = 0`, the columns,
+/// permutes nothing.
+type RowSwaps = [[[u64; 4]; 4]; 16];
+
+const fn row_swaps(m: usize) -> RowSwaps {
+    let mut swaps = [[[0; 4]; 4]; 16];
+    let rows_per_word = 64 / m;
+    let mut a = 0;
+    while a < m {
+        let mut w = 0;
+        while w < 4 {
+            let mut lane = 0;
+            while lane < rows_per_word {
+                let offset = gf_mul_small(m, a, (w * rows_per_word + lane) % m);
+                let mut s = 0;
+                while (1 << s) < m {
+                    if (offset >> s) & 1 == 1 {
+                        swaps[a][s][w] |= (low_bits(m) << (lane * m)) & LOW_HALVES[s];
+                    }
+                    s += 1;
                 }
+                lane += 1;
             }
+            w += 1;
         }
-        masks
-    })
+        a += 1;
+    }
+    swaps
 }
+
+/// [`row_swaps`] of `m = 4, 8, 16`, indexed by `log2(m) - 2`.
+static ROW_SWAPS: [RowSwaps; 3] = [row_swaps(4), row_swaps(8), row_swaps(16)];
 
 /// Decode verdict of the OLSC codec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,9 +139,6 @@ pub struct OlscLine {
     k: usize,
     /// Blocks per line.
     blocks: usize,
-    /// The `2t * m` class masks of this code: a prefix of the shared
-    /// per-`m` table.
-    masks: &'static [[u64; 4]],
 }
 
 impl std::fmt::Debug for OlscLine {
@@ -132,8 +151,8 @@ impl std::fmt::Debug for OlscLine {
     }
 }
 
-/// The low `n` bits set (`n <= 64`).
-fn low_bits(n: usize) -> u64 {
+/// The low `n` bits set (`n <= 64`; more saturate).
+const fn low_bits(n: usize) -> u64 {
     if n >= 64 {
         u64::MAX
     } else {
@@ -141,23 +160,90 @@ fn low_bits(n: usize) -> u64 {
     }
 }
 
-/// Parity of the block bits selected by `mask`, as 0 or 1.
-#[inline]
-fn parity<const W: usize>(block: &[u64; W], mask: &[u64; 4]) -> u64 {
-    let mut x = 0;
-    for (b, m) in block.iter().zip(mask) {
-        x ^= b & m;
+/// The low `width` bits of every aligned `lane`-bit lane (`lane` a power
+/// of two, at least `width`).
+const fn lane_bits(lane: usize, width: usize) -> u64 {
+    if lane >= 64 {
+        low_bits(width)
+    } else {
+        u64::MAX / low_bits(lane) * low_bits(width)
     }
-    u64::from(x.count_ones() & 1)
 }
 
-/// The parities of eight consecutive class masks, mask `i` at bit `i`.
+/// Packs the low `width` bits of every `lane`-bit lane of `x` into its low
+/// bits, in lane order, by merging neighbouring lanes pairwise. (The
+/// loops here count steps, not bits, so that constant arguments unroll
+/// them.)
+#[inline(always)]
+fn pack_lanes(mut x: u64, lane: usize, width: usize) -> u64 {
+    x &= lane_bits(lane, width);
+    let lanes = 64 / lane;
+    if width == 1 && lanes <= 8 {
+        // One multiply moves lane l's bit to bit `64 - lanes + l`; the
+        // partial products of at most eight lanes never collide.
+        let spread = (0..lanes).fold(0u64, |m, l| m | 1 << (64 - lanes - (lane - 1) * l));
+        return x.wrapping_mul(spread) >> (64 - lanes);
+    }
+    for step in 0..lanes.trailing_zeros() {
+        let (lane, width) = (lane << step, width << step);
+        x = (x | x >> (lane - width)) & lane_bits(2 * lane, 2 * width);
+    }
+    x
+}
+
+/// XORs the `width`-bit pieces of every aligned `span`-bit lane of `x`
+/// into the lane's low piece (the other bits are left unspecified).
+#[inline(always)]
+fn fold(mut x: u64, span: usize, width: usize) -> u64 {
+    for step in 1..=(span / width).trailing_zeros() {
+        x ^= x >> (span >> step);
+    }
+    x
+}
+
+/// XOR-permutes the bit indices of every `M`-bit row in word `w` of a
+/// block by the row's offset in Latin square `a`. Its own inverse.
 #[inline]
-fn parity_byte<const W: usize>(block: &[u64; W], masks: &[[u64; 4]; 8]) -> u64 {
-    masks
-        .iter()
-        .enumerate()
-        .fold(0, |byte, (i, mask)| byte | parity(block, mask) << i)
+fn permute_rows<const M: usize>(mut x: u64, a: usize, w: usize) -> u64 {
+    let levels = M.trailing_zeros() as usize;
+    let swaps = &ROW_SWAPS[levels - 2][a];
+    for (s, low) in swaps.iter().take(levels).enumerate() {
+        let distance = 1 << s;
+        let moved = ((x >> distance) ^ x) & low[w];
+        x ^= moved ^ (moved << distance);
+    }
+    x
+}
+
+/// Word `w` of a block on its way to group `g`'s class parities: each
+/// row folded to its lowest bit for the rows group, else each row
+/// XOR-permuted by its offset in square `g - 1` (the columns permute
+/// nothing).
+#[inline(always)]
+fn transform_rows<const M: usize>(word: u64, g: usize, w: usize) -> u64 {
+    match g {
+        0 => fold(word, M, 1),
+        1 => word,
+        _ => permute_rows::<M>(word, g - 1, w),
+    }
+}
+
+/// Group `g`'s class parities of the blocks in `unit` (one `16 x 16`
+/// block in four words, or the `64 / k` blocks of one word) from its
+/// [`transform_rows`], block `b`'s at bits `b * M`: the rows' parity
+/// bits packed for the rows group, else the XOR of the rows.
+#[inline(always)]
+fn unit_classes<const M: usize, const W: usize>(transformed: &[u64; W], g: usize) -> u64 {
+    let span = (M * M).min(64);
+    if g == 0 {
+        let rows_per_word = 64 / M;
+        transformed.iter().enumerate().fold(0, |rows, (w, &x)| {
+            rows | pack_lanes(x, M, 1) << (w * rows_per_word)
+        })
+    } else {
+        let xor = transformed.iter().fold(0, |xor, &x| xor ^ x);
+        pack_lanes(fold(xor, span, M), span, M)
+    }
 }
 
 /// The `n <= 128` bits of `words` starting at bit `offset`.
@@ -173,6 +259,23 @@ fn bits_at(words: &OlscCheck, offset: usize, n: usize) -> u128 {
     } else {
         v
     }
+}
+
+/// Calls `OlscLine::$kernel::<M, W, T>` for the codec's `(m, t)`: `M = m`,
+/// `W` words per unit (four for the one `16 x 16` block a unit holds, else
+/// one), `T = t`. `try_new` admits no other codes.
+macro_rules! codes {
+    ($codec:expr, $kernel:ident($($arg:expr),*)) => {
+        match ($codec.m, $codec.t) {
+            (4, _) => Self::$kernel::<4, 1, 1>($($arg),*),
+            (8, 1) => Self::$kernel::<8, 1, 1>($($arg),*),
+            (8, _) => Self::$kernel::<8, 1, 2>($($arg),*),
+            (16, 1) => Self::$kernel::<16, 4, 1>($($arg),*),
+            (16, 2) => Self::$kernel::<16, 4, 2>($($arg),*),
+            (16, 3) => Self::$kernel::<16, 4, 3>($($arg),*),
+            _ => Self::$kernel::<16, 4, 4>($($arg),*),
+        }
+    };
 }
 
 impl OlscLine {
@@ -198,13 +301,7 @@ impl OlscLine {
                  {MAX_CHECK_BITS}-bit payload"
             ));
         }
-        Ok(OlscLine {
-            m,
-            t,
-            k,
-            blocks,
-            masks: &class_masks(m)[..2 * t * m],
-        })
+        Ok(OlscLine { m, t, k, blocks })
     }
 
     /// Builds a line codec from per-block parameters.
@@ -218,7 +315,7 @@ impl OlscLine {
 
     /// Total checkbits per line.
     pub fn check_bits(&self) -> usize {
-        self.blocks * self.masks.len()
+        self.blocks * 2 * self.t * self.m
     }
 
     /// Errors correctable per block (the per-line capability is
@@ -234,11 +331,7 @@ impl OlscLine {
 
     /// Encodes a line into its packed checkbits.
     pub fn encode(&self, line: &Line512) -> OlscCheck {
-        if self.k > 64 {
-            self.encode_words::<4>(line)
-        } else {
-            self.encode_words::<1>(line)
-        }
+        codes!(self, encode_units(line))
     }
 
     /// Decodes a line in place against stored checkbits. Blocks are
@@ -253,31 +346,13 @@ impl OlscLine {
         for (s, w) in syndrome.iter_mut().zip(stored) {
             *s ^= w;
         }
-        if self.k > 64 {
-            self.correct::<4>(line, &syndrome)
-        } else {
-            self.correct::<1>(line, &syndrome)
-        }
-    }
-
-    /// Block `b` of the line, as `W` words (`W = 1` holds blocks of up to
-    /// 64 bits in its low bits).
-    #[inline]
-    fn block<const W: usize>(&self, line: &Line512, b: usize) -> [u64; W] {
-        let mut out = [0u64; W];
-        if W == 1 {
-            let bit = b * self.k;
-            out[0] = (line.0[bit / 64] >> (bit % 64)) & low_bits(self.k);
-        } else {
-            out.copy_from_slice(&line.0[b * W..(b + 1) * W]);
-        }
-        out
+        codes!(self, correct(line, &syndrome))
     }
 
     /// Flips the cells of block `b` set in `flips`.
-    fn flip<const W: usize>(&self, line: &mut Line512, b: usize, flips: &[u64; W]) {
+    fn flip<const M: usize, const W: usize>(line: &mut Line512, b: usize, flips: &[u64; W]) {
         if W == 1 {
-            let bit = b * self.k;
+            let bit = b * M * M;
             line.0[bit / 64] ^= flips[0] << (bit % 64);
         } else {
             for (w, f) in line.0[b * W..(b + 1) * W].iter_mut().zip(flips) {
@@ -286,59 +361,61 @@ impl OlscLine {
         }
     }
 
-    fn encode_words<const W: usize>(&self, line: &Line512) -> OlscCheck {
-        // Checkbits are produced a byte at a time from the highest index
-        // down (every code has a multiple of 8 per block and of 64 per
-        // line), so the eight parities of a byte are independent and the
-        // running word only ever shifts by a constant.
+    /// The line's checkbits, group by group. A unit is `W` words: one
+    /// `16 x 16` block or the `64 / k` blocks of one word. Each group's
+    /// rows are transformed word-parallel over the line, then every
+    /// unit's class parities are scattered to its blocks' checks (an
+    /// `m`-bit class vector never straddles a word).
+    fn encode_units<const M: usize, const W: usize, const T: usize>(line: &Line512) -> OlscCheck {
+        let blocks = 64 / (M * M).min(64);
+        let per_block = 2 * T * M;
         let mut out = [0u64; 4];
-        let mut acc = 0u64;
-        let mut j = self.check_bits();
-        for b in (0..self.blocks).rev() {
-            let block = self.block::<W>(line, b);
-            for masks in self.masks.as_chunks::<8>().0.iter().rev() {
-                acc = acc << 8 | parity_byte(&block, masks);
-                j -= 8;
-                if j.is_multiple_of(64) {
-                    out[j / 64] = acc;
-                    acc = 0;
+        for g in 0..2 * T {
+            let transformed: [u64; 8] =
+                std::array::from_fn(|i| transform_rows::<M>(line.0[i], g, i % W));
+            for (u, unit) in transformed.as_chunks::<W>().0.iter().enumerate() {
+                let classes = unit_classes::<M, W>(unit, g);
+                for b in 0..blocks {
+                    let bit = (u * blocks + b) * per_block + g * M;
+                    out[bit / 64] |= ((classes >> (b * M)) & low_bits(M)) << (bit % 64);
                 }
             }
         }
         out
     }
 
-    /// The block's `2tm` class parities, bit `g * m + cls`.
-    fn block_parities<const W: usize>(&self, block: &[u64; W]) -> u128 {
-        self.masks
-            .as_chunks::<8>()
-            .0
-            .iter()
-            .rev()
-            .fold(0, |acc, masks| {
-                acc << 8 | u128::from(parity_byte(block, masks))
-            })
+    /// The checkbits of one block alone in the low bits of `W` words, class
+    /// `cls` of group `g` at bit `g * m + cls`.
+    fn block_check<const M: usize, const W: usize, const T: usize>(block: &[u64; W]) -> u128 {
+        (0..2 * T).fold(0, |check, g| {
+            let transformed = std::array::from_fn(|w| transform_rows::<M>(block[w], g, w));
+            let classes = unit_classes::<M, W>(&transformed, g) & low_bits(M);
+            check | u128::from(classes) << (g * M)
+        })
     }
 
     /// The error path: majority-votes every block whose check sums fired.
-    fn correct<const W: usize>(&self, line: &mut Line512, syndrome: &OlscCheck) -> OlscDecode {
-        let per_block = self.masks.len();
+    fn correct<const M: usize, const W: usize, const T: usize>(
+        line: &mut Line512,
+        syndrome: &OlscCheck,
+    ) -> OlscDecode {
+        let per_block = 2 * T * M;
         let mut corrected = false;
-        for b in 0..self.blocks {
+        for b in 0..LINE_BITS / (M * M) {
             let sums = bits_at(syndrome, b * per_block, per_block);
             if sums == 0 {
                 continue;
             }
-            let flips = self.vote::<W>(sums);
+            let flips = Self::vote::<M, W, T>(sums);
             // Check sums left after flipping, by linearity; any remaining
             // inconsistency is tolerated only while it could be faulty
             // checkbit cells (at most t).
-            let residual = sums ^ self.block_parities(&flips);
-            if residual.count_ones() as usize > self.t {
+            let residual = sums ^ Self::block_check::<M, W, T>(&flips);
+            if residual.count_ones() as usize > T {
                 return OlscDecode::Detected;
             }
             if flips.iter().any(|&f| f != 0) {
-                self.flip(line, b, &flips);
+                Self::flip::<M, W>(line, b, &flips);
                 corrected = true;
             }
         }
@@ -349,25 +426,44 @@ impl OlscLine {
         }
     }
 
+    /// The cells of one block (in the low bits of `W` words) whose class
+    /// in group `g` is set in `classes`: whole rows for the rows group;
+    /// otherwise `classes` in every row, XOR-permuted like the encoder
+    /// permutes the data.
+    fn class_cells<const M: usize, const W: usize>(g: usize, classes: u64) -> [u64; W] {
+        let rows_per_word = 64 / M;
+        let mut cells = [0u64; W];
+        if g == 0 {
+            let mut rows = classes;
+            while rows != 0 {
+                let i = rows.trailing_zeros() as usize;
+                rows &= rows - 1;
+                cells[i / rows_per_word] |= low_bits(M) << (i % rows_per_word * M);
+            }
+        } else {
+            let every_row = lane_bits(M, 1) & low_bits(M * M);
+            for (w, word) in cells.iter_mut().enumerate() {
+                let x = classes * every_row;
+                *word = if g == 1 {
+                    x
+                } else {
+                    permute_rows::<M>(x, g - 1, w)
+                };
+            }
+        }
+        cells
+    }
+
     /// Cells of one block on which more than `t` of the `2t` check sums
-    /// fired. Each group's fired classes are ORed into one mask, the masks
-    /// are summed into a bit-sliced counter, and the counter is compared
-    /// against `t` most-significant bit first.
-    fn vote<const W: usize>(&self, sums: u128) -> [u64; W] {
-        let m = self.m;
+    /// fired. Each group's fired classes are spread to the cells they
+    /// cover, the masks are summed into a bit-sliced counter, and the
+    /// counter is compared against `t` most-significant bit first.
+    fn vote<const M: usize, const W: usize, const T: usize>(sums: u128) -> [u64; W] {
         // 2t <= m + 1 <= 17 votes need 5 counter bits.
         let mut count = [[0u64; W]; 5];
-        for g in 0..2 * self.t {
-            let mut classes = (sums >> (g * m)) as u64 & low_bits(m);
-            let mut fired = [0u64; W];
-            while classes != 0 {
-                let mask = &self.masks[g * m + classes.trailing_zeros() as usize];
-                classes &= classes - 1;
-                for (f, w) in fired.iter_mut().zip(mask) {
-                    *f |= w;
-                }
-            }
-            let mut carry = fired;
+        for g in 0..2 * T {
+            let classes = (sums >> (g * M)) as u64 & low_bits(M);
+            let mut carry = Self::class_cells::<M, W>(g, classes);
             for level in &mut count {
                 for (c, k) in level.iter_mut().zip(&mut carry) {
                     let sum = *c ^ *k;
@@ -379,7 +475,7 @@ impl OlscLine {
         let mut greater = [0u64; W];
         let mut equal = [u64::MAX; W];
         for (i, level) in count.iter().enumerate().rev() {
-            let t_bit = (self.t >> i) & 1 == 1;
+            let t_bit = (T >> i) & 1 == 1;
             for ((gt, eq), c) in greater.iter_mut().zip(&mut equal).zip(level) {
                 if t_bit {
                     *eq &= c;
@@ -432,21 +528,37 @@ mod tests {
 
     #[test]
     fn orthogonality_two_cells_share_at_most_one_class() {
-        for m in [4usize, 8, 16] {
-            let masks = class_masks(m);
-            let class = |g: usize, cell: usize| {
-                (0..m)
-                    .find(|&cls| (masks[g * m + cls][cell / 64] >> (cell % 64)) & 1 == 1)
-                    .expect("every cell has a class")
-            };
-            // Sample pairs (full cross product is large for m = 16).
-            for a in (0..m * m).step_by(7) {
-                for b in (0..m * m).step_by(11) {
-                    if a == b {
-                        continue;
-                    }
-                    let shared = (0..=m).filter(|&g| class(g, a) == class(g, b)).count();
-                    assert!(shared <= 1, "m={m}: cells {a},{b} share {shared} classes");
+        // Codes past the payload too, so that m = 4 and m = 8 check all
+        // but their last square, and m = 16 eight of its groups.
+        for (m, t) in [(4, 2), (8, 4), (16, 4)] {
+            // The block check of each one-cell block, and the classes the
+            // Latin squares define for that cell.
+            let checks: Vec<u128> = (0..m * m)
+                .map(|cell| {
+                    let mut block = [0u64; 4];
+                    block[cell / 64] |= 1 << (cell % 64);
+                    let check = match m {
+                        4 => OlscLine::block_check::<4, 1, 2>(&[block[0]]),
+                        8 => OlscLine::block_check::<8, 1, 4>(&[block[0]]),
+                        _ => OlscLine::block_check::<16, 4, 4>(&block),
+                    };
+                    let (i, j) = (cell / m, cell % m);
+                    let expected = (0..2 * t).fold(0u128, |acc, g| {
+                        let cls = match g {
+                            0 => i,
+                            1 => j,
+                            _ => gf_mul_small(m, g - 1, i) ^ j,
+                        };
+                        acc | 1 << (g * m + cls)
+                    });
+                    assert_eq!(check, expected, "m={m}: classes of cell {cell}");
+                    check
+                })
+                .collect();
+            for (a, check_a) in checks.iter().enumerate() {
+                for check_b in &checks[a + 1..] {
+                    let shared = (check_a & check_b).count_ones();
+                    assert!(shared <= 1, "m={m}: cell {a} shares {shared} classes");
                 }
             }
         }

@@ -549,10 +549,10 @@ impl L2Cache {
             }
         };
         let outcome = self.protection.on_fill(id, intended);
-        for victim in &outcome.invalidate {
-            debug_assert_ne!(*victim, id, "scheme invalidated the line it filled");
-            if *victim != id {
-                self.handle_displaced(*victim, mem);
+        if let Some(victim) = outcome.invalidate {
+            debug_assert_ne!(victim, id, "scheme invalidated the line it filled");
+            if victim != id {
+                self.handle_displaced(victim, mem);
             }
         }
         if !outcome.accepted {
@@ -665,9 +665,9 @@ impl L2Cache {
                     // Re-install the fresh value through the scheme.
                     let intended = mem.line_data(line_addr);
                     let outcome = self.protection.on_fill(id, &intended);
-                    for victim in &outcome.invalidate {
-                        if *victim != id {
-                            self.handle_displaced(*victim, mem);
+                    if let Some(victim) = outcome.invalidate {
+                        if victim != id {
+                            self.handle_displaced(victim, mem);
                         }
                     }
                     if outcome.accepted {
@@ -700,9 +700,9 @@ impl L2Cache {
                 };
                 if let Some(id) = id {
                     let outcome = self.protection.on_write(id, &intended);
-                    for victim in &outcome.invalidate {
-                        if *victim != id {
-                            self.handle_displaced(*victim, mem);
+                    if let Some(victim) = outcome.invalidate {
+                        if victim != id {
+                            self.handle_displaced(victim, mem);
                         }
                     }
                     if outcome.accepted {

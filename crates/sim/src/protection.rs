@@ -16,9 +16,10 @@ pub struct FillOutcome {
     /// discovered a multi-bit fault at install time); the L2 serves the
     /// request uncached.
     pub accepted: bool,
-    /// Physical lines the L2 must invalidate as collateral (e.g. Killi's
-    /// ECC-cache evictions displace the protection of other L2 lines).
-    pub invalidate: Vec<LineId>,
+    /// A physical line the L2 must invalidate as collateral (e.g. a
+    /// Killi ECC-cache eviction displaces the protection of another L2
+    /// line). A fill displaces at most one.
+    pub invalidate: Option<LineId>,
     /// Extra cycles charged to the fill (usually 0: encode latency is
     /// hidden under the memory access).
     pub extra_cycles: u32,
@@ -28,7 +29,7 @@ impl Default for FillOutcome {
     fn default() -> Self {
         FillOutcome {
             accepted: true,
-            invalidate: Vec::new(),
+            invalidate: None,
             extra_cycles: 0,
         }
     }
@@ -95,7 +96,7 @@ pub trait LineProtection {
         self.on_fill(line, data)
     }
 
-    /// Called when the scheme reported `line` in a fill's `invalidate` list
+    /// Called when the scheme named `line` as a fill's `invalidate` line
     /// (its protection metadata was displaced). `stored` is the line's
     /// current array content; the scheme may reclassify the line into a
     /// self-sufficient state and return `true` to keep it valid (Killi
@@ -181,7 +182,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(d, before);
-        assert_eq!(u.on_fill(0, &d).invalidate.len(), 0);
+        assert_eq!(u.on_fill(0, &d).invalidate, None);
         assert_eq!(u.metrics(), MetricSet::new());
         assert_eq!(u.hit_latency_extra(), 0);
     }

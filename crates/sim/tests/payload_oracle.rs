@@ -66,11 +66,11 @@ impl LineProtection for Recorder {
     fn on_fill(&mut self, line: LineId, data: &Line512) -> FillOutcome {
         let shadow = &mut *self.0.borrow_mut();
         let accepted = shadow.choices.u64_below(8) != 0;
-        let mut invalidate = Vec::new();
+        let mut invalidate = None;
         if shadow.choices.u64_below(4) == 0 {
             let other = shadow.choices.usize_in(0, shadow.lines.len());
             if other != line {
-                invalidate.push(other);
+                invalidate = Some(other);
             }
         }
         if accepted {

@@ -26,6 +26,9 @@ use killi_repro::sim::gpu::GpuConfig;
 use killi_repro::vmin::{run_campaign, SearchMode, VminConfig, DEFAULT_GRID};
 use killi_repro::workloads::Workload;
 
+use killi_check::Gen;
+use std::ops::Range;
+
 mod common;
 use common::check_or_bless;
 
@@ -102,16 +105,23 @@ fn cli_and_json_spellings_sweep_identically() {
 
 #[test]
 fn sweep_reports_are_deterministic_per_model_across_thread_counts() {
-    for name in ["clustered", "transient"] {
-        let reference = run_sweep(&one_cell_sweep(FaultModelConfig::new(name))).to_json();
-        for threads in [1usize, 4] {
-            let mut config = one_cell_sweep(FaultModelConfig::new(name));
-            config.threads = threads;
-            assert_eq!(
-                run_sweep(&config).to_json(),
-                reference,
-                "{name} diverged at {threads} thread(s)"
-            );
+    for name in default_fault_registry().names() {
+        // Two replicates, then one, whose die 2 and 8 threads draw in
+        // line ranges.
+        for (replications, threads) in [(2, [2usize, 1, 4]), (1, [1, 2, 8])] {
+            let config = |threads| SweepConfig {
+                replications,
+                threads,
+                ..one_cell_sweep(FaultModelConfig::new(name))
+            };
+            let reference = run_sweep(&config(threads[0])).to_json();
+            for &threads in &threads[1..] {
+                assert_eq!(
+                    run_sweep(&config(threads)).to_json(),
+                    reference,
+                    "{name}, {replications} replicate(s), diverged at {threads} thread(s)"
+                );
+            }
         }
     }
 }
@@ -143,6 +153,27 @@ fn models_honor_nesting_or_explicitly_declare_otherwise() {
     }
 }
 
+/// Contiguous ranges covering `0..lines`, cut at random points, with at
+/// least one empty and one one-line range.
+fn random_ranges(g: &mut Gen, lines: usize) -> Vec<Range<usize>> {
+    let at = g.usize_in(0, lines);
+    let mut cuts = vec![at, at, at + 1];
+    let extra = g.usize_in(0, 8);
+    cuts.extend((0..extra).map(|_| g.usize_in(0, lines + 1)));
+    cuts.sort_unstable();
+    let mut start = 0;
+    let mut ranges: Vec<Range<usize>> = cuts
+        .into_iter()
+        .map(|cut| {
+            let range = start..cut;
+            start = cut;
+            range
+        })
+        .collect();
+    ranges.push(start..lines);
+    ranges
+}
+
 #[test]
 fn die_factorization_matches_per_voltage_maps_when_offered() {
     let registry = default_fault_registry();
@@ -151,12 +182,25 @@ fn die_factorization_matches_per_voltage_maps_when_offered() {
         .into_iter()
         .chain(PINNED_SPELLINGS)
         .map(|s| FaultModelConfig::parse(s).expect("parses"));
+    let mut g = Gen::new(17);
     for config in spellings {
         let model = build_fault_model(&config).expect("builds");
         let die = model
             .die(128, NormVdd(0.6), FreqGhz::PEAK, 17)
             .unwrap_or_else(|| panic!("{config}: every registered model factorizes"));
-        for vdd in [0.6, 0.625, 0.65] {
+        // The same die joined from random line ranges, drawn last first.
+        let draw = model
+            .die_draw(128, NormVdd(0.6), FreqGhz::PEAK, 17)
+            .unwrap_or_else(|| panic!("{config}: every registered model draws in ranges"));
+        let ranges = random_ranges(&mut g, 128);
+        let mut parts: Vec<_> = ranges.iter().rev().map(|r| draw.lines(r.clone())).collect();
+        parts.reverse();
+        let joined = draw.join(parts);
+        for ((die, how), vdd) in [(&die, "one range"), (&joined, "ranges")]
+            .into_iter()
+            .flat_map(|die| [0.6, 0.625, 0.65].map(|vdd| (die, vdd)))
+        {
+            let config = format!("{config}, die from {how} {ranges:?}");
             let from_die = die.map_at(NormVdd(vdd));
             let direct = model.map(128, NormVdd(vdd), FreqGhz::PEAK, 17);
             assert_eq!(from_die.lines(), direct.lines(), "{config}");

@@ -37,13 +37,21 @@ fn tiny_sweep(threads: usize, trace_capacity: Option<usize>) -> SweepConfig {
 
 #[test]
 fn shared_artifacts_reproduce_reference_bytes_across_thread_counts() {
-    let reference = run_sweep_reference(&tiny_sweep(2, None)).to_json();
-    for threads in [1, 2, 8] {
-        let shared = run_sweep(&tiny_sweep(threads, None)).to_json();
-        assert_eq!(
-            shared, reference,
-            "shared-artifact sweep diverged at {threads} thread(s)"
-        );
+    // With one replicate, 2 and 8 threads draw the die in line ranges.
+    for replications in [2, 1] {
+        let config = |threads| SweepConfig {
+            replications,
+            ..tiny_sweep(threads, None)
+        };
+        let reference = run_sweep_reference(&config(2)).to_json();
+        for threads in [1, 2, 8] {
+            let shared = run_sweep(&config(threads)).to_json();
+            assert_eq!(
+                shared, reference,
+                "shared-artifact sweep of {replications} replicate(s) diverged at \
+                 {threads} thread(s)"
+            );
+        }
     }
 }
 
