@@ -13,8 +13,9 @@
 //! - [`bch_t`] — generic t-error-correcting BCH with Berlekamp-Massey
 //!   decoding (functional TECQED and 6EC7ED, Table 4),
 //! - [`olsc`] — Orthogonal Latin Square codes with majority-logic decoding
-//!   (MS-ECC and the low-Vmin Killi variant, §5.5), computed on whole
-//!   64-bit words with the checkbits packed into the four words
+//!   (MS-ECC and the low-Vmin Killi variant, §5.5), computed as
+//!   bit-matrix transforms of whole 64-bit words with the checkbits
+//!   packed into the four words
 //!   ([`olsc::OlscCheck`]) an ECC-cache payload stores,
 //! - [`gf1024`] — the GF(2^10) field arithmetic behind the BCH code.
 //!
