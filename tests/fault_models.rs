@@ -7,7 +7,9 @@
 //! `tests/golden/fault_model_params.json` pins sweep and Vmin reports of
 //! non-default spellings of the `clustered` and `transient` models at
 //! 1/2/8 threads (and, for Vmin, through a built and a reused die
-//! store). Re-bless after an *intentional* output change with:
+//! store). `tests/golden/fault_maps.txt` pins a digest of every model's
+//! map at eight operating points. Re-bless after an *intentional* output
+//! change with:
 //!
 //! ```sh
 //! KILLI_BLESS=1 cargo test --test fault_models
@@ -260,6 +262,51 @@ fn non_default_models_change_the_fault_population() {
             "{spelling} produced the stuck-at report"
         );
     }
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn every_model_map_matches_golden_bytes() {
+    // Every registered model and pinned spelling, below, at and above
+    // their ranges and at two frequencies: one line per map with its
+    // fault count, an FNV-1a digest of every (line, cell, stuck) and the
+    // bits of its two probability statistics.
+    let spellings = default_fault_registry()
+        .names()
+        .into_iter()
+        .chain(PINNED_SPELLINGS);
+    let mut out = String::new();
+    for spelling in spellings {
+        let model = build_fault_model(&FaultModelConfig::parse(spelling).expect("parses"))
+            .expect("builds");
+        for vdd in [0.55, 0.6, 0.65, 1.0] {
+            for freq in [0.4, 1.0] {
+                let map = model.map(512, NormVdd(vdd), FreqGhz(freq), 17);
+                let (mut faults, mut digest) = (0, 0xcbf2_9ce4_8422_2325);
+                for line in 0..map.lines() {
+                    for fault in map.line(line) {
+                        faults += 1;
+                        digest = fnv1a(digest, &(line as u32).to_le_bytes());
+                        digest = fnv1a(digest, &fault.cell.to_le_bytes());
+                        digest = fnv1a(digest, &[u8::from(fault.stuck)]);
+                    }
+                }
+                out.push_str(&format!(
+                    "{spelling} vdd={vdd:?} freq={freq:?} faults={faults} fnv={digest:016x} \
+                     p_cell_median={:016x} mean_p_line={:016x}\n",
+                    map.p_cell_median().to_bits(),
+                    map.mean_p_line().to_bits()
+                ));
+            }
+        }
+    }
+    check_or_bless("fault_maps.txt", &out);
 }
 
 #[test]
