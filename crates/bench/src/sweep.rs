@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use killi_fault::cell_model::{FreqGhz, NormVdd};
-use killi_fault::map::{DieLines, FaultMap};
+use killi_fault::map::FaultMap;
 use killi_fault::model::ReplicateDie;
 use killi_fault::rng::derive_seed;
 use killi_sim::gpu::GpuConfig;
@@ -590,10 +590,8 @@ fn run_sweep_mode(config: &SweepConfig, mode: ArtifactMode) -> SweepReport {
             let maps = if config.vdds.is_empty() {
                 Vec::new()
             } else {
-                // Models that factorize across the voltage grid (e.g.
-                // stuck-at's sparse DieFaultTable) expose a per-replicate
-                // die hashed once at the grid's lowest voltage; the rest
-                // fall back to one direct map build per (vdd, replicate).
+                // Each replicate's die is hashed once at the grid's lowest
+                // voltage, and every operating point is read from it.
                 // With fewer replicates than threads, each die is drawn
                 // in contiguous line ranges, joined in line order.
                 let cap_vdd = config.vdds.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -610,26 +608,18 @@ fn run_sweep_mode(config: &SweepConfig, mode: ArtifactMode) -> SweepReport {
                     })
                     .collect();
                 let mut parts = par_map(config.threads, &part_keys, None, |_, (rep, range)| {
-                    draws[*rep].as_ref().map(|draw| draw.lines(range.clone()))
+                    draws[*rep].lines(range.clone())
                 })
                 .into_iter();
-                let dies: Vec<Option<Box<dyn ReplicateDie>>> = draws
+                let dies: Vec<Box<dyn ReplicateDie>> = draws
                     .iter()
-                    .map(|draw| {
-                        let die_parts: Vec<DieLines> =
-                            parts.by_ref().take(ranges).flatten().collect();
-                        draw.as_ref().map(|draw| draw.join(die_parts))
-                    })
+                    .map(|draw| draw.join(parts.by_ref().take(ranges).collect()))
                     .collect();
                 let map_keys: Vec<(usize, usize)> = (0..config.vdds.len())
                     .flat_map(|v| (0..reps).map(move |rep| (v, rep)))
                     .collect();
                 par_map(config.threads, &map_keys, None, |_, &(v, rep)| {
-                    let vdd = NormVdd(config.vdds[v]);
-                    Arc::new(match &dies[rep] {
-                        Some(die) => die.map_at(vdd),
-                        None => fault_model.map(lines, vdd, FreqGhz::PEAK, die_seed(rep)),
-                    })
+                    Arc::new(dies[rep].map_at(NormVdd(config.vdds[v])))
                 })
             };
             let trace_keys: Vec<(usize, usize)> = (0..config.workloads.len())

@@ -7,9 +7,12 @@
 //!   calibrated to the aggregates published in the paper,
 //! - [`model`] — the data-driven fault-model registry: the [`FaultModel`]
 //!   trait plus named, parameterized models (`stuck-at`, `clustered`,
-//!   `transient`, `table`) resolved from CLI/JSON spellings,
+//!   `transient`, `table`) resolved from CLI/JSON spellings; each model
+//!   reads every map from its die and keeps one reference construction,
 //! - [`map`] — persistent stuck-at fault maps with the silicon-observed
 //!   properties (persistence, voltage/frequency monotonicity, masking),
+//!   the per-die candidate table they are read from, and the dense
+//!   reference construction it is tested against,
 //! - [`line_stats`] — the per-line 0/1/2+ fault distribution of Figure 2,
 //! - [`soft`] — deterministic transient-error injection,
 //! - [`prob`] — log-space binomial helpers used by the analytic models,
@@ -36,7 +39,7 @@ pub mod rng;
 pub mod soft;
 
 pub use cell_model::{CellFailureModel, FreqGhz, NormVdd};
-pub use map::{CellFault, FaultMap, LineId, MapOptions};
+pub use map::{CellFault, FaultMap, LineId};
 pub use model::{
     default_registry, FaultModel, FaultModelConfig, FaultModelDescriptor, FaultModelRegistry,
 };

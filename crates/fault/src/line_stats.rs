@@ -8,8 +8,6 @@
 
 use crate::cell_model::{CellFailureModel, FreqGhz, NormVdd};
 use crate::map::FaultMap;
-#[cfg(test)]
-use crate::map::MapOptions;
 
 use crate::prob::{binom_pmf, binom_sf};
 
@@ -130,7 +128,10 @@ mod tests {
     fn measured_matches_analytic_mixture() {
         let model = CellFailureModel::finfet14();
         let vdd = NormVdd(0.585);
-        let map = FaultMap::generate(20_000, &model, MapOptions::new(vdd, FreqGhz::PEAK, 17));
+        let stuck_at = crate::model::default_registry()
+            .build(&Default::default(), &())
+            .unwrap();
+        let map = stuck_at.map(20_000, vdd, FreqGhz::PEAK, 17);
         let meas = LineFaultDistribution::measured(&map);
         // The map's data region has 512 cells (vs 523 analytic), so compare
         // against the 512-cell mixture curve.

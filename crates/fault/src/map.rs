@@ -12,6 +12,14 @@
 //! - **masking** — each faulty cell is stuck at a random polarity, so a
 //!   write whose bit matches the stuck value is *masked* until a later write
 //!   flips it (the §5.6.2 hazard emerges naturally).
+//!
+//! A model's map has one construction: its die is drawn line by line at a
+//! cap voltage into a sparse candidate table (`TableDraw`, `CandidateDraw`),
+//! and each map at or above the cap is filtered out of it
+//! ([`crate::model::FaultModel::map`] caps the die at the map's own
+//! voltage). [`FaultMap::dense_reference`] hashes every cell of the
+//! stuck-at model on its own; it is the oracle that construction is
+//! tested against.
 
 use std::ops::Range;
 
@@ -21,8 +29,8 @@ use killi_ecc::secded::SecdedCode;
 
 use crate::cell_model::{CellFailureModel, FailureKind, FreqGhz, NormVdd};
 use crate::rng::{
-    for_each_failing_cell, hash3, hash3_base, hash3_with_base, to_unit, unit_threshold,
-    CellThresholds,
+    for_each_failing_cell, hash3, hash3_base, hash3_with_base, standard_normal, to_unit,
+    unit_threshold, CellThresholds,
 };
 
 /// Cell-index layout of a protected line. Data cells come first; metadata
@@ -126,113 +134,13 @@ pub struct FaultMap {
     seed: u64,
 }
 
-/// Which construction [`FaultMap::generate`] uses. Both are bit-identical
-/// by property test; the dense path exists as the independently-written
-/// oracle the optimized path is checked against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Construction {
-    /// Hoists the per-line hash base and the operating-point median out of
-    /// the inner loop and compares hashes against an exact integer
-    /// threshold ([`unit_threshold`]) instead of converting every draw to
-    /// `f64`. The production path.
-    #[default]
-    Optimized,
-    /// One [`hash3`] and one float comparison per cell, exactly as
-    /// originally specified.
-    DenseReference,
-}
-
-/// Options for [`FaultMap::generate`]: the operating point, the die seed,
-/// and which construction to run.
-#[derive(Debug, Clone, Copy)]
-pub struct MapOptions {
-    /// Supply voltage of the map.
-    pub vdd: NormVdd,
-    /// Clock frequency of the map.
-    pub freq: FreqGhz,
-    /// Die seed. Monte-Carlo callers derive it as
-    /// `derive_seed(root, "die", &[replicate])` so the same replicate sees
-    /// the same physical die at every voltage of a sweep grid.
-    pub seed: u64,
-    /// Construction to run (defaults to [`Construction::Optimized`]).
-    pub construction: Construction,
-}
-
-impl MapOptions {
-    /// Options for the optimized construction at an operating point.
-    pub fn new(vdd: NormVdd, freq: FreqGhz, seed: u64) -> Self {
-        MapOptions {
-            vdd,
-            freq,
-            seed,
-            construction: Construction::Optimized,
-        }
-    }
-
-    /// Switches to the dense reference construction.
-    #[must_use]
-    pub fn dense(mut self) -> Self {
-        self.construction = Construction::DenseReference;
-        self
-    }
-}
-
 impl FaultMap {
-    /// Builds the fault map for `lines` physical lines with the given
-    /// options — the one seeded constructor behind every fault model.
-    pub fn generate(lines: usize, model: &CellFailureModel, opts: MapOptions) -> Self {
-        match opts.construction {
-            Construction::Optimized => {
-                Self::generate_optimized(lines, model, opts.vdd, opts.freq, opts.seed)
-            }
-            Construction::DenseReference => {
-                Self::generate_dense(lines, model, opts.vdd, opts.freq, opts.seed)
-            }
-        }
-    }
-
-    /// The optimized construction (see [`Construction::Optimized`]).
-    fn generate_optimized(
-        lines: usize,
-        model: &CellFailureModel,
-        vdd: NormVdd,
-        freq: FreqGhz,
-        seed: u64,
-    ) -> Self {
-        let median = model.p_cell_median(vdd, freq, FailureKind::Combined);
-        let mut faults = LineFaults::with_lines(lines);
-        let mut mean_p_line = 0.0;
-        for line in 0..lines {
-            let base = hash3_base(seed, line as u64);
-            // Per-line variation draw, frozen across voltages so fault
-            // populations at different operating points stay nested.
-            let z = standard_normal(hash3_with_base(base, 0xF00D));
-            let p = model.line_p(median, z);
-            mean_p_line += p;
-            for_each_failing_cell(
-                base,
-                0..layout::CELLS_PER_LINE,
-                1,
-                CellThresholds::Uniform(unit_threshold(p)),
-                |cell, h| faults.push(CellFault::drawn(cell, h)),
-            );
-            faults.end_line();
-        }
-        FaultMap {
-            faults,
-            p_cell_median: median,
-            mean_p_line: mean_p_line / lines.max(1) as f64,
-            vdd,
-            freq,
-            seed,
-        }
-    }
-
-    /// The dense reference construction (see
-    /// [`Construction::DenseReference`]). The optimized construction and
-    /// the sparse [`DieFaultTable`] derivation are property-tested to
-    /// reproduce this map bit for bit.
-    fn generate_dense(
+    /// The dense reference construction of a stuck-at map: one [`hash3`]
+    /// and one float comparison per cell, exactly as originally specified,
+    /// with no hoisted hash base, integer threshold or candidate table. The
+    /// die that [`crate::model::FaultModel::map`] draws is property-tested
+    /// to reproduce it bit for bit.
+    pub fn dense_reference(
         lines: usize,
         model: &CellFailureModel,
         vdd: NormVdd,
@@ -543,7 +451,9 @@ impl CellGroups {
 }
 
 /// Sparse per-die fault memo: the cross-voltage factorization of a
-/// persistent fault model's maps.
+/// persistent fault model's maps, and the one construction of every map a
+/// model draws ([`crate::model::FaultModel::map`] reads a table capped at
+/// its own voltage).
 ///
 /// Cell hashes depend only on `(seed, line, cell)` — voltage enters solely
 /// through the per-line (or per column group) probability threshold — so
@@ -565,7 +475,7 @@ impl CellGroups {
 /// repeated sweeps by half or more, since a freed allocation that large
 /// stays resident with the allocator.
 #[derive(Debug, Clone)]
-pub struct DieFaultTable {
+pub(crate) struct DieFaultTable {
     /// Per line, in cell order: `(h >> 11, fault)` for every candidate
     /// cell (faulty at the cap voltage).
     candidates: Vec<Box<[(u64, CellFault)]>>,
@@ -577,8 +487,8 @@ pub struct DieFaultTable {
     seed: u64,
 }
 
-/// A contiguous range of a die's lines, drawn on its own: the unit
-/// [`DieFaultTable`]s are joined from.
+/// A contiguous range of a die's lines, drawn on its own: the unit a die
+/// is joined from ([`crate::model::DieDraw`]).
 #[derive(Debug)]
 pub struct DieLines {
     range: Range<LineId>,
@@ -692,43 +602,9 @@ impl<'a, Z: Fn(LineId, u64) -> f64> TableDraw<'a, Z> {
 }
 
 impl DieFaultTable {
-    /// Builds the candidate table of [`FaultMap::generate`]'s model for
-    /// `lines` physical lines, covering all voltages `>= cap_vdd` at
-    /// frequency `freq`.
-    pub fn build(
-        lines: usize,
-        model: &CellFailureModel,
-        cap_vdd: NormVdd,
-        freq: FreqGhz,
-        seed: u64,
-    ) -> Self {
-        let draw = TableDraw::new(lines, model, CellGroups::Line, cap_vdd, freq, seed, line_z);
-        draw.join(vec![draw.lines(0..lines)])
-    }
-
-    /// Number of physical lines covered.
-    pub fn lines(&self) -> usize {
-        self.z.len()
-    }
-
-    /// The lowest voltage this table can derive maps for.
-    pub fn cap_vdd(&self) -> NormVdd {
-        self.cap_vdd
-    }
-
-    fn assert_above_cap(&self, vdd: NormVdd) {
-        assert!(
-            vdd.0 >= self.cap_vdd.0,
-            "requested vdd {} below table cap {}",
-            vdd.0,
-            self.cap_vdd.0
-        );
-    }
-
     /// Derives the fault map of this die at `vdd`, bit-identical to the
-    /// model's direct construction at the table's frequency and seed
-    /// (`FaultMap::generate(lines, model, MapOptions::new(vdd, freq,
-    /// seed))` for a table from [`Self::build`]).
+    /// model's reference construction at the table's frequency and seed
+    /// ([`FaultMap::dense_reference`] for a stuck-at table).
     ///
     /// # Panics
     ///
@@ -736,11 +612,16 @@ impl DieFaultTable {
     /// may exceed the candidate pool) or if `model` disagrees with the
     /// table's cap-voltage candidate census (a different model than the
     /// table was built with).
-    pub fn fault_map_at(&self, model: &CellFailureModel, vdd: NormVdd) -> FaultMap {
-        self.assert_above_cap(vdd);
+    pub(crate) fn fault_map_at(&self, model: &CellFailureModel, vdd: NormVdd) -> FaultMap {
+        assert!(
+            vdd.0 >= self.cap_vdd.0,
+            "requested vdd {} below table cap {}",
+            vdd.0,
+            self.cap_vdd.0
+        );
         let median = model.p_cell_median(vdd, self.freq, FailureKind::Combined);
         let cap_median = model.p_cell_median(self.cap_vdd, self.freq, FailureKind::Combined);
-        let mut faults = LineFaults::with_lines(self.lines());
+        let mut faults = LineFaults::with_lines(self.z.len());
         let mut mean_p_line = 0.0;
         let mut probs = Vec::with_capacity(self.groups.count());
         for (line, cands) in self.candidates.iter().enumerate() {
@@ -770,7 +651,7 @@ impl DieFaultTable {
         FaultMap {
             faults,
             p_cell_median: median,
-            mean_p_line: mean_p_line / self.lines().max(1) as f64,
+            mean_p_line: mean_p_line / self.z.len().max(1) as f64,
             vdd,
             freq: self.freq,
             seed: self.seed,
@@ -925,58 +806,6 @@ impl<'a, Z: Fn(LineId, u64) -> f64> LineMasks<'a, Z> {
     }
 }
 
-/// Converts 64 uniform bits to a standard-normal deviate via the inverse
-/// CDF (Acklam's rational approximation; far more accuracy than the fault
-/// model needs).
-pub(crate) fn standard_normal(h: u64) -> f64 {
-    let u = crate::rng::to_unit(h).clamp(1e-12, 1.0 - 1e-12);
-    // Coefficients of Acklam's approximation.
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.02425;
-    if u < P_LOW {
-        let q = (-2.0 * u.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if u <= 1.0 - P_LOW {
-        let q = u - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - u).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -985,9 +814,17 @@ mod tests {
         CellFailureModel::finfet14()
     }
 
-    /// Optimized-construction shorthand for the tests below.
+    /// The registered `stuck-at` model, built on `model()`.
+    fn stuck_at() -> std::sync::Arc<dyn crate::model::FaultModel> {
+        let config = crate::model::FaultModelConfig::default();
+        crate::model::default_registry()
+            .build(&config, &())
+            .unwrap()
+    }
+
+    /// Shorthand for the tests below: the stuck-at map, read from its die.
     fn build(lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
-        FaultMap::generate(lines, &model(), MapOptions::new(vdd, freq, seed))
+        stuck_at().map(lines, vdd, freq, seed)
     }
 
     /// Replicate shorthand: derives the die seed the way the sweep does.
@@ -1163,14 +1000,14 @@ mod tests {
     }
 
     #[test]
-    fn optimized_build_matches_dense_reference() {
+    fn map_matches_dense_reference() {
         for seed in [0, 7, 42, 0xDEAD_BEEF] {
             for v in [0.5, 0.55, 0.575, 0.6, 0.625, 0.675, 1.0] {
                 for f in [0.4, 1.0] {
-                    let fast = build(96, NormVdd(v), FreqGhz(f), seed);
-                    let options = MapOptions::new(NormVdd(v), FreqGhz(f), seed).dense();
-                    let dense = FaultMap::generate(96, &model(), options);
-                    assert_maps_identical(&fast, &dense);
+                    let map = build(96, NormVdd(v), FreqGhz(f), seed);
+                    let dense =
+                        FaultMap::dense_reference(96, &model(), NormVdd(v), FreqGhz(f), seed);
+                    assert_maps_identical(&map, &dense);
                 }
             }
         }
@@ -1178,12 +1015,12 @@ mod tests {
 
     #[test]
     fn die_table_derivation_matches_dense_reference() {
-        let cap = NormVdd(0.55);
-        let table = DieFaultTable::build(128, &model(), cap, FreqGhz::PEAK, 42);
+        let die = stuck_at()
+            .die(128, NormVdd(0.55), FreqGhz::PEAK, 42)
+            .unwrap();
         for v in [0.55, 0.575, 0.6, 0.625, 0.65, 0.7, 1.0] {
-            let derived = table.fault_map_at(&model(), NormVdd(v));
-            let options = MapOptions::new(NormVdd(v), FreqGhz::PEAK, 42).dense();
-            let dense = FaultMap::generate(128, &model(), options);
+            let derived = die.map_at(NormVdd(v));
+            let dense = FaultMap::dense_reference(128, &model(), NormVdd(v), FreqGhz::PEAK, 42);
             assert_maps_identical(&derived, &dense);
         }
     }
@@ -1191,8 +1028,10 @@ mod tests {
     #[test]
     fn die_table_replicate_matches_build_replicate() {
         let die_seed = crate::rng::derive_seed(42, "die", &[3]);
-        let table = DieFaultTable::build(64, &model(), NormVdd(0.575), FreqGhz::PEAK, die_seed);
-        let derived = table.fault_map_at(&model(), NormVdd(0.6));
+        let die = stuck_at()
+            .die(64, NormVdd(0.575), FreqGhz::PEAK, die_seed)
+            .unwrap();
+        let derived = die.map_at(NormVdd(0.6));
         let direct = build_replicate(64, NormVdd(0.6), 42, 3);
         assert_maps_identical(&derived, &direct);
     }
@@ -1200,7 +1039,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "below table cap")]
     fn die_table_rejects_voltage_below_cap() {
-        let table = DieFaultTable::build(8, &model(), NormVdd(0.6), FreqGhz::PEAK, 1);
-        table.fault_map_at(&model(), NormVdd(0.575));
+        let die = stuck_at().die(8, NormVdd(0.6), FreqGhz::PEAK, 1).unwrap();
+        die.map_at(NormVdd(0.575));
     }
 }

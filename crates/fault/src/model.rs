@@ -2,9 +2,8 @@
 //! against a [`FaultModelRegistry`] of [`FaultModelDescriptor`]s.
 //!
 //! The registry is the single place fault-model names, parameters and
-//! defaults live. Everything that used to hard-code the one parametric
-//! stuck-at model (`CellFailureModel::finfet14` + `FaultMap::build`) goes
-//! through [`FaultModelRegistry::build`], so a new fault distribution —
+//! defaults live. Everything that draws faults goes through
+//! [`FaultModelRegistry::build`], so a new fault distribution —
 //! row/column clustering, transient overlays, measured CDFs — is one
 //! descriptor, zero new plumbing.
 //!
@@ -36,20 +35,26 @@
 //! | `transient`| random/burst/MSB-biased flips over a stuck-at base       | no  |
 //! | `table`    | stuck-at drawn from a measured CDF (inline or from file) | yes |
 //!
-//! Every registered model also factorizes across voltage
-//! ([`FaultModel::die`]): a die's persistent faults are hashed once, into
-//! a [`DieFaultTable`] at the lowest voltage of interest, and every
-//! operating point is derived from it. [`FaultModel::die_draw`] hands
-//! out the same die before it is drawn, so that its line ranges can be
-//! drawn on several threads and joined ([`DieDraw`]). `stuck-at` and
-//! `table` keep one variation draw per line, `clustered` one per (line,
-//! column group), and `transient` merges each operating point's overlay
-//! flips into its stuck-at base. A Vmin campaign needs every grid point
-//! of a die but never the whole die at once: [`FaultModel::grid_masks`]
-//! streams it line by line, drawing each line's candidates with the same
-//! per-line code the table runs and emitting their grid masks, so it
-//! holds one line, not a table. [`fold_grid_maps`] of the model's own
-//! maps is its oracle.
+//! Every map comes from the model's die ([`FaultModel::die_draw`]): a
+//! die's persistent faults are hashed once, into a sparse candidate table
+//! at the lowest voltage of interest, and every operating point is
+//! derived from it. [`FaultModel::map`] draws the die with its own voltage
+//! as the cap, [`FaultModel::die`] memoizes one for a sweep grid, and a
+//! die's line ranges can be drawn on several threads and joined
+//! ([`DieDraw`]). `stuck-at` and `table` keep one variation draw per
+//! line, `clustered` one per (line, column group), and `transient` merges
+//! each operating point's overlay flips into its stuck-at base. A Vmin
+//! campaign needs every grid point of a die but never the whole die at
+//! once: [`FaultModel::grid_masks`] streams it line by line, drawing each
+//! line's candidates with the same per-line code the table runs and
+//! emitting their grid masks, so it holds one line, not a table.
+//!
+//! Each model keeps one construction written apart from the die,
+//! [`FaultModel::map_reference`]: [`FaultMap::dense_reference`] for
+//! `stuck-at`, `table` and `transient`'s base, and a per-cell pass over
+//! the column groups for `clustered`. It is the oracle of the model's
+//! maps and dies, and [`fold_grid_maps`] of its maps the oracle of the
+//! model's grid masks.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -61,12 +66,12 @@ use killi_obs::registry::{self, DefaultName, Descriptor, Kind, ParamSpec, Resolv
 
 use crate::cell_model::{CellFailureModel, FailureKind, FreqGhz, NormVdd};
 use crate::map::{
-    layout, line_z, standard_normal, CellFault, CellGroups, DieFaultTable, DieLines, FaultMap,
-    LineFaults, LineId, LineMasks, MapOptions, TableDraw,
+    layout, line_z, CellFault, CellGroups, DieFaultTable, DieLines, FaultMap, LineFaults, LineId,
+    LineMasks, TableDraw,
 };
 use crate::rng::{
-    for_each_failing_cell, hash3, hash3_base, hash3_with_base, splitmix64, to_unit, unit_threshold,
-    CellThresholds,
+    for_each_failing_cell, hash3, hash3_base, hash3_with_base, splitmix64, standard_normal,
+    to_unit, unit_threshold, CellThresholds,
 };
 
 /// A deterministic fault-population generator.
@@ -76,23 +81,28 @@ use crate::rng::{
 /// `seed` is the *die* seed — Monte-Carlo callers derive it as
 /// `derive_seed(root_seed, "die", &[replicate])`, so one replicate is one
 /// physical die across every operating point of a sweep grid.
+///
+/// A model draws its die ([`Self::die_draw`]) and streams its grid masks
+/// ([`Self::grid_masks`]); every map, die and mask comes from the same
+/// per-line draw. [`Self::map_reference`] is the model's one construction
+/// written apart from that draw, the oracle the draw is tested against.
 pub trait FaultModel: fmt::Debug + Send + Sync {
-    /// The fault map of one die at one operating point.
-    fn map(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap;
-
-    /// The independently-written reference construction, used by the
-    /// perf-equivalence oracle. Must equal [`Self::map`] bit for bit;
-    /// defaults to it for models without a separate reference path.
-    fn map_reference(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
-        self.map(lines, vdd, freq, seed)
+    /// The fault map of one die at one operating point: the die drawn
+    /// with `vdd` as its cap, read at `vdd`.
+    fn map(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
+        let draw = self.die_draw(lines, vdd, freq, seed);
+        draw.join(vec![draw.lines(0..lines)]).map_at(vdd)
     }
+
+    /// The independently-written reference construction of [`Self::map`],
+    /// used by the perf-equivalence oracle. Must equal it bit for bit.
+    fn map_reference(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap;
 
     /// A memoized per-die table covering every voltage `>= cap_vdd`, for
     /// sweep engines that derive many maps of one die (a Vmin campaign
     /// streams [`Self::grid_masks`] instead): the die of
-    /// [`Self::die_draw`], drawn in one range. Every registered model
-    /// returns one. A model without a cross-voltage factorization returns
-    /// `None`; callers then fall back to [`Self::map`] per operating point.
+    /// [`Self::die_draw`], drawn in one range. It is always `Some`; the
+    /// `Option` stays because the repository benchmark matches on it.
     fn die(
         &self,
         lines: usize,
@@ -100,24 +110,20 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
         freq: FreqGhz,
         seed: u64,
     ) -> Option<Box<dyn ReplicateDie>> {
-        let draw = self.die_draw(lines, cap_vdd, freq, seed)?;
+        let draw = self.die_draw(lines, cap_vdd, freq, seed);
         Some(draw.join(vec![draw.lines(0..lines)]))
     }
 
     /// The die [`Self::die`] memoizes, before it is drawn: its line ranges
     /// can be drawn on any threads and joined in line order, for engines
-    /// that have more threads than dies. Every registered model returns
-    /// one; the default, `None`, declares no factorization.
+    /// that have more threads than dies.
     fn die_draw(
         &self,
         lines: usize,
         cap_vdd: NormVdd,
         freq: FreqGhz,
         seed: u64,
-    ) -> Option<Box<dyn DieDraw + '_>> {
-        let _ = (lines, cap_vdd, freq, seed);
-        None
-    }
+    ) -> Box<dyn DieDraw + '_>;
 
     /// Calls `emit(line, fault, mask)` once per cell of the die `(lines,
     /// freq, seed)` that is faulty at some point of `grid` (at most 64
@@ -126,9 +132,8 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
     /// cell as that map has it at its lowest such `g`. A voltage-nested
     /// model over an ascending grid therefore emits prefixes of ones.
     ///
-    /// Every registered model streams its die line by line and holds one
-    /// line at a time; the default folds one whole map per grid point
-    /// ([`fold_grid_maps`]), which is also the oracle of the streams.
+    /// A model streams its die line by line and holds one line at a
+    /// time; [`fold_grid_maps`] of its reference maps is the oracle.
     fn grid_masks(
         &self,
         lines: usize,
@@ -136,9 +141,7 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
         freq: FreqGhz,
         seed: u64,
         emit: &mut dyn FnMut(LineId, CellFault, u64),
-    ) {
-        fold_grid_maps(lines, grid, |vdd| self.map(lines, vdd, freq, seed), emit);
-    }
+    );
 
     /// Whether fault sets are nested across voltage: every fault at a
     /// higher voltage also present at any lower voltage. Models that
@@ -160,7 +163,7 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
 /// cells; `transient` adds one overlay hash pass per operating point.
 pub trait ReplicateDie: Send + Sync {
     /// The die's fault map at `vdd` (which must be `>=` the cap), equal
-    /// to the model's [`FaultModel::map`] there.
+    /// to the model's [`FaultModel::map_reference`] there.
     fn map_at(&self, vdd: NormVdd) -> FaultMap;
 }
 
@@ -200,8 +203,8 @@ where
 
 /// Folds the maps `map_at(vdd)` of a die's `lines` lines over `grid` into
 /// grid masks and emits them as [`FaultModel::grid_masks`] does: the
-/// trait's default, and the oracle every model's stream is tested
-/// against. It holds one map per grid point.
+/// oracle every model's stream is tested against. It holds one map per
+/// grid point.
 pub fn fold_grid_maps(
     lines: usize,
     grid: &[NormVdd],
@@ -269,17 +272,15 @@ pub type BuildModelFn = fn(&ResolvedParams) -> Result<Arc<dyn FaultModel>, Build
 /// [`FaultModelDescriptor::canonicalize`]).
 pub type CanonicalizeFn = fn(&mut ResolvedParams) -> Result<(), BuildError>;
 
-/// A registered fault model: name, documentation, the advertised nesting
-/// contract, parameter schema, and the label/build functions.
+/// A registered fault model: name, documentation, parameter schema, and
+/// the label/build functions. The nesting contract is the built model's
+/// ([`FaultModel::voltage_nested`]).
 #[derive(Debug)]
 pub struct FaultModelDescriptor {
     /// Registered name (what `--fault-model` selects).
     pub name: &'static str,
     /// One-line description for `killi fault-models`.
     pub doc: &'static str,
-    /// The nesting contract the built models advertise (see
-    /// [`FaultModel::voltage_nested`]).
-    pub voltage_nested: bool,
     /// Declared parameters with defaults.
     pub params: Vec<ParamSpec>,
     /// Report label for a resolved config (the string stamped into
@@ -346,12 +347,8 @@ struct ParametricStuckAt {
 }
 
 impl FaultModel for ParametricStuckAt {
-    fn map(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
-        FaultMap::generate(lines, &self.cell, MapOptions::new(vdd, freq, seed))
-    }
-
     fn map_reference(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
-        FaultMap::generate(lines, &self.cell, MapOptions::new(vdd, freq, seed).dense())
+        FaultMap::dense_reference(lines, &self.cell, vdd, freq, seed)
     }
 
     fn die_draw(
@@ -360,12 +357,12 @@ impl FaultModel for ParametricStuckAt {
         cap_vdd: NormVdd,
         freq: FreqGhz,
         seed: u64,
-    ) -> Option<Box<dyn DieDraw + '_>> {
+    ) -> Box<dyn DieDraw + '_> {
         let groups = CellGroups::Line;
-        Some(Box::new(TableDieDraw {
+        Box::new(TableDieDraw {
             table: TableDraw::new(lines, &self.cell, groups, cap_vdd, freq, seed, line_z),
             die: |table| TableDie::boxed(table, &self.cell),
-        }))
+        })
     }
 
     fn grid_masks(
@@ -467,7 +464,10 @@ impl ClusteredModel {
 }
 
 impl FaultModel for ClusteredModel {
-    fn map(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
+    /// The one construction of a clustered map that does not go through
+    /// the die table: every cell hashed against its group's threshold at
+    /// `vdd`, with no candidate filter.
+    fn map_reference(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
         let median = self.cell.p_cell_median(vdd, freq, FailureKind::Combined);
         // Column-group draws are shared die-wide; hoist them.
         let groups = self.column_groups(seed);
@@ -499,13 +499,13 @@ impl FaultModel for ClusteredModel {
         cap_vdd: NormVdd,
         freq: FreqGhz,
         seed: u64,
-    ) -> Option<Box<dyn DieDraw + '_>> {
+    ) -> Box<dyn DieDraw + '_> {
         let groups = self.column_groups(seed);
         let z_of = move |line: LineId, _| self.z_line(seed, line as u64);
-        Some(Box::new(TableDieDraw {
+        Box::new(TableDieDraw {
             table: TableDraw::new(lines, &self.cell, groups, cap_vdd, freq, seed, z_of),
             die: |table| TableDie::boxed(table, &self.cell),
-        }))
+        })
     }
 
     fn grid_masks(
@@ -656,13 +656,8 @@ fn merge_persistent(persistent: &[CellFault], flips: &[CellFault], merged: &mut 
 }
 
 impl FaultModel for TransientModel {
-    fn map(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
-        let base = FaultMap::generate(lines, &self.cell, MapOptions::new(vdd, freq, seed));
-        self.overlay(base, vdd)
-    }
-
     fn map_reference(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
-        let base = FaultMap::generate(lines, &self.cell, MapOptions::new(vdd, freq, seed).dense());
+        let base = FaultMap::dense_reference(lines, &self.cell, vdd, freq, seed);
         self.overlay(base, vdd)
     }
 
@@ -672,9 +667,9 @@ impl FaultModel for TransientModel {
         cap_vdd: NormVdd,
         freq: FreqGhz,
         seed: u64,
-    ) -> Option<Box<dyn DieDraw + '_>> {
+    ) -> Box<dyn DieDraw + '_> {
         let groups = CellGroups::Line;
-        Some(Box::new(TableDieDraw {
+        Box::new(TableDieDraw {
             table: TableDraw::new(lines, &self.cell, groups, cap_vdd, freq, seed, line_z),
             die: |base| {
                 Box::new(TransientDie {
@@ -682,7 +677,7 @@ impl FaultModel for TransientModel {
                     model: self.clone(),
                 }) as Box<dyn ReplicateDie>
             },
-        }))
+        })
     }
 
     /// The stuck-at base's masks, line by line, each line merged with its
@@ -890,7 +885,6 @@ pub fn register_builtin_models(registry: &mut FaultModelRegistry) {
     registry.register(FaultModelDescriptor {
         name: STUCK_AT,
         doc: "the paper's persistent stuck-at model (14nm FinFET calibration, §3)",
-        voltage_nested: true,
         params: Vec::new(),
         label: |_| STUCK_AT.to_string(),
         build: |_| {
@@ -904,7 +898,6 @@ pub fn register_builtin_models(registry: &mut FaultModelRegistry) {
     registry.register(FaultModelDescriptor {
         name: "clustered",
         doc: "MoRS-style row/column-correlated persistent stuck-at faults",
-        voltage_nested: true,
         params: vec![
             ParamSpec {
                 name: "rows",
@@ -978,7 +971,6 @@ pub fn register_builtin_models(registry: &mut FaultModelRegistry) {
     registry.register(FaultModelDescriptor {
         name: "transient",
         doc: "random/burst/MSB-biased transient flips over a stuck-at base (NOT voltage-nested)",
-        voltage_nested: false,
         params: vec![
             ParamSpec {
                 name: "mode",
@@ -1044,7 +1036,6 @@ pub fn register_builtin_models(registry: &mut FaultModelRegistry) {
     registry.register(FaultModelDescriptor {
         name: "table",
         doc: "persistent stuck-at faults drawn from a measured CDF (inline anchors or a file)",
-        voltage_nested: true,
         params: vec![
             ParamSpec {
                 name: "file",
@@ -1120,7 +1111,8 @@ mod tests {
             let model = r
                 .build(&FaultModelConfig::new(d.name), &())
                 .unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(model.voltage_nested(), d.voltage_nested, "{}", d.name);
+            // The module docs' table: only transient overlays break nesting.
+            assert_eq!(model.voltage_nested(), d.name != "transient", "{}", d.name);
         }
     }
 
@@ -1143,10 +1135,12 @@ mod tests {
         let model = r.build(&FaultModelConfig::default(), &()).unwrap();
         for vdd in [0.55, 0.6, 0.65] {
             let via_registry = model.map(96, NormVdd(vdd), FreqGhz::PEAK, 42);
-            let direct = FaultMap::generate(
+            let direct = FaultMap::dense_reference(
                 96,
                 &CellFailureModel::finfet14(),
-                MapOptions::new(NormVdd(vdd), FreqGhz::PEAK, 42),
+                NormVdd(vdd),
+                FreqGhz::PEAK,
+                42,
             );
             assert_maps_equal(&via_registry, &direct);
         }
@@ -1163,7 +1157,7 @@ mod tests {
             for vdd in [0.55, 0.6, 0.7] {
                 let (a, b) = (
                     die.map_at(NormVdd(vdd)),
-                    model.map(64, NormVdd(vdd), FreqGhz::PEAK, 9),
+                    model.map_reference(64, NormVdd(vdd), FreqGhz::PEAK, 9),
                 );
                 assert_maps_equal(&a, &b);
                 assert_eq!(a.mean_p_line().to_bits(), b.mean_p_line().to_bits());

@@ -1,10 +1,20 @@
 //! Property-based tests for the fault model (killi-check harness).
 
+use std::sync::Arc;
+
 use killi_check::check;
 use killi_fault::cell_model::{CellFailureModel, FailureKind, FreqGhz, NormVdd};
-use killi_fault::map::{DieFaultTable, FaultMap, MapOptions};
+use killi_fault::map::FaultMap;
+use killi_fault::model::{default_registry, FaultModel, FaultModelConfig};
 use killi_fault::prob::{binom_cdf, binom_pmf, binom_sf};
 use killi_fault::rng::{hash3, to_unit};
+
+/// The registered `stuck-at` model (the FinFET-14 curve).
+fn stuck_at() -> Arc<dyn FaultModel> {
+    default_registry()
+        .build(&FaultModelConfig::default(), &())
+        .unwrap()
+}
 
 /// Bit-level equality of two fault maps: every line's fault list and the
 /// cached statistics (compared as bits, not approximately).
@@ -23,17 +33,9 @@ fn voltage_monotonicity_holds_for_any_pair() {
         let seed = g.u64();
         let v_lo = g.f64_in(0.50, 0.64);
         let v_hi = (v_lo + g.f64_in(0.005, 0.1)).min(0.7);
-        let model = CellFailureModel::finfet14();
-        let hi = FaultMap::generate(
-            64,
-            &model,
-            MapOptions::new(NormVdd(v_hi), FreqGhz::PEAK, seed),
-        );
-        let lo = FaultMap::generate(
-            64,
-            &model,
-            MapOptions::new(NormVdd(v_lo), FreqGhz::PEAK, seed),
-        );
+        let model = stuck_at();
+        let hi = model.map(64, NormVdd(v_hi), FreqGhz::PEAK, seed);
+        let lo = model.map(64, NormVdd(v_lo), FreqGhz::PEAK, seed);
         for l in 0..64 {
             for f in hi.line(l) {
                 assert!(lo.line(l).contains(f));
@@ -44,15 +46,19 @@ fn voltage_monotonicity_holds_for_any_pair() {
 
 #[test]
 fn sparse_build_matches_dense_for_any_operating_point() {
+    let registry = default_registry();
     check("sparse_build_matches_dense_for_any_operating_point", |g| {
+        let config = random_model_config(g);
+        let model = registry
+            .build(&config, &())
+            .unwrap_or_else(|e| panic!("{config}: {e}"));
         let seed = g.u64();
         let vdd = NormVdd(g.f64_in(0.45, 1.0));
         let freq = FreqGhz(g.f64_in(0.3, 1.0));
         let lines = g.usize_in(1, 96);
-        let model = CellFailureModel::finfet14();
-        let fast = FaultMap::generate(lines, &model, MapOptions::new(vdd, freq, seed));
-        let dense = FaultMap::generate(lines, &model, MapOptions::new(vdd, freq, seed).dense());
-        assert_maps_identical(&fast, &dense);
+        let map = model.map(lines, vdd, freq, seed);
+        let reference = model.map_reference(lines, vdd, freq, seed);
+        assert_maps_identical(&map, &reference);
     });
 }
 
@@ -63,14 +69,12 @@ fn die_table_derives_dense_maps_at_any_grid_point() {
         let cap = g.f64_in(0.5, 0.64);
         let vdd = NormVdd((cap + g.f64_in(0.0, 0.3)).min(1.0));
         let lines = g.usize_in(1, 96);
+        let die = stuck_at()
+            .die(lines, NormVdd(cap), FreqGhz::PEAK, seed)
+            .unwrap();
+        let derived = die.map_at(vdd);
         let model = CellFailureModel::finfet14();
-        let table = DieFaultTable::build(lines, &model, NormVdd(cap), FreqGhz::PEAK, seed);
-        let derived = table.fault_map_at(&model, vdd);
-        let dense = FaultMap::generate(
-            lines,
-            &model,
-            MapOptions::new(vdd, FreqGhz::PEAK, seed).dense(),
-        );
+        let dense = FaultMap::dense_reference(lines, &model, vdd, FreqGhz::PEAK, seed);
         assert_maps_identical(&derived, &dense);
     });
 }
@@ -82,10 +86,11 @@ fn die_table_preserves_voltage_nesting() {
         let cap = g.f64_in(0.5, 0.6);
         let v_lo = cap + g.f64_in(0.0, 0.05);
         let v_hi = (v_lo + g.f64_in(0.0, 0.1)).min(1.0);
-        let model = CellFailureModel::finfet14();
-        let table = DieFaultTable::build(64, &model, NormVdd(cap), FreqGhz::PEAK, seed);
-        let lo = table.fault_map_at(&model, NormVdd(v_lo));
-        let hi = table.fault_map_at(&model, NormVdd(v_hi));
+        let die = stuck_at()
+            .die(64, NormVdd(cap), FreqGhz::PEAK, seed)
+            .unwrap();
+        let lo = die.map_at(NormVdd(v_lo));
+        let hi = die.map_at(NormVdd(v_hi));
         for l in 0..64 {
             for f in hi.line(l) {
                 assert!(lo.line(l).contains(f), "line {l}: {f:?} not nested");
@@ -134,12 +139,7 @@ fn corruption_is_idempotent() {
     check("corruption_is_idempotent", |g| {
         let seed = g.u64();
         let data_seed = g.u64();
-        let model = CellFailureModel::finfet14();
-        let map = FaultMap::generate(
-            32,
-            &model,
-            MapOptions::new(NormVdd(0.55), FreqGhz::PEAK, seed),
-        );
+        let map = stuck_at().map(32, NormVdd(0.55), FreqGhz::PEAK, seed);
         for l in 0..32 {
             let mut once = killi_ecc::bits::Line512::from_seed(data_seed);
             map.corrupt_data(l, &mut once);
@@ -167,8 +167,7 @@ fn mix_is_a_probability_average() {
 /// its variance budget, `transient` in every mode at rates up to 0.05 (0.5
 /// per line for bursts), so flips land on base faults and masks stop
 /// being prefixes, and `table` over random non-increasing anchors.
-fn random_model_config(g: &mut killi_check::Gen) -> killi_fault::model::FaultModelConfig {
-    use killi_fault::model::FaultModelConfig;
+fn random_model_config(g: &mut killi_check::Gen) -> FaultModelConfig {
     use killi_obs::params::ParamValue::{Str, F64, U64};
 
     match *g.pick(&["stuck-at", "clustered", "transient", "table"]) {
@@ -216,7 +215,7 @@ fn grid_masks_equal_the_fold_of_per_grid_maps() {
     use std::collections::BTreeMap;
 
     use killi_fault::map::CellFault;
-    use killi_fault::model::{default_registry, fold_grid_maps};
+    use killi_fault::model::fold_grid_maps;
 
     let registry = default_registry();
     check("grid_masks_equal_the_fold_of_per_grid_maps", |g| {
@@ -263,11 +262,12 @@ fn grid_masks_equal_the_fold_of_per_grid_maps() {
             },
         );
 
-        // The oracle: the model's own map at each grid point, folded cell
-        // by cell; a cell keeps its polarity at its lowest faulty index.
+        // The oracle: the model's reference map at each grid point, folded
+        // cell by cell; a cell keeps its polarity at its lowest faulty
+        // index.
         let mut folded: BTreeMap<(usize, u16), (CellFault, u64)> = BTreeMap::new();
         for (i, &vdd) in grid.iter().enumerate() {
-            let map = model.map(lines, vdd, FreqGhz::PEAK, seed);
+            let map = model.map_reference(lines, vdd, FreqGhz::PEAK, seed);
             for line in 0..lines {
                 for &fault in map.line(line) {
                     folded.entry((line, fault.cell)).or_insert((fault, 0)).1 |= 1 << i;
@@ -282,14 +282,14 @@ fn grid_masks_equal_the_fold_of_per_grid_maps() {
             emitted, expected,
             "{config}, {lines} lines, {points} points"
         );
-        // The trait's default, which folds the same maps, agrees.
-        let mut by_default = Vec::new();
+        // The public fold of the same maps agrees.
+        let mut by_fold = Vec::new();
         fold_grid_maps(
             lines,
             &grid,
-            |vdd| model.map(lines, vdd, FreqGhz::PEAK, seed),
-            &mut |line, fault, mask| by_default.push((line, fault, mask)),
+            |vdd| model.map_reference(lines, vdd, FreqGhz::PEAK, seed),
+            &mut |line, fault, mask| by_fold.push((line, fault, mask)),
         );
-        assert_eq!(by_default, expected, "{config}: fold_grid_maps");
+        assert_eq!(by_fold, expected, "{config}: fold_grid_maps");
     });
 }

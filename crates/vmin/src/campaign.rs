@@ -1469,7 +1469,7 @@ mod tests {
                 fold_grid_maps(
                     256,
                     &grid,
-                    |vdd| model.map(256, vdd, FreqGhz::PEAK, seed),
+                    |vdd| model.map_reference(256, vdd, FreqGhz::PEAK, seed),
                     &mut |line, fault, mask| folded.push(die_entry(line, fault, mask)),
                 );
                 assert!(!folded.is_empty(), "{spelling}: no faults on the grid");

@@ -70,6 +70,10 @@ fn small_campaign(fault_model: FaultModelConfig, search: SearchMode) -> VminConf
 fn nesting_aware_search_matches_the_exhaustive_oracle_for_every_model() {
     for descriptor in fault_registry().descriptors() {
         let model = FaultModelConfig::new(descriptor.name);
+        let nested = fault_registry()
+            .build(&model, &())
+            .expect("builds")
+            .voltage_nested();
         let auto = small_campaign(model.clone(), SearchMode::Auto)
             .validated()
             .unwrap_or_else(|e| panic!("{}: {e}", descriptor.name));
@@ -89,8 +93,8 @@ fn nesting_aware_search_matches_the_exhaustive_oracle_for_every_model() {
         );
 
         let stats = &auto_out.report.stats;
-        assert_eq!(auto_out.report.nested, descriptor.voltage_nested);
-        if descriptor.voltage_nested {
+        assert_eq!(auto_out.report.nested, nested);
+        if nested {
             // Nested models bisect: no linear fallbacks, and never more
             // probes than the oracle's full scans (on a grid this small
             // the two can tie; larger grids separate them).
