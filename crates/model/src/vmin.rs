@@ -11,7 +11,7 @@
 
 use killi_fault::cell_model::{CellFailureModel, FreqGhz, NormVdd};
 use killi_fault::line_stats::LineFaultDistribution;
-use killi_fault::rng::{hash3, to_unit};
+use killi_fault::rng::{hash3, standard_normal};
 
 /// A die's failure curves: the base model with a per-die rate multiplier
 /// (lognormal across the population, like the per-line spread but frozen
@@ -27,7 +27,7 @@ impl Die {
     /// Samples die `index` from a population with lognormal rate spread
     /// `die_sigma`.
     pub fn sample(base: &CellFailureModel, die_sigma: f64, seed: u64, index: u64) -> Self {
-        let z = inverse_normal(to_unit(hash3(seed, index, 0xD1E)));
+        let z = standard_normal(hash3(seed, index, 0xD1E));
         let multiplier = (die_sigma * z).exp();
         // Shift every anchor by log10(multiplier): a uniform rate scale.
         let shift = multiplier.log10();
@@ -121,56 +121,6 @@ pub fn yield_samples(
             yield_at(base, die_sigma, seed, dies, vdd, target, correctable)
         })
         .collect()
-}
-
-/// Rational inverse-normal (Acklam); adequate for sampling die spreads.
-fn inverse_normal(u: f64) -> f64 {
-    let u = u.clamp(1e-12, 1.0 - 1e-12);
-    // Reuse the simple central/tail split.
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.02425;
-    if u < P_LOW {
-        let q = (-2.0 * u.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if u <= 1.0 - P_LOW {
-        let q = u - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - u).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    }
 }
 
 /// Extracts the model's anchors (re-deriving them from the public query
