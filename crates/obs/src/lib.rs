@@ -41,7 +41,7 @@ pub use params::ParamValue;
 pub use serve::{ServeCounter, ServeEvent, ServeMetrics};
 pub use sink::Sink;
 pub use trace::TraceBuffer;
-pub use vmin::{VminCounter, VminEvent, VminMetrics};
+pub use vmin::{VminCounter, VminMetrics};
 
 /// Schema tag stamped on the header line of every exported trace.
 pub const OBS_SCHEMA: &str = "killi-obs/v1";

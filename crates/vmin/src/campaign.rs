@@ -41,7 +41,7 @@ use killi_bench::sweep::{validate_voltage_grid, Accumulator};
 use killi_fault::model::default_registry as default_fault_registry;
 use killi_fault::rng::derive_seed;
 use killi_fault::{CellFault, FaultModel, FreqGhz, LineId, NormVdd};
-use killi_obs::{VminEvent, VminMetrics};
+use killi_obs::{VminCounter, VminMetrics};
 
 use crate::search::{grid_vmin, SearchMode, SearchStats};
 use crate::store::{
@@ -838,10 +838,8 @@ fn build_store(
         start = end;
     }
     let bytes = writer.finish()?;
-    metrics.apply(&VminEvent::StoreBuilt {
-        dies: c.dies as u64,
-        bytes,
-    });
+    metrics.add(VminCounter::StoreDiesWritten, c.dies as u64);
+    metrics.add(VminCounter::StoreBytesWritten, bytes);
     Ok(())
 }
 
@@ -879,10 +877,7 @@ pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, Camp
     let grid_len = c.vdds.len();
     let min_usable = (c.target * c.lines as f64).ceil() as u32;
     let mut metrics = VminMetrics::new();
-    metrics.apply(&VminEvent::CampaignStarted {
-        dies: c.dies as u64,
-        schemes: c.schemes.len() as u64,
-    });
+    metrics.add(VminCounter::CampaignsStarted, 1);
 
     let mut reader = match &c.store {
         Some(path) => {
@@ -891,9 +886,7 @@ pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, Camp
             }
             let reader = DieStoreReader::open(path)?;
             check_store_meta(reader.meta(), c, &fm_label)?;
-            metrics.apply(&VminEvent::StoreOpened {
-                dies: reader.meta().dies as u64,
-            });
+            metrics.add(VminCounter::StoresOpened, 1);
             Some(reader)
         }
         None => None,
@@ -936,7 +929,7 @@ pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, Camp
                 let mut records = Vec::with_capacity(end - start);
                 for i in start..end {
                     records.push(r.read_die(i)?);
-                    metrics.apply(&VminEvent::DieStreamed { die: i as u64 });
+                    metrics.add(VminCounter::StoreDiesRead, 1);
                 }
                 par_map(threads, &records, progress.as_ref(), |_, rec| {
                     evaluate_die(rec, &ctx)
@@ -959,13 +952,10 @@ pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, Camp
                 die: start + offset,
                 entry,
             })?;
-            let die = (start + offset) as u64;
-            metrics.apply(&VminEvent::DieEvaluated {
-                die,
-                probes: outcome.stats.probes,
-                binary_searches: outcome.stats.binary_searches,
-                linear_scans: outcome.stats.linear_scans,
-            });
+            metrics.add(VminCounter::DiesEvaluated, 1);
+            metrics.add(VminCounter::VoltageProbes, outcome.stats.probes);
+            metrics.add(VminCounter::BinarySearches, outcome.stats.binary_searches);
+            metrics.add(VminCounter::LinearScans, outcome.stats.linear_scans);
             stats.merge(&outcome.stats);
             for (s, bin) in bins.iter_mut().enumerate() {
                 let idx = outcome.vmin_idx[s];
@@ -986,9 +976,7 @@ pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, Camp
         }
         start = end;
     }
-    metrics.apply(&VminEvent::CampaignCompleted {
-        dies: c.dies as u64,
-    });
+    metrics.add(VminCounter::CampaignsCompleted, 1);
 
     Ok(CampaignOutput {
         report: VminReport {
@@ -1304,17 +1292,34 @@ mod tests {
         // Second run reuses the store rather than rebuilding.
         let reused = run_campaign(&c.validated().unwrap()).unwrap();
         assert_eq!(direct.report.to_json(), reused.report.to_json());
-        assert_eq!(
-            reused
-                .metrics
-                .get(killi_obs::VminCounter::StoreBytesWritten),
-            0,
-            "second run must not rebuild the store"
-        );
-        assert!(
-            reused.metrics.get(killi_obs::VminCounter::StoreDiesRead) > 0,
-            "second run must stream from the store"
-        );
+
+        // Every counter, exactly: each run bisects the same 12 dies once
+        // per distinct rule (killi's and flair's), in 3 probes each, and
+        // the store runs add the store's traffic.
+        use killi_obs::VminCounter::*;
+        let bytes = std::fs::metadata(&path).unwrap().len();
+        for (name, out, opened, written, bytes_written, read) in [
+            ("direct", &direct, 0, 0, 0, 0),
+            ("building the store", &stored, 1, 12, bytes, 12),
+            ("reusing the store", &reused, 1, 0, 0, 12),
+        ] {
+            let expected = [
+                (CampaignsStarted, 1),
+                (CampaignsCompleted, 1),
+                (DiesEvaluated, 12),
+                (VoltageProbes, 72),
+                (BinarySearches, 24),
+                (LinearScans, 0),
+                (StoresOpened, opened),
+                (StoreDiesWritten, written),
+                (StoreBytesWritten, bytes_written),
+                (StoreDiesRead, read),
+            ];
+            assert_eq!(expected.len(), killi_obs::VminCounter::ALL.len());
+            for (counter, n) in expected {
+                assert_eq!(out.metrics.get(counter), n, "{name}: {}", counter.name());
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
