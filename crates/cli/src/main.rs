@@ -59,6 +59,7 @@ use killi_model::coverage::coverage_at;
 use killi_obs::registry::{self, Descriptor, Registry};
 use killi_obs::{parse_json, JsonValue};
 use killi_serve::{Client, Server, ServerConfig};
+use killi_sim::cache::CacheGeometry;
 use killi_sim::gpu::{GpuConfig, GpuSim};
 use killi_vmin::{run_campaign, SearchMode, VminConfig, DEFAULT_GRID};
 use killi_workloads::{TraceParams, Workload};
@@ -528,7 +529,7 @@ fn cmd_schemes(args: &Args) -> Result<(), ArgError> {
     );
     print_parameters(registry);
     if args.has("build-check") {
-        let geometry = killi_sim::cache::CacheGeometry {
+        let geometry = CacheGeometry {
             size_bytes: 64 * 1024,
             ways: 16,
             line_bytes: 64,
@@ -695,7 +696,11 @@ fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
                 .unwrap_or(4),
         )?
         .max(1);
-    let l2_kb: usize = args.get_num("l2kb", 512)?;
+    let l2_kb: u64 = args.get_num("l2kb", 512)?;
+    let l2_bytes = CacheGeometry::kib_bytes(l2_kb).ok_or_else(|| {
+        let most = format!("a size of at most {} KiB", usize::MAX / 1024);
+        ArgError::invalid("l2kb", &l2_kb.to_string(), most)
+    })?;
     let out = args.get_or("out", "results/sweep.json");
     let trace_out = args.get_or("trace", "");
     let vdds = args.flag_f64_list("vdds", "0.65,0.625,0.6")?;
@@ -706,8 +711,8 @@ fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
     let schemes = parse_schemes(args)?;
 
     let gpu = GpuConfig {
-        l2: killi_sim::cache::CacheGeometry {
-            size_bytes: l2_kb * 1024,
+        l2: CacheGeometry {
+            size_bytes: l2_bytes,
             ways: 16,
             line_bytes: 64,
         },
@@ -1481,6 +1486,10 @@ mod tests {
             (
                 &["area", "--ratio", "16384"],
                 "cannot build `killi`: ECC cache smaller than one set",
+            ),
+            (
+                &["sweep", "--l2kb", "18014398509482496"],
+                "--l2kb: '18014398509482496' is not a size of at most",
             ),
         ] {
             let err = dispatch(&parse(argv)).expect_err("rejected before any simulation");

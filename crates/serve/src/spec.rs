@@ -40,6 +40,7 @@ use killi_bench::sweep::{run_sweep_validated, SweepConfig, ValidatedSweepConfig}
 use killi_fault::rng::splitmix64;
 use killi_obs::serve::JobId;
 use killi_obs::{parse_json, JsonValue};
+use killi_sim::cache::CacheGeometry;
 use killi_sim::gpu::GpuConfig;
 use killi_vmin::{run_campaign, SearchMode, ValidatedVminConfig, VminConfig};
 use killi_workloads::Workload;
@@ -122,50 +123,44 @@ fn check_keys(
     Ok(())
 }
 
+/// The optional `gpu.<key>` as a `T`: a non-negative integer in `T`'s
+/// range, or a typed error naming the field.
+fn gpu_field<T: TryFrom<u64>>(v: &JsonValue, key: &str) -> Result<Option<T>, SpecError> {
+    let Some(value) = v.get(key) else {
+        return Ok(None);
+    };
+    let n = value
+        .as_u64()
+        .ok_or_else(|| spec_err(format!("`gpu.{key}` must be a non-negative integer")))?;
+    T::try_from(n)
+        .map(Some)
+        .map_err(|_| spec_err(format!("`gpu.{key}` is out of range: {n}")))
+}
+
 fn parse_gpu(v: &JsonValue) -> Result<GpuConfig, SpecError> {
     let JsonValue::Object(entries) = v else {
         return Err(spec_err("`gpu` must be an object"));
     };
     check_keys(entries, &GPU_KEYS, "gpu")?;
     let mut gpu = GpuConfig::default();
-    if let Some(cus) = v.get("cus") {
-        gpu.cus = cus
-            .as_u64()
-            .ok_or_else(|| spec_err("`gpu.cus` must be a non-negative integer"))?
-            as usize;
+    if let Some(cus) = gpu_field(v, "cus")? {
+        gpu.cus = cus;
     }
-    let mut l2 = gpu.l2;
-    if let Some(kb) = v.get("l2_kb") {
-        l2.size_bytes = kb
-            .as_u64()
-            .ok_or_else(|| spec_err("`gpu.l2_kb` must be a non-negative integer"))?
-            as usize
-            * 1024;
+    if let Some(kb) = gpu_field(v, "l2_kb")? {
+        gpu.l2.size_bytes = CacheGeometry::kib_bytes(kb)
+            .ok_or_else(|| spec_err(format!("`gpu.l2_kb` is out of range: {kb}")))?;
     }
-    if let Some(ways) = v.get("l2_ways") {
-        l2.ways = ways
-            .as_u64()
-            .ok_or_else(|| spec_err("`gpu.l2_ways` must be a non-negative integer"))?
-            as usize;
+    if let Some(ways) = gpu_field(v, "l2_ways")? {
+        gpu.l2.ways = ways;
     }
-    if let Some(line) = v.get("line_bytes") {
-        l2.line_bytes = line
-            .as_u64()
-            .ok_or_else(|| spec_err("`gpu.line_bytes` must be a non-negative integer"))?
-            as usize;
+    if let Some(line) = gpu_field(v, "line_bytes")? {
+        gpu.l2.line_bytes = line;
     }
-    gpu.l2 = l2;
-    if let Some(banks) = v.get("l2_banks") {
-        gpu.l2_banks = banks
-            .as_u64()
-            .ok_or_else(|| spec_err("`gpu.l2_banks` must be a non-negative integer"))?
-            as usize;
+    if let Some(banks) = gpu_field(v, "l2_banks")? {
+        gpu.l2_banks = banks;
     }
-    if let Some(lat) = v.get("mem_latency") {
-        gpu.mem_latency = lat
-            .as_u64()
-            .ok_or_else(|| spec_err("`gpu.mem_latency` must be a non-negative integer"))?
-            as u32;
+    if let Some(lat) = gpu_field(v, "mem_latency")? {
+        gpu.mem_latency = lat;
     }
     Ok(gpu)
 }

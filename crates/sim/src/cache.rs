@@ -41,6 +41,13 @@ impl CacheGeometry {
         line_bytes: 64,
     };
 
+    /// The bytes in `kib` KiB, or `None` when they overflow a `usize`:
+    /// the one conversion of a user-given cache size, so a size past its
+    /// type is an error rather than a panic or a wrapped, smaller cache.
+    pub fn kib_bytes(kib: u64) -> Option<usize> {
+        usize::try_from(kib).ok()?.checked_mul(1024)
+    }
+
     /// Number of sets, or why the geometry cannot be simulated: the line
     /// size and the set count must be powers of two, and the capacity must
     /// divide into whole lines and the lines into whole sets.

@@ -332,6 +332,21 @@ fn hostile_requests_get_4xx_and_never_wedge_the_service() {
             "a Vmin campaign whose dies have more lines than a u32 indexes",
         ),
         (
+            "{\"root_seed\":1,\"replications\":1,\"vdds\":[0.65,0.6],\"schemes\":[\"flair\"],\
+             \"workloads\":[\"fft\"],\"ops_per_cu\":10,\"gpu\":{\"l2_kb\":18014398509481985}}",
+            "an L2 whose bytes overflow a usize",
+        ),
+        (
+            "{\"root_seed\":1,\"replications\":1,\"vdds\":[0.65,0.6],\"schemes\":[\"flair\"],\
+             \"workloads\":[\"fft\"],\"ops_per_cu\":10,\"gpu\":{\"l2_kb\":18014398509482496}}",
+            "an L2 whose bytes wrap to 512 KiB",
+        ),
+        (
+            "{\"root_seed\":1,\"replications\":1,\"vdds\":[0.65,0.6],\"schemes\":[\"flair\"],\
+             \"workloads\":[\"fft\"],\"ops_per_cu\":10,\"gpu\":{\"mem_latency\":4294967396}}",
+            "a memory latency past a u32, which would wrap to 100",
+        ),
+        (
             "{\"root_seed\":1,\"replications\":1,\"vdds\":[0.65,0.6],\
              \"schemes\":[\"killi:ratio=16\",\"killi:ratio=16,ecc_ways=8\"],\
              \"workloads\":[\"fft\"],\"ops_per_cu\":10}",
