@@ -1042,4 +1042,40 @@ mod tests {
         let die = stuck_at().die(8, NormVdd(0.6), FreqGhz::PEAK, 1).unwrap();
         die.map_at(NormVdd(0.575));
     }
+
+    #[test]
+    fn die_table_applies_the_dense_comparison_at_the_threshold() {
+        // No hashed key lands on a threshold by chance, so plant keys
+        // just below, at and just above the threshold of 0.6 x VDD: only
+        // the one the dense reference's `to_unit(h) < p` admits may stay.
+        let (m, vdd, z) = (model(), NormVdd(0.6), 0.25);
+        let p = m.line_p(
+            m.p_cell_median(vdd, FreqGhz::PEAK, FailureKind::Combined),
+            z,
+        );
+        let t = unit_threshold(p);
+        let keys = [t - 1, t, t + 1];
+        let table = DieFaultTable {
+            candidates: vec![(0..3)
+                .map(|cell| (keys[cell], CellFault::drawn(cell as u16, 0)))
+                .collect()],
+            z: vec![z],
+            groups: CellGroups::Line,
+            cap_vdd: NormVdd(0.55),
+            freq: FreqGhz::PEAK,
+            seed: 0,
+        };
+        let kept: Vec<u16> = table
+            .fault_map_at(&m, vdd)
+            .line(0)
+            .iter()
+            .map(|f| f.cell)
+            .collect();
+        let dense: Vec<u16> = (0..3)
+            .filter(|&c| to_unit(keys[c] << 11) < p)
+            .map(|c| c as u16)
+            .collect();
+        assert_eq!(kept, dense);
+        assert_eq!(kept, [0]);
+    }
 }
