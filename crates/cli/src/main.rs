@@ -444,10 +444,9 @@ fn print_parameters<D: Descriptor>(registry: &Registry<D>) {
 
 /// `killi fault-models`: lists every registered fault model with its
 /// parameters, defaults and the voltage-nesting contract of the model its
-/// defaults build; `--build-check`
-/// additionally builds each model from its defaults, draws a small map,
-/// and round-trips it through the service job payload (the CI smoke that
-/// keeps the registry, the constructors and the service in sync).
+/// defaults build; `--build-check` additionally draws a small map from
+/// each and round-trips it through the service job payload (the CI smoke
+/// that keeps the registry, the constructors and the service in sync).
 fn cmd_fault_models(args: &Args) -> Result<(), ArgError> {
     let registry = default_fault_registry();
     let io_err = |e: FaultModelBuildError| io_msg(e.to_string());

@@ -433,7 +433,7 @@ impl CellGroups {
     }
 
     /// A line's mean cell probability from its groups' probabilities
-    /// `probs`, in the order and rounding of the model's direct map
+    /// `probs`, in the order and rounding of the model's reference
     /// construction.
     fn line_mean(&self, probs: &[f64]) -> f64 {
         match self {
@@ -667,8 +667,8 @@ pub(crate) fn line_z(_: LineId, base: u64) -> f64 {
 
 /// One die's lines drawn at a cap voltage, one line at a time: every cell
 /// of a line is hashed once, and the cells faulty at the cap are kept as
-/// its candidates. The one per-line draw behind both the sweep's
-/// [`DieFaultTable`] and a Vmin campaign's [`LineMasks`].
+/// its candidates. The one per-line draw behind every [`DieFaultTable`]
+/// (and so every map a model draws) and a Vmin campaign's [`LineMasks`].
 pub(crate) struct CandidateDraw<'a, Z> {
     model: &'a CellFailureModel,
     groups: &'a CellGroups,

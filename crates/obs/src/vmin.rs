@@ -19,7 +19,7 @@
 use crate::counters::counter_registry;
 
 counter_registry! {
-    /// Every monotonic counter the campaign taxonomy can increment.
+    /// Every monotonic counter a campaign can increment.
     ///
     /// The discriminant doubles as the index into [`VminMetrics`], and
     /// [`VminCounter::NAMES`] carries the stable JSON names in the same
