@@ -87,7 +87,7 @@ pub fn run_cell(
     // Engines validate configs upfront (`SweepConfig::validate`, the CLI
     // parser), so a failure here is a programming error, not user input.
     let label = scheme_label(scheme).unwrap_or_else(|e| panic!("{e}"));
-    let ctx = BuildCtx::new(Arc::clone(map), gpu.l2).with_sink(sink.clone());
+    let ctx = BuildCtx::new(Arc::clone(map), gpu.l2);
     let protection = build_scheme(scheme, &ctx).unwrap_or_else(|e| panic!("{e}"));
     let mut sim = GpuSim::new(*gpu, Arc::clone(map), protection, trace_seed);
     sim.attach_sink(sink.clone());

@@ -126,7 +126,7 @@ USAGE:
                   [--fault-model stuck-at]
   killi profile   [--workload fft | --in trace.ktrc] [--ops 100000] [--seed 42]
   killi stats     --in results/sweep.json
-                  Per-scheme observability digest of a killi-sweep/v2
+                  Per-scheme observability digest of a killi-sweep/v3
                   report: DFH transitions and the error-induced vs
                   ECC-cache-induced miss split.
   killi trace     [--workload fft] [--scheme killi]
@@ -153,7 +153,7 @@ USAGE:
   killi status    --job ID [--url http://127.0.0.1:7171]
   killi fetch     --job ID [--url http://127.0.0.1:7171] [--out FILE.json]
                   [--wait]
-                  Downloads the killi-sweep/v2 report of a finished job
+                  Downloads the killi-sweep/v3 report of a finished job
                   (stdout unless --out).
   killi repro     [--only fig4,table6] [--ops 150000] [--replications 4]
                   Reproduces the paper: runs every experiment (or the
@@ -922,10 +922,10 @@ fn cmd_stats(args: &Args) -> Result<(), ArgError> {
         std::collections::HashMap::new();
     for report in &reports {
         let schema = report.get("schema").and_then(|v| v.as_str()).unwrap_or("");
-        if schema != "killi-sweep/v2" {
+        if schema != "killi-sweep/v3" {
             return Err(ArgError::Io {
                 message: format!(
-                    "{input}: schema '{schema}' is not killi-sweep/v2 (re-run the sweep \
+                    "{input}: schema '{schema}' is not killi-sweep/v3 (re-run the sweep \
                      with this version to get the per-cell obs block)"
                 ),
             });
@@ -1246,7 +1246,7 @@ fn cmd_status(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `killi fetch`: download a finished job's `killi-sweep/v2` report
+/// `killi fetch`: download a finished job's `killi-sweep/v3` report
 /// bytes exactly as the server stored them (stdout unless `--out`).
 fn cmd_fetch(args: &Args) -> Result<(), ArgError> {
     let client = service_client(args)?;

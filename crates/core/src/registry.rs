@@ -27,7 +27,6 @@ use std::sync::Arc;
 
 use killi_fault::map::{layout, CellFault, FaultMap};
 use killi_obs::registry::{self, Descriptor, Kind};
-use killi_obs::Sink;
 use killi_sim::cache::CacheGeometry;
 use killi_sim::protection::{LineProtection, Unprotected};
 
@@ -38,33 +37,24 @@ use crate::scheme::{KilliConfig, KilliScheme};
 pub use killi_obs::registry::{ParamSpec, ResolvedParams};
 pub use killi_obs::ParamValue;
 
-/// Everything a scheme needs at construction time: the die's fault map,
-/// the L2 geometry it protects, and the observability sink to attach.
+/// Everything a scheme needs at construction time: the die's fault map
+/// and the L2 geometry it protects. A built scheme gets its sink from
+/// `GpuSim::attach_sink`.
 #[derive(Debug, Clone)]
 pub struct BuildCtx {
     /// Fault map of the die at the operating point.
     pub fault_map: Arc<FaultMap>,
     /// Geometry of the protected L2.
     pub geometry: CacheGeometry,
-    /// Sink handed to the scheme (and its sub-components).
-    pub sink: Sink,
 }
 
 impl BuildCtx {
-    /// A context with no observability.
+    /// The context of a scheme protecting `geometry` over `fault_map`.
     pub fn new(fault_map: Arc<FaultMap>, geometry: CacheGeometry) -> Self {
         BuildCtx {
             fault_map,
             geometry,
-            sink: Sink::none(),
         }
-    }
-
-    /// Attaches a sink to the context.
-    #[must_use]
-    pub fn with_sink(mut self, sink: Sink) -> Self {
-        self.sink = sink;
-        self
     }
 }
 
@@ -245,8 +235,7 @@ pub struct SchemeDescriptor {
     /// Report label for a resolved config (the strings pinned by report
     /// schemas, e.g. `killi-1:64`).
     pub label: fn(&ResolvedParams) -> String,
-    /// Builds the scheme (without sink attachment; the registry attaches
-    /// the context's sink after a successful build).
+    /// Builds the scheme.
     pub build: BuildFn,
     /// The static line-admissibility rule of a resolved config (the
     /// binning predicate the Vmin campaign evaluates per grid voltage),
@@ -272,15 +261,12 @@ impl Descriptor for SchemeDescriptor {
         (self.label)(params)
     }
 
-    /// Builds the scheme, then attaches the context's sink.
     fn build(
         &self,
         params: &ResolvedParams,
         ctx: &BuildCtx,
     ) -> Result<Box<dyn LineProtection>, BuildError> {
-        let mut scheme = (self.build)(params, ctx)?;
-        scheme.attach_sink(ctx.sink.clone());
-        Ok(scheme)
+        (self.build)(params, ctx)
     }
 }
 

@@ -16,12 +16,13 @@
 //! (`killi_fault::model`) instantiate.
 //!
 //! Ownership of numbers is partitioned to keep every metric
-//! single-sourced: protection schemes snapshot their authoritative
-//! counters into a [`MetricSet`] via `LineProtection::metrics()`, while
-//! the [`Sink`] carries the *event stream* (trace) plus its own
-//! bookkeeping. Aggregation across Monte-Carlo replicates is plain
-//! element-wise [`MetricSet::merge`], which is associative and
-//! commutative by construction.
+//! single-sourced: each counter is added to where the work it counts
+//! happens (protection schemes snapshot theirs into a [`MetricSet`] via
+//! `LineProtection::metrics()`), while the [`Sink`] carries only the
+//! *event stream* (trace). No counter is computed from events, so every
+//! counter is complete with or without a trace. Aggregation across
+//! Monte-Carlo replicates is plain element-wise [`MetricSet::merge`],
+//! which is associative and commutative by construction.
 
 mod counters;
 pub mod event;
@@ -38,7 +39,7 @@ pub use event::KilliEvent;
 pub use json::{escape as escape_json, parse as parse_json, JsonError, JsonValue};
 pub use metrics::{Counter, Histogram, MetricSet};
 pub use params::ParamValue;
-pub use serve::{ServeCounter, ServeEvent, ServeMetrics};
+pub use serve::{ServeCounter, ServeMetrics};
 pub use sink::Sink;
 pub use trace::TraceBuffer;
 pub use vmin::{VminCounter, VminMetrics};

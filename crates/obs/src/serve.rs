@@ -1,18 +1,16 @@
 //! Observability for the `killi-serve` daemon.
 //!
-//! The sweep service has its own event taxonomy and counter registry,
-//! deliberately separate from the simulator-side [`crate::KilliEvent`] /
-//! [`crate::MetricSet`] pair: the simulator counters are part of the
-//! byte-stable `killi-sweep/v2` report schema and cannot grow without
-//! invalidating golden files, while the service counters describe the
-//! daemon's lifecycle (accepts, queue churn, cache behaviour) and are
-//! free to evolve with it.
+//! The sweep service has its own counter registry, deliberately
+//! separate from the simulator-side [`crate::MetricSet`]: the simulator
+//! counters are part of the byte-stable `killi-sweep/v3` report schema
+//! and cannot grow without invalidating golden files, while the service
+//! counters describe the daemon's lifecycle (accepts, queue churn,
+//! cache behaviour) and are free to evolve with it.
 //!
 //! [`ServeMetrics`] follows the same design rules as `MetricSet`: plain
-//! data, element-wise [`ServeMetrics::merge`], fixed JSON field order so
-//! equal snapshots serialise to identical bytes, and a single
-//! [`ServeMetrics::apply`] routing point so every event increments its
-//! counters in exactly one place.
+//! data, element-wise [`ServeMetrics::merge`], and fixed JSON field
+//! order so equal snapshots serialise to identical bytes. The server
+//! adds to each counter where the work it counts happens.
 
 use crate::counters::counter_registry;
 
@@ -32,57 +30,8 @@ pub fn parse_job_id(text: &str) -> Option<JobId> {
     JobId::from_str_radix(text, 16).ok()
 }
 
-/// Everything observable that happens inside the sweep service.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeEvent {
-    /// A syntactically valid job was accepted (new or duplicate).
-    JobAccepted { job: JobId },
-    /// A new job entered the FIFO queue; `depth` is the queue length
-    /// after the push.
-    JobEnqueued { job: JobId, depth: usize },
-    /// A worker pulled the job off the queue and started executing it.
-    JobDequeued { job: JobId, worker: usize },
-    /// The sweep finished and its report was stored.
-    JobCompleted { job: JobId },
-    /// The sweep panicked or was otherwise lost; the job is terminal.
-    JobFailed { job: JobId },
-    /// A submission matched an already-known job (any state) and was
-    /// answered from the content-addressed store without re-running.
-    CacheHit { job: JobId },
-    /// A completed report was inserted into the result cache.
-    CacheInsert { job: JobId },
-    /// A completed report was evicted to honour the cache capacity.
-    CacheEvict { job: JobId },
-    /// A submission was rejected with 429 because the queue was full.
-    QueueFull { depth: usize },
-    /// A submission was rejected with 503 because shutdown has begun
-    /// and the service no longer accepts new jobs.
-    Draining,
-    /// A request failed validation (bad JSON, bad config, oversize...).
-    BadRequest,
-}
-
-impl ServeEvent {
-    /// Stable event-kind label (used in logs and tests).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ServeEvent::JobAccepted { .. } => "job_accepted",
-            ServeEvent::JobEnqueued { .. } => "job_enqueued",
-            ServeEvent::JobDequeued { .. } => "job_dequeued",
-            ServeEvent::JobCompleted { .. } => "job_completed",
-            ServeEvent::JobFailed { .. } => "job_failed",
-            ServeEvent::CacheHit { .. } => "cache_hit",
-            ServeEvent::CacheInsert { .. } => "cache_insert",
-            ServeEvent::CacheEvict { .. } => "cache_evict",
-            ServeEvent::QueueFull { .. } => "queue_full",
-            ServeEvent::Draining => "draining",
-            ServeEvent::BadRequest => "bad_request",
-        }
-    }
-}
-
 counter_registry! {
-    /// Every monotonic counter the service taxonomy can increment.
+    /// Every monotonic counter the service keeps.
     ///
     /// The discriminant doubles as the index into [`ServeMetrics`], and
     /// [`ServeCounter::NAMES`] carries the stable JSON names in the same
@@ -105,27 +54,6 @@ counter_registry! {
 }
 
 impl ServeMetrics {
-    /// Routes an event to the counters it implies — the single place
-    /// the service taxonomy maps onto the registry.
-    pub fn apply(&mut self, event: &ServeEvent) {
-        match event {
-            ServeEvent::JobAccepted { .. } => self.add(ServeCounter::JobsAccepted, 1),
-            ServeEvent::JobEnqueued { .. } => self.add(ServeCounter::JobsEnqueued, 1),
-            ServeEvent::JobDequeued { .. } => {
-                self.add(ServeCounter::JobsDequeued, 1);
-                self.add(ServeCounter::SweepExecutions, 1);
-            }
-            ServeEvent::JobCompleted { .. } => self.add(ServeCounter::JobsCompleted, 1),
-            ServeEvent::JobFailed { .. } => self.add(ServeCounter::JobsFailed, 1),
-            ServeEvent::CacheHit { .. } => self.add(ServeCounter::CacheHits, 1),
-            ServeEvent::CacheInsert { .. } => self.add(ServeCounter::CacheInserts, 1),
-            ServeEvent::CacheEvict { .. } => self.add(ServeCounter::CacheEvictions, 1),
-            ServeEvent::QueueFull { .. } => self.add(ServeCounter::RejectedQueueFull, 1),
-            ServeEvent::Draining => self.add(ServeCounter::RejectedDraining, 1),
-            ServeEvent::BadRequest => self.add(ServeCounter::BadRequests, 1),
-        }
-    }
-
     /// Serialises the set as a compact JSON object. Field order is
     /// fixed, so equal snapshots produce identical bytes.
     pub fn to_json(&self) -> String {
@@ -150,32 +78,6 @@ mod tests {
         assert_eq!(parse_job_id("xyz"), None);
         assert_eq!(parse_job_id(&"f".repeat(33)), None);
         assert_eq!(parse_job_id("00000000000000000000000000000g00"), None);
-    }
-
-    #[test]
-    fn apply_routes_every_event_kind() {
-        let mut m = ServeMetrics::new();
-        let events = [
-            ServeEvent::JobAccepted { job: 1 },
-            ServeEvent::JobEnqueued { job: 1, depth: 1 },
-            ServeEvent::JobDequeued { job: 1, worker: 0 },
-            ServeEvent::JobCompleted { job: 1 },
-            ServeEvent::JobFailed { job: 2 },
-            ServeEvent::CacheHit { job: 1 },
-            ServeEvent::CacheInsert { job: 1 },
-            ServeEvent::CacheEvict { job: 1 },
-            ServeEvent::QueueFull { depth: 4 },
-            ServeEvent::Draining,
-            ServeEvent::BadRequest,
-        ];
-        for e in &events {
-            m.apply(e);
-        }
-        for c in ServeCounter::ALL {
-            assert!(m.get(c) >= 1, "counter {} untouched", c.name());
-        }
-        // JobDequeued implies one sweep execution.
-        assert_eq!(m.get(ServeCounter::SweepExecutions), 1);
     }
 
     #[test]
@@ -227,26 +129,5 @@ mod tests {
              \"cache_evictions\":0,\"rejected_queue_full\":0,\"rejected_draining\":0,\
              \"bad_requests\":2}}"
         );
-    }
-
-    #[test]
-    fn event_kinds_are_distinct() {
-        let kinds = [
-            ServeEvent::JobAccepted { job: 0 }.kind(),
-            ServeEvent::JobEnqueued { job: 0, depth: 0 }.kind(),
-            ServeEvent::JobDequeued { job: 0, worker: 0 }.kind(),
-            ServeEvent::JobCompleted { job: 0 }.kind(),
-            ServeEvent::JobFailed { job: 0 }.kind(),
-            ServeEvent::CacheHit { job: 0 }.kind(),
-            ServeEvent::CacheInsert { job: 0 }.kind(),
-            ServeEvent::CacheEvict { job: 0 }.kind(),
-            ServeEvent::QueueFull { depth: 0 }.kind(),
-            ServeEvent::Draining.kind(),
-            ServeEvent::BadRequest.kind(),
-        ];
-        let mut seen = std::collections::HashSet::new();
-        for k in kinds {
-            assert!(seen.insert(k), "duplicate event kind {k}");
-        }
     }
 }

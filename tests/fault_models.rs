@@ -1,6 +1,6 @@
 //! Cross-crate contract tests for the fault-model axis: every registered
 //! model must run end-to-end as a sweep dimension (CLI shorthand and JSON
-//! spelling alike), stamp its label into the `killi-sweep/v2` report and
+//! spelling alike), stamp its label into the `killi-sweep/v3` report and
 //! the `killi-obs/v1` trace, be deterministic per (seed, replicate, vdd),
 //! and either honor voltage nesting or explicitly declare it away.
 //!

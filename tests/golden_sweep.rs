@@ -1,10 +1,12 @@
 //! Golden-bytes regression test for the protection-pipeline refactor:
 //! the PR-3 reference sweep, run through the registry-built pipeline,
-//! must emit the exact pre-refactor `killi-sweep/v2` report and
-//! `killi-obs/v1` event trace at every thread count.
+//! must emit the exact pre-refactor report and `killi-obs/v1` event
+//! trace at every thread count.
 //!
 //! The golden files under `tests/golden/` were recorded from the
 //! monolithic scheme implementations immediately before the refactor.
+//! The reports were re-blessed once since, as `killi-sweep/v3`: the same
+//! bytes without the eight v2 counters that nothing incremented.
 //! `baselines_report.json` pins the codec baselines (OLSC, DEC-TED,
 //! SECDED on their error paths) and was recorded from the scalar OLSC,
 //! bit-serial DEC-TED encoder and Chien search before the word-level
