@@ -8,9 +8,10 @@
 //! - `POST /v1/jobs` — submit a [`spec`] JSON body; `202` with a job id
 //!   for a new job, `200` for a known one (any state), `429` +
 //!   `Retry-After` when the bounded queue is full, `503` while
-//!   draining, `400` with a typed error for anything malformed.
+//!   draining, `400` with a typed error for anything malformed (a
+//!   `fault_model` that names a file included: the server reads none).
 //! - `GET /v1/jobs/:id` — job state.
-//! - `GET /v1/jobs/:id/report` — the `killi-sweep/v2` report, exactly
+//! - `GET /v1/jobs/:id/report` — the `killi-sweep/v3` report, exactly
 //!   the bytes `run_sweep` emits for that config (`409` until done).
 //! - `GET /v1/metrics` — a [`killi_obs::ServeMetrics`] snapshot.
 //! - `GET /v1/healthz` — liveness.
