@@ -147,3 +147,61 @@ fn run_cell_metrics_agree_with_sim_stats() {
         "a faulty Killi run must reclassify lines"
     );
 }
+
+/// Every counter that has an event kind of its own equals the number of
+/// those events in a trace that dropped none, for every registered
+/// scheme under every registered fault model. `corrections` and
+/// `detections` are left out: the `syndrome_observation` event is
+/// Killi's training observation, not a count of delivered corrections.
+#[test]
+fn counters_equal_their_events_in_a_full_trace() {
+    let gpu = small_gpu();
+    let pairs = [
+        (Counter::DfhTransitions, "dfh_transition"),
+        (Counter::EccCacheDisplacements, "ecc_displace"),
+        (Counter::ErrorInducedMisses, "error_miss"),
+        (Counter::EccInducedMisses, "ecc_induced_miss"),
+    ];
+    for model_name in default_registry().names() {
+        let model = default_registry()
+            .build(&FaultModelConfig::new(model_name), &())
+            .unwrap_or_else(|e| panic!("{model_name} default config must build: {e}"));
+        let map = Arc::new(model.map(gpu.l2.lines(), NormVdd(0.6), FreqGhz::PEAK, 7));
+        for scheme_name in schemes::default_registry().names() {
+            let r = run_cell(
+                Workload::Xsbench,
+                &SchemeConfig::new(scheme_name),
+                &gpu,
+                Workload::Xsbench.trace(&trace_params(&gpu, 2_000, 11)),
+                &map,
+                11,
+                &ObsConfig::traced(1 << 18),
+            );
+            let text = r.trace.expect("tracing was on");
+            let mut lines = text.lines();
+            let header = parse_json(lines.next().expect("header line")).expect("header parses");
+            let at = format!("{scheme_name} under {model_name}");
+            assert_eq!(
+                header.get("dropped").and_then(|v| v.as_u64()),
+                Some(0),
+                "{at}: the trace dropped events"
+            );
+            let mut counts = [0u64; 4];
+            for line in lines {
+                let event = parse_json(line).expect("event line parses");
+                let kind = event.get("type").and_then(|v| v.as_str());
+                if let Some(i) = pairs.iter().position(|&(_, k)| Some(k) == kind) {
+                    counts[i] += 1;
+                }
+            }
+            for (&(counter, kind), &events) in pairs.iter().zip(&counts) {
+                assert_eq!(
+                    r.metrics.get(counter),
+                    events,
+                    "{at}: `{}` is not the count of `{kind}` events",
+                    counter.name()
+                );
+            }
+        }
+    }
+}
