@@ -51,11 +51,6 @@ impl Progress {
     pub fn completed(&self) -> usize {
         self.done.load(Ordering::Relaxed)
     }
-
-    /// Seconds since the counter was created.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
 }
 
 /// Runs `f` over every item on `threads` workers, returning results in

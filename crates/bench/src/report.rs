@@ -30,28 +30,6 @@ impl Table {
         self
     }
 
-    /// Renders the table as CSV (quoting cells containing commas).
-    pub fn to_csv(&self) -> String {
-        let quote = |c: &str| {
-            if c.contains(',') || c.contains('"') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
-        };
-        let mut out = String::new();
-        let mut write_row = |cells: &[String]| {
-            let line: Vec<String> = cells.iter().map(|c| quote(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        write_row(&self.header);
-        for row in &self.rows {
-            write_row(row);
-        }
-        out
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -109,18 +87,6 @@ mod tests {
     #[should_panic(expected = "column count mismatch")]
     fn row_width_checked() {
         Table::new(vec!["a", "b"]).row(vec!["only-one"]);
-    }
-
-    #[test]
-    fn csv_rendering_quotes_and_joins() {
-        let mut t = Table::new(vec!["name", "value"]);
-        t.row(vec!["plain", "1"]);
-        t.row(vec!["with,comma", "quo\"te"]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,value");
-        assert_eq!(lines[1], "plain,1");
-        assert_eq!(lines[2], "\"with,comma\",\"quo\"\"te\"");
     }
 
     #[test]

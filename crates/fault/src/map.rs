@@ -288,22 +288,6 @@ impl FaultMap {
         }
     }
 
-    /// Applies stuck-at corruption to the 16 training-mode parity cells.
-    pub fn corrupt_parity16(&self, line: LineId, parity: u16) -> u16 {
-        let mut out = parity;
-        for f in self.line(line) {
-            if layout::PARITY16.contains(&f.cell) {
-                let bit = f.cell - layout::PARITY16.start;
-                if f.stuck {
-                    out |= 1 << bit;
-                } else {
-                    out &= !(1 << bit);
-                }
-            }
-        }
-        out
-    }
-
     /// Applies stuck-at corruption to the 4 stable-mode parity cells.
     pub fn corrupt_parity4(&self, line: LineId, parity: u8) -> u8 {
         let mut out = parity;
@@ -957,15 +941,16 @@ mod tests {
     fn parity_and_checkbit_corruption_respects_layout() {
         let m = build(4096, NormVdd(0.5), FreqGhz::PEAK, 11);
         let line = (0..4096)
-            .find(|&l| m.count_in(l, layout::PARITY16) > 0)
+            .find(|&l| m.count_in(l, layout::PARITY4) > 0)
             .expect("a parity-cell fault at 0.5 VDD");
-        let corrupted = m.corrupt_parity16(line, 0);
-        let stuck_ones = m
-            .line(line)
-            .iter()
-            .filter(|f| layout::PARITY16.contains(&f.cell) && f.stuck)
-            .count() as u32;
-        assert_eq!(corrupted.count_ones(), stuck_ones);
+        let stuck = |value: bool| {
+            m.line(line)
+                .iter()
+                .filter(|f| layout::PARITY4.contains(&f.cell) && f.stuck == value)
+                .count() as u32
+        };
+        assert_eq!(m.corrupt_parity4(line, 0).count_ones(), stuck(true));
+        assert_eq!(m.corrupt_parity4(line, 0xf).count_ones(), 4 - stuck(false));
     }
 
     #[test]

@@ -42,24 +42,11 @@ impl Sink {
         }
     }
 
-    /// True when events are actually captured.
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Advances the op clock by one (the simulator calls this once per
     /// serviced trace op, giving every event a timestamp).
     pub fn tick(&self) {
         if let Some(inner) = &self.inner {
             inner.lock().unwrap().now += 1;
-        }
-    }
-
-    /// Current op-clock value (0 for the no-op sink).
-    pub fn now(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.lock().unwrap().now,
-            None => 0,
         }
     }
 
@@ -97,10 +84,8 @@ mod tests {
     #[test]
     fn noop_sink_skips_event_construction() {
         let sink = Sink::none();
-        assert!(!sink.is_recording());
         sink.emit(|| unreachable!("no-op sink must not build events"));
         sink.tick();
-        assert_eq!(sink.now(), 0);
         assert_eq!(sink.events_emitted(), None);
         assert_eq!(sink.export_jsonl(&[]), None);
     }

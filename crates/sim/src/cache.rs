@@ -380,11 +380,6 @@ impl L2Cache {
         &*self.protection
     }
 
-    /// Mutable access to the protection scheme (DFH resets, scrubbing).
-    pub fn protection_mut(&mut self) -> &mut dyn LineProtection {
-        &mut *self.protection
-    }
-
     /// Clears the run counters and bank-queue clocks (multi-phase
     /// experiments measure each phase separately, each starting at cycle
     /// zero); cache contents and learned protection state are untouched.

@@ -41,7 +41,7 @@ use killi_bench::sweep::{validate_voltage_grid, Accumulator};
 use killi_fault::model::default_registry as default_fault_registry;
 use killi_fault::rng::derive_seed;
 use killi_fault::{CellFault, FaultModel, FreqGhz, LineId, NormVdd};
-use killi_obs::{VminCounter, VminMetrics};
+use killi_obs::{escape_json, VminCounter, VminMetrics};
 
 use crate::search::{grid_vmin, SearchMode, SearchStats};
 use crate::store::{
@@ -386,19 +386,7 @@ fn json_f64(x: f64) -> String {
 }
 
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", escape_json(s))
 }
 
 fn json_opt_f64(x: Option<f64>) -> String {
