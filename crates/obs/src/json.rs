@@ -1,7 +1,7 @@
 //! A minimal recursive-descent JSON parser.
 //!
 //! The workspace is dependency-free by policy, but the CLI has to read
-//! back the JSON the tooling emits (`killi-sweep/v2` reports,
+//! back the JSON the tooling emits (`killi-sweep/v3` reports,
 //! `killi-obs/v1` trace lines), and the `killi-serve` daemon has to
 //! parse request bodies from the network. This parser covers exactly
 //! RFC 8259 — no extensions, no streaming — and keys preserve document

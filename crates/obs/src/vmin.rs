@@ -1,10 +1,10 @@
 //! Observability for the `killi vmin` campaign subsystem.
 //!
 //! The Vmin campaign gets its own counter registry, separate from the
-//! simulator-side [`crate::KilliEvent`] / [`crate::MetricSet`] pair for
-//! the same reason the serve daemon does ([`crate::serve`]): the
-//! simulator counters are part of the byte-stable `killi-sweep/v2` schema
-//! and cannot grow without invalidating golden files, while campaign
+//! simulator-side [`crate::MetricSet`] for the same reason the serve
+//! daemon does ([`crate::serve`]): the simulator counters are part of
+//! the byte-stable `killi-sweep/v3` schema and cannot grow without
+//! invalidating golden files, while campaign
 //! counters (dies streamed, search probes, store traffic) describe a
 //! different machine and are free to evolve with it.
 //!
