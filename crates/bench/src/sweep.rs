@@ -12,12 +12,14 @@
 //! one-replicate sweeps.
 //!
 //! Phase 1 builds the artifacts every job shares: one die per replicate,
-//! hashed once at the grid's lowest voltage, one fault map per (voltage,
-//! replicate) derived from it, and one trace per (workload, replicate).
-//! A die's lines draw independently, so with fewer replicates than
-//! threads each die is drawn over `ceil(threads / replicates)`
-//! contiguous line ranges on the same pool and joined in line order;
-//! phase 2 then runs the simulations.
+//! the fault model's stream of grid masks hashed once at the grid's
+//! lowest voltage and collected into a [`GridDie`], one fault map per
+//! (voltage, replicate) read from it by its grid bit, and one trace per
+//! (workload, replicate). A die's lines draw independently, so with fewer
+//! replicates than threads each die is drawn over `ceil(threads /
+//! replicates)` contiguous line ranges on the same pool and joined in
+//! line order. A grid longer than 64 points is drawn in 64-point slices.
+//! Phase 2 then runs the simulations.
 //!
 //! Determinism contract (regression-tested): all seeds derive from the
 //! root via [`derive_seed`] — replicate `r` draws die
@@ -35,7 +37,7 @@ use std::time::Instant;
 
 use killi_fault::cell_model::{FreqGhz, NormVdd};
 use killi_fault::map::FaultMap;
-use killi_fault::model::ReplicateDie;
+use killi_fault::model::GridDie;
 use killi_fault::rng::derive_seed;
 use killi_sim::gpu::GpuConfig;
 use killi_sim::stats::SimStats;
@@ -521,23 +523,23 @@ enum Job {
 /// [`run_sweep_reference`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ArtifactMode {
-    /// Fault maps memoized per (replicate, vdd) through a per-die sparse
-    /// candidate table; trace op buffers generated once per
-    /// (workload, replicate) and shared across scheme cells via `Arc`.
+    /// Fault maps read per (replicate, vdd) from one die per replicate
+    /// collected from the model's stream ([`GridDie`]); trace op buffers
+    /// generated once per (workload, replicate) and shared across scheme
+    /// cells via `Arc`.
     Shared,
     /// Every job rebuilds its fault map with the dense per-cell
     /// construction and regenerates its trace from scratch.
     PerJob,
 }
 
-/// Runs the sweep with shared artifacts: one memoized
-/// [`killi_fault::model::ReplicateDie`] per replicate (hashed once at the
-/// grid's lowest voltage, when the fault model offers the factorization)
-/// derives the fault map of every (voltage, replicate) pair, and each
-/// (workload, replicate) op buffer is generated once and replayed by
-/// every scheme cell. The
-/// report and optional event trace are byte-identical to
-/// [`run_sweep_reference`] at any thread count (regression-tested).
+/// Runs the sweep with shared artifacts: one [`GridDie`] per replicate
+/// (its model's stream over the grid, hashed once at the grid's lowest
+/// voltage) derives the fault map of every (voltage, replicate) pair, and
+/// each (workload, replicate) op buffer is generated once and replayed by
+/// every scheme cell. The report and optional event trace are
+/// byte-identical to [`run_sweep_reference`] at any thread count
+/// (regression-tested).
 pub fn run_sweep(config: &SweepConfig) -> SweepReport {
     run_sweep_mode(config, ArtifactMode::Shared)
 }
@@ -580,48 +582,40 @@ fn run_sweep_mode(config: &SweepConfig, mode: ArtifactMode) -> SweepReport {
         |w: usize, rep: usize| trace_params(&config.gpu, config.ops_per_cu, trace_seed(w, rep));
 
     // Phase 1: shared artifacts. maps[v * reps + rep]: one die per
-    // replicate (the *same* die across the voltage grid), hashed once per
-    // die at the grid's lowest voltage and filtered per operating point.
+    // replicate (the *same* die across the voltage grid), streamed once
+    // per 64 grid points and read per operating point.
     // traces[w * reps + rep]: one op buffer per (workload, replicate),
     // replayed by the baseline and every scheme cell.
     type SharedOps = Arc<Vec<Vec<TraceOp>>>;
     let (maps, traces): (Vec<Arc<FaultMap>>, Vec<SharedOps>) = match mode {
         ArtifactMode::Shared => {
-            let maps = if config.vdds.is_empty() {
-                Vec::new()
-            } else {
-                // Each replicate's die is hashed once at the grid's lowest
-                // voltage, and every operating point is read from it.
-                // With fewer replicates than threads, each die is drawn
-                // in contiguous line ranges, joined in line order.
-                let cap_vdd = config.vdds.iter().cloned().fold(f64::INFINITY, f64::min);
-                let draws: Vec<_> = (0..reps)
-                    .map(|rep| {
-                        fault_model.die_draw(lines, NormVdd(cap_vdd), FreqGhz::PEAK, die_seed(rep))
-                    })
-                    .collect();
-                let ranges = config.threads.div_ceil(reps).clamp(1, lines.max(1));
-                let part_keys: Vec<(usize, Range<usize>)> = (0..reps)
-                    .flat_map(|rep| {
-                        (0..ranges)
-                            .map(move |i| (rep, lines * i / ranges..lines * (i + 1) / ranges))
-                    })
-                    .collect();
+            // Every operating point is read from its die by its grid bit.
+            // With fewer replicates than threads, each die is drawn in
+            // contiguous line ranges, joined in line order.
+            let ranges = config.threads.div_ceil(reps).clamp(1, lines.max(1));
+            let part_keys: Vec<(usize, Range<usize>)> = (0..reps)
+                .flat_map(|rep| {
+                    (0..ranges).map(move |i| (rep, lines * i / ranges..lines * (i + 1) / ranges))
+                })
+                .collect();
+            let mut maps = Vec::with_capacity(config.vdds.len() * reps);
+            for vdds in config.vdds.chunks(64) {
+                let grid: Vec<NormVdd> = vdds.iter().map(|&vdd| NormVdd(vdd)).collect();
                 let mut parts = par_map(config.threads, &part_keys, None, |_, (rep, range)| {
-                    draws[*rep].lines(range.clone())
+                    let seed = die_seed(*rep);
+                    GridDie::draw(&*fault_model, range.clone(), &grid, FreqGhz::PEAK, seed)
                 })
                 .into_iter();
-                let dies: Vec<Box<dyn ReplicateDie>> = draws
-                    .iter()
-                    .map(|draw| draw.join(parts.by_ref().take(ranges).collect()))
+                let dies: Vec<GridDie> = (0..reps)
+                    .map(|_| GridDie::join(parts.by_ref().take(ranges).collect()))
                     .collect();
-                let map_keys: Vec<(usize, usize)> = (0..config.vdds.len())
-                    .flat_map(|v| (0..reps).map(move |rep| (v, rep)))
+                let map_keys: Vec<(u32, usize)> = (0..grid.len() as u32)
+                    .flat_map(|g| (0..reps).map(move |rep| (g, rep)))
                     .collect();
-                par_map(config.threads, &map_keys, None, |_, &(v, rep)| {
-                    Arc::new(dies[rep].map_at(NormVdd(config.vdds[v])))
-                })
-            };
+                maps.extend(par_map(config.threads, &map_keys, None, |_, &(g, rep)| {
+                    Arc::new(dies[rep].map(g))
+                }));
+            }
             let trace_keys: Vec<(usize, usize)> = (0..config.workloads.len())
                 .flat_map(|w| (0..reps).map(move |rep| (w, rep)))
                 .collect();

@@ -8,11 +8,12 @@
 //! - [`model`] — the data-driven fault-model registry: the [`FaultModel`]
 //!   trait plus named, parameterized models (`stuck-at`, `clustered`,
 //!   `transient`, `table`) resolved from CLI/JSON spellings; each model
-//!   reads every map from its die and keeps one reference construction,
+//!   implements one draw, a stream of grid masks that every map, sweep
+//!   die and Vmin campaign reads, and keeps one reference construction,
 //! - [`map`] — persistent stuck-at fault maps with the silicon-observed
 //!   properties (persistence, voltage/frequency monotonicity, masking),
-//!   the per-die candidate table they are read from, and the dense
-//!   reference construction it is tested against,
+//!   the per-line grid-mask draw behind every model's stream, and the
+//!   dense reference construction it is tested against,
 //! - [`line_stats`] — the per-line 0/1/2+ fault distribution of Figure 2,
 //! - [`soft`] — deterministic transient-error injection,
 //! - [`prob`] — log-space binomial helpers used by the analytic models,

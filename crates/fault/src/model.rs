@@ -35,26 +35,25 @@
 //! | `transient`| random/burst/MSB-biased flips over a stuck-at base       | no  |
 //! | `table`    | stuck-at drawn from a measured CDF (inline or from file) | yes |
 //!
-//! Every map comes from the model's die ([`FaultModel::die_draw`]): a
-//! die's persistent faults are hashed once, into a sparse candidate table
-//! at the lowest voltage of interest, and every operating point is
-//! derived from it. [`FaultModel::map`] draws the die with its own voltage
-//! as the cap, [`FaultModel::die`] memoizes one for a sweep grid, and a
-//! die's line ranges can be drawn on several threads and joined
-//! ([`DieDraw`]). `stuck-at` and `table` keep one variation draw per
-//! line, `clustered` one per (line, column group), and `transient` merges
-//! each operating point's overlay flips into its stuck-at base. A Vmin
-//! campaign needs every grid point of a die but never the whole die at
-//! once: [`FaultModel::grid_masks`] streams it line by line, drawing each
-//! line's candidates with the same per-line code the table runs and
-//! emitting their grid masks, so it holds one line, not a table.
+//! A model implements one draw, [`FaultModel::grid_masks`]: it streams a
+//! range of a die's lines over a voltage grid, hashing each line once at
+//! the grid's lowest voltage, and each faulty cell carries its grid mask
+//! and its polarity at every grid point. `stuck-at` and `table` keep one
+//! variation draw per line, `clustered` one per (line, column group), and
+//! `transient` merges each grid point's overlay flips into its stuck-at
+//! base. Everything else reads the stream: [`FaultModel::map`] streams a
+//! one-point grid, a sweep collects each die's stream over its grid into a
+//! [`GridDie`] (drawn in line ranges on several threads and joined) and
+//! reads a map per grid point, and a Vmin campaign folds the stream line
+//! by line. [`FaultModel::die`] only wraps [`FaultModel::map`] for the
+//! repository benchmark.
 //!
-//! Each model keeps one construction written apart from the die,
+//! Each model keeps one construction written apart from the stream,
 //! [`FaultModel::map_reference`]: [`FaultMap::dense_reference`] for
 //! `stuck-at`, `table` and `transient`'s base, and a per-cell pass over
 //! the column groups for `clustered`. It is the oracle of the model's
-//! maps and dies, and [`fold_grid_maps`] of its maps the oracle of the
-//! model's grid masks.
+//! maps, and [`fold_grid_maps`] of its maps the oracle of the model's
+//! stream.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -65,10 +64,7 @@ use killi_obs::params::ParamValue;
 use killi_obs::registry::{self, DefaultName, Descriptor, Kind, ParamSpec, ResolvedParams};
 
 use crate::cell_model::{CellFailureModel, FailureKind, FreqGhz, NormVdd};
-use crate::map::{
-    layout, line_z, CellFault, CellGroups, DieFaultTable, DieLines, FaultMap, LineFaults, LineId,
-    LineMasks, TableDraw,
-};
+use crate::map::{layout, line_z, CellFault, CellGroups, FaultMap, GridFault, LineId, LineMasks};
 use crate::rng::{
     for_each_failing_cell, hash3, hash3_base, hash3_with_base, splitmix64, standard_normal,
     to_unit, unit_threshold, CellThresholds,
@@ -82,65 +78,69 @@ use crate::rng::{
 /// `derive_seed(root_seed, "die", &[replicate])`, so one replicate is one
 /// physical die across every operating point of a sweep grid.
 ///
-/// A model draws its die ([`Self::die_draw`]) and streams its grid masks
-/// ([`Self::grid_masks`]); every map, die and mask comes from the same
-/// per-line draw. [`Self::map_reference`] is the model's one construction
-/// written apart from that draw, the oracle the draw is tested against.
+/// A model draws its die one way, as a stream of grid masks
+/// ([`Self::grid_masks`]); every map, sweep die and campaign die comes
+/// from it. [`Self::map_reference`] is the model's one construction written
+/// apart from that draw, the oracle the draw is tested against.
 pub trait FaultModel: fmt::Debug + Send + Sync {
-    /// The fault map of one die at one operating point: the die drawn
-    /// with `vdd` as its cap, read at `vdd`.
+    /// The fault map of one die at one operating point: the die's stream
+    /// over the one-point grid `[vdd]`.
     fn map(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
-        let draw = self.die_draw(lines, vdd, freq, seed);
-        draw.join(vec![draw.lines(0..lines)]).map_at(vdd)
+        let mut map = FaultMap::with_lines(lines);
+        self.grid_masks(0..lines, &[vdd], freq, seed, &mut |line, fault| {
+            while map.lines() < line {
+                map.end_line();
+            }
+            map.push(fault.at(0));
+        });
+        while map.lines() < lines {
+            map.end_line();
+        }
+        map
     }
 
     /// The independently-written reference construction of [`Self::map`],
     /// used by the perf-equivalence oracle. Must equal it bit for bit.
     fn map_reference(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap;
 
-    /// A memoized per-die table covering every voltage `>= cap_vdd`, for
-    /// sweep engines that derive many maps of one die (a Vmin campaign
-    /// streams [`Self::grid_masks`] instead): the die of
-    /// [`Self::die_draw`], drawn in one range. It is always `Some`; the
-    /// `Option` stays because the repository benchmark matches on it.
+    /// The die `(lines, freq, seed)` at every voltage `>= cap_vdd`, each
+    /// map drawn by [`Self::map`] when it is asked for. Only the
+    /// repository benchmark reads it; it is always `Some`, and the
+    /// `Option` stays because the benchmark matches on it.
     fn die(
         &self,
         lines: usize,
         cap_vdd: NormVdd,
         freq: FreqGhz,
         seed: u64,
-    ) -> Option<Box<dyn ReplicateDie>> {
-        let draw = self.die_draw(lines, cap_vdd, freq, seed);
-        Some(draw.join(vec![draw.lines(0..lines)]))
+    ) -> Option<Box<dyn ReplicateDie + '_>> {
+        Some(Box::new(LazyDie {
+            model: self,
+            lines,
+            cap_vdd,
+            freq,
+            seed,
+        }))
     }
 
-    /// The die [`Self::die`] memoizes, before it is drawn: its line ranges
-    /// can be drawn on any threads and joined in line order, for engines
-    /// that have more threads than dies.
-    fn die_draw(
-        &self,
-        lines: usize,
-        cap_vdd: NormVdd,
-        freq: FreqGhz,
-        seed: u64,
-    ) -> Box<dyn DieDraw + '_>;
-
-    /// Calls `emit(line, fault, mask)` once per cell of the die `(lines,
-    /// freq, seed)` that is faulty at some point of `grid` (at most 64
-    /// points), in (line, cell) order. Bit `g` of `mask` is set iff the
-    /// cell is in `map(lines, grid[g], freq, seed)`, and `fault` is the
-    /// cell as that map has it at its lowest such `g`. A voltage-nested
-    /// model over an ascending grid therefore emits prefixes of ones.
+    /// Calls `emit(line, fault)` once per cell of the lines `lines` of the
+    /// die `(freq, seed)` that is faulty at some point of `grid` (at most
+    /// 64 points), in (line, cell) order. Bit `g` of `fault.mask` is set
+    /// iff the cell is in `map(.., grid[g], freq, seed)`, and bit `g` of
+    /// `fault.stuck` is its polarity there. A voltage-nested model over
+    /// an ascending grid therefore emits prefixes of ones.
     ///
-    /// A model streams its die line by line and holds one line at a
-    /// time; [`fold_grid_maps`] of its reference maps is the oracle.
+    /// A line's draw depends only on `(seed, line)` and die-wide values,
+    /// so a range streams the same cells as that range of the whole die.
+    /// A model holds one line at a time; [`fold_grid_maps`] of its
+    /// reference maps is the oracle.
     fn grid_masks(
         &self,
-        lines: usize,
+        lines: Range<LineId>,
         grid: &[NormVdd],
         freq: FreqGhz,
         seed: u64,
-        emit: &mut dyn FnMut(LineId, CellFault, u64),
+        emit: &mut dyn FnMut(LineId, GridFault),
     );
 
     /// Whether fault sets are nested across voltage: every fault at a
@@ -156,48 +156,117 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
     }
 }
 
-/// One die of a [`FaultModel`], memoized at the grid's cap voltage.
-///
-/// The sweep engine asks it for one map per operating point. For a
-/// persistent model that costs time proportional to the die's candidate
-/// cells; `transient` adds one overlay hash pass per operating point.
+/// One die of a [`FaultModel`] at every voltage at or above a cap
+/// ([`FaultModel::die`]).
 pub trait ReplicateDie: Send + Sync {
     /// The die's fault map at `vdd` (which must be `>=` the cap), equal
     /// to the model's [`FaultModel::map_reference`] there.
     fn map_at(&self, vdd: NormVdd) -> FaultMap;
 }
 
-/// One die of a [`FaultModel`] on its way to a [`ReplicateDie`]. Each
-/// line's draw depends only on `(seed, line, cell)` and die-wide values,
-/// so disjoint line ranges may be drawn on different threads; the die
-/// joined from them is the same for any split.
-pub trait DieDraw: Send + Sync {
-    /// Draws the lines `range` of the die.
-    fn lines(&self, range: Range<LineId>) -> DieLines;
-
-    /// The die from its drawn line ranges, which must cover its lines in
-    /// order. The ranges' candidates move into the die, never copied.
-    fn join(&self, parts: Vec<DieLines>) -> Box<dyn ReplicateDie>;
+/// The [`ReplicateDie`] of [`FaultModel::die`]: the model's maps of one
+/// die, drawn when asked for.
+struct LazyDie<'a, M: ?Sized> {
+    model: &'a M,
+    lines: usize,
+    cap_vdd: NormVdd,
+    freq: FreqGhz,
+    seed: u64,
 }
 
-/// The [`DieDraw`] of a model whose die is a [`DieFaultTable`]: the
-/// table's recipe, and `die` to wrap the joined table.
-struct TableDieDraw<'a, Z, D> {
-    table: TableDraw<'a, Z>,
-    die: D,
+impl<M: FaultModel + ?Sized> ReplicateDie for LazyDie<'_, M> {
+    fn map_at(&self, vdd: NormVdd) -> FaultMap {
+        assert!(
+            vdd.0 >= self.cap_vdd.0,
+            "requested vdd {} below the die's cap {}",
+            vdd.0,
+            self.cap_vdd.0
+        );
+        self.model.map(self.lines, vdd, self.freq, self.seed)
+    }
 }
 
-impl<Z, D> DieDraw for TableDieDraw<'_, Z, D>
-where
-    Z: Fn(LineId, u64) -> f64 + Send + Sync,
-    D: Fn(DieFaultTable) -> Box<dyn ReplicateDie> + Send + Sync,
-{
-    fn lines(&self, range: Range<LineId>) -> DieLines {
-        self.table.lines(range)
+/// A die over a grid of at most 64 voltages, collected from its model's
+/// stream for a sweep that reads many maps of it: per line, one
+/// exact-size slice of `(fault, mask)` entries in cell order, bit `g` of
+/// `mask` set iff the cell is faulty with `fault`'s polarity at grid point
+/// `g`. A cell whose polarity differs between points is two entries with
+/// disjoint masks.
+///
+/// A die may be drawn in contiguous line ranges on any threads and joined
+/// in line order. Its lines stay one exact-size slice each: packed into
+/// one vector, a die's faults (about 11 MB for a 2 MiB L2 at 0.575 x VDD)
+/// were measured to raise the peak resident memory of repeated sweeps by
+/// half or more, since a freed allocation that large stays resident with
+/// the allocator.
+#[derive(Debug, Default)]
+pub struct GridDie {
+    lines: Vec<Box<[(CellFault, u64)]>>,
+}
+
+impl GridDie {
+    /// The lines `lines` of the die `(freq, seed)` of `model` over `grid`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid` has more than 64 points.
+    pub fn draw(
+        model: &dyn FaultModel,
+        lines: Range<LineId>,
+        grid: &[NormVdd],
+        freq: FreqGhz,
+        seed: u64,
+    ) -> Self {
+        let (first, count) = (lines.start, lines.len());
+        let mut die = Vec::with_capacity(count);
+        let mut open = Vec::new();
+        let mut close_before = |line: LineId, open: &mut Vec<(CellFault, u64)>| {
+            while first + die.len() < line {
+                die.push(open.as_slice().into());
+                open.clear();
+            }
+        };
+        model.grid_masks(lines, grid, freq, seed, &mut |line, fault| {
+            close_before(line, &mut open);
+            let cell = fault.cell;
+            for (stuck, mask) in [(false, fault.mask & !fault.stuck), (true, fault.stuck)] {
+                if mask != 0 {
+                    open.push((CellFault { cell, stuck }, mask));
+                }
+            }
+        });
+        close_before(first + count, &mut open);
+        GridDie { lines: die }
     }
 
-    fn join(&self, parts: Vec<DieLines>) -> Box<dyn ReplicateDie> {
-        (self.die)(self.table.join(parts))
+    /// The die from its line ranges `parts`, in line order. The first
+    /// part's vector grows into the die's, so a die drawn in one range is
+    /// joined without allocating, and the join allocates where the draw
+    /// did, not on the caller's thread. The lines' slices move; they are
+    /// never copied.
+    pub fn join(parts: Vec<GridDie>) -> Self {
+        let lines = parts.iter().map(|part| part.lines.len()).sum::<usize>();
+        let mut parts = parts.into_iter();
+        let mut die = parts.next().unwrap_or_default();
+        die.lines.reserve_exact(lines - die.lines.len());
+        for part in parts {
+            die.lines.extend(part.lines);
+        }
+        die
+    }
+
+    /// The die's fault map at grid point `g`.
+    pub fn map(&self, g: u32) -> FaultMap {
+        let mut map = FaultMap::with_lines(self.lines.len());
+        for line in &self.lines {
+            for &(fault, mask) in line.iter() {
+                if (mask >> g) & 1 != 0 {
+                    map.push(fault);
+                }
+            }
+            map.end_line();
+        }
+        map
     }
 }
 
@@ -209,31 +278,37 @@ pub fn fold_grid_maps(
     lines: usize,
     grid: &[NormVdd],
     map_at: impl Fn(NormVdd) -> FaultMap,
-    emit: &mut dyn FnMut(LineId, CellFault, u64),
+    emit: &mut dyn FnMut(LineId, GridFault),
 ) {
     let maps: Vec<FaultMap> = grid.iter().map(|&vdd| map_at(vdd)).collect();
-    let mut cells: BTreeMap<u16, (CellFault, u64)> = BTreeMap::new();
+    let mut cells: BTreeMap<u16, GridFault> = BTreeMap::new();
     for line in 0..lines {
         for (g, map) in maps.iter().enumerate() {
             for &fault in map.line(line) {
-                cells.entry(fault.cell).or_insert((fault, 0)).1 |= 1 << g;
+                let cell = cells.entry(fault.cell).or_insert(GridFault {
+                    cell: fault.cell,
+                    mask: 0,
+                    stuck: 0,
+                });
+                cell.mask |= 1 << g;
+                cell.stuck |= u64::from(fault.stuck) << g;
             }
         }
-        for (fault, mask) in std::mem::take(&mut cells).into_values() {
-            emit(line, fault, mask);
+        for fault in std::mem::take(&mut cells).into_values() {
+            emit(line, fault);
         }
     }
 }
 
-/// Emits the grid masks of `lines` lines drawn by `masks`, line by line.
+/// Emits the grid masks of the lines `lines` drawn by `masks`.
 fn emit_lines<Z: Fn(LineId, u64) -> f64>(
-    lines: usize,
+    lines: Range<LineId>,
     masks: &mut LineMasks<'_, Z>,
-    emit: &mut dyn FnMut(LineId, CellFault, u64),
+    emit: &mut dyn FnMut(LineId, GridFault),
 ) {
-    for line in 0..lines {
-        for &(fault, mask) in masks.line(line) {
-            emit(line, fault, mask);
+    for line in lines {
+        for &fault in masks.line(line) {
+            emit(line, fault);
         }
     }
 }
@@ -351,27 +426,13 @@ impl FaultModel for ParametricStuckAt {
         FaultMap::dense_reference(lines, &self.cell, vdd, freq, seed)
     }
 
-    fn die_draw(
-        &self,
-        lines: usize,
-        cap_vdd: NormVdd,
-        freq: FreqGhz,
-        seed: u64,
-    ) -> Box<dyn DieDraw + '_> {
-        let groups = CellGroups::Line;
-        Box::new(TableDieDraw {
-            table: TableDraw::new(lines, &self.cell, groups, cap_vdd, freq, seed, line_z),
-            die: |table| TableDie::boxed(table, &self.cell),
-        })
-    }
-
     fn grid_masks(
         &self,
-        lines: usize,
+        lines: Range<LineId>,
         grid: &[NormVdd],
         freq: FreqGhz,
         seed: u64,
-        emit: &mut dyn FnMut(LineId, CellFault, u64),
+        emit: &mut dyn FnMut(LineId, GridFault),
     ) {
         let groups = CellGroups::Line;
         let mut masks = LineMasks::new(&self.cell, &groups, grid, freq, seed, line_z);
@@ -384,29 +445,6 @@ impl FaultModel for ParametricStuckAt {
 
     fn cell_model(&self) -> Option<&CellFailureModel> {
         Some(&self.cell)
-    }
-}
-
-/// One memoized die of a persistent model ([`ParametricStuckAt`] or
-/// [`ClusteredModel`]): its candidate table and the probability curve the
-/// table was built from.
-struct TableDie {
-    table: DieFaultTable,
-    cell: CellFailureModel,
-}
-
-impl TableDie {
-    fn boxed(table: DieFaultTable, cell: &CellFailureModel) -> Box<dyn ReplicateDie> {
-        Box::new(TableDie {
-            table,
-            cell: cell.clone(),
-        })
-    }
-}
-
-impl ReplicateDie for TableDie {
-    fn map_at(&self, vdd: NormVdd) -> FaultMap {
-        self.table.fault_map_at(&self.cell, vdd)
     }
 }
 
@@ -465,56 +503,35 @@ impl ClusteredModel {
 
 impl FaultModel for ClusteredModel {
     /// The one construction of a clustered map that does not go through
-    /// the die table: every cell hashed against its group's threshold at
+    /// the stream: every cell hashed against its group's threshold at
     /// `vdd`, with no candidate filter.
     fn map_reference(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
         let median = self.cell.p_cell_median(vdd, freq, FailureKind::Combined);
         // Column-group draws are shared die-wide; hoist them.
         let groups = self.column_groups(seed);
-        let mut faults = LineFaults::with_lines(lines);
+        let mut map = FaultMap::with_lines(lines);
         let mut per_cell = [0; layout::CELLS_PER_LINE as usize];
-        let mut mean_p_line = 0.0;
         for line in 0..lines {
             let base = hash3_base(seed, line as u64);
             let z_line = self.z_line(seed, line as u64);
-            let mut p_line = 0.0;
-            let thresholds = groups.thresholds(&mut per_cell, |g, cells| {
-                let p = self.cell.line_p(median, groups.z(z_line, g));
-                p_line += p * cells as f64;
-                unit_threshold(p)
+            let thresholds = groups.thresholds(&mut per_cell, |g| {
+                unit_threshold(self.cell.line_p(median, groups.z(z_line, g)))
             });
             for_each_failing_cell(base, 0..layout::CELLS_PER_LINE, 1, thresholds, |cell, h| {
-                faults.push(CellFault::drawn(cell, h))
+                map.push(CellFault::drawn(cell, h))
             });
-            mean_p_line += p_line / f64::from(layout::CELLS_PER_LINE);
-            faults.end_line();
+            map.end_line();
         }
-        let mean_p_line = mean_p_line / lines.max(1) as f64;
-        FaultMap::from_parts(faults, median, mean_p_line, vdd, freq, seed)
-    }
-
-    fn die_draw(
-        &self,
-        lines: usize,
-        cap_vdd: NormVdd,
-        freq: FreqGhz,
-        seed: u64,
-    ) -> Box<dyn DieDraw + '_> {
-        let groups = self.column_groups(seed);
-        let z_of = move |line: LineId, _| self.z_line(seed, line as u64);
-        Box::new(TableDieDraw {
-            table: TableDraw::new(lines, &self.cell, groups, cap_vdd, freq, seed, z_of),
-            die: |table| TableDie::boxed(table, &self.cell),
-        })
+        map
     }
 
     fn grid_masks(
         &self,
-        lines: usize,
+        lines: Range<LineId>,
         grid: &[NormVdd],
         freq: FreqGhz,
         seed: u64,
-        emit: &mut dyn FnMut(LineId, CellFault, u64),
+        emit: &mut dyn FnMut(LineId, GridFault),
     ) {
         let groups = self.column_groups(seed);
         let mut masks = LineMasks::new(&self.cell, &groups, grid, freq, seed, |line, _| {
@@ -604,91 +621,48 @@ impl TransientModel {
         );
     }
 
-    /// Merges the transient overlay into a persistent base map. The base
-    /// wins on conflicts (a stuck cell cannot also be flipped); the
-    /// result stays sorted by cell index like every generated map.
-    fn overlay(&self, base: FaultMap, vdd: NormVdd) -> FaultMap {
-        let seed = base.seed();
-        let (_, freq) = base.operating_point();
+    /// Merges the transient overlay of the die `seed` at `vdd` into its
+    /// persistent base map. The base wins on conflicts (a stuck cell
+    /// cannot also be flipped); the result stays sorted by cell index
+    /// like every generated map.
+    fn overlay(&self, base: &FaultMap, vdd: NormVdd, seed: u64) -> FaultMap {
         let tseed = Self::overlay_seed(seed, vdd);
         let mut flips = Vec::new();
-        let mut faults = LineFaults::with_lines(base.lines());
+        let mut map = FaultMap::with_lines(base.lines());
         for line in 0..base.lines() {
             self.flips(tseed, line, &mut flips);
-            merge_persistent(base.line(line), &flips, &mut faults);
-        }
-        // The derived statistics describe the persistent substrate; the
-        // transient layer is an overlay on top of them.
-        FaultMap::from_parts(
-            faults,
-            base.p_cell_median(),
-            base.mean_p_line(),
-            vdd,
-            freq,
-            seed,
-        )
-    }
-}
-
-/// Appends a line's persistent faults merged with its transient flips
-/// (both sorted by cell) to `merged` as one line; the persistent fault
-/// wins where both hit one cell.
-fn merge_persistent(persistent: &[CellFault], flips: &[CellFault], merged: &mut LineFaults) {
-    let mut t = flips.iter().peekable();
-    for &p in persistent {
-        while let Some(&&next) = t.peek() {
-            if next.cell < p.cell {
-                merged.push(next);
-                t.next();
-            } else {
-                if next.cell == p.cell {
-                    t.next();
+            let mut rest = flips.iter().peekable();
+            for &fault in base.line(line) {
+                while let Some(&flip) = rest.next_if(|flip| flip.cell < fault.cell) {
+                    map.push(flip);
                 }
-                break;
+                rest.next_if(|flip| flip.cell == fault.cell);
+                map.push(fault);
             }
+            for &flip in rest {
+                map.push(flip);
+            }
+            map.end_line();
         }
-        merged.push(p);
+        map
     }
-    for &flip in t {
-        merged.push(flip);
-    }
-    merged.end_line();
 }
 
 impl FaultModel for TransientModel {
     fn map_reference(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
         let base = FaultMap::dense_reference(lines, &self.cell, vdd, freq, seed);
-        self.overlay(base, vdd)
-    }
-
-    fn die_draw(
-        &self,
-        lines: usize,
-        cap_vdd: NormVdd,
-        freq: FreqGhz,
-        seed: u64,
-    ) -> Box<dyn DieDraw + '_> {
-        let groups = CellGroups::Line;
-        Box::new(TableDieDraw {
-            table: TableDraw::new(lines, &self.cell, groups, cap_vdd, freq, seed, line_z),
-            die: |base| {
-                Box::new(TransientDie {
-                    base,
-                    model: self.clone(),
-                }) as Box<dyn ReplicateDie>
-            },
-        })
+        self.overlay(&base, vdd, seed)
     }
 
     /// The stuck-at base's masks, line by line, each line merged with its
     /// flips at every grid point.
     fn grid_masks(
         &self,
-        lines: usize,
+        lines: Range<LineId>,
         grid: &[NormVdd],
         freq: FreqGhz,
         seed: u64,
-        emit: &mut dyn FnMut(LineId, CellFault, u64),
+        emit: &mut dyn FnMut(LineId, GridFault),
     ) {
         let tseeds: Vec<u64> = grid
             .iter()
@@ -697,39 +671,46 @@ impl FaultModel for TransientModel {
         let groups = CellGroups::Line;
         let mut masks = LineMasks::new(&self.cell, &groups, grid, freq, seed, line_z);
         let mut point_flips = Vec::new();
-        // The line's flips at every grid point, as (flip, grid index).
-        let mut flips: Vec<(CellFault, u32)> = Vec::new();
-        for line in 0..lines {
+        // The line's flips at every grid point, one entry per cell.
+        let mut flips: Vec<GridFault> = Vec::new();
+        for line in lines {
             flips.clear();
             for (g, &tseed) in tseeds.iter().enumerate() {
                 self.flips(tseed, line, &mut point_flips);
-                flips.extend(point_flips.iter().map(|&f| (f, g as u32)));
+                flips.extend(point_flips.iter().map(|f| GridFault {
+                    cell: f.cell,
+                    mask: 1 << g,
+                    stuck: u64::from(f.stuck) << g,
+                }));
             }
-            // Stable, so each cell's flips stay in grid order.
-            flips.sort_by_key(|(f, _)| f.cell);
-            let mut rest = flips.as_slice();
-            for &(fault, mask) in masks.line(line) {
-                while rest.first().is_some_and(|(f, _)| f.cell < fault.cell) {
-                    let (flip, flip_mask) = take_cell(&mut rest);
-                    emit(line, flip, flip_mask);
+            flips.sort_unstable_by_key(|f| f.cell);
+            flips.dedup_by(|next, kept| {
+                let same = next.cell == kept.cell;
+                if same {
+                    kept.mask |= next.mask;
+                    kept.stuck |= next.stuck;
                 }
-                if rest.first().is_some_and(|(f, _)| f.cell == fault.cell) {
-                    // A cell keeps the polarity of its lowest faulty grid
-                    // point, where the persistent fault wins a tie.
-                    let (flip, flip_mask) = take_cell(&mut rest);
-                    let first = if mask.trailing_zeros() <= flip_mask.trailing_zeros() {
-                        fault
-                    } else {
-                        flip
-                    };
-                    emit(line, first, mask | flip_mask);
-                } else {
-                    emit(line, fault, mask);
+                same
+            });
+            let mut rest = flips.iter().peekable();
+            for &fault in masks.line(line) {
+                while let Some(&flip) = rest.next_if(|flip| flip.cell < fault.cell) {
+                    emit(line, flip);
                 }
+                // The persistent fault wins at the points where it is
+                // faulty, the flips at the others.
+                let merged = match rest.next_if(|flip| flip.cell == fault.cell) {
+                    Some(flip) => GridFault {
+                        cell: fault.cell,
+                        mask: fault.mask | flip.mask,
+                        stuck: fault.stuck | (flip.stuck & !fault.mask),
+                    },
+                    None => fault,
+                };
+                emit(line, merged);
             }
-            while !rest.is_empty() {
-                let (flip, flip_mask) = take_cell(&mut rest);
-                emit(line, flip, flip_mask);
+            for &flip in rest {
+                emit(line, flip);
             }
         }
     }
@@ -741,35 +722,6 @@ impl FaultModel for TransientModel {
     fn cell_model(&self) -> Option<&CellFailureModel> {
         Some(&self.cell)
     }
-}
-
-/// One memoized die of [`TransientModel`]: the persistent base as a
-/// candidate table built once at the cap voltage. Each operating point
-/// merges in that point's overlay flips.
-struct TransientDie {
-    base: DieFaultTable,
-    model: TransientModel,
-}
-
-impl ReplicateDie for TransientDie {
-    fn map_at(&self, vdd: NormVdd) -> FaultMap {
-        let base = self.base.fault_map_at(&self.model.cell, vdd);
-        self.model.overlay(base, vdd)
-    }
-}
-
-/// Splits the flips of the first cell off `flips` (sorted by cell, each
-/// cell's in grid order): that cell's flip at its lowest grid point and
-/// its grid mask.
-fn take_cell(flips: &mut &[(CellFault, u32)]) -> (CellFault, u64) {
-    let (first, _) = flips[0];
-    let n = flips
-        .iter()
-        .take_while(|(f, _)| f.cell == first.cell)
-        .count();
-    let (cell, rest) = flips.split_at(n);
-    *flips = rest;
-    (first, cell.iter().fold(0, |mask, &(_, g)| mask | 1 << g))
 }
 
 // ---------------------------------------------------------------------------
@@ -1149,18 +1101,16 @@ mod tests {
     #[test]
     fn every_model_die_matches_per_voltage_maps() {
         let r = registry();
+        let grid = [NormVdd(0.7), NormVdd(0.55), NormVdd(0.6)];
         for name in r.names() {
             let model = r.build(&FaultModelConfig::new(name), &()).unwrap();
-            let die = model
-                .die(64, NormVdd(0.55), FreqGhz::PEAK, 9)
-                .unwrap_or_else(|| panic!("{name} factorizes across voltage"));
-            for vdd in [0.55, 0.6, 0.7] {
-                let (a, b) = (
-                    die.map_at(NormVdd(vdd)),
-                    model.map_reference(64, NormVdd(vdd), FreqGhz::PEAK, 9),
-                );
-                assert_maps_equal(&a, &b);
-                assert_eq!(a.mean_p_line().to_bits(), b.mean_p_line().to_bits());
+            let draw = |lines| GridDie::draw(&*model, lines, &grid, FreqGhz::PEAK, 9);
+            let die = GridDie::join(vec![draw(0..20), draw(20..20), draw(20..64)]);
+            for (g, &vdd) in grid.iter().enumerate() {
+                let reference = model.map_reference(64, vdd, FreqGhz::PEAK, 9);
+                assert_maps_equal(&die.map(g as u32), &reference);
+                let lazy = model.die(64, NormVdd(0.55), FreqGhz::PEAK, 9).unwrap();
+                assert_maps_equal(&lazy.map_at(vdd), &reference);
             }
         }
     }
@@ -1317,11 +1267,11 @@ mod tests {
             .with("anchors", ParamValue::Str("0.5@-3;0.6@-3;0.7@-9".into()));
         let model = r.build(&flat, &()).unwrap();
         model.grid_masks(
-            64,
+            0..64,
             &[NormVdd(0.5), NormVdd(0.55), NormVdd(0.65)],
             FreqGhz::PEAK,
             3,
-            &mut |_, _, mask| {
+            &mut |_, GridFault { mask, .. }| {
                 assert_eq!(mask & mask.wrapping_add(1), 0, "{mask:#b} is not a prefix");
             },
         );

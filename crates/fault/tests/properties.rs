@@ -5,7 +5,7 @@ use std::sync::Arc;
 use killi_check::check;
 use killi_fault::cell_model::{CellFailureModel, FailureKind, FreqGhz, NormVdd};
 use killi_fault::map::FaultMap;
-use killi_fault::model::{default_registry, FaultModel, FaultModelConfig};
+use killi_fault::model::{default_registry, FaultModel, FaultModelConfig, GridDie};
 use killi_fault::prob::{binom_cdf, binom_pmf, binom_sf};
 use killi_fault::rng::{hash3, to_unit};
 
@@ -16,15 +16,12 @@ fn stuck_at() -> Arc<dyn FaultModel> {
         .unwrap()
 }
 
-/// Bit-level equality of two fault maps: every line's fault list and the
-/// cached statistics (compared as bits, not approximately).
+/// Equality of two fault maps: every line's fault list.
 fn assert_maps_identical(a: &FaultMap, b: &FaultMap) {
     assert_eq!(a.lines(), b.lines());
     for l in 0..a.lines() {
         assert_eq!(a.line(l), b.line(l), "line {l}");
     }
-    assert_eq!(a.p_cell_median().to_bits(), b.p_cell_median().to_bits());
-    assert_eq!(a.mean_p_line().to_bits(), b.mean_p_line().to_bits());
 }
 
 #[test]
@@ -62,35 +59,53 @@ fn sparse_build_matches_dense_for_any_operating_point() {
     });
 }
 
+/// A die of `lines` lines over `grid`, drawn in up to four random
+/// contiguous line ranges and joined, as a sweep draws it.
+fn grid_die(
+    g: &mut killi_check::Gen,
+    model: &dyn FaultModel,
+    lines: usize,
+    grid: &[NormVdd],
+    seed: u64,
+) -> GridDie {
+    let mut cuts: Vec<usize> = (0..g.usize_in(0, 4))
+        .map(|_| g.usize_in(0, lines + 1))
+        .collect();
+    cuts.extend([0, lines]);
+    cuts.sort_unstable();
+    let parts = cuts
+        .windows(2)
+        .map(|w| GridDie::draw(model, w[0]..w[1], grid, FreqGhz::PEAK, seed))
+        .collect();
+    GridDie::join(parts)
+}
+
 #[test]
-fn die_table_derives_dense_maps_at_any_grid_point() {
-    check("die_table_derives_dense_maps_at_any_grid_point", |g| {
+fn grid_die_derives_dense_maps_at_any_grid_point() {
+    check("grid_die_derives_dense_maps_at_any_grid_point", |g| {
         let seed = g.u64();
         let cap = g.f64_in(0.5, 0.64);
-        let vdd = NormVdd((cap + g.f64_in(0.0, 0.3)).min(1.0));
+        let grid = [NormVdd((cap + g.f64_in(0.0, 0.3)).min(1.0)), NormVdd(cap)];
         let lines = g.usize_in(1, 96);
-        let die = stuck_at()
-            .die(lines, NormVdd(cap), FreqGhz::PEAK, seed)
-            .unwrap();
-        let derived = die.map_at(vdd);
+        let die = grid_die(g, &*stuck_at(), lines, &grid, seed);
         let model = CellFailureModel::finfet14();
-        let dense = FaultMap::dense_reference(lines, &model, vdd, FreqGhz::PEAK, seed);
-        assert_maps_identical(&derived, &dense);
+        for (i, &vdd) in grid.iter().enumerate() {
+            let dense = FaultMap::dense_reference(lines, &model, vdd, FreqGhz::PEAK, seed);
+            assert_maps_identical(&die.map(i as u32), &dense);
+        }
     });
 }
 
 #[test]
-fn die_table_preserves_voltage_nesting() {
-    check("die_table_preserves_voltage_nesting", |g| {
+fn grid_die_preserves_voltage_nesting() {
+    check("grid_die_preserves_voltage_nesting", |g| {
         let seed = g.u64();
         let cap = g.f64_in(0.5, 0.6);
         let v_lo = cap + g.f64_in(0.0, 0.05);
         let v_hi = (v_lo + g.f64_in(0.0, 0.1)).min(1.0);
-        let die = stuck_at()
-            .die(64, NormVdd(cap), FreqGhz::PEAK, seed)
-            .unwrap();
-        let lo = die.map_at(NormVdd(v_lo));
-        let hi = die.map_at(NormVdd(v_hi));
+        let grid = [NormVdd(cap), NormVdd(v_lo), NormVdd(v_hi)];
+        let die = grid_die(g, &*stuck_at(), 64, &grid, seed);
+        let (lo, hi) = (die.map(1), die.map(2));
         for l in 0..64 {
             for f in hi.line(l) {
                 assert!(lo.line(l).contains(f), "line {l}: {f:?} not nested");
@@ -214,7 +229,7 @@ fn random_model_config(g: &mut killi_check::Gen) -> FaultModelConfig {
 fn grid_masks_equal_the_fold_of_per_grid_maps() {
     use std::collections::BTreeMap;
 
-    use killi_fault::map::CellFault;
+    use killi_fault::map::GridFault;
     use killi_fault::model::fold_grid_maps;
 
     let registry = default_registry();
@@ -229,6 +244,9 @@ fn grid_masks_equal_the_fold_of_per_grid_maps() {
         // every cell of every line at each point, so it draws fewer lines.
         let transient = config.name == "transient";
         let lines = g.usize_in(1, if transient { 100 } else { 200 });
+        // The stream draws any range of the die's lines.
+        let start = g.usize_in(0, lines);
+        let range = start..g.usize_in(start, lines + 1);
         // 2 to 64 strictly ascending points, 2.5 mV apart at the least.
         let points = g.usize_in(2, 65);
         let steps: Vec<usize> = if transient {
@@ -251,36 +269,41 @@ fn grid_masks_equal_the_fold_of_per_grid_maps() {
             grid.reverse();
         }
 
-        let mut emitted: Vec<(usize, CellFault, u64)> = Vec::new();
+        let mut emitted: Vec<(usize, GridFault)> = Vec::new();
         model.grid_masks(
-            lines,
+            range.clone(),
             &grid,
             FreqGhz::PEAK,
             seed,
-            &mut |line, fault, mask| {
-                emitted.push((line, fault, mask));
+            &mut |line, fault| {
+                emitted.push((line, fault));
             },
         );
 
         // The oracle: the model's reference map at each grid point, folded
-        // cell by cell; a cell keeps its polarity at its lowest faulty
-        // index.
-        let mut folded: BTreeMap<(usize, u16), (CellFault, u64)> = BTreeMap::new();
+        // cell by cell, with the cell's polarity at each of its points.
+        let mut folded: BTreeMap<(usize, u16), GridFault> = BTreeMap::new();
         for (i, &vdd) in grid.iter().enumerate() {
             let map = model.map_reference(lines, vdd, FreqGhz::PEAK, seed);
-            for line in 0..lines {
+            for line in range.clone() {
                 for &fault in map.line(line) {
-                    folded.entry((line, fault.cell)).or_insert((fault, 0)).1 |= 1 << i;
+                    let cell = folded.entry((line, fault.cell)).or_insert(GridFault {
+                        cell: fault.cell,
+                        mask: 0,
+                        stuck: 0,
+                    });
+                    cell.mask |= 1 << i;
+                    cell.stuck |= u64::from(fault.stuck) << i;
                 }
             }
         }
-        let expected: Vec<(usize, CellFault, u64)> = folded
+        let expected: Vec<(usize, GridFault)> = folded
             .into_iter()
-            .map(|((line, _), (fault, mask))| (line, fault, mask))
+            .map(|((line, _), fault)| (line, fault))
             .collect();
         assert_eq!(
             emitted, expected,
-            "{config}, {lines} lines, {points} points"
+            "{config}, lines {range:?} of {lines}, {points} points"
         );
         // The public fold of the same maps agrees.
         let mut by_fold = Vec::new();
@@ -288,7 +311,11 @@ fn grid_masks_equal_the_fold_of_per_grid_maps() {
             lines,
             &grid,
             |vdd| model.map_reference(lines, vdd, FreqGhz::PEAK, seed),
-            &mut |line, fault, mask| by_fold.push((line, fault, mask)),
+            &mut |line, fault| {
+                if range.contains(&line) {
+                    by_fold.push((line, fault));
+                }
+            },
         );
         assert_eq!(by_fold, expected, "{config}: fold_grid_maps");
     });

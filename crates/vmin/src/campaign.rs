@@ -38,6 +38,7 @@ use killi_bench::schemes::{
     check_distinct_labels, default_registry, scheme_admissibility, scheme_label,
 };
 use killi_bench::sweep::{validate_voltage_grid, Accumulator};
+use killi_fault::map::GridFault;
 use killi_fault::model::default_registry as default_fault_registry;
 use killi_fault::rng::derive_seed;
 use killi_fault::{CellFault, FaultModel, FreqGhz, LineId, NormVdd};
@@ -506,11 +507,11 @@ impl VminReport {
 pub fn synth_record(model: &dyn FaultModel, lines: usize, grid: &[f64], seed: u64) -> DieRecord {
     let mut entries = Vec::new();
     model.grid_masks(
-        lines,
+        0..lines,
         &normalized(grid),
         FreqGhz::PEAK,
         seed,
-        &mut |line, fault, mask| entries.push(die_entry(line, fault, mask)),
+        &mut |line, fault| entries.push(die_entry(line, fault)),
     );
     DieRecord { seed, entries }
 }
@@ -519,13 +520,14 @@ fn normalized(grid: &[f64]) -> Vec<NormVdd> {
     grid.iter().map(|&v| NormVdd(v)).collect()
 }
 
-/// A streamed cell as a record entry.
-fn die_entry(line: LineId, fault: CellFault, mask: u64) -> DieEntry {
+/// A streamed cell as a record entry, stuck at its polarity at its
+/// lowest faulty grid index.
+fn die_entry(line: LineId, fault: GridFault) -> DieEntry {
     DieEntry {
         line: u32::try_from(line).expect("a die has at most u32::MAX lines"),
         cell: fault.cell,
-        stuck: fault.stuck,
-        mask,
+        stuck: fault.at(fault.mask.trailing_zeros()).stuck,
+        mask: fault.mask,
     }
 }
 
@@ -575,20 +577,14 @@ fn stream_die(
     let mut usable = UsableLines::new(ctx);
     let mut line: Vec<DieEntry> = Vec::new();
     let mut added = Ok(());
-    model.grid_masks(
-        ctx.lines,
-        grid,
-        FreqGhz::PEAK,
-        seed,
-        &mut |l, fault, mask| {
-            let entry = die_entry(l, fault, mask);
-            if line.first().is_some_and(|first| first.line != entry.line) {
-                added = added.and_then(|()| usable.add_line(&line));
-                line.clear();
-            }
-            line.push(entry);
-        },
-    );
+    model.grid_masks(0..ctx.lines, grid, FreqGhz::PEAK, seed, &mut |l, fault| {
+        let entry = die_entry(l, fault);
+        if line.first().is_some_and(|first| first.line != entry.line) {
+            added = added.and_then(|()| usable.add_line(&line));
+            line.clear();
+        }
+        line.push(entry);
+    });
     if !line.is_empty() {
         added = added.and_then(|()| usable.add_line(&line));
     }
@@ -1463,7 +1459,7 @@ mod tests {
                     256,
                     &grid,
                     |vdd| model.map_reference(256, vdd, FreqGhz::PEAK, seed),
-                    &mut |line, fault, mask| folded.push(die_entry(line, fault, mask)),
+                    &mut |line, fault| folded.push(die_entry(line, fault)),
                 );
                 assert!(!folded.is_empty(), "{spelling}: no faults on the grid");
                 assert_eq!(rec.entries, folded, "{spelling}, seed {seed}");

@@ -22,7 +22,8 @@ use killi_repro::bench::fault_models::{
 use killi_repro::bench::schemes::{default_registry as scheme_registry, SchemeConfig};
 use killi_repro::bench::sweep::{run_sweep, SweepConfig};
 use killi_repro::fault::cell_model::{FreqGhz, NormVdd};
-use killi_repro::fault::map::FaultMap;
+use killi_repro::fault::map::{CellFault, FaultMap};
+use killi_repro::fault::model::GridDie;
 use killi_repro::sim::cache::CacheGeometry;
 use killi_repro::sim::gpu::GpuConfig;
 use killi_repro::vmin::{run_campaign, SearchMode, VminConfig, DEFAULT_GRID};
@@ -107,14 +108,18 @@ fn cli_and_json_spellings_sweep_identically() {
 
 #[test]
 fn sweep_reports_are_deterministic_per_model_across_thread_counts() {
-    for name in default_fault_registry().names() {
+    let spellings = default_fault_registry()
+        .names()
+        .into_iter()
+        .chain([REPOLARIZING_BURSTS]);
+    for name in spellings {
         // Two replicates, then one, whose die 2 and 8 threads draw in
         // line ranges.
         for (replications, threads) in [(2, [2usize, 1, 4]), (1, [1, 2, 8])] {
             let config = |threads| SweepConfig {
                 replications,
                 threads,
-                ..one_cell_sweep(FaultModelConfig::new(name))
+                ..one_cell_sweep(FaultModelConfig::parse(name).expect("parses"))
             };
             let reference = run_sweep(&config(threads[0])).to_json();
             for &threads in &threads[1..] {
@@ -170,6 +175,10 @@ fn random_ranges(g: &mut Gen, lines: usize) -> Vec<Range<usize>> {
     ranges
 }
 
+/// Bursts dense enough that some cell is flipped to one polarity at one
+/// grid point and to the other at another.
+const REPOLARIZING_BURSTS: &str = "transient:mode=burst,rate=0.5,burst_len=16";
+
 #[test]
 fn die_factorization_matches_per_voltage_maps_when_offered() {
     let registry = default_fault_registry();
@@ -177,52 +186,54 @@ fn die_factorization_matches_per_voltage_maps_when_offered() {
         .names()
         .into_iter()
         .chain(PINNED_SPELLINGS)
+        .chain([REPOLARIZING_BURSTS])
         .map(|s| FaultModelConfig::parse(s).expect("parses"));
+    let grid = [0.6, 0.625, 0.65].map(NormVdd);
     let mut g = Gen::new(17);
     for config in spellings {
         let model = build_fault_model(&config).expect("builds");
-        let die = model
-            .die(128, NormVdd(0.6), FreqGhz::PEAK, 17)
-            .unwrap_or_else(|| panic!("{config}: every registered model factorizes"));
-        // The same die joined from random line ranges, drawn last first.
-        let draw = model.die_draw(128, NormVdd(0.6), FreqGhz::PEAK, 17);
-        let ranges = random_ranges(&mut g, 128);
-        let mut parts: Vec<_> = ranges.iter().rev().map(|r| draw.lines(r.clone())).collect();
+        // The die a sweep reads, joined from random line ranges of the
+        // stream, drawn last first.
+        let ranges = random_ranges(&mut g, 256);
+        let mut parts: Vec<_> = ranges
+            .iter()
+            .rev()
+            .map(|r| GridDie::draw(&*model, r.clone(), &grid, FreqGhz::PEAK, 17))
+            .collect();
         parts.reverse();
-        let joined = draw.join(parts);
-        for ((die, how), vdd) in [(&die, "one range"), (&joined, "ranges")]
-            .into_iter()
-            .flat_map(|die| [0.6, 0.625, 0.65].map(|vdd| (die, vdd)))
-        {
-            let config = format!("{config}, die from {how} {ranges:?}");
-            let from_die = die.map_at(NormVdd(vdd));
-            let direct = model.map_reference(128, NormVdd(vdd), FreqGhz::PEAK, 17);
-            assert_eq!(from_die.lines(), direct.lines(), "{config}");
-            for line in 0..128 {
+        let die = GridDie::join(parts);
+        let maps: Vec<FaultMap> = (0..grid.len() as u32).map(|g| die.map(g)).collect();
+        for (map, vdd) in maps.iter().zip(grid) {
+            let config = format!("{config}, die from ranges {ranges:?}");
+            let direct = model.map_reference(256, vdd, FreqGhz::PEAK, 17);
+            assert_eq!(map.lines(), direct.lines(), "{config}");
+            for line in 0..256 {
                 assert_eq!(
-                    from_die.line(line),
+                    map.line(line),
                     direct.line(line),
-                    "{config}: die factorization diverged at {vdd} (line {line})"
+                    "{config}: die diverged at {vdd:?} (line {line})"
                 );
             }
-            assert_eq!(
-                from_die.p_cell_median().to_bits(),
-                direct.p_cell_median().to_bits(),
-                "{config} at {vdd}"
-            );
-            assert_eq!(
-                from_die.mean_p_line().to_bits(),
-                direct.mean_p_line().to_bits(),
-                "{config} at {vdd}"
-            );
-            let ((dv, df), (mv, mf)) = (from_die.operating_point(), direct.operating_point());
-            assert_eq!(
-                (dv.0.to_bits(), df.0.to_bits()),
-                (mv.0.to_bits(), mf.0.to_bits()),
-                "{config} at {vdd}"
-            );
-            assert_eq!(from_die.seed(), direct.seed(), "{config} at {vdd}");
         }
+        // Dense bursts redraw a cell's polarity at each point, and the die
+        // keeps each point's.
+        let repolarized = (0..256).any(|line| {
+            maps.iter().any(|a| {
+                a.line(line).iter().any(|fault| {
+                    maps.iter().any(|b| {
+                        b.line(line).contains(&CellFault {
+                            stuck: !fault.stuck,
+                            ..*fault
+                        })
+                    })
+                })
+            })
+        });
+        assert_eq!(
+            repolarized,
+            config.to_string() == REPOLARIZING_BURSTS,
+            "{config}: a cell's polarity differs between grid points"
+        );
     }
 }
 
@@ -267,8 +278,7 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 fn every_model_map_matches_golden_bytes() {
     // Every registered model and pinned spelling, below, at and above
     // their ranges and at two frequencies: one line per map with its
-    // fault count, an FNV-1a digest of every (line, cell, stuck) and the
-    // bits of its two probability statistics.
+    // fault count and an FNV-1a digest of every (line, cell, stuck).
     let spellings = default_fault_registry()
         .names()
         .into_iter()
@@ -290,10 +300,7 @@ fn every_model_map_matches_golden_bytes() {
                     }
                 }
                 out.push_str(&format!(
-                    "{spelling} vdd={vdd:?} freq={freq:?} faults={faults} fnv={digest:016x} \
-                     p_cell_median={:016x} mean_p_line={:016x}\n",
-                    map.p_cell_median().to_bits(),
-                    map.mean_p_line().to_bits()
+                    "{spelling} vdd={vdd:?} freq={freq:?} faults={faults} fnv={digest:016x}\n"
                 ));
             }
         }

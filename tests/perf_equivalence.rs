@@ -77,3 +77,19 @@ fn reference_path_is_itself_thread_invariant() {
     let b = run_sweep_reference(&tiny_sweep(8, None)).to_json();
     assert_eq!(a, b);
 }
+
+#[test]
+fn a_grid_past_64_points_reproduces_reference_bytes() {
+    // A die's stream holds 64 grid points, so this grid's die is drawn in
+    // two slices: points 0..64, then point 64.
+    let mut config = SweepConfig {
+        replications: 1,
+        vdds: (0..65).map(|i| 0.7 - 0.0025 * f64::from(i)).collect(),
+        workloads: vec![Workload::Fft],
+        ops_per_cu: 300,
+        ..tiny_sweep(2, None)
+    };
+    config.gpu.l2.size_bytes = 32 * 1024;
+    let reference = run_sweep_reference(&config).to_json();
+    assert_eq!(run_sweep(&config).to_json(), reference);
+}

@@ -24,6 +24,7 @@ use killi_repro::bench::schemes::{
 };
 use killi_repro::fault::cell_model::{FreqGhz, NormVdd};
 use killi_repro::fault::map::{CellFault, FaultMap};
+use killi_repro::fault::model::GridDie;
 use killi_repro::obs::parse_json;
 use killi_repro::obs::registry::{Config, Descriptor, Registry};
 use killi_repro::sim::cache::CacheGeometry;
@@ -396,9 +397,9 @@ fn every_registered_scheme_builds_or_fails_typed_under_random_params() {
     // Every scheme and every fault model under hostile parameters: NaN,
     // the infinities, -0.0, 1e300, 2^32, 2^64 and u64::MAX, in both
     // spellings. Builds and admissibility rules return a value or a typed
-    // error; nothing panics. Every fault model that builds also builds a
-    // die, derives its maps at two voltages and reads its grid masks
-    // over both.
+    // error; nothing panics. Every fault model that builds also draws a
+    // die over two voltages, reads its map at each and streams its grid
+    // masks over both.
     let ctx = ctx();
     let grid = [NormVdd(0.55), NormVdd(0.65)];
     killi_check::check_cases("registry_build_fuzz", 256, |g| {
@@ -410,13 +411,12 @@ fn every_registered_scheme_builds_or_fails_typed_under_random_params() {
             let Ok(model) = build_fault_model(config) else {
                 return;
             };
-            let die = model
-                .die(64, grid[0], FreqGhz::PEAK, 7)
-                .unwrap_or_else(|| panic!("{config} offers no die"));
-            for vdd in grid {
-                die.map_at(vdd);
+            let die = GridDie::draw(&*model, 0..64, &grid, FreqGhz::PEAK, 7);
+            for g in 0..grid.len() as u32 {
+                die.map(g);
             }
-            model.grid_masks(64, &grid, FreqGhz::PEAK, 7, &mut |_, _, mask| {
+            model.grid_masks(0..64, &grid, FreqGhz::PEAK, 7, &mut |_, fault| {
+                let mask = fault.mask;
                 assert!(mask != 0 && mask < 1 << grid.len(), "{config}: {mask:#b}");
             });
         });
