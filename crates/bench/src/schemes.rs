@@ -151,9 +151,13 @@ mod tests {
         let mut stored = data;
         let _ = killi.on_read_hit(0, &mut stored);
         killi.on_evict(0, &stored);
+        let trace = sink.export_jsonl(&[]).expect("a recording sink");
+        let header = killi_obs::parse_json(trace.lines().next().expect("a header")).unwrap();
+        let count = |key| header.get(key).and_then(|v| v.as_u64()).expect(key);
         assert!(
-            sink.events_emitted().unwrap_or(0) > 0,
+            count("events") > 0,
             "a built scheme must emit into the sink attached to it"
         );
+        assert_eq!(count("dropped"), 0);
     }
 }

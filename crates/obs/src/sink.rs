@@ -60,13 +60,6 @@ impl Sink {
         }
     }
 
-    /// Total events emitted into this sink (`None` when no-op).
-    pub fn events_emitted(&self) -> Option<u64> {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.lock().unwrap().trace.total_events())
-    }
-
     /// Exports the trace as `killi-obs/v1` JSON-lines, with `context`
     /// key/value pairs (values must already be JSON-encoded) folded
     /// into the header. `None` for the no-op sink.
@@ -80,13 +73,21 @@ impl Sink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse;
+
+    /// The `events` and `dropped` counts of the sink's exported header.
+    fn header_counts(sink: &Sink) -> (u64, u64) {
+        let text = sink.export_jsonl(&[]).expect("a recording sink");
+        let header = parse(text.lines().next().expect("a header")).expect("header parses");
+        let count = |key| header.get(key).and_then(|v| v.as_u64()).expect(key);
+        (count("events"), count("dropped"))
+    }
 
     #[test]
     fn noop_sink_skips_event_construction() {
         let sink = Sink::none();
         sink.emit(|| unreachable!("no-op sink must not build events"));
         sink.tick();
-        assert_eq!(sink.events_emitted(), None);
         assert_eq!(sink.export_jsonl(&[]), None);
     }
 
@@ -97,7 +98,7 @@ mod tests {
         sink.tick();
         sink.tick();
         sink.emit(|| KilliEvent::ErrorMiss { line: 2 });
-        assert_eq!(sink.events_emitted(), Some(2));
+        assert_eq!(header_counts(&sink), (2, 0));
         let text = sink.export_jsonl(&[]).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[1].contains("\"at\":0"));
@@ -109,7 +110,7 @@ mod tests {
         let sink = Sink::recording(16);
         let clone = sink.clone();
         clone.emit(|| KilliEvent::ErrorMiss { line: 3 });
-        assert_eq!(sink.events_emitted(), Some(1));
+        assert_eq!(header_counts(&sink), (1, 0));
     }
 
     #[test]

@@ -58,21 +58,6 @@ impl TraceBuffer {
         self.next_seq += 1;
     }
 
-    /// Total events ever pushed.
-    pub fn total_events(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Events evicted to honour the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Retained entries, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &TraceEntry> {
-        self.entries.iter()
-    }
-
     /// Serialises the trace as JSON-lines: a header object carrying the
     /// schema tag, capacity/volume bookkeeping, and the caller's
     /// `context` key/value pairs (cell identity, seeds, …), followed by
@@ -117,9 +102,14 @@ mod tests {
         for i in 0..5u32 {
             t.push(i as u64, KilliEvent::ErrorMiss { line: i });
         }
-        assert_eq!(t.total_events(), 5);
-        assert_eq!(t.dropped(), 2);
-        let seqs: Vec<u64> = t.entries().map(|e| e.seq).collect();
+        let text = t.export_jsonl(&[]);
+        let mut lines = text.lines().map(|line| parse(line).expect("line parses"));
+        let header = lines.next().expect("a header");
+        assert_eq!(header.get("events").and_then(|v| v.as_u64()), Some(5));
+        assert_eq!(header.get("dropped").and_then(|v| v.as_u64()), Some(2));
+        let seqs: Vec<u64> = lines
+            .map(|e| e.get("seq").and_then(|v| v.as_u64()).unwrap())
+            .collect();
         assert_eq!(seqs, vec![2, 3, 4]);
     }
 
