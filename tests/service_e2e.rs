@@ -378,6 +378,27 @@ fn hostile_requests_get_4xx_and_never_wedge_the_service() {
         assert_eq!(resp.status, 400, "{what}: {}", resp.text());
     }
     let _ = std::fs::remove_file(&anchors);
+    // Both job kinds read their voltages through one rule, the grid's.
+    for (payload, what) in [
+        (
+            "{\"root_seed\":1,\"replications\":1,\"vdds\":[2.0],\"schemes\":[\"flair\"],\
+             \"workloads\":[\"fft\"],\"ops_per_cu\":10}",
+            "a sweep above the voltage range",
+        ),
+        (
+            "{\"mode\":\"vmin\",\"root_seed\":1,\"dies\":2,\"lines\":64,\"vdds\":[0.6,2.0],\
+             \"schemes\":[\"flair\"]}",
+            "a Vmin campaign above the voltage range",
+        ),
+    ] {
+        let resp = client.post("/v1/jobs", payload.as_bytes()).expect(what);
+        assert_eq!(resp.status, 400, "{what}: {}", resp.text());
+        assert!(
+            resp.text().contains("invalid voltage grid"),
+            "{what}: {}",
+            resp.text()
+        );
+    }
     // An oversize body is rejected from its Content-Length header alone,
     // so the server may close before the client finishes writing; both a
     // 400 and a torn-down connection are correct — a panic or a wedged
