@@ -365,8 +365,8 @@ pub(crate) struct LineMasks<'a, Z> {
     cap_median: f64,
     /// The median cell probability at each grid point.
     medians: Vec<f64>,
-    /// The thresholds of one cell group at each grid point.
-    thresholds: Vec<u64>,
+    /// The grid thresholds of one cell group.
+    table: ThresholdTable,
     per_cell: [u64; layout::CELLS_PER_LINE as usize],
     /// The line's cells faulty at the cap: `(h >> 11, fault)`.
     candidates: Vec<(u64, CellFault)>,
@@ -397,7 +397,7 @@ impl<'a, Z: Fn(LineId, u64) -> f64> LineMasks<'a, Z> {
             z_of,
             cap_median: median(NormVdd(cap)),
             medians: grid.iter().map(|&vdd| median(vdd)).collect(),
-            thresholds: vec![0; grid.len()],
+            table: ThresholdTable::default(),
             per_cell: [0; layout::CELLS_PER_LINE as usize],
             candidates: Vec::new(),
             masks: Vec::new(),
@@ -438,7 +438,7 @@ impl<'a, Z: Fn(LineId, u64) -> f64> LineMasks<'a, Z> {
     fn fold(&mut self, line: LineId, z: f64) -> &[GridFault] {
         let (model, groups, cap_median) = (self.model, self.groups, self.cap_median);
         self.masks.clear();
-        // `thresholds` holds those of `group`, whose cells end before `end`.
+        // `table` holds the thresholds of `group`, whose cells end before `end`.
         let (mut group, mut end) = (0, 0);
         for &(key, fault) in &self.candidates {
             if fault.cell >= end {
@@ -448,19 +448,16 @@ impl<'a, Z: Fn(LineId, u64) -> f64> LineMasks<'a, Z> {
                 end = groups.range(group).end;
                 let z = groups.z(z, group);
                 let cap_threshold = unit_threshold(model.line_p(cap_median, z));
-                for (threshold, &median) in self.thresholds.iter_mut().zip(&self.medians) {
-                    *threshold = unit_threshold(model.line_p(median, z));
+                self.table.fill(self.medians.iter().map(|&median| {
+                    let threshold = unit_threshold(model.line_p(median, z));
                     assert!(
-                        *threshold <= cap_threshold,
+                        threshold <= cap_threshold,
                         "model not monotone against the grid's cap at line {line}"
                     );
-                }
+                    threshold
+                }));
             }
-            let mask = self
-                .thresholds
-                .iter()
-                .enumerate()
-                .fold(0u64, |mask, (g, &t)| mask | (u64::from(key < t) << g));
+            let mask = self.table.mask(key);
             if mask != 0 {
                 self.masks.push(GridFault {
                     cell: fault.cell,
@@ -470,6 +467,40 @@ impl<'a, Z: Fn(LineId, u64) -> f64> LineMasks<'a, Z> {
             }
         }
         &self.masks
+    }
+}
+
+/// The grid thresholds `t_g` of one cell group, sorted once, with their
+/// cumulative grid bits from the highest down: a key below exactly `k` of
+/// them is faulty at the points of the `k` highest, so its grid mask, the
+/// OR over `g` of `(key < t_g) << g`, is one lookup.
+#[derive(Debug, Default)]
+struct ThresholdTable {
+    /// `(t_g, 1 << g)` for each grid point `g`, by ascending threshold.
+    sorted: Vec<(u64, u64)>,
+    /// `cum[k]`: the grid bits of the `k` highest thresholds.
+    cum: Vec<u64>,
+}
+
+impl ThresholdTable {
+    /// Replaces the table with the thresholds `t_g`, in grid order.
+    fn fill(&mut self, thresholds: impl Iterator<Item = u64>) {
+        let pairs = thresholds.enumerate().map(|(g, t)| (t, 1 << g));
+        self.sorted.clear();
+        self.sorted.extend(pairs);
+        self.sorted.sort_unstable();
+        self.cum.clear();
+        self.cum.push(0);
+        for (k, &(_, bit)) in self.sorted.iter().rev().enumerate() {
+            self.cum.push(self.cum[k] | bit);
+        }
+    }
+
+    /// The grid mask of `key`: `cum` at the number of thresholds above it.
+    #[inline]
+    fn mask(&self, key: u64) -> u64 {
+        let above = self.sorted.iter().map(|&(t, _)| usize::from(key < t));
+        self.cum[above.sum::<usize>()]
     }
 }
 
@@ -693,6 +724,52 @@ mod tests {
         let model = stuck_at();
         let die = model.die(8, NormVdd(0.6), FreqGhz::PEAK, 1).unwrap();
         die.map_at(NormVdd(0.575));
+    }
+
+    #[test]
+    fn threshold_table_masks_equal_the_per_point_fold() {
+        // The fold the table replaces: bit g iff the key is below t_g.
+        let fold = |thresholds: &[u64], key: u64| {
+            thresholds
+                .iter()
+                .enumerate()
+                .fold(0u64, |mask, (g, &t)| mask | (u64::from(key < t) << g))
+        };
+        killi_check::check("threshold_table_masks_equal_the_per_point_fold", |g| {
+            // One table refilled, as a line's column groups refill it.
+            let mut table = ThresholdTable::default();
+            for _ in 0..2 {
+                let points = match g.usize_in(0, 4) {
+                    0 => 1,
+                    1 => 64,
+                    _ => g.usize_in(1, 65),
+                };
+                // A narrow range makes keys land on thresholds; `line_p`
+                // clamps at `P_CEIL`, so low grid points can share one.
+                let scale = *g.pick(&[8, 1 << 53]);
+                let mut thresholds: Vec<u64> = Vec::with_capacity(points);
+                for _ in 0..points {
+                    let t = match g.usize_in(0, 5) {
+                        0 => 0,
+                        1 if !thresholds.is_empty() => *g.pick(&thresholds),
+                        _ => g.u64_below(scale),
+                    };
+                    thresholds.push(t);
+                }
+                table.fill(thresholds.iter().copied());
+                let keys = thresholds
+                    .iter()
+                    .flat_map(|&t| [t.saturating_sub(1), t, t + 1])
+                    .chain([0, scale, g.u64_below(scale)]);
+                for key in keys {
+                    assert_eq!(
+                        table.mask(key),
+                        fold(&thresholds, key),
+                        "key {key}, thresholds {thresholds:?}"
+                    );
+                }
+            }
+        });
     }
 
     #[test]

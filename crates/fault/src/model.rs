@@ -36,17 +36,18 @@
 //! | `table`    | stuck-at drawn from a measured CDF (inline or from file) | yes |
 //!
 //! A model implements one draw, [`FaultModel::grid_masks`]: it streams a
-//! range of a die's lines over a voltage grid, hashing each line once at
-//! the grid's lowest voltage, and each faulty cell carries its grid mask
-//! and its polarity at every grid point. `stuck-at` and `table` keep one
-//! variation draw per line, `clustered` one per (line, column group), and
-//! `transient` merges each grid point's overlay flips into its stuck-at
-//! base. Everything else reads the stream: [`FaultModel::map`] streams a
-//! one-point grid, a sweep collects each die's stream over its grid into a
+//! range of a die's lines over a voltage grid, one call per line with the
+//! line's faulty cells in one slice, each cell carrying its grid mask and
+//! its polarity at every grid point. A line is hashed once at the grid's
+//! lowest voltage. `stuck-at` and `table` keep one variation draw per
+//! line, `clustered` one per (line, column group), and `transient` merges
+//! each grid point's overlay flips into its stuck-at base. Everything else
+//! reads the stream a line at a time: [`FaultModel::map`] streams a
+//! one-point grid, a sweep boxes each line over its grid into a
 //! [`GridDie`] (drawn in line ranges on several threads and joined) and
-//! reads a map per grid point, and a Vmin campaign folds the stream line
-//! by line. [`FaultModel::die`] only wraps [`FaultModel::map`] for the
-//! repository benchmark.
+//! reads a map per grid point, and a Vmin campaign adds each faulty line
+//! to its usable-line tables. [`FaultModel::die`] only wraps
+//! [`FaultModel::map`] for the repository benchmark.
 //!
 //! Each model keeps one construction written apart from the stream,
 //! [`FaultModel::map_reference`]: [`FaultMap::dense_reference`] for
@@ -87,15 +88,12 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
     /// over the one-point grid `[vdd]`.
     fn map(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
         let mut map = FaultMap::with_lines(lines);
-        self.grid_masks(0..lines, &[vdd], freq, seed, &mut |line, fault| {
-            while map.lines() < line {
-                map.end_line();
+        self.grid_masks(0..lines, &[vdd], freq, seed, &mut |_, faults| {
+            for fault in faults {
+                map.push(fault.at(0));
             }
-            map.push(fault.at(0));
-        });
-        while map.lines() < lines {
             map.end_line();
-        }
+        });
         map
     }
 
@@ -123,24 +121,26 @@ pub trait FaultModel: fmt::Debug + Send + Sync {
         }))
     }
 
-    /// Calls `emit(line, fault)` once per cell of the lines `lines` of the
-    /// die `(freq, seed)` that is faulty at some point of `grid` (at most
-    /// 64 points), in (line, cell) order. Bit `g` of `fault.mask` is set
-    /// iff the cell is in `map(.., grid[g], freq, seed)`, and bit `g` of
-    /// `fault.stuck` is its polarity there. A voltage-nested model over
-    /// an ascending grid therefore emits prefixes of ones.
+    /// Calls `emit(line, faults)` exactly once per line of the range
+    /// `lines` of the die `(freq, seed)`, in line order. `faults` holds the
+    /// line's cells that are faulty at some point of `grid` (at most 64
+    /// points), in strictly ascending cell order, and is empty for a line
+    /// faulty at no point. Bit `g` of a fault's `mask` is set iff the cell
+    /// is in `map(.., grid[g], freq, seed)`, and bit `g` of its `stuck` is
+    /// its polarity there. A voltage-nested model over an ascending grid
+    /// therefore emits prefixes of ones.
     ///
     /// A line's draw depends only on `(seed, line)` and die-wide values,
-    /// so a range streams the same cells as that range of the whole die.
-    /// A model holds one line at a time; [`fold_grid_maps`] of its
-    /// reference maps is the oracle.
+    /// so a range streams the same lines as that range of the whole die.
+    /// A model holds one line at a time, and the slice lives only for the
+    /// call; [`fold_grid_maps`] of its reference maps is the oracle.
     fn grid_masks(
         &self,
         lines: Range<LineId>,
         grid: &[NormVdd],
         freq: FreqGhz,
         seed: u64,
-        emit: &mut dyn FnMut(LineId, GridFault),
+        emit: &mut dyn FnMut(LineId, &[GridFault]),
     );
 
     /// Whether fault sets are nested across voltage: every fault at a
@@ -217,25 +217,19 @@ impl GridDie {
         freq: FreqGhz,
         seed: u64,
     ) -> Self {
-        let (first, count) = (lines.start, lines.len());
-        let mut die = Vec::with_capacity(count);
-        let mut open = Vec::new();
-        let mut close_before = |line: LineId, open: &mut Vec<(CellFault, u64)>| {
-            while first + die.len() < line {
-                die.push(open.as_slice().into());
-                open.clear();
-            }
-        };
-        model.grid_masks(lines, grid, freq, seed, &mut |line, fault| {
-            close_before(line, &mut open);
-            let cell = fault.cell;
-            for (stuck, mask) in [(false, fault.mask & !fault.stuck), (true, fault.stuck)] {
-                if mask != 0 {
-                    open.push((CellFault { cell, stuck }, mask));
+        let mut die = Vec::with_capacity(lines.len());
+        let mut entries = Vec::new();
+        model.grid_masks(lines, grid, freq, seed, &mut |_, faults| {
+            entries.clear();
+            for &GridFault { cell, mask, stuck } in faults {
+                for (stuck, mask) in [(false, mask & !stuck), (true, stuck)] {
+                    if mask != 0 {
+                        entries.push((CellFault { cell, stuck }, mask));
+                    }
                 }
             }
+            die.push(entries.as_slice().into());
         });
-        close_before(first + count, &mut open);
         GridDie { lines: die }
     }
 
@@ -271,18 +265,18 @@ impl GridDie {
 }
 
 /// Folds the maps `map_at(vdd)` of a die's `lines` lines over `grid` into
-/// grid masks and emits them as [`FaultModel::grid_masks`] does: the
-/// oracle every model's stream is tested against. It holds one map per
-/// grid point.
+/// grid masks and emits them line by line as [`FaultModel::grid_masks`]
+/// does: the oracle every model's stream is tested against. It holds one
+/// map per grid point.
 pub fn fold_grid_maps(
     lines: usize,
     grid: &[NormVdd],
     map_at: impl Fn(NormVdd) -> FaultMap,
-    emit: &mut dyn FnMut(LineId, GridFault),
+    emit: &mut dyn FnMut(LineId, &[GridFault]),
 ) {
     let maps: Vec<FaultMap> = grid.iter().map(|&vdd| map_at(vdd)).collect();
-    let mut cells: BTreeMap<u16, GridFault> = BTreeMap::new();
     for line in 0..lines {
+        let mut cells: BTreeMap<u16, GridFault> = BTreeMap::new();
         for (g, map) in maps.iter().enumerate() {
             for &fault in map.line(line) {
                 let cell = cells.entry(fault.cell).or_insert(GridFault {
@@ -294,22 +288,7 @@ pub fn fold_grid_maps(
                 cell.stuck |= u64::from(fault.stuck) << g;
             }
         }
-        for fault in std::mem::take(&mut cells).into_values() {
-            emit(line, fault);
-        }
-    }
-}
-
-/// Emits the grid masks of the lines `lines` drawn by `masks`.
-fn emit_lines<Z: Fn(LineId, u64) -> f64>(
-    lines: Range<LineId>,
-    masks: &mut LineMasks<'_, Z>,
-    emit: &mut dyn FnMut(LineId, GridFault),
-) {
-    for line in lines {
-        for &fault in masks.line(line) {
-            emit(line, fault);
-        }
+        emit(line, &cells.into_values().collect::<Vec<_>>());
     }
 }
 
@@ -432,11 +411,13 @@ impl FaultModel for ParametricStuckAt {
         grid: &[NormVdd],
         freq: FreqGhz,
         seed: u64,
-        emit: &mut dyn FnMut(LineId, GridFault),
+        emit: &mut dyn FnMut(LineId, &[GridFault]),
     ) {
         let groups = CellGroups::Line;
         let mut masks = LineMasks::new(&self.cell, &groups, grid, freq, seed, line_z);
-        emit_lines(lines, &mut masks, emit);
+        for line in lines {
+            emit(line, masks.line(line));
+        }
     }
 
     fn voltage_nested(&self) -> bool {
@@ -531,13 +512,15 @@ impl FaultModel for ClusteredModel {
         grid: &[NormVdd],
         freq: FreqGhz,
         seed: u64,
-        emit: &mut dyn FnMut(LineId, GridFault),
+        emit: &mut dyn FnMut(LineId, &[GridFault]),
     ) {
         let groups = self.column_groups(seed);
         let mut masks = LineMasks::new(&self.cell, &groups, grid, freq, seed, |line, _| {
             self.z_line(seed, line as u64)
         });
-        emit_lines(lines, &mut masks, emit);
+        for line in lines {
+            emit(line, masks.line(line));
+        }
     }
 
     fn voltage_nested(&self) -> bool {
@@ -655,14 +638,14 @@ impl FaultModel for TransientModel {
     }
 
     /// The stuck-at base's masks, line by line, each line merged with its
-    /// flips at every grid point.
+    /// flips at every grid point into one reused buffer.
     fn grid_masks(
         &self,
         lines: Range<LineId>,
         grid: &[NormVdd],
         freq: FreqGhz,
         seed: u64,
-        emit: &mut dyn FnMut(LineId, GridFault),
+        emit: &mut dyn FnMut(LineId, &[GridFault]),
     ) {
         let tseeds: Vec<u64> = grid
             .iter()
@@ -673,6 +656,7 @@ impl FaultModel for TransientModel {
         let mut point_flips = Vec::new();
         // The line's flips at every grid point, one entry per cell.
         let mut flips: Vec<GridFault> = Vec::new();
+        let mut merged = Vec::new();
         for line in lines {
             flips.clear();
             for (g, &tseed) in tseeds.iter().enumerate() {
@@ -692,26 +676,25 @@ impl FaultModel for TransientModel {
                 }
                 same
             });
+            merged.clear();
             let mut rest = flips.iter().peekable();
             for &fault in masks.line(line) {
                 while let Some(&flip) = rest.next_if(|flip| flip.cell < fault.cell) {
-                    emit(line, flip);
+                    merged.push(flip);
                 }
                 // The persistent fault wins at the points where it is
                 // faulty, the flips at the others.
-                let merged = match rest.next_if(|flip| flip.cell == fault.cell) {
+                merged.push(match rest.next_if(|flip| flip.cell == fault.cell) {
                     Some(flip) => GridFault {
                         cell: fault.cell,
                         mask: fault.mask | flip.mask,
                         stuck: fault.stuck | (flip.stuck & !fault.mask),
                     },
                     None => fault,
-                };
-                emit(line, merged);
+                });
             }
-            for &flip in rest {
-                emit(line, flip);
-            }
+            merged.extend(rest);
+            emit(line, &merged);
         }
     }
 
@@ -1271,8 +1254,10 @@ mod tests {
             &[NormVdd(0.5), NormVdd(0.55), NormVdd(0.65)],
             FreqGhz::PEAK,
             3,
-            &mut |_, GridFault { mask, .. }| {
-                assert_eq!(mask & mask.wrapping_add(1), 0, "{mask:#b} is not a prefix");
+            &mut |_, faults| {
+                for &GridFault { mask, .. } in faults {
+                    assert_eq!(mask & mask.wrapping_add(1), 0, "{mask:#b} is not a prefix");
+                }
             },
         );
     }

@@ -260,63 +260,78 @@ fn grid_masks_equal_the_fold_of_per_grid_maps() {
         } else {
             g.distinct(160, points, points).into_iter().collect()
         };
-        let mut grid: Vec<NormVdd> = steps
+        let ascending: Vec<NormVdd> = steps
             .into_iter()
             .map(|i| NormVdd(0.5 + 0.0025 * i as f64))
             .collect();
-        // The stream draws at the grid's lowest point wherever it is.
-        if g.usize_in(0, 4) == 0 {
-            grid.reverse();
-        }
+        // The stream draws at the grid's lowest point wherever it is, and a
+        // reversed grid reverses every mask: its thresholds rise with the
+        // grid index.
+        let descending: Vec<NormVdd> = ascending.iter().rev().copied().collect();
+        for grid in [ascending, descending] {
+            // Every `emit` call, as it came.
+            let mut calls: Vec<(usize, Vec<GridFault>)> = Vec::new();
+            model.grid_masks(
+                range.clone(),
+                &grid,
+                FreqGhz::PEAK,
+                seed,
+                &mut |line, faults| calls.push((line, faults.to_vec())),
+            );
+            let called: Vec<usize> = calls.iter().map(|&(line, _)| line).collect();
+            assert_eq!(
+                called,
+                range.clone().collect::<Vec<_>>(),
+                "{config}: one call per line of {range:?}, in line order"
+            );
+            for (line, faults) in &calls {
+                assert!(
+                    faults.windows(2).all(|w| w[0].cell < w[1].cell),
+                    "{config}: line {line} is not in strictly ascending cell order"
+                );
+            }
 
-        let mut emitted: Vec<(usize, GridFault)> = Vec::new();
-        model.grid_masks(
-            range.clone(),
-            &grid,
-            FreqGhz::PEAK,
-            seed,
-            &mut |line, fault| {
-                emitted.push((line, fault));
-            },
-        );
-
-        // The oracle: the model's reference map at each grid point, folded
-        // cell by cell, with the cell's polarity at each of its points.
-        let mut folded: BTreeMap<(usize, u16), GridFault> = BTreeMap::new();
-        for (i, &vdd) in grid.iter().enumerate() {
-            let map = model.map_reference(lines, vdd, FreqGhz::PEAK, seed);
-            for line in range.clone() {
-                for &fault in map.line(line) {
-                    let cell = folded.entry((line, fault.cell)).or_insert(GridFault {
-                        cell: fault.cell,
-                        mask: 0,
-                        stuck: 0,
-                    });
-                    cell.mask |= 1 << i;
-                    cell.stuck |= u64::from(fault.stuck) << i;
+            // The oracle: the model's reference map at each grid point,
+            // folded cell by cell, with the cell's polarity at each of its
+            // points; a line faulty at no point is an empty slice.
+            let mut expected: Vec<(usize, BTreeMap<u16, GridFault>)> =
+                range.clone().map(|line| (line, BTreeMap::new())).collect();
+            for (i, &vdd) in grid.iter().enumerate() {
+                let map = model.map_reference(lines, vdd, FreqGhz::PEAK, seed);
+                for (line, cells) in &mut expected {
+                    for &fault in map.line(*line) {
+                        let cell = cells.entry(fault.cell).or_insert(GridFault {
+                            cell: fault.cell,
+                            mask: 0,
+                            stuck: 0,
+                        });
+                        cell.mask |= 1 << i;
+                        cell.stuck |= u64::from(fault.stuck) << i;
+                    }
                 }
             }
+            let expected: Vec<(usize, Vec<GridFault>)> = expected
+                .into_iter()
+                .map(|(line, cells)| (line, cells.into_values().collect()))
+                .collect();
+            assert_eq!(
+                calls, expected,
+                "{config}, lines {range:?} of {lines}, grid {grid:?}"
+            );
+            // The public fold of the same maps emits the same lines, and
+            // the stream's slices joined equal its slices joined.
+            let mut by_fold = Vec::new();
+            fold_grid_maps(
+                lines,
+                &grid,
+                |vdd| model.map_reference(lines, vdd, FreqGhz::PEAK, seed),
+                &mut |line, faults| {
+                    if range.contains(&line) {
+                        by_fold.push((line, faults.to_vec()));
+                    }
+                },
+            );
+            assert_eq!(by_fold, calls, "{config}: fold_grid_maps");
         }
-        let expected: Vec<(usize, GridFault)> = folded
-            .into_iter()
-            .map(|((line, _), fault)| (line, fault))
-            .collect();
-        assert_eq!(
-            emitted, expected,
-            "{config}, lines {range:?} of {lines}, {points} points"
-        );
-        // The public fold of the same maps agrees.
-        let mut by_fold = Vec::new();
-        fold_grid_maps(
-            lines,
-            &grid,
-            |vdd| model.map_reference(lines, vdd, FreqGhz::PEAK, seed),
-            &mut |line, fault| {
-                if range.contains(&line) {
-                    by_fold.push((line, fault));
-                }
-            },
-        );
-        assert_eq!(by_fold, expected, "{config}: fold_grid_maps");
     });
 }

@@ -7,14 +7,14 @@
 //! tables over the voltage grid, and binned by
 //! [`crate::search::grid_vmin`] over those tables.
 //!
-//! A die is evaluated line by line, so it is never held whole. Without a
-//! die store, the fault model streams each line's grid masks
-//! ([`killi_fault::FaultModel::grid_masks`]) straight into a per-line
-//! accumulator; with one, the store's records feed the same accumulator,
-//! and [`synth_record`] collects the stream into the records the store
-//! builder writes. A line whose masks are all prefixes of ones (every
-//! line of a voltage-nested model, and most lines of `transient`) is
-//! binned at its lowest admitted grid index under each distinct rule
+//! A die is evaluated line by line, so it is never held whole. The fault
+//! model's stream ([`killi_fault::FaultModel::grid_masks`]) hands one line
+//! per call straight to a per-line accumulator; with a die store, each
+//! record line feeds the same accumulator as the same grid faults, and
+//! [`synth_record`] collects the stream into the records the store builder
+//! writes. A line whose masks are all prefixes of ones (every line of a
+//! voltage-nested model, and most lines of `transient`) is binned at its
+//! lowest admitted grid index under each distinct rule
 //! ([`LineRule::lowest_admitted`]), and a prefix sum turns the bins into
 //! usable-line counts: O(faults + lines x rules + grid) per die. Any other
 //! line is evaluated at every grid point when the model is not nested,
@@ -511,7 +511,7 @@ pub fn synth_record(model: &dyn FaultModel, lines: usize, grid: &[f64], seed: u6
         &normalized(grid),
         FreqGhz::PEAK,
         seed,
-        &mut |line, fault| entries.push(die_entry(line, fault)),
+        &mut |line, faults| entries.extend(faults.iter().map(|&f| die_entry(line, f))),
     );
     DieRecord { seed, entries }
 }
@@ -528,6 +528,16 @@ fn die_entry(line: LineId, fault: GridFault) -> DieEntry {
         cell: fault.cell,
         stuck: fault.at(fault.mask.trailing_zeros()).stuck,
         mask: fault.mask,
+    }
+}
+
+/// A record entry as the stream carries it: stuck at its one polarity at
+/// every faulty grid index.
+fn grid_fault(entry: &DieEntry) -> GridFault {
+    GridFault {
+        cell: entry.cell,
+        mask: entry.mask,
+        stuck: if entry.stuck { entry.mask } else { 0 },
     }
 }
 
@@ -559,15 +569,18 @@ struct EvalContext<'a> {
 /// ones although the model is voltage-nested.
 fn evaluate_die(rec: &DieRecord, ctx: &EvalContext<'_>) -> Result<DieOutcome, DieEntry> {
     let mut usable = UsableLines::new(ctx);
+    let mut faults = Vec::new();
     for line in rec.entries.chunk_by(|a, b| a.line == b.line) {
-        usable.add_line(line)?;
+        faults.clear();
+        faults.extend(line.iter().map(grid_fault));
+        usable.add_line(line[0].line as LineId, &faults)?;
     }
     Ok(usable.finish())
 }
 
 /// [`evaluate_die`] of [`synth_record`]'s record, without the record: the
-/// model's stream feeds each line to the accumulator once the stream has
-/// moved past it, so only one line of the die is ever held.
+/// model's stream hands each faulty line to the accumulator as it is
+/// drawn, so only one line of the die is ever held.
 fn stream_die(
     model: &dyn FaultModel,
     grid: &[NormVdd],
@@ -575,19 +588,13 @@ fn stream_die(
     ctx: &EvalContext<'_>,
 ) -> Result<DieOutcome, DieEntry> {
     let mut usable = UsableLines::new(ctx);
-    let mut line: Vec<DieEntry> = Vec::new();
     let mut added = Ok(());
-    model.grid_masks(0..ctx.lines, grid, FreqGhz::PEAK, seed, &mut |l, fault| {
-        let entry = die_entry(l, fault);
-        if line.first().is_some_and(|first| first.line != entry.line) {
-            added = added.and_then(|()| usable.add_line(&line));
-            line.clear();
+    let mut add = |line, faults: &[GridFault]| {
+        if added.is_ok() && !faults.is_empty() {
+            added = usable.add_line(line, faults);
         }
-        line.push(entry);
-    });
-    if !line.is_empty() {
-        added = added.and_then(|()| usable.add_line(&line));
-    }
+    };
+    model.grid_masks(0..ctx.lines, grid, FreqGhz::PEAK, seed, &mut add);
     added?;
     Ok(usable.finish())
 }
@@ -637,21 +644,21 @@ impl<'a> UsableLines<'a> {
         }
     }
 
-    /// Adds one faulty line: its entries, in cell order. `Err` carries
-    /// the line's first entry whose mask is not a prefix of ones when the
-    /// model is voltage-nested.
-    fn add_line(&mut self, line: &[DieEntry]) -> Result<(), DieEntry> {
+    /// Adds the faulty line `line`, its faults in cell order. `Err`
+    /// carries the line's first fault whose mask is not a prefix of ones
+    /// when the model is voltage-nested.
+    fn add_line(&mut self, line: LineId, faults: &[GridFault]) -> Result<(), DieEntry> {
         let ctx = self.ctx;
         self.faulty_lines += 1;
-        if let Some(e) = line.iter().find(|e| !is_prefix(e.mask, ctx.grid_len)) {
+        if let Some(&f) = faults.iter().find(|f| !is_prefix(f.mask, ctx.grid_len)) {
             if ctx.nested {
-                return Err(*e);
+                return Err(die_entry(line, f));
             }
-            admit_per_point(line, ctx, &mut self.usable, &mut self.scratch);
+            admit_per_point(faults, ctx, &mut self.usable, &mut self.scratch);
             return Ok(());
         }
-        for e in line {
-            self.by_top[e.mask.trailing_ones() as usize - 1].push(e.cell);
+        for f in faults {
+            self.by_top[f.mask.trailing_ones() as usize - 1].push(f.cell);
         }
         self.faults.clear();
         for (top, cells) in self.by_top.iter_mut().enumerate().rev() {
@@ -702,23 +709,20 @@ impl<'a> UsableLines<'a> {
 /// where the rule admits the faults present there: the definition the
 /// prefix-sum binning of [`UsableLines`] must match.
 fn admit_per_point(
-    line: &[DieEntry],
+    line: &[GridFault],
     ctx: &EvalContext<'_>,
     usable: &mut [Vec<u32>],
     scratch: &mut Vec<CellFault>,
 ) {
-    let union = line.iter().fold(0u64, |m, e| m | e.mask);
+    let union = line.iter().fold(0u64, |m, f| m | f.mask);
     for g in 0..ctx.grid_len {
         let bit = 1u64 << g;
         scratch.clear();
         if union & bit != 0 {
             scratch.extend(
                 line.iter()
-                    .filter(|e| e.mask & bit != 0)
-                    .map(|e| CellFault {
-                        cell: e.cell,
-                        stuck: e.stuck,
-                    }),
+                    .filter(|f| f.mask & bit != 0)
+                    .map(|f| f.at(g as u32)),
             );
         }
         for (table, rule) in usable.iter_mut().zip(ctx.rules) {
@@ -738,7 +742,8 @@ fn usable_per_grid(rec: &DieRecord, ctx: &EvalContext<'_>) -> Vec<Vec<u32>> {
     let mut scratch = Vec::new();
     for line in rec.entries.chunk_by(|a, b| a.line == b.line) {
         faulty_lines += 1;
-        admit_per_point(line, ctx, &mut usable, &mut scratch);
+        let faults: Vec<GridFault> = line.iter().map(grid_fault).collect();
+        admit_per_point(&faults, ctx, &mut usable, &mut scratch);
     }
     let fault_free = ctx.lines as u32 - faulty_lines;
     for table in usable.iter_mut() {
@@ -1459,7 +1464,7 @@ mod tests {
                     256,
                     &grid,
                     |vdd| model.map_reference(256, vdd, FreqGhz::PEAK, seed),
-                    &mut |line, fault| folded.push(die_entry(line, fault)),
+                    &mut |line, faults| folded.extend(faults.iter().map(|&f| die_entry(line, f))),
                 );
                 assert!(!folded.is_empty(), "{spelling}: no faults on the grid");
                 assert_eq!(rec.entries, folded, "{spelling}, seed {seed}");

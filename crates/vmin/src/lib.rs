@@ -9,8 +9,8 @@
 //!
 //! Three pieces:
 //!
-//! - [`campaign`] — the engine. The fault model streams each die line by
-//!   line as grid-masked faults (`killi_fault::FaultModel::grid_masks`),
+//! - [`campaign`] — the engine. The fault model streams each die one line
+//!   per call as grid-masked faults (`killi_fault::FaultModel::grid_masks`),
 //!   and each line is reduced, as it arrives, into per-rule usable-line
 //!   tables under each scheme's static admissibility rule
 //!   (`killi::registry::LineRule`): a line whose masks are prefixes of

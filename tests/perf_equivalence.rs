@@ -93,3 +93,40 @@ fn a_grid_past_64_points_reproduces_reference_bytes() {
     let reference = run_sweep_reference(&config).to_json();
     assert_eq!(run_sweep(&config).to_json(), reference);
 }
+
+#[test]
+fn a_descending_grid_reports_the_cells_of_the_ascending_grid() {
+    // The same die over the same voltages, listed the other way round: its
+    // grid thresholds rise with the grid index, so each line's threshold
+    // table is sorted in reverse, and every cell must read the same maps.
+    let config = |vdds: [f64; 3], threads| SweepConfig {
+        vdds: vdds.to_vec(),
+        schemes: SchemeConfig::parse_list("killi:ratio=16,ms-ecc").unwrap(),
+        ops_per_cu: 600,
+        gpu: GpuConfig::small_test(),
+        ..tiny_sweep(threads, None)
+    };
+    for threads in [1, 2] {
+        let up = run_sweep(&config([0.575, 0.6, 0.625], threads));
+        let down = run_sweep(&config([0.625, 0.6, 0.575], threads));
+        // 3 voltages x 2 schemes x 2 workloads, plus 2 baselines.
+        assert_eq!(up.cells.len(), 14);
+        assert_eq!(down.cells.len(), up.cells.len());
+        for cell in &up.cells {
+            let key = (cell.vdd.to_bits(), &cell.scheme, cell.workload);
+            let twin = down
+                .cells
+                .iter()
+                .find(|c| (c.vdd.to_bits(), &c.scheme, c.workload) == key)
+                .unwrap_or_else(|| panic!("{key:?} missing from the descending sweep"));
+            for (metric, (a, b)) in cell.metrics.iter().zip(&twin.metrics).enumerate() {
+                assert_eq!(
+                    a.mean().to_bits(),
+                    b.mean().to_bits(),
+                    "{key:?}, metric {metric}, {threads} thread(s)"
+                );
+            }
+            assert_eq!(cell.obs, twin.obs, "{key:?}, {threads} thread(s)");
+        }
+    }
+}

@@ -23,7 +23,7 @@ use killi_repro::bench::schemes::{
     ParamValue, SchemeConfig,
 };
 use killi_repro::fault::cell_model::{FreqGhz, NormVdd};
-use killi_repro::fault::map::{CellFault, FaultMap};
+use killi_repro::fault::map::{CellFault, FaultMap, GridFault};
 use killi_repro::fault::model::GridDie;
 use killi_repro::obs::parse_json;
 use killi_repro::obs::registry::{Config, Descriptor, Registry};
@@ -415,9 +415,10 @@ fn every_registered_scheme_builds_or_fails_typed_under_random_params() {
             for g in 0..grid.len() as u32 {
                 die.map(g);
             }
-            model.grid_masks(0..64, &grid, FreqGhz::PEAK, 7, &mut |_, fault| {
-                let mask = fault.mask;
-                assert!(mask != 0 && mask < 1 << grid.len(), "{config}: {mask:#b}");
+            model.grid_masks(0..64, &grid, FreqGhz::PEAK, 7, &mut |_, faults| {
+                for &GridFault { mask, .. } in faults {
+                    assert!(mask != 0 && mask < 1 << grid.len(), "{config}: {mask:#b}");
+                }
             });
         });
     });
