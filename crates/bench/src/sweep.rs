@@ -57,12 +57,15 @@ use crate::schemes::{
     check_builds, check_distinct_labels, default_registry, scheme_label, BuildError, SchemeConfig,
 };
 
-/// Why a [`SweepConfig`] failed validation: the GPU geometry cannot be
-/// simulated, or the scheme, fault-model or voltage axis rejected its
-/// config. The scheme and fault-model sides carry the typed error of their
-/// own registry.
+/// Why a [`SweepConfig`] failed validation: it simulates no operations,
+/// the GPU geometry cannot be simulated, or the scheme, fault-model or
+/// voltage axis rejected its config. The scheme and fault-model sides
+/// carry the typed error of their own registry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepConfigError {
+    /// `ops_per_cu` is 0: every simulation would be empty and every
+    /// metric of the report 0.
+    NoOps,
     /// The GPU configuration breaks a rule of
     /// [`killi_sim::gpu::GpuConfig::validate`].
     Geometry {
@@ -83,6 +86,7 @@ pub enum SweepConfigError {
 impl std::fmt::Display for SweepConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SweepConfigError::NoOps => write!(f, "`ops_per_cu` must be at least 1, got 0"),
             SweepConfigError::Geometry { reason } => write!(f, "invalid GPU geometry: {reason}"),
             SweepConfigError::Scheme(e) => write!(f, "{e}"),
             SweepConfigError::FaultModel(e) => write!(f, "{e}"),
@@ -313,13 +317,17 @@ impl SweepConfig {
             * (self.workloads.len() + self.vdds.len() * self.schemes.len() * self.workloads.len())
     }
 
-    /// Validates the GPU geometry, then every scheme config against the
-    /// registry *and* the sweep's cache geometry (via a fault-free test
-    /// build) and the scheme list for a repeated label (a report keys its
-    /// cells by label), plus the fault-model config against its registry
-    /// (via a test build), so a bad `--l2kb`, `--scheme` or
+    /// Validates that the sweep simulates at least one op per CU and the
+    /// GPU geometry, then every scheme config against the registry *and*
+    /// the sweep's cache geometry (via a fault-free test build) and the
+    /// scheme list for a repeated label (a report keys its cells by
+    /// label), plus the fault-model config against its registry (via a
+    /// test build), so a bad `--ops`, `--l2kb`, `--scheme` or
     /// `--fault-model` fails before the fan-out phase instead of mid-run.
     pub fn validate(&self) -> Result<(), SweepConfigError> {
+        if self.ops_per_cu == 0 {
+            return Err(SweepConfigError::NoOps);
+        }
         self.gpu
             .validate()
             .map_err(|reason| SweepConfigError::Geometry { reason })?;
@@ -960,6 +968,23 @@ mod tests {
             }
             other => panic!("expected Unknown, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn validate_rejects_a_sweep_of_no_operations() {
+        // It would run and report every metric as 0.0.
+        let config = SweepConfig {
+            ops_per_cu: 0,
+            ..tiny_sweep()
+        };
+        assert_eq!(config.validate(), Err(SweepConfigError::NoOps));
+        let err = config.validated().unwrap_err();
+        assert_eq!(err.to_string(), "`ops_per_cu` must be at least 1, got 0");
+        let one = SweepConfig {
+            ops_per_cu: 1,
+            ..tiny_sweep()
+        };
+        assert!(one.validate().is_ok());
     }
 
     #[test]

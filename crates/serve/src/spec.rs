@@ -350,10 +350,6 @@ fn parse_sweep_spec(
     if replications == 0 {
         return Err(spec_err("`replications` must be at least 1"));
     }
-    let ops_per_cu = require_u64(v, "ops_per_cu")?;
-    if ops_per_cu == 0 {
-        return Err(spec_err("`ops_per_cu` must be at least 1"));
-    }
     let config = SweepConfig {
         root_seed: require_u64(v, "root_seed")?,
         replications: replications as usize,
@@ -370,7 +366,8 @@ fn parse_sweep_spec(
             v.get("workloads")
                 .ok_or_else(|| spec_err("missing required field `workloads`"))?,
         )?,
-        ops_per_cu: ops_per_cu as usize,
+        // At least one op is the config's own rule (`validated()`).
+        ops_per_cu: require_u64(v, "ops_per_cu")? as usize,
         gpu: match v.get("gpu") {
             None => GpuConfig::default(),
             Some(gpu) => parse_gpu(gpu)?,
@@ -517,6 +514,10 @@ mod tests {
             (
                 &GOLDEN.replace("\"replications\": 2", "\"replications\": 0"),
                 "zero replications",
+            ),
+            (
+                &GOLDEN.replace("\"ops_per_cu\": 1200", "\"ops_per_cu\": 0"),
+                "zero ops per CU",
             ),
             (
                 &GOLDEN.replace("[0.65, 0.6]", "[65, 60]"),

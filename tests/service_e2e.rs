@@ -308,6 +308,11 @@ fn hostile_requests_get_4xx_and_never_wedge_the_service() {
         ),
         (
             "{\"root_seed\":1,\"replications\":1,\"vdds\":[0.65,0.6],\"schemes\":[\"flair\"],\
+             \"workloads\":[\"fft\"],\"ops_per_cu\":0}",
+            "a sweep of no operations",
+        ),
+        (
+            "{\"root_seed\":1,\"replications\":1,\"vdds\":[0.65,0.6],\"schemes\":[\"flair\"],\
              \"fault_model\":\"table:sigma=nan\",\"workloads\":[\"fft\"],\"ops_per_cu\":10}",
             "a sweep over a fault model with a NaN parameter",
         ),
