@@ -426,7 +426,6 @@ impl<'a, Z: Fn(LineId, u64) -> f64> LineMasks<'a, Z> {
         for_each_failing_cell(
             base,
             0..layout::CELLS_PER_LINE,
-            1,
             cap_thresholds,
             |cell, h| candidates.push((h >> 11, CellFault::drawn(cell, h))),
         );

@@ -41,7 +41,10 @@
 //! its polarity at every grid point. A line is hashed once at the grid's
 //! lowest voltage. `stuck-at` and `table` keep one variation draw per
 //! line, `clustered` one per (line, column group), and `transient` merges
-//! each grid point's overlay flips into its stuck-at base. Everything else
+//! each grid point's overlay flips into its stuck-at base. The overlay
+//! hashes no cell it does not flip: its random and MSB flips are drawn as
+//! geometric gaps over the eligible cells, one hash per flip, and each
+//! flip is stuck at 0 or 1 with probability ½. Everything else
 //! reads the stream a line at a time: [`FaultModel::map`] streams a
 //! one-point grid, a sweep boxes each line over its grid into a
 //! [`GridDie`] (drawn in line ranges on several threads and joined) and
@@ -68,7 +71,7 @@ use crate::cell_model::{CellFailureModel, FailureKind, FreqGhz, NormVdd};
 use crate::map::{layout, line_z, CellFault, CellGroups, FaultMap, GridFault, LineId, LineMasks};
 use crate::rng::{
     for_each_failing_cell, hash3, hash3_base, hash3_with_base, splitmix64, standard_normal,
-    to_unit, unit_threshold, CellThresholds,
+    to_unit, unit_threshold,
 };
 
 /// A deterministic fault-population generator.
@@ -498,7 +501,7 @@ impl FaultModel for ClusteredModel {
             let thresholds = groups.thresholds(&mut per_cell, |g| {
                 unit_threshold(self.cell.line_p(median, groups.z(z_line, g)))
             });
-            for_each_failing_cell(base, 0..layout::CELLS_PER_LINE, 1, thresholds, |cell, h| {
+            for_each_failing_cell(base, 0..layout::CELLS_PER_LINE, thresholds, |cell, h| {
                 map.push(CellFault::drawn(cell, h))
             });
             map.end_line();
@@ -536,7 +539,8 @@ impl FaultModel for ClusteredModel {
 // transient: random/burst/MSB-biased flips over a persistent base
 // ---------------------------------------------------------------------------
 
-/// How the transient overlay picks cells.
+/// How the transient overlay picks cells. Every flip is stuck at 0 or 1
+/// with probability ½ each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TransientMode {
     /// Each cell flips independently with probability `rate`.
@@ -544,10 +548,16 @@ enum TransientMode {
     /// Each line suffers a burst of `burst_len` adjacent flipped cells
     /// with probability `rate`.
     Burst,
-    /// Like `Random`, but only the most significant bit of each byte is
-    /// eligible (rate scaled by 8 to keep the overall density).
+    /// Like `Random`, but only the most significant bit of each byte
+    /// (cells 7, 15, ..., 559) is eligible, at `min(8 * rate, 1)` to keep
+    /// the overall density.
     Msb,
 }
+
+/// The hash domain of the overlay's geometric gaps: draw `k` of a line
+/// is `hash3_with_base(tbase, GAP_DOMAIN + k)`, apart from every burst
+/// draw (`0xB0B5`, `0x57A7` and `0x1_0000 + cell`).
+const GAP_DOMAIN: u64 = 0x2_0000;
 
 /// Transient flips layered on a persistent stuck-at base. The overlay is
 /// re-drawn per operating point (the physical upsets a die sees during a
@@ -572,6 +582,15 @@ impl TransientModel {
 
     /// Replaces `out` with the transient flips of `line` under overlay
     /// seed `tseed`, in cell order.
+    ///
+    /// `random` and `msb` flips are drawn by geometric gaps over the
+    /// eligible cells, so the draw costs one hash per flip, not one per
+    /// cell. Draw `k` is `h = hash3_with_base(tbase, GAP_DOMAIN + k)`:
+    /// with `u = ((h >> 11) + 1) * 2^-53` in `(0, 1]`, the next
+    /// `floor(ln u / ln(1 - p))` eligible cells keep their value and the
+    /// one after them flips, stuck at `h`'s bit 0. Each eligible cell
+    /// therefore flips with probability `p`, independently of the others.
+    /// `p = 1` flips every eligible cell without a logarithm.
     fn flips(&self, tseed: u64, line: LineId, out: &mut Vec<CellFault>) {
         out.clear();
         let tbase = hash3_base(tseed, line as u64);
@@ -595,13 +614,30 @@ impl TransientModel {
                 return;
             }
         };
-        for_each_failing_cell(
-            tbase,
-            first..layout::CELLS_PER_LINE,
-            step,
-            CellThresholds::Uniform(unit_threshold(p)),
-            |cell, h| out.push(CellFault::drawn(cell, h)),
-        );
+        if p == 0.0 {
+            return;
+        }
+        let eligible = u64::from((layout::CELLS_PER_LINE - first).div_ceil(step));
+        let ln_keep = (-p).ln_1p();
+        // The eligible index of the next cell that may flip. Each draw
+        // flips one cell at or after it, or ends the line.
+        let mut next = 0;
+        for k in 0..eligible {
+            let h = hash3_with_base(tbase, GAP_DOMAIN + k);
+            if p < 1.0 {
+                let u = ((h >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
+                let gap = (u.ln() / ln_keep).floor();
+                if gap >= (eligible - next) as f64 {
+                    break;
+                }
+                next += gap as u64;
+            }
+            out.push(CellFault {
+                cell: first + next as u16 * step,
+                stuck: h & 1 != 0,
+            });
+            next += 1;
+        }
     }
 
     /// Merges the transient overlay of the die `seed` at `vdd` into its
@@ -638,7 +674,8 @@ impl FaultModel for TransientModel {
     }
 
     /// The stuck-at base's masks, line by line, each line merged with its
-    /// flips at every grid point into one reused buffer.
+    /// flips at every grid point into one reused buffer. A line with no
+    /// flip at any point is the base's slice as it is.
     fn grid_masks(
         &self,
         lines: Range<LineId>,
@@ -667,6 +704,11 @@ impl FaultModel for TransientModel {
                     stuck: u64::from(f.stuck) << g,
                 }));
             }
+            let base = masks.line(line);
+            if flips.is_empty() {
+                emit(line, base);
+                continue;
+            }
             flips.sort_unstable_by_key(|f| f.cell);
             flips.dedup_by(|next, kept| {
                 let same = next.cell == kept.cell;
@@ -678,7 +720,7 @@ impl FaultModel for TransientModel {
             });
             merged.clear();
             let mut rest = flips.iter().peekable();
-            for &fault in masks.line(line) {
+            for &fault in base {
                 while let Some(&flip) = rest.next_if(|flip| flip.cell < fault.cell) {
                     merged.push(flip);
                 }

@@ -6,13 +6,15 @@
 //! uniform threshold from a stateless hash and is faulty whenever the
 //! voltage-dependent failure probability exceeds it.
 //!
-//! Every fault map draws its cells through one crate-private kernel,
+//! Every persistent fault is drawn through one crate-private kernel,
 //! `for_each_failing_cell`: given a line's hoisted [`hash3_base`] it
 //! visits, in cell order, each cell whose draw falls below its
 //! threshold. On x86-64 it hashes 64 cells per block into a branch-free
 //! hit mask, compiled for AVX-512 or AVX2 and picked at run time; other
 //! CPUs run the per-cell loop, which is also the test oracle of the
-//! blocked clones.
+//! blocked clones. The `transient` overlay hashes no cell it does not
+//! flip: its flips are drawn per flip, as geometric gaps or bursts (see
+//! [`crate::model`]).
 
 use std::ops::Range;
 
@@ -142,36 +144,31 @@ impl CellThresholds<'_> {
     }
 }
 
-/// Visits, in cell order, each cell `c` of `cells` stepped by `step`
-/// whose draw `h = hash3_with_base(base, c)` fails, `(h >> 11) <
-/// thresholds.at(c)`, and passes `(c, h)` to `hit`. Hashes nothing when
-/// every threshold is 0. Bit-identical to hashing cell by cell on every
-/// CPU.
+/// Visits, in cell order, each cell `c` of `cells` whose draw `h =
+/// hash3_with_base(base, c)` fails, `(h >> 11) < thresholds.at(c)`, and
+/// passes `(c, h)` to `hit`. Hashes nothing when every threshold is 0.
+/// Bit-identical to hashing cell by cell on every CPU.
 ///
 /// # Panics
 ///
-/// Panics if `step` is 0, or if per-cell thresholds do not cover
-/// `cells`.
+/// Panics if per-cell thresholds do not cover `cells`.
 pub(crate) fn for_each_failing_cell(
     base: u64,
     cells: Range<u16>,
-    step: u16,
     thresholds: CellThresholds<'_>,
     mut hit: impl FnMut(u16, u64),
 ) {
-    assert!(step > 0, "cell step must be positive");
     let none_fail = match thresholds {
         CellThresholds::Uniform(t) => t == 0,
         CellThresholds::PerCell(per_cell) => per_cell
             [usize::from(cells.start)..usize::from(cells.end)]
             .iter()
-            .step_by(usize::from(step))
             .all(|&t| t == 0),
     };
     if none_fail {
         return;
     }
-    Kernel::detect().run(base, cells, step, thresholds, &mut hit);
+    Kernel::detect().run(base, cells, thresholds, &mut hit);
 }
 
 /// One implementation of [`for_each_failing_cell`]'s draw pass.
@@ -230,7 +227,6 @@ impl Kernel {
         self,
         base: u64,
         cells: Range<u16>,
-        step: u16,
         thresholds: CellThresholds<'_>,
         hit: &mut F,
     ) {
@@ -239,16 +235,16 @@ impl Kernel {
             "{self:?} kernel needs CPU features this host lacks"
         );
         match self {
-            Kernel::PerCell => per_cell_pass(base, cells, step, thresholds, hit),
+            Kernel::PerCell => per_cell_pass(base, cells, thresholds, hit),
             // SAFETY: `supported()` just checked that this CPU has AVX2,
             // the one feature `blocked_pass_avx2` is compiled with.
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => unsafe { blocked_pass_avx2(base, cells, step, thresholds, hit) },
+            Kernel::Avx2 => unsafe { blocked_pass_avx2(base, cells, thresholds, hit) },
             // SAFETY: `supported()` just checked that this CPU has
             // AVX-512 F, DQ, VL and BW, every feature
             // `blocked_pass_avx512` is compiled with.
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => unsafe { blocked_pass_avx512(base, cells, step, thresholds, hit) },
+            Kernel::Avx512 => unsafe { blocked_pass_avx512(base, cells, thresholds, hit) },
         }
     }
 }
@@ -257,11 +253,10 @@ impl Kernel {
 fn per_cell_pass<F: FnMut(u16, u64)>(
     base: u64,
     cells: Range<u16>,
-    step: u16,
     thresholds: CellThresholds<'_>,
     hit: &mut F,
 ) {
-    for cell in cells.step_by(usize::from(step)) {
+    for cell in cells {
         let h = hash3_with_base(base, u64::from(cell));
         if (h >> 11) < thresholds.at(usize::from(cell)) {
             hit(cell, h);
@@ -283,13 +278,11 @@ const BLOCK: usize = 64;
 fn blocked_pass<F: FnMut(u16, u64)>(
     base: u64,
     cells: Range<u16>,
-    step: u16,
     thresholds: CellThresholds<'_>,
     hit: &mut F,
 ) {
-    let step = usize::from(step);
     let start = usize::from(cells.start);
-    let count = usize::from(cells.end.saturating_sub(cells.start)).div_ceil(step);
+    let count = usize::from(cells.end.saturating_sub(cells.start));
     let uniform = match thresholds {
         CellThresholds::Uniform(t) => [t; BLOCK],
         CellThresholds::PerCell(_) => [0; BLOCK],
@@ -298,20 +291,18 @@ fn blocked_pass<F: FnMut(u16, u64)>(
     let mut hashes = [0u64; BLOCK];
     for first in (0..count).step_by(BLOCK) {
         let lanes = (count - first).min(BLOCK);
-        let block_start = start + first * step;
+        let block_start = start + first;
         for (k, h) in hashes.iter_mut().enumerate() {
-            *h = hash3_with_base(base, (block_start + k * step) as u64);
+            *h = hash3_with_base(base, (block_start + k) as u64);
         }
         let block_thresholds: &[u64; BLOCK] = match thresholds {
             CellThresholds::Uniform(_) => &uniform,
-            CellThresholds::PerCell(per_cell) if step == 1 && lanes == BLOCK => per_cell
+            CellThresholds::PerCell(per_cell) if lanes == BLOCK => per_cell
                 [block_start..block_start + BLOCK]
                 .try_into()
                 .expect("a block is 64 cells"),
             CellThresholds::PerCell(per_cell) => {
-                for (k, t) in gathered[..lanes].iter_mut().enumerate() {
-                    *t = per_cell[block_start + k * step];
-                }
+                gathered[..lanes].copy_from_slice(&per_cell[block_start..block_start + lanes]);
                 &gathered
             }
         };
@@ -324,7 +315,7 @@ fn blocked_pass<F: FnMut(u16, u64)>(
         }
         while mask != 0 {
             let k = mask.trailing_zeros() as usize;
-            hit((block_start + k * step) as u16, hashes[k]);
+            hit((block_start + k) as u16, hashes[k]);
             mask &= mask - 1;
         }
     }
@@ -336,11 +327,10 @@ fn blocked_pass<F: FnMut(u16, u64)>(
 fn blocked_pass_avx2<F: FnMut(u16, u64)>(
     base: u64,
     cells: Range<u16>,
-    step: u16,
     thresholds: CellThresholds<'_>,
     hit: &mut F,
 ) {
-    blocked_pass(base, cells, step, thresholds, hit);
+    blocked_pass(base, cells, thresholds, hit);
 }
 
 /// [`blocked_pass`] compiled for AVX-512.
@@ -349,11 +339,10 @@ fn blocked_pass_avx2<F: FnMut(u16, u64)>(
 fn blocked_pass_avx512<F: FnMut(u16, u64)>(
     base: u64,
     cells: Range<u16>,
-    step: u16,
     thresholds: CellThresholds<'_>,
     hit: &mut F,
 ) {
-    blocked_pass(base, cells, step, thresholds, hit);
+    blocked_pass(base, cells, thresholds, hit);
 }
 
 /// Hierarchical deterministic seed derivation: folds a domain label and a
@@ -479,7 +468,6 @@ mod tests {
     fn per_cell_draws(
         base: u64,
         cells: Range<u16>,
-        step: u16,
         thresholds: CellThresholds<'_>,
     ) -> Vec<(u16, u64)> {
         let mut draws = Vec::new();
@@ -489,7 +477,7 @@ mod tests {
             if (h >> 11) < thresholds.at(usize::from(cell)) {
                 draws.push((cell, h));
             }
-            cell += step;
+            cell += 1;
         }
         draws
     }
@@ -501,7 +489,6 @@ mod tests {
     fn every_pass(
         base: u64,
         cells: Range<u16>,
-        step: u16,
         thresholds: CellThresholds<'_>,
     ) -> Vec<(String, Vec<(u16, u64)>)> {
         let mut kernels = vec![Kernel::PerCell];
@@ -510,33 +497,28 @@ mod tests {
         let mut passes = Vec::new();
         for kernel in kernels.into_iter().filter(|k| k.supported()) {
             let mut draws = Vec::new();
-            kernel.run(base, cells.clone(), step, thresholds, &mut |c, h| {
+            kernel.run(base, cells.clone(), thresholds, &mut |c, h| {
                 draws.push((c, h));
             });
             passes.push((format!("{kernel:?}"), draws));
         }
         let mut draws = Vec::new();
-        blocked_pass(base, cells.clone(), step, thresholds, &mut |c, h| {
+        blocked_pass(base, cells.clone(), thresholds, &mut |c, h| {
             draws.push((c, h))
         });
         passes.push(("baseline blocked".to_string(), draws));
         let mut draws = Vec::new();
-        for_each_failing_cell(base, cells, step, thresholds, |c, h| draws.push((c, h)));
+        for_each_failing_cell(base, cells, thresholds, |c, h| draws.push((c, h)));
         passes.push(("dispatched".to_string(), draws));
         passes
     }
 
-    fn assert_every_pass_matches(
-        base: u64,
-        cells: Range<u16>,
-        step: u16,
-        thresholds: CellThresholds<'_>,
-    ) {
-        let expected = per_cell_draws(base, cells.clone(), step, thresholds);
-        for (name, draws) in every_pass(base, cells.clone(), step, thresholds) {
+    fn assert_every_pass_matches(base: u64, cells: Range<u16>, thresholds: CellThresholds<'_>) {
+        let expected = per_cell_draws(base, cells.clone(), thresholds);
+        for (name, draws) in every_pass(base, cells.clone(), thresholds) {
             assert_eq!(
                 draws, expected,
-                "{name} pass differs on base {base:#x}, cells {cells:?}, step {step}, \
+                "{name} pass differs on base {base:#x}, cells {cells:?}, \
                  thresholds {thresholds:?}"
             );
         }
@@ -562,7 +544,6 @@ mod tests {
         const CELLS: u16 = 560;
         killi_check::check_cases("every_kernel_visits_the_per_cell_draws", 512, |g| {
             let base = g.u64();
-            let step = *g.pick(&[1u16, 8]);
             let start = g.usize_in(0, usize::from(CELLS) + 1) as u16;
             // A quarter of the ranges end at the line's last cell, so
             // most of those end in a partial block.
@@ -572,7 +553,7 @@ mod tests {
                 g.usize_in(usize::from(start), usize::from(CELLS) + 1) as u16
             };
             let uniform = group_threshold(g, base, start..end);
-            assert_every_pass_matches(base, start..end, step, CellThresholds::Uniform(uniform));
+            assert_every_pass_matches(base, start..end, CellThresholds::Uniform(uniform));
             let group = g.usize_in(1, usize::from(CELLS) + 1);
             let mut per_cell = vec![0; usize::from(CELLS)];
             for first in (0..usize::from(CELLS)).step_by(group) {
@@ -580,17 +561,15 @@ mod tests {
                 let t = group_threshold(g, base, first as u16..last as u16);
                 per_cell[first..last].fill(t);
             }
-            assert_every_pass_matches(base, start..end, step, CellThresholds::PerCell(&per_cell));
+            assert_every_pass_matches(base, start..end, CellThresholds::PerCell(&per_cell));
         });
     }
 
     #[test]
     fn every_kernel_visits_every_cell_of_whole_partial_and_empty_blocks() {
         let base = hash3_base(42, 7);
-        for step in [1u16, 8] {
-            for cells in [0..560, 7..560, 500..560, 0..64, 1..65, 559..560, 560..560] {
-                assert_every_pass_matches(base, cells, step, CellThresholds::Uniform(1 << 53));
-            }
+        for cells in [0..560, 7..560, 500..560, 0..64, 1..65, 559..560, 560..560] {
+            assert_every_pass_matches(base, cells, CellThresholds::Uniform(1 << 53));
         }
     }
 

@@ -178,6 +178,112 @@ fn mix_is_a_probability_average() {
     });
 }
 
+/// The `transient` overlay alone, at nominal voltage where the stuck-at
+/// base is empty. `random` flips each of the 560 cells and `msb` each of
+/// cells 7, 15, ..., 559 with probability `p` (`min(8 * rate, 1)` for
+/// `msb`), independently, so a line's flip count is Binomial(n, p), its
+/// flips spread evenly over the eligible cells, and each is stuck at 1
+/// with probability ½. Every bound is 5 standard deviations, or a
+/// chi-square tail of 5e-7.
+#[test]
+fn transient_overlay_flips_each_eligible_cell_independently() {
+    const LINES: usize = 1024;
+    // The chi-square quantile of 7 degrees of freedom with tail 5.2e-7.
+    const CHI2_7: f64 = 42.0;
+    let registry = default_registry();
+    killi_check::check_cases("transient_overlay_flips_each_eligible_cell", 4, |g| {
+        let seed = g.u64();
+        let base = stuck_at().map(LINES, NormVdd::NOMINAL, FreqGhz::PEAK, seed);
+        assert!((0..LINES).all(|line| base.line(line).is_empty()));
+        for (mode, eligible) in [("random", 0..560), ("msb", 7..560)] {
+            let step = if mode == "msb" { 8 } else { 1 };
+            let eligible: Vec<u16> = eligible.step_by(step).collect();
+            let n = eligible.len() as f64;
+            for rate in [0.0f64, 0.001, 0.05, 0.5, 1.0] {
+                let spelling = format!("transient:mode={mode},rate={rate}");
+                let config = FaultModelConfig::parse(&spelling).unwrap();
+                let map = registry.build(&config, &()).unwrap().map(
+                    LINES,
+                    NormVdd::NOMINAL,
+                    FreqGhz::PEAK,
+                    seed,
+                );
+                let p = if mode == "msb" {
+                    (8.0 * rate).min(1.0)
+                } else {
+                    rate
+                };
+                // Flips per line, per eighth of the eligible cells, and
+                // stuck at 1.
+                let (mut counts, mut buckets, mut ones) = (Vec::new(), [0.0; 8], 0.0);
+                for line in 0..LINES {
+                    let flips = map.line(line);
+                    assert!(
+                        flips.windows(2).all(|w| w[0].cell < w[1].cell),
+                        "{spelling}: line {line} is not strictly ascending"
+                    );
+                    for flip in flips {
+                        let Ok(i) = eligible.binary_search(&flip.cell) else {
+                            panic!("{spelling}: cell {} is not eligible", flip.cell);
+                        };
+                        buckets[i * 8 / eligible.len()] += 1.0;
+                        ones += f64::from(u8::from(flip.stuck));
+                    }
+                    if p == 1.0 {
+                        let cells: Vec<u16> = flips.iter().map(|f| f.cell).collect();
+                        assert_eq!(cells, eligible, "{spelling}: line {line}");
+                    }
+                    counts.push(flips.len() as f64);
+                }
+                let total: f64 = counts.iter().sum();
+                if p == 0.0 {
+                    assert_eq!(total, 0.0, "{spelling} flipped a cell");
+                    continue;
+                }
+                let lines = LINES as f64;
+                let (mean, var) = (n * p, n * p * (1.0 - p));
+                let sample_mean = total / lines;
+                let sample_var = counts
+                    .iter()
+                    .map(|c| (c - sample_mean) * (c - sample_mean))
+                    .sum::<f64>()
+                    / (lines - 1.0);
+                // Binomial central fourth moment, for the sample variance.
+                let fourth = var * (1.0 + 3.0 * (n - 2.0) * p * (1.0 - p));
+                assert!(
+                    (sample_mean - mean).abs() <= 5.0 * (var / lines).sqrt(),
+                    "{spelling}: {sample_mean} flips per line, expected {mean}"
+                );
+                assert!(
+                    (sample_var - var).abs() <= 5.0 * ((fourth - var * var) / lines).sqrt(),
+                    "{spelling}: variance {sample_var} per line, expected {var}"
+                );
+                // Given the total, each flip lands in an eighth in
+                // proportion to the eighth's eligible cells.
+                let chi2: f64 = buckets
+                    .iter()
+                    .enumerate()
+                    .map(|(b, &observed)| {
+                        let size = (0..eligible.len())
+                            .filter(|i| i * 8 / eligible.len() == b)
+                            .count();
+                        let expected = total * size as f64 / n;
+                        (observed - expected) * (observed - expected) / expected
+                    })
+                    .sum();
+                assert!(
+                    chi2 <= CHI2_7,
+                    "{spelling}: chi-square {chi2} over {buckets:?}"
+                );
+                assert!(
+                    (ones / total - 0.5).abs() <= 5.0 * (0.25 / total).sqrt(),
+                    "{spelling}: {ones} of {total} flips stuck at 1"
+                );
+            }
+        }
+    });
+}
+
 /// A registered model with random parameters: `clustered` anywhere in
 /// its variance budget, `transient` in every mode at rates up to 0.05 (0.5
 /// per line for bursts), so flips land on base faults and masks stop
@@ -196,9 +302,8 @@ fn random_model_config(g: &mut killi_check::Gen) -> FaultModelConfig {
                 .with("col_corr", F64(col_corr))
         }
         "transient" => {
-            // Only burst flips draw their polarity apart from their
-            // threshold test, so only they can disagree with the base
-            // fault they land on: give them a higher rate.
+            // A burst's rate is per line, not per cell: give it a higher
+            // one, so bursts land on base faults too.
             let mode = *g.pick(&["random", "burst", "msb"]);
             let rate = g.f64_in(0.0, if mode == "burst" { 0.5 } else { 0.05 });
             FaultModelConfig::new("transient")
@@ -240,10 +345,9 @@ fn grid_masks_equal_the_fold_of_per_grid_maps() {
             .unwrap_or_else(|e| panic!("{config}: {e}"));
         let seed = g.u64();
         // A transient die's lowest point is at most 0.55 V, where base
-        // faults are dense and flips land on them; its overlay hashes
-        // every cell of every line at each point, so it draws fewer lines.
+        // faults are dense and flips land on them.
         let transient = config.name == "transient";
-        let lines = g.usize_in(1, if transient { 100 } else { 200 });
+        let lines = g.usize_in(1, 200);
         // The stream draws any range of the die's lines.
         let start = g.usize_in(0, lines);
         let range = start..g.usize_in(start, lines + 1);

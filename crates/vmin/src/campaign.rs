@@ -265,9 +265,10 @@ impl ValidatedVminConfig {
 pub enum CampaignError {
     /// The die store could not be written or read.
     Store(StoreError),
-    /// An existing die store does not match the campaign config.
+    /// An existing die store does not match the campaign config, or its
+    /// die 0 is not the fault model's draw.
     StoreMismatch {
-        /// Which metadata field disagrees.
+        /// What disagrees.
         reason: String,
     },
     /// A die record holds a grid mask that is not a prefix of ones,
@@ -733,27 +734,6 @@ fn admit_per_point(
     }
 }
 
-/// `usable[rule][g]` with every faulty line evaluated point by point: the
-/// oracle of [`UsableLines`].
-#[cfg(test)]
-fn usable_per_grid(rec: &DieRecord, ctx: &EvalContext<'_>) -> Vec<Vec<u32>> {
-    let mut usable = vec![vec![0u32; ctx.grid_len]; ctx.rules.len()];
-    let mut faulty_lines = 0u32;
-    let mut scratch = Vec::new();
-    for line in rec.entries.chunk_by(|a, b| a.line == b.line) {
-        faulty_lines += 1;
-        let faults: Vec<GridFault> = line.iter().map(grid_fault).collect();
-        admit_per_point(&faults, ctx, &mut usable, &mut scratch);
-    }
-    let fault_free = ctx.lines as u32 - faulty_lines;
-    for table in usable.iter_mut() {
-        for count in table.iter_mut() {
-            *count += fault_free;
-        }
-    }
-    usable
-}
-
 fn check_store_meta(meta: &StoreMeta, c: &VminConfig, fm_label: &str) -> Result<(), CampaignError> {
     let mismatch = |reason: String| Err(CampaignError::StoreMismatch { reason });
     if meta.root_seed != c.root_seed {
@@ -793,6 +773,25 @@ fn check_store_meta(meta: &StoreMeta, c: &VminConfig, fm_label: &str) -> Result<
         ));
     }
     Ok(())
+}
+
+/// Checks die 0 of a reused store against the model's draw of die 0. The
+/// header keys a store on seed, lines, grid and fault-model label, and a
+/// change to how a model draws its faults moves none of them.
+fn check_store_draw(
+    rec: &DieRecord,
+    model: &dyn FaultModel,
+    c: &VminConfig,
+) -> Result<(), CampaignError> {
+    let seed = derive_seed(c.root_seed, "die", &[0]);
+    if *rec == synth_record(model, c.lines, &c.vdds, seed) {
+        return Ok(());
+    }
+    Err(CampaignError::StoreMismatch {
+        reason: "die 0 is not the fault model's draw of it (the store was written by \
+                 another version of the model); delete the store to rebuild it"
+            .to_string(),
+    })
 }
 
 fn build_store(
@@ -836,7 +835,9 @@ fn build_store(
 /// reads it from the die store), searches its per-scheme Vmin, and folds
 /// the fleet into a [`VminReport`]. Without a store, each worker holds one
 /// line of one die; with one, a chunk of records (a few per worker
-/// thread) is read at a time. Peak memory never grows with the fleet.
+/// thread) is read at a time. Peak memory never grows with the fleet. A
+/// store that already existed must match the config and hold the model's
+/// draw of die 0, or the campaign is a [`CampaignError::StoreMismatch`].
 pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, CampaignError> {
     let c = config.config();
     let model = build_fault_model(&c.fault_model).expect("config validated");
@@ -868,9 +869,10 @@ pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, Camp
     let mut metrics = VminMetrics::new();
     metrics.add(VminCounter::CampaignsStarted, 1);
 
+    let reused = c.store.as_ref().is_some_and(|path| path.exists());
     let mut reader = match &c.store {
         Some(path) => {
-            if !path.exists() {
+            if !reused {
                 build_store(path, c, model.as_ref(), &fm_label, &mut metrics)?;
             }
             let reader = DieStoreReader::open(path)?;
@@ -920,9 +922,15 @@ pub fn run_campaign(config: &ValidatedVminConfig) -> Result<CampaignOutput, Camp
                     records.push(r.read_die(i)?);
                     metrics.add(VminCounter::StoreDiesRead, 1);
                 }
-                par_map(threads, &records, progress.as_ref(), |_, rec| {
+                let outcomes = par_map(threads, &records, progress.as_ref(), |_, rec| {
                     evaluate_die(rec, &ctx)
-                })
+                });
+                // A record that breaks nesting is named below; otherwise a
+                // reused store must hold the model's draw of die 0.
+                if start == 0 && reused && outcomes.iter().all(Result::is_ok) {
+                    check_store_draw(&records[0], model.as_ref(), c)?;
+                }
+                outcomes
             }
             None => {
                 // Direct path: each die is streamed line by line into its
@@ -1375,6 +1383,64 @@ mod tests {
         fewer.store = Some(path.clone());
         let out = run_campaign(&fewer.validated().unwrap()).unwrap();
         assert_eq!(out.report.dies, 5);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `usable[rule][g]` with every faulty line evaluated point by point: the
+    /// oracle of [`UsableLines`].
+    fn usable_per_grid(rec: &DieRecord, ctx: &EvalContext<'_>) -> Vec<Vec<u32>> {
+        let mut usable = vec![vec![0u32; ctx.grid_len]; ctx.rules.len()];
+        let mut faulty_lines = 0u32;
+        let mut scratch = Vec::new();
+        for line in rec.entries.chunk_by(|a, b| a.line == b.line) {
+            faulty_lines += 1;
+            let faults: Vec<GridFault> = line.iter().map(grid_fault).collect();
+            admit_per_point(&faults, ctx, &mut usable, &mut scratch);
+        }
+        let fault_free = ctx.lines as u32 - faulty_lines;
+        for table in usable.iter_mut() {
+            for count in table.iter_mut() {
+                *count += fault_free;
+            }
+        }
+        usable
+    }
+
+    #[test]
+    fn a_store_of_another_draw_is_rejected() {
+        let dir = std::env::temp_dir().join("killi-vmin-campaign-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("other-draw-{}.kds", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+
+        // The campaign's header, and under each die's seed the faults of
+        // another seed: what a store written by another version of the
+        // model holds.
+        let c = small_config();
+        let model = build_fault_model(&c.fault_model).unwrap();
+        let meta = StoreMeta {
+            root_seed: c.root_seed,
+            lines: c.lines as u32,
+            grid: c.vdds.clone(),
+            fault_model: fault_model_label(&c.fault_model).unwrap(),
+            dies: c.dies as u32,
+        };
+        let mut writer = DieStoreWriter::create(&path, meta).unwrap();
+        for i in 0..c.dies {
+            let seed = derive_seed(c.root_seed, "die", &[i as u64]);
+            let other = synth_record(model.as_ref(), c.lines, &c.vdds, !seed);
+            writer.append(&DieRecord { seed, ..other }).unwrap();
+        }
+        writer.finish().unwrap();
+
+        let mut stored = small_config();
+        stored.store = Some(path.clone());
+        let err = run_campaign(&stored.validated().unwrap()).unwrap_err();
+        assert!(matches!(err, CampaignError::StoreMismatch { .. }), "{err}");
+        assert!(
+            err.to_string().contains("delete the store to rebuild it"),
+            "{err}"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
