@@ -590,7 +590,7 @@ impl TransientModel {
     /// `floor(ln u / ln(1 - p))` eligible cells keep their value and the
     /// one after them flips, stuck at `h`'s bit 0. Each eligible cell
     /// therefore flips with probability `p`, independently of the others.
-    /// `p = 1` flips every eligible cell without a logarithm.
+    /// `p = 1` flips every eligible cell, and its draws take no logarithm.
     fn flips(&self, tseed: u64, line: LineId, out: &mut Vec<CellFault>) {
         out.clear();
         let tbase = hash3_base(tseed, line as u64);
