@@ -41,7 +41,7 @@ use killi_fault::model::GridDie;
 use killi_fault::rng::derive_seed;
 use killi_sim::gpu::GpuConfig;
 use killi_sim::stats::SimStats;
-use killi_sim::trace::{Trace, TraceOp};
+use killi_sim::trace::Trace;
 use killi_workloads::Workload;
 
 use killi_obs::{escape_json, MetricSet};
@@ -330,7 +330,9 @@ impl SweepConfig {
         }
         self.gpu
             .validate()
-            .map_err(|reason| SweepConfigError::Geometry { reason })?;
+            .map_err(|e| SweepConfigError::Geometry {
+                reason: e.to_string(),
+            })?;
         check_builds(&self.schemes, self.gpu.l2)?;
         check_distinct_labels(&self.schemes)?;
         build_fault_model(&self.fault_model)?;
@@ -533,19 +535,21 @@ enum Job {
 enum ArtifactMode {
     /// Fault maps read per (replicate, vdd) from one die per replicate
     /// collected from the model's stream ([`GridDie`]); trace op buffers
-    /// generated once per (workload, replicate) and shared across scheme
-    /// cells via `Arc`.
+    /// and their L1 outcomes computed once per (workload, replicate) and
+    /// shared across scheme cells via `Arc`.
     Shared,
     /// Every job rebuilds its fault map with the dense per-cell
-    /// construction and regenerates its trace from scratch.
+    /// construction and regenerates its trace from scratch, and each
+    /// simulation computes its own L1 outcomes.
     PerJob,
 }
 
 /// Runs the sweep with shared artifacts: one [`GridDie`] per replicate
 /// (its model's stream over the grid, hashed once at the grid's lowest
 /// voltage) derives the fault map of every (voltage, replicate) pair, and
-/// each (workload, replicate) op buffer is generated once and replayed by
-/// every scheme cell. The report and optional event trace are
+/// each (workload, replicate) op buffer is generated once, with its L1
+/// outcomes ([`Trace::with_l1`]), and replayed by every scheme cell. The
+/// report and optional event trace are
 /// byte-identical to [`run_sweep_reference`] at any thread count
 /// (regression-tested).
 pub fn run_sweep(config: &SweepConfig) -> SweepReport {
@@ -592,10 +596,10 @@ fn run_sweep_mode(config: &SweepConfig, mode: ArtifactMode) -> SweepReport {
     // Phase 1: shared artifacts. maps[v * reps + rep]: one die per
     // replicate (the *same* die across the voltage grid), streamed once
     // per 64 grid points and read per operating point.
-    // traces[w * reps + rep]: one op buffer per (workload, replicate),
-    // replayed by the baseline and every scheme cell.
-    type SharedOps = Arc<Vec<Vec<TraceOp>>>;
-    let (maps, traces): (Vec<Arc<FaultMap>>, Vec<SharedOps>) = match mode {
+    // traces[w * reps + rep]: one op buffer per (workload, replicate)
+    // with its L1 outcomes, replayed by the baseline and every scheme
+    // cell.
+    let (maps, traces): (Vec<Arc<FaultMap>>, Vec<Trace>) = match mode {
         ArtifactMode::Shared => {
             // Every operating point is read from its die by its grid bit.
             // With fewer replicates than threads, each die is drawn in
@@ -628,7 +632,8 @@ fn run_sweep_mode(config: &SweepConfig, mode: ArtifactMode) -> SweepReport {
                 .flat_map(|w| (0..reps).map(move |rep| (w, rep)))
                 .collect();
             let traces = par_map(config.threads, &trace_keys, None, |_, &(w, rep)| {
-                Arc::new(config.workloads[w].ops(&cell_params(w, rep)))
+                Trace::from_shared(Arc::new(config.workloads[w].ops(&cell_params(w, rep))))
+                    .with_l1(config.gpu.l1)
             });
             (maps, traces)
         }
@@ -681,7 +686,7 @@ fn run_sweep_mode(config: &SweepConfig, mode: ArtifactMode) -> SweepReport {
                     workload,
                     scheme,
                     &config.gpu,
-                    Trace::from_shared(Arc::clone(&traces[w * reps + rep])),
+                    traces[w * reps + rep].clone(),
                     map,
                     trace_seed(w, rep),
                     &obs,
@@ -1034,6 +1039,7 @@ mod tests {
         assert!(bad(|g| g.cus = 0).contains("CU"));
         assert!(bad(|g| g.l2_banks = 0).contains("bank count 0"));
         assert!(bad(|g| g.l2_banks = 3).contains("bank count 3"));
+        assert!(bad(|g| g.max_outstanding = 0).contains("`max_outstanding` must be at least 1"));
         let message = SweepConfigError::Geometry {
             reason: "x".to_string(),
         };

@@ -45,6 +45,13 @@ pub enum ArgError {
 }
 
 impl ArgError {
+    /// Whether the command line itself is at fault (a flag, value,
+    /// argument, command or experiment id), so the usage text helps:
+    /// every kind but [`ArgError::Io`], a failure while the command ran.
+    pub fn is_usage(&self) -> bool {
+        !matches!(self, ArgError::Io { .. })
+    }
+
     /// Convenience constructor for [`ArgError::InvalidValue`].
     pub fn invalid(flag: &str, value: &str, expected: impl Into<String>) -> Self {
         ArgError::InvalidValue {

@@ -231,13 +231,22 @@ fn dispatch(args: &Args) -> Result<(), ArgError> {
     run(args)
 }
 
+/// Prints `e` to stderr, followed by the usage text only when the
+/// error is in how the command was spelled: after a runtime failure the
+/// one line that says what to do stays in view.
+fn report(e: &ArgError) -> ExitCode {
+    if e.is_usage() {
+        eprintln!("error: {e}\n\n{USAGE}");
+    } else {
+        eprintln!("error: {e}");
+    }
+    ExitCode::FAILURE
+}
+
 fn main() -> ExitCode {
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return report(&e),
     };
     let Some(command) = args.command.as_deref() else {
         println!("{USAGE}");
@@ -256,10 +265,7 @@ fn main() -> ExitCode {
     }
     match dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        Err(e) => report(&e),
     }
 }
 
@@ -1352,6 +1358,20 @@ mod tests {
 
     fn parse(argv: &[&str]) -> Args {
         Args::parse(argv.iter().map(|s| s.to_string())).expect("parses")
+    }
+
+    #[test]
+    fn only_command_line_errors_are_usage_errors() {
+        let flag = dispatch(&parse(&["sweep", "--ratio", "16"])).unwrap_err();
+        assert!(flag.is_usage(), "{flag}");
+        let value = dispatch(&parse(&["sweep", "--workloads", "nosuch"])).unwrap_err();
+        assert!(value.is_usage(), "{value}");
+        // A failure while the command runs prints no usage text.
+        let run = dispatch(&parse(&["sweep", "--l2kb", "96", "--schemes", "flair"])).unwrap_err();
+        assert!(
+            matches!(run, ArgError::Io { .. }) && !run.is_usage(),
+            "{run}"
+        );
     }
 
     fn spelled(schemes: &[SchemeConfig]) -> Vec<String> {

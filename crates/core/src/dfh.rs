@@ -124,6 +124,42 @@ impl DfhArray {
         *word = (*word & !(0b11 << shift)) | (u64::from(dfh.bits()) << shift);
     }
 
+    /// The lines `first..first + n` (`n <= 64`) in each DFH state, as
+    /// bitmasks indexed by [`Dfh::bits`]: bit `i` of mask `s` is set when
+    /// line `first + i` is in state `s`. Reads up to 32 lines' lanes from
+    /// one packed word at a time (an L2 set's 16 lines from one word)
+    /// instead of decoding line by line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 64` or the lines run past the array.
+    pub fn state_masks(&self, first: usize, n: usize) -> [u64; 4] {
+        assert!(n <= 64 && first + n <= self.lines, "lines out of range");
+        // Bit 0 and bit 1 of every line's two-bit lane, one bit per line.
+        let (mut lo, mut hi) = (0u64, 0u64);
+        let mut done = 0;
+        while done < n {
+            let k = (n - done).min(32);
+            let lanes = self.lanes(first + done, k);
+            lo |= compress_even(lanes) << done;
+            hi |= compress_even(lanes >> 1) << done;
+            done += k;
+        }
+        let all = if n == 0 { 0 } else { u64::MAX >> (64 - n) };
+        [all & !(lo | hi), lo & !hi, hi & !lo, lo & hi]
+    }
+
+    /// The two-bit lanes of lines `line..line + k` (`1 <= k <= 32`), lane
+    /// `i` at bits `2i..2i + 2`, whichever words they span.
+    fn lanes(&self, line: usize, k: usize) -> u64 {
+        let (word, shift) = (line >> 5, (line & 31) * 2);
+        let mut bits = self.words[word] >> shift;
+        if shift + 2 * k > 64 {
+            bits |= self.words[word + 1] << (64 - shift);
+        }
+        bits & (u64::MAX >> (64 - 2 * k))
+    }
+
     /// Returns every line to [`Dfh::Unknown`] (the DFH reset broadcast).
     pub fn reset(&mut self) {
         // Unknown encodes as b01 in every two-bit lane.
@@ -151,6 +187,16 @@ impl DfhArray {
         }
         counts
     }
+}
+
+/// Gathers the even bits of `x` (bits 0, 2, .., 62) into its low 32 bits.
+fn compress_even(x: u64) -> u64 {
+    let mut x = x & 0x5555_5555_5555_5555;
+    x = (x | x >> 1) & 0x3333_3333_3333_3333;
+    x = (x | x >> 2) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | x >> 4) & 0x00FF_00FF_00FF_00FF;
+    x = (x | x >> 8) & 0x0000_FFFF_0000_FFFF;
+    (x | x >> 16) & 0x0000_0000_FFFF_FFFF
 }
 
 #[cfg(test)]
@@ -272,6 +318,25 @@ mod tests {
             }
             assert_eq!(a.census(), per_line, "{lines} lines");
         }
+    }
+
+    #[test]
+    fn state_masks_match_the_per_line_states() {
+        killi_check::check_cases("dfh_state_masks", 256, |g| {
+            let lines = g.usize_in(1, 200);
+            let mut a = DfhArray::new(lines);
+            for line in 0..lines {
+                a.set(line, Dfh::from_bits(g.u64_below(4) as u8));
+            }
+            let first = g.usize_in(0, lines);
+            let n = g.usize_in(0, (lines - first).min(64) + 1);
+            let masks = a.state_masks(first, n);
+            let mut expected = [0u64; 4];
+            for i in 0..n {
+                expected[a.get(first + i).bits() as usize] |= 1 << i;
+            }
+            assert_eq!(masks, expected, "lines {first}..{}", first + n);
+        });
     }
 
     #[test]

@@ -113,6 +113,28 @@ impl SetProbe {
     }
 }
 
+/// Result of a per-L2-set scan ([`EccCache::probe_l2_set`]): the
+/// [`SetProbe`] of every line of one L2 set at once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct L2SetProbe {
+    /// Bit `w` is set when way `w` of the L2 set owns an entry.
+    pub owners: u64,
+    /// The ECC-cache set has at least one invalid way.
+    pub has_free_way: bool,
+}
+
+impl L2SetProbe {
+    /// The ways of `ways` that could hold checkbits without displacing
+    /// another line's entry ([`SetProbe::protectable`] per way).
+    pub fn protectable(self, ways: u64) -> u64 {
+        if self.has_free_way {
+            ways
+        } else {
+            ways & self.owners
+        }
+    }
+}
+
 /// The ECC cache.
 #[derive(Debug, Clone)]
 pub struct EccCache {
@@ -226,6 +248,27 @@ impl EccCache {
         };
         for e in &self.entries[range] {
             p.has_entry |= e.valid && e.l2_line == l2_line;
+            p.has_free_way |= !e.valid;
+        }
+        p
+    }
+
+    /// One scan of the ECC-cache set that the lines of one L2 set,
+    /// `first..first + ways` (at most 64 ways, the associativity the cache
+    /// was built for), all map to: the lines among them that own an
+    /// entry, as a way bitmask, and whether the set has a free way. The
+    /// per-set form of [`probe`](Self::probe).
+    pub fn probe_l2_set(&self, first: LineId, ways: usize) -> L2SetProbe {
+        debug_assert!(first.is_multiple_of(self.l2_ways) && ways <= self.l2_ways.min(64));
+        let range = self.set_range(self.set_of(first));
+        let mut p = L2SetProbe {
+            owners: 0,
+            has_free_way: false,
+        };
+        for e in &self.entries[range] {
+            if e.valid && (first..first + ways).contains(&e.l2_line) {
+                p.owners |= 1 << (e.l2_line - first);
+            }
             p.has_free_way |= !e.valid;
         }
         p
@@ -506,6 +549,32 @@ mod tests {
         let conflict = c.probe(lines[4]);
         assert!(!conflict.has_entry && !conflict.has_free_way);
         assert!(!conflict.protectable());
+    }
+
+    #[test]
+    fn l2_set_probe_matches_the_per_line_probe() {
+        // A 1024-line, 16-way L2 at 1:16: 16 ECC sets of 4 ways, each
+        // shared by 4 L2 sets.
+        killi_check::check_cases("ecc_l2_set_probe", 128, |g| {
+            let mut c = cache(16);
+            for _ in 0..g.usize_in(0, 64) {
+                let line = g.usize_in(0, 1024);
+                if g.bool() {
+                    c.insert(line, payload(0));
+                } else {
+                    c.invalidate(line);
+                }
+            }
+            for first in (0..1024).step_by(16) {
+                let p = c.probe_l2_set(first, 16);
+                for way in 0..16 {
+                    let line = c.probe(first + way);
+                    assert_eq!(p.owners >> way & 1 != 0, line.has_entry);
+                    assert_eq!(p.has_free_way, line.has_free_way);
+                    assert_eq!(p.protectable(1 << way) != 0, line.protectable());
+                }
+            }
+        });
     }
 
     #[test]

@@ -71,6 +71,12 @@ impl DfhClassifier {
         self.dfh.census()
     }
 
+    /// The lines `first..first + n` in each DFH state, as bitmasks
+    /// ([`DfhArray::state_masks`]).
+    pub fn state_masks(&self, first: LineId, n: usize) -> [u64; 4] {
+        self.dfh.state_masks(first, n)
+    }
+
     /// DFH transition counts, `[from][to]` indexed by `Dfh::bits()`.
     pub fn transitions(&self) -> &[[u64; 4]; 4] {
         &self.transitions

@@ -158,9 +158,10 @@ impl LineRule {
                 let mut data = faults
                     .iter()
                     .filter(|f| layout::DATA.contains(&f.cell))
+                    .map(|f| (f.cell, ()))
                     .peekable();
                 // Most lines have no data fault, and count nothing.
-                data.peek().is_none() || blocks_within(data, block_cells, max_faults)
+                data.peek().is_none() || first_over(data, block_cells, max_faults).is_none()
             }
         }
     }
@@ -195,15 +196,12 @@ impl LineRule {
                 block_cells,
                 max_faults,
             } => {
-                let mut per_block = [0u16; layout::DATA.end as usize];
-                for &(cell, top) in faults {
-                    if layout::DATA.contains(&cell) {
-                        let count = &mut per_block[(u32::from(cell) / block_cells.max(1)) as usize];
-                        *count += 1;
-                        if u32::from(*count) > max_faults {
-                            return top + 1;
-                        }
-                    }
+                let data = faults
+                    .iter()
+                    .filter(|(cell, _)| layout::DATA.contains(cell))
+                    .copied();
+                if let Some(top) = first_over(data, block_cells, max_faults) {
+                    return top + 1;
                 }
             }
         }
@@ -211,21 +209,22 @@ impl LineRule {
     }
 }
 
-/// Whether no `block_cells`-cell block of the data payload holds more
-/// than `max_faults` of the data-cell faults `data`, counted in one pass
-/// that stops at the first block over. The counters are sized by the
-/// block count and sit on the stack for every registered code (at most
-/// 32 blocks, OLSC(4, t)'s 16-cell blocks). Kept out of line, so that
-/// [`LineRule::admits`] stays small enough to inline into per-line loops:
-/// inlined, this body made validating a sweep of `ms-ecc`, `dected` and
-/// `flair-online` on a 2 MiB L2 (a fault-free 32,768-line test build of
-/// each) about 0.2 ms, a quarter, slower.
+/// The tag of the first of the data-cell faults `data`, given as `(cell,
+/// tag)` in order, that puts its `block_cells`-cell block of the data
+/// payload over `max_faults`: one pass that stops there, `None` when no
+/// block goes over. The counters are sized by the block count and sit on
+/// the stack for every registered code (at most 32 blocks, OLSC(4, t)'s
+/// 16-cell blocks). Kept out of line, so that [`LineRule::admits`] stays
+/// small enough to inline into per-line loops: inlined, this body made
+/// validating a sweep of `ms-ecc`, `dected` and `flair-online` on a 2 MiB
+/// L2 (a fault-free 32,768-line test build of each) about 0.2 ms, a
+/// quarter, slower.
 #[inline(never)]
-fn blocks_within<'a>(
-    data: impl Iterator<Item = &'a CellFault>,
+fn first_over<T>(
+    data: impl Iterator<Item = (u16, T)>,
     block_cells: u32,
     max_faults: u32,
-) -> bool {
+) -> Option<T> {
     let block_cells = block_cells.max(1);
     let blocks = u32::from(layout::DATA.end).div_ceil(block_cells) as usize;
     let (mut stack, mut heap) = ([0u32; 32], Vec::new());
@@ -235,14 +234,14 @@ fn blocks_within<'a>(
         heap.resize(blocks, 0);
         &mut heap[..]
     };
-    for f in data {
-        let count = &mut per_block[(u32::from(f.cell) / block_cells) as usize];
+    for (cell, tag) in data {
+        let count = &mut per_block[(u32::from(cell) / block_cells) as usize];
         *count += 1;
         if *count > max_faults {
-            return false;
+            return Some(tag);
         }
     }
-    true
+    None
 }
 
 /// Signature of a descriptor's build function: resolved parameters plus a
@@ -776,6 +775,60 @@ mod tests {
         data().all(|f| {
             data().filter(|g| block(g.cell) == block(f.cell)).count() <= max_faults as usize
         })
+    }
+
+    /// [`LineRule::lowest_admitted`] of a per-block rule with one counter
+    /// per data cell, zeroed on every call: the first form of the sweep,
+    /// kept as the oracle of the block-sized counters.
+    fn lowest_admitted_per_cell(
+        block_cells: u32,
+        max_faults: u32,
+        faults: &[(u16, usize)],
+    ) -> usize {
+        let mut per_block = [0u16; layout::DATA.end as usize];
+        for &(cell, top) in faults {
+            if layout::DATA.contains(&cell) {
+                let count = &mut per_block[(u32::from(cell) / block_cells.max(1)) as usize];
+                *count += 1;
+                if u32::from(*count) > max_faults {
+                    return top + 1;
+                }
+            }
+        }
+        0
+    }
+
+    #[test]
+    fn per_block_lowest_admitted_equals_the_per_cell_count() {
+        killi_check::check("per_block_lowest_admitted_equals_the_per_cell_count", |g| {
+            // Data and metadata cells, dense in the low blocks or spread,
+            // some repeated, each faulty up to a random grid index.
+            let cells = g.usize_in(0, 40);
+            let mut faults: Vec<(u16, usize)> = (0..cells)
+                .map(|_| {
+                    let cell = if g.bool() {
+                        g.usize_in(0, 560)
+                    } else {
+                        g.usize_in(0, 128)
+                    };
+                    (cell as u16, g.usize_in(0, 8))
+                })
+                .collect();
+            faults.sort_by_key(|&(_, top)| std::cmp::Reverse(top));
+            for block_cells in [16, 64, 256] {
+                for max_faults in 0..=3 {
+                    let rule = LineRule::PerBlock {
+                        block_cells,
+                        max_faults,
+                    };
+                    assert_eq!(
+                        rule.lowest_admitted(&faults),
+                        lowest_admitted_per_cell(block_cells, max_faults, &faults),
+                        "{block_cells}-cell blocks, t = {max_faults}: {faults:?}"
+                    );
+                }
+            }
+        });
     }
 
     #[test]

@@ -26,7 +26,7 @@ use killi_ecc::parity::SegObservation;
 use killi_ecc::secded::secded;
 use killi_fault::map::{FaultMap, LineId};
 use killi_obs::{Counter, MetricSet, Sink};
-use killi_sim::protection::{FillOutcome, LineProtection, ReadOutcome};
+use killi_sim::protection::{FillOutcome, LineProtection, ReadOutcome, SetClasses};
 
 use crate::classify::{classify_stable0, classify_stable1, classify_unknown, Verdict};
 use crate::dfh::Dfh;
@@ -391,6 +391,26 @@ impl LineProtection for KilliScheme {
         } else {
             0
         })
+    }
+
+    /// The set's DFH states come from one packed word, and the ECC-cache
+    /// set they share is scanned once, only when a `b'10` line needs the
+    /// §5.2 check.
+    fn victim_classes(&self, first: LineId, ways: usize) -> SetClasses {
+        let masks = self.classifier.state_masks(first, ways);
+        let mut classes = SetClasses::default();
+        for dfh in [Dfh::Unknown, Dfh::Stable0, Dfh::Stable1] {
+            let mut lines = masks[usize::from(dfh.bits())];
+            if dfh == Dfh::Stable1 && lines != 0 {
+                lines = self.ecc.probe_l2_set(first, ways).protectable(lines);
+            }
+            let class = match dfh.victim_class() {
+                Some(class) if self.config.victim_priority => class,
+                _ => 0,
+            };
+            classes.by_class[usize::from(class)] |= lines;
+        }
+        classes
     }
 
     fn on_fill(&mut self, line: LineId, data: &Line512) -> FillOutcome {
@@ -1069,6 +1089,42 @@ mod tests {
             s.on_evict(0, &Line512::from_seed(0));
             assert_eq!(s.victim_class(5), usable, "room again");
         }
+    }
+
+    #[test]
+    fn set_victim_classes_equal_the_per_line_classes() {
+        // 256 lines in 16-way sets; at 1:16 the 16-entry ECC cache has 4
+        // sets of 4 ways, each shared by 4 L2 sets.
+        killi_check::check_cases("killi_victim_classes", 128, |g| {
+            let config = KilliConfig {
+                victim_priority: g.bool(),
+                ..KilliConfig::with_ratio(16)
+            };
+            let map = Arc::new(FaultMap::fault_free(256));
+            let mut s = KilliScheme::new(config, map, 256, 16);
+            for line in 0..256 {
+                s.classifier
+                    .transition(line, Dfh::from_bits(g.u64_below(4) as u8));
+            }
+            for _ in 0..g.usize_in(0, 24) {
+                let payload = EccPayload::Secded {
+                    code: secded().encode(&Line512::zero()),
+                    parity_hi: 0,
+                };
+                s.ecc.insert(g.usize_in(0, 256), payload);
+            }
+            for first in (0..256).step_by(16) {
+                let classes = s.victim_classes(first, 16);
+                for way in 0..16 {
+                    assert_eq!(
+                        classes.class_of(way),
+                        s.victim_class(first + way),
+                        "line {}",
+                        first + way
+                    );
+                }
+            }
+        });
     }
 
     #[test]

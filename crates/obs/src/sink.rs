@@ -43,21 +43,35 @@ impl Sink {
     }
 
     /// Advances the op clock by one (the simulator calls this once per
-    /// serviced trace op, giving every event a timestamp).
+    /// serviced trace op, giving every event a timestamp). Inlined, the
+    /// no-op sink's tick is one branch; the recording path stays out of
+    /// line.
+    #[inline]
     pub fn tick(&self) {
         if let Some(inner) = &self.inner {
-            inner.lock().unwrap().now += 1;
+            Self::advance(inner);
         }
     }
 
+    #[inline(never)]
+    fn advance(inner: &Mutex<Recorder>) {
+        inner.lock().unwrap().now += 1;
+    }
+
     /// Emits an event. The closure only runs when recording, so the
-    /// no-op path never constructs the event.
+    /// no-op path never constructs the event; inlined, it is one branch.
+    #[inline]
     pub fn emit<F: FnOnce() -> KilliEvent>(&self, make: F) {
         if let Some(inner) = &self.inner {
-            let mut rec = inner.lock().unwrap();
-            let at = rec.now;
-            rec.trace.push(at, make());
+            Self::record(inner, make());
         }
+    }
+
+    #[inline(never)]
+    fn record(inner: &Mutex<Recorder>, event: KilliEvent) {
+        let mut rec = inner.lock().unwrap();
+        let at = rec.now;
+        rec.trace.push(at, event);
     }
 
     /// Exports the trace as `killi-obs/v1` JSON-lines, with `context`

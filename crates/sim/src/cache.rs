@@ -172,6 +172,18 @@ impl BitVec {
             self.words[i >> 6] &= !mask;
         }
     }
+
+    /// Bits `first..first + n` (`1 <= n <= 64`) as one word, bit `i`
+    /// holding bit `first + i`: a set's flags, whichever words they span.
+    #[inline]
+    fn range(&self, first: usize, n: usize) -> u64 {
+        let (word, shift) = (first >> 6, first & 63);
+        let mut bits = self.words[word] >> shift;
+        if shift + n > 64 {
+            bits |= self.words[word + 1] << (64 - shift);
+        }
+        bits & (u64::MAX >> (64 - n))
+    }
 }
 
 /// A tag-only cache (the per-CU L1: it runs at nominal voltage, so no data
@@ -247,6 +259,10 @@ impl TagCache {
     }
 }
 
+/// The most ways an [`L2Cache`] set may have: a set's valid flags and
+/// victim classes are one 64-bit word each.
+pub const MAX_L2_WAYS: usize = 64;
+
 /// Result of an L2 load access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadResult {
@@ -277,10 +293,12 @@ pub enum WritePolicy {
 ///
 /// Line metadata is struct-of-arrays: valid/dirty flags are bit-packed 64
 /// lines to the word and tags/LRU stamps live in their own contiguous
-/// arrays, so victim search and tag match sweep flat memory instead of
-/// striding over per-line records. There is no payload array: a line's
-/// content is derived from the [`MainMemory`] every access is handed, so
-/// every access of one cache must be handed the same memory.
+/// arrays. A tag match reads the set's valid bits as one word and
+/// compares the set's tags without a branch per way; a victim pick makes
+/// one [`LineProtection::victim_classes`] call for the set and combines
+/// its class masks with that valid word. There is no payload array: a
+/// line's content is derived from the [`MainMemory`] every access is
+/// handed, so every access of one cache must be handed the same memory.
 pub struct L2Cache {
     geom: CacheGeometry,
     addr_map: AddrMap,
@@ -311,8 +329,9 @@ impl L2Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the fault map does not cover the geometry's line count or
-    /// if `banks` is not a power of two.
+    /// Panics if the fault map does not cover the geometry's line count,
+    /// if the geometry has more than 64 ways or if `banks` is not a power
+    /// of two.
     pub fn new(
         geom: CacheGeometry,
         banks: usize,
@@ -323,6 +342,11 @@ impl L2Cache {
     ) -> Self {
         let lines = geom.lines();
         let addr_map = AddrMap::new(&geom); // validates geometry
+        assert!(
+            geom.ways <= MAX_L2_WAYS,
+            "{} ways: an L2 set has at most {MAX_L2_WAYS}",
+            geom.ways
+        );
         assert!(banks.is_power_of_two(), "banks must be a power of two");
         assert!(
             map.lines() >= lines,
@@ -408,32 +432,41 @@ impl L2Cache {
     }
 
     fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
-        (0..self.geom.ways).find(|&w| {
-            let id = self.geom.line_id(set, w);
-            self.valid.get(id) && self.tags[id] == tag
-        })
+        let first = self.geom.line_id(set, 0);
+        let tags = &self.tags[first..first + self.geom.ways];
+        let matches = tags
+            .iter()
+            .enumerate()
+            .fold(0u64, |acc, (w, &t)| acc | u64::from(t == tag) << w);
+        let hit = matches & self.valid.range(first, self.geom.ways);
+        (hit != 0).then(|| hit.trailing_zeros() as usize)
     }
 
-    /// Chooses a victim way for `set`: invalid usable ways first (ordered by
-    /// the scheme's victim class), then LRU among usable valid ways.
-    /// `None` when every way is disabled.
-    fn pick_victim(&self, set: usize) -> Option<usize> {
-        let mut best_invalid: Option<(u8, usize)> = None;
-        let mut best_valid: Option<(u64, usize)> = None;
-        for w in 0..self.geom.ways {
-            let id = self.geom.line_id(set, w);
-            let Some(class) = self.protection.victim_class(id) else {
-                continue; // disabled
-            };
-            if !self.valid.get(id) {
-                if best_invalid.is_none_or(|(c, _)| class < c) {
-                    best_invalid = Some((class, w));
-                }
-            } else if best_valid.is_none_or(|(l, _)| self.lru[id] < l) {
-                best_valid = Some((self.lru[id], w));
+    /// Chooses a victim way for `set` and its class: invalid usable ways
+    /// first (lowest victim class, then lowest way), then LRU among usable
+    /// valid ways. `None` when every way is disabled.
+    fn pick_victim(&self, set: usize) -> Option<(usize, u8)> {
+        let ways = self.geom.ways;
+        let first = self.geom.line_id(set, 0);
+        let classes = self.protection.victim_classes(first, ways);
+        let valid = self.valid.range(first, ways);
+        for (class, &usable) in classes.by_class.iter().enumerate() {
+            let free = usable & !valid;
+            if free != 0 {
+                return Some((free.trailing_zeros() as usize, class as u8));
             }
         }
-        best_invalid.map(|(_, w)| w).or(best_valid.map(|(_, w)| w))
+        let mut candidates = classes.usable() & valid;
+        let lru = &self.lru[first..first + ways];
+        let mut best: Option<(u64, usize)> = None;
+        while candidates != 0 {
+            let w = candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            if best.is_none_or(|(stamp, _)| lru[w] < stamp) {
+                best = Some((lru[w], w));
+            }
+        }
+        best.and_then(|(_, w)| Some((w, classes.class_of(w)?)))
     }
 
     /// Line-aligned address of the line valid line `id` holds.
@@ -534,21 +567,27 @@ impl L2Cache {
         // Eviction-time training may reclassify the chosen victim as
         // disabled; re-pick until a usable way survives its own eviction.
         let id = loop {
-            let Some(way) = self.pick_victim(set) else {
+            let Some((way, class)) = self.pick_victim(set) else {
                 self.stats.l2_bypasses += 1;
                 return (0, None); // whole set disabled: serve from memory
             };
             let id = self.geom.line_id(set, way);
             let was_valid = self.valid.get(id);
-            self.invalidate_line(id, true, mem); // train on eviction if it held data
-            if let Some(class) = self.protection.victim_class(id) {
-                self.sink.emit(|| KilliEvent::VictimDecision {
-                    line: id as u32,
-                    class,
-                    valid: was_valid,
-                });
-                break id;
-            }
+            let class = if was_valid {
+                self.invalidate_line(id, true, mem); // train on eviction
+                match self.protection.victim_class(id) {
+                    Some(class) => class,
+                    None => continue,
+                }
+            } else {
+                class // nothing evicted, so nothing reclassified
+            };
+            self.sink.emit(|| KilliEvent::VictimDecision {
+                line: id as u32,
+                class,
+                valid: was_valid,
+            });
+            break id;
         };
         let outcome = self.protection.on_fill(id, intended);
         if let Some(victim) = outcome.invalidate {

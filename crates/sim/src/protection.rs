@@ -53,6 +53,30 @@ pub enum ReadOutcome {
     },
 }
 
+/// Number of victim classes: a scheme's classes are `0..VICTIM_CLASSES`.
+pub const VICTIM_CLASSES: usize = 4;
+
+/// The victim classes of one L2 set's ways, one way bitmask per class:
+/// bit `w` of `by_class[c]` is set when way `w` has class `c`. A way in
+/// no mask is unusable (disabled).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SetClasses {
+    /// Ways of each class, lowest (most preferred) class first.
+    pub by_class: [u64; VICTIM_CLASSES],
+}
+
+impl SetClasses {
+    /// The usable ways.
+    pub fn usable(&self) -> u64 {
+        self.by_class.iter().fold(0, |acc, &ways| acc | ways)
+    }
+
+    /// The class of `way`, `None` when it is unusable.
+    pub fn class_of(&self, way: usize) -> Option<u8> {
+        (0..VICTIM_CLASSES as u8).find(|&c| self.by_class[usize::from(c)] >> way & 1 != 0)
+    }
+}
+
 /// Protection-scheme hooks invoked by the L2 cache model.
 ///
 /// `LineId` identifies a *physical* line (`set * ways + way`); per-line
@@ -68,7 +92,25 @@ pub trait LineProtection {
 
     /// Victim preference for allocating into `line`: lower class = preferred
     /// (Killi orders `b'01 > b'00 > b'10`), `None` = unusable (disabled).
+    /// Classes are below [`VICTIM_CLASSES`].
     fn victim_class(&self, line: LineId) -> Option<u8>;
+
+    /// [`LineProtection::victim_class`] of every way of one L2 set, the
+    /// lines `first..first + ways`, where `ways` (at most 64) is the
+    /// associativity the scheme was built for. The L2 makes this one
+    /// call per victim pick. The default asks `victim_class` way by way;
+    /// a scheme whose per-line state is packed can answer from its words
+    /// (Killi reads the set's DFH lanes at once), and must give the same
+    /// classes.
+    fn victim_classes(&self, first: LineId, ways: usize) -> SetClasses {
+        let mut classes = SetClasses::default();
+        for way in 0..ways {
+            if let Some(class) = self.victim_class(first + way) {
+                classes.by_class[usize::from(class)] |= 1 << way;
+            }
+        }
+        classes
+    }
 
     /// Called when `data` (the architecturally-correct value) is installed
     /// into `line`. The scheme generates and stores its metadata here.
@@ -175,6 +217,12 @@ mod tests {
         let mut u = Unprotected::new();
         assert_eq!(u.name(), "fault-free");
         assert_eq!(u.victim_class(3), Some(0));
+        assert_eq!(
+            u.victim_classes(16, 16),
+            SetClasses {
+                by_class: [0xFFFF, 0, 0, 0]
+            }
+        );
         let mut d = Line512::from_seed(4);
         let before = d;
         match u.on_read_hit(0, &mut d) {
@@ -185,5 +233,15 @@ mod tests {
         assert_eq!(u.on_fill(0, &d).invalidate, None);
         assert_eq!(u.metrics(), MetricSet::new());
         assert_eq!(u.hit_latency_extra(), 0);
+    }
+
+    #[test]
+    fn set_classes_answer_per_way() {
+        let classes = SetClasses {
+            by_class: [0b0001, 0b0100, 0, 0b1000],
+        };
+        assert_eq!(classes.usable(), 0b1101);
+        let per_way: Vec<Option<u8>> = (0..5).map(|w| classes.class_of(w)).collect();
+        assert_eq!(per_way, [Some(0), None, Some(1), Some(3), None]);
     }
 }

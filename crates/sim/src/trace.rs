@@ -7,6 +7,9 @@
 
 use std::sync::Arc;
 
+use crate::cache::CacheGeometry;
+use crate::gpu::L1Outcomes;
+
 /// One operation in a compute unit's instruction stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceOp {
@@ -23,8 +26,16 @@ pub enum TraceOp {
 /// shared rather than copied, so every simulation of one (workload, seed)
 /// — e.g. every scheme cell of a sweep replicate — replays the same
 /// buffer.
+///
+/// A trace may also carry its CUs' L1 hit/miss outcomes for one L1
+/// geometry ([`Trace::with_l1`]). The per-CU L1s are private and hold
+/// tags only, so a CU's outcomes depend on its own ops alone: clones of
+/// one trace share them, and every simulation with that L1 geometry
+/// reads them instead of recomputing them.
+#[derive(Clone)]
 pub struct Trace {
     per_cu: Arc<Vec<Vec<TraceOp>>>,
+    l1: Option<Arc<L1Outcomes>>,
 }
 
 impl Trace {
@@ -46,7 +57,29 @@ impl Trace {
     /// Panics if `per_cu` is empty.
     pub fn from_shared(per_cu: Arc<Vec<Vec<TraceOp>>>) -> Self {
         assert!(!per_cu.is_empty(), "trace needs at least one CU stream");
-        Trace { per_cu }
+        Trace { per_cu, l1: None }
+    }
+
+    /// Computes the L1 outcomes of every CU under `l1` once and attaches
+    /// them, so each simulation of this trace (or of a clone) on a GPU
+    /// with that L1 geometry skips its own L1 pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l1` is not a valid geometry
+    /// ([`CacheGeometry::try_sets`]).
+    pub fn with_l1(mut self, l1: CacheGeometry) -> Self {
+        self.l1 = Some(Arc::new(L1Outcomes::compute(&self.per_cu, l1)));
+        self
+    }
+
+    /// The L1 outcomes under `l1`: the attached ones when they were
+    /// computed for `l1`, else computed now.
+    pub(crate) fn l1_outcomes(&self, l1: CacheGeometry) -> Arc<L1Outcomes> {
+        match &self.l1 {
+            Some(outcomes) if outcomes.geometry() == l1 => Arc::clone(outcomes),
+            _ => Arc::new(L1Outcomes::compute(&self.per_cu, l1)),
+        }
     }
 
     /// Number of compute units in the trace.
@@ -62,7 +95,10 @@ impl Trace {
 
 impl std::fmt::Debug for Trace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Trace").field("cus", &self.cus()).finish()
+        f.debug_struct("Trace")
+            .field("cus", &self.cus())
+            .field("l1", &self.l1.as_ref().map(|o| o.geometry()))
+            .finish()
     }
 }
 
