@@ -69,7 +69,8 @@ pub fn trace_params(gpu: &GpuConfig, ops_per_cu: usize, seed: u64) -> TraceParam
 /// are a pure function of the arguments. The trace must be the one
 /// `workload` generates for `trace_seed` with the cell's geometry (pass
 /// `workload.trace(&trace_params(..))`, or replay a shared op buffer
-/// through `Trace::from_shared`); `trace_seed` also seeds the simulator's
+/// through `Trace::from_shared`, whose `Trace::with_l1` outcomes every
+/// simulation of it may share); `trace_seed` also seeds the simulator's
 /// soft-error process and is stamped into the exported event trace.
 pub fn run_cell(
     workload: Workload,

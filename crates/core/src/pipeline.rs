@@ -10,7 +10,8 @@
 //! 2. correction storage — the decoupled [`crate::ecc_cache::EccCache`];
 //! 3. classification — [`DfhClassifier`]: the 2-bit DFH state machine
 //!    with its transition statistics;
-//! 4. victim selection — `KilliScheme::victim_class`: the §4.4
+//! 4. victim selection — `KilliScheme::victim_class` (per line) and
+//!    `victim_classes` (per set, from packed DFH lanes): the §4.4
 //!    `b'01 > b'00 > b'10` priority and the §5.2 capacity veto.
 //!
 //! The per-line ECC baselines have the same four concerns in one concrete

@@ -13,9 +13,11 @@
 //! The scheme calls its layers directly: [`SegmentedParity`] detects,
 //! the [`EccCache`] stores checkbits, [`DfhClassifier`] holds the DFH
 //! state, and [`KilliScheme`]'s `victim_class` applies the §4.4 victim
-//! priority and the §5.2 capacity veto. Every hook dispatches on the
-//! line's DFH state: parity only for `b'00`, parity plus SECDED for
-//! `b'01`, and whatever payload the entry holds for `b'10`.
+//! priority and the §5.2 capacity veto (`victim_classes` applies them to
+//! a whole set at once, from the packed DFH lanes and one scan of the
+//! set's ECC-cache set). Every hook dispatches on the line's DFH state:
+//! parity only for `b'00`, parity plus SECDED for `b'01`, and whatever
+//! payload the entry holds for `b'10`.
 
 use std::sync::Arc;
 
@@ -1114,15 +1116,13 @@ mod tests {
                 s.ecc.insert(g.usize_in(0, 256), payload);
             }
             for first in (0..256).step_by(16) {
-                let classes = s.victim_classes(first, 16);
+                let mut per_line = SetClasses::default();
                 for way in 0..16 {
-                    assert_eq!(
-                        classes.class_of(way),
-                        s.victim_class(first + way),
-                        "line {}",
-                        first + way
-                    );
+                    if let Some(class) = s.victim_class(first + way) {
+                        per_line.by_class[usize::from(class)] |= 1 << way;
+                    }
                 }
+                assert_eq!(s.victim_classes(first, 16), per_line, "lines {first}..");
             }
         });
     }

@@ -442,18 +442,18 @@ impl L2Cache {
         (hit != 0).then(|| hit.trailing_zeros() as usize)
     }
 
-    /// Chooses a victim way for `set` and its class: invalid usable ways
-    /// first (lowest victim class, then lowest way), then LRU among usable
-    /// valid ways. `None` when every way is disabled.
-    fn pick_victim(&self, set: usize) -> Option<(usize, u8)> {
+    /// Chooses a victim way for `set`: invalid usable ways first (lowest
+    /// victim class, then lowest way), then LRU among usable valid ways.
+    /// `None` when every way is disabled.
+    fn pick_victim(&self, set: usize) -> Option<usize> {
         let ways = self.geom.ways;
         let first = self.geom.line_id(set, 0);
         let classes = self.protection.victim_classes(first, ways);
         let valid = self.valid.range(first, ways);
-        for (class, &usable) in classes.by_class.iter().enumerate() {
+        for usable in classes.by_class {
             let free = usable & !valid;
             if free != 0 {
-                return Some((free.trailing_zeros() as usize, class as u8));
+                return Some(free.trailing_zeros() as usize);
             }
         }
         let mut candidates = classes.usable() & valid;
@@ -466,7 +466,7 @@ impl L2Cache {
                 best = Some((lru[w], w));
             }
         }
-        best.and_then(|(_, w)| Some((w, classes.class_of(w)?)))
+        best.map(|(_, w)| w)
     }
 
     /// Line-aligned address of the line valid line `id` holds.
@@ -567,27 +567,21 @@ impl L2Cache {
         // Eviction-time training may reclassify the chosen victim as
         // disabled; re-pick until a usable way survives its own eviction.
         let id = loop {
-            let Some((way, class)) = self.pick_victim(set) else {
+            let Some(way) = self.pick_victim(set) else {
                 self.stats.l2_bypasses += 1;
                 return (0, None); // whole set disabled: serve from memory
             };
             let id = self.geom.line_id(set, way);
             let was_valid = self.valid.get(id);
-            let class = if was_valid {
-                self.invalidate_line(id, true, mem); // train on eviction
-                match self.protection.victim_class(id) {
-                    Some(class) => class,
-                    None => continue,
-                }
-            } else {
-                class // nothing evicted, so nothing reclassified
-            };
-            self.sink.emit(|| KilliEvent::VictimDecision {
-                line: id as u32,
-                class,
-                valid: was_valid,
-            });
-            break id;
+            self.invalidate_line(id, true, mem); // train on eviction if it held data
+            if let Some(class) = self.protection.victim_class(id) {
+                self.sink.emit(|| KilliEvent::VictimDecision {
+                    line: id as u32,
+                    class,
+                    valid: was_valid,
+                });
+                break id;
+            }
         };
         let outcome = self.protection.on_fill(id, intended);
         if let Some(victim) = outcome.invalidate {

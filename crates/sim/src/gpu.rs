@@ -13,8 +13,8 @@
 //!   A pre-pass computes them once per trace ([`Trace::with_l1`]), and
 //!   the trace carries them to every simulation of it.
 //! - A load window counts the completions already at or below its CU's
-//!   clock, which can never delay the CU again, and keeps only later ones
-//!   in a heap.
+//!   clock, which can never delay the CU again, and keeps only the later
+//!   ones, in completion order.
 //! - The next CU is the minimum of a compact array of the live CUs'
 //!   clocks.
 

@@ -70,11 +70,6 @@ impl SetClasses {
     pub fn usable(&self) -> u64 {
         self.by_class.iter().fold(0, |acc, &ways| acc | ways)
     }
-
-    /// The class of `way`, `None` when it is unusable.
-    pub fn class_of(&self, way: usize) -> Option<u8> {
-        (0..VICTIM_CLASSES as u8).find(|&c| self.by_class[usize::from(c)] >> way & 1 != 0)
-    }
 }
 
 /// Protection-scheme hooks invoked by the L2 cache model.
@@ -233,15 +228,5 @@ mod tests {
         assert_eq!(u.on_fill(0, &d).invalidate, None);
         assert_eq!(u.metrics(), MetricSet::new());
         assert_eq!(u.hit_latency_extra(), 0);
-    }
-
-    #[test]
-    fn set_classes_answer_per_way() {
-        let classes = SetClasses {
-            by_class: [0b0001, 0b0100, 0, 0b1000],
-        };
-        assert_eq!(classes.usable(), 0b1101);
-        let per_way: Vec<Option<u8>> = (0..5).map(|w| classes.class_of(w)).collect();
-        assert_eq!(per_way, [Some(0), None, Some(1), Some(3), None]);
     }
 }
