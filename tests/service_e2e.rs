@@ -343,6 +343,11 @@ fn hostile_requests_get_4xx_and_never_wedge_the_service() {
             "an L2 whose set count is not a power of two",
         ),
         (
+            "{\"root_seed\":1,\"replications\":1,\"vdds\":[0.65,0.6],\"schemes\":[\"flair\"],\
+             \"workloads\":[\"fft\"],\"ops_per_cu\":10,\"gpu\":{\"l2_ways\":128}}",
+            "an L2 set of more ways than a flag word holds",
+        ),
+        (
             "{\"mode\":\"vmin\",\"root_seed\":1,\"dies\":2,\"lines\":4294967296,\
              \"vdds\":[0.6,0.65],\"schemes\":[\"flair\"]}",
             "a Vmin campaign whose dies have more lines than a u32 indexes",
