@@ -20,7 +20,7 @@ use killi::registry::{
 use killi_ecc::olsc::OlscLine;
 use killi_sim::protection::LineProtection;
 
-use per_line::SECDED_RULE;
+use per_line::{check_way_pairs, SECDED_RULE};
 pub use per_line::{Code, PerLineEcc};
 
 /// Per-line DEC-TED keeps lines with up to two faults in data and
@@ -73,6 +73,7 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
         doc: "per-line SECDED with >= 2-fault lines disabled (FLAIR steady state)",
         params: Vec::new(),
         label: |_| "flair".to_string(),
+        check: |_, _| Ok(()),
         build: |_, ctx| with_oracle("flair", Code::Secded, SECDED_RULE, ctx),
         admissibility: |_| Ok(SECDED_RULE),
     });
@@ -82,6 +83,7 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
         doc: "plain per-line SECDED (the Table 5 area-normalization baseline)",
         params: Vec::new(),
         label: |_| "secded".to_string(),
+        check: |_, _| Ok(()),
         build: |_, ctx| with_oracle("secded", Code::Secded, SECDED_RULE, ctx),
         admissibility: |_| Ok(SECDED_RULE),
     });
@@ -91,6 +93,7 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
         doc: "per-line DEC-TED with >= 3-fault lines disabled",
         params: Vec::new(),
         label: |_| "dected".to_string(),
+        check: |_, _| Ok(()),
         build: |_, ctx| with_oracle("dected", Code::Dected, DECTED_RULE, ctx),
         admissibility: |_| Ok(DECTED_RULE),
     });
@@ -104,6 +107,7 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
             default: ParamValue::U64(0),
         }],
         label: |_| "flair-online".to_string(),
+        check: |_, geometry| check_way_pairs(geometry.ways).map_err(geometry_err("flair-online")),
         build: |p, ctx| {
             let lines = ctx.geometry.lines();
             let per_pair = match p.u64("accesses_per_pair") {
@@ -136,6 +140,7 @@ pub fn register_baselines(registry: &mut SchemeRegistry) {
             },
         ],
         label: |_| "ms-ecc".to_string(),
+        check: |p, _| olsc(p).map(|_| ()),
         build: |p, ctx| {
             let (code, rule) = olsc(p)?;
             with_oracle("ms-ecc", Code::Olsc(code), rule, ctx)

@@ -38,7 +38,7 @@ use killi_ecc::olsc::{OlscDecode, OlscLine};
 use killi_ecc::secded::{secded, SecdedDecode};
 use killi_fault::map::{FaultMap, LineId};
 use killi_obs::{Counter, KilliEvent, MetricSet, Sink};
-use killi_sim::protection::{FillOutcome, LineProtection, ReadOutcome};
+use killi_sim::protection::{FillOutcome, LineProtection, ReadOutcome, SetClasses};
 
 /// Per-line SECDED keeps any single-fault line (data + checkbit cells) in
 /// service; a second fault disables the line.
@@ -46,6 +46,15 @@ pub(crate) const SECDED_RULE: LineRule = LineRule::Total {
     span: CellSpan::DataSecded,
     max_faults: 1,
 };
+
+/// FLAIR's online test runs on way pairs, so it needs an even way count.
+pub(crate) fn check_way_pairs(ways: usize) -> Result<(), String> {
+    if ways.is_multiple_of(2) {
+        Ok(())
+    } else {
+        Err("way pairs need an even way count".to_string())
+    }
+}
 
 /// A per-line checkbit code.
 #[derive(Debug, Clone)]
@@ -118,7 +127,9 @@ enum Health {
     PairTest(PairTest),
 }
 
-/// FLAIR's rotating way-pair test.
+/// FLAIR's rotating way-pair test. Pairs are tested in way order, so the
+/// ways below the pair under test are characterized and the ways above it
+/// are not.
 #[derive(Debug)]
 struct PairTest {
     ways: usize,
@@ -127,8 +138,6 @@ struct PairTest {
     /// The way pair under test; `None` once every pair is characterized.
     pair: Option<usize>,
     accesses: u64,
-    /// Lines whose MBIST verdict is known.
-    tested: Vec<bool>,
 }
 
 impl PairTest {
@@ -139,17 +148,20 @@ impl PairTest {
             return;
         };
         self.accesses += 1;
-        if !self.accesses.is_multiple_of(self.accesses_per_pair) {
-            return;
+        if self.accesses.is_multiple_of(self.accesses_per_pair) {
+            self.pair = Some(pair + 1).filter(|&next| next < self.ways / 2);
         }
-        for (line, tested) in self.tested.iter_mut().enumerate() {
-            if (line % self.ways) / 2 == pair {
-                *tested = true;
-            }
-        }
-        self.pair = Some(pair + 1).filter(|&next| next < self.ways / 2);
+    }
+
+    /// Whether `line`'s MBIST verdict is known.
+    fn tested(&self, line: LineId) -> bool {
+        self.pair.is_none_or(|pair| (line % self.ways) / 2 < pair)
     }
 }
+
+/// Every even way of a set: the ways FLAIR keeps usable while their pair
+/// runs DMR.
+const EVEN_WAYS: u64 = 0x5555_5555_5555_5555;
 
 /// A per-line ECC baseline: one [`Code`], one checkbit slot per line, and
 /// a line-disable map from the MBIST oracle or FLAIR's online test.
@@ -209,15 +221,12 @@ impl PerLineEcc {
         accesses_per_pair: u64,
     ) -> Result<Self, String> {
         let mut scheme = Self::with_oracle("flair-online", Code::Secded, SECDED_RULE, map, lines)?;
-        if !ways.is_multiple_of(2) {
-            return Err("way pairs need an even way count".to_string());
-        }
+        check_way_pairs(ways)?;
         scheme.health = Health::PairTest(PairTest {
             ways,
             accesses_per_pair: accesses_per_pair.max(1),
             pair: Some(0),
             accesses: 0,
-            tested: vec![false; lines],
         });
         Ok(scheme)
     }
@@ -236,8 +245,8 @@ impl PerLineEcc {
             Health::PairTest(test) => self
                 .disabled
                 .iter()
-                .zip(&test.tested)
-                .filter(|&(&d, &t)| d && t)
+                .enumerate()
+                .filter(|&(line, &d)| d && test.tested(line))
                 .count(),
         };
         count as u64
@@ -255,7 +264,6 @@ impl LineProtection for PerLineEcc {
         if let Health::PairTest(test) = &mut self.health {
             test.pair = Some(0);
             test.accesses = 0;
-            test.tested.fill(false);
         }
         self.checkbits.fill(None);
     }
@@ -264,7 +272,6 @@ impl LineProtection for PerLineEcc {
         if let Health::PairTest(PairTest {
             ways,
             pair: Some(pair),
-            tested,
             ..
         }) = &self.health
         {
@@ -272,13 +279,40 @@ impl LineProtection for PerLineEcc {
             if way / 2 == *pair {
                 return None; // under MBIST test
             }
-            if !tested[line] {
+            if way / 2 > *pair {
                 // Untested ways run DMR: odd ways mirror their even
                 // partner, halving their capacity.
                 return way.is_multiple_of(2).then_some(0);
             }
         }
         (!self.disabled[line]).then_some(0)
+    }
+
+    fn victim_classes(&self, first: LineId, ways: usize) -> SetClasses {
+        // One pass over the set's MBIST verdicts: every usable way is
+        // class 0.
+        let mut usable = self.disabled[first..first + ways]
+            .iter()
+            .enumerate()
+            .fold(0, |usable, (way, &disabled)| {
+                usable | u64::from(!disabled) << way
+            });
+        if let Health::PairTest(PairTest {
+            pair: Some(pair),
+            ways: test_ways,
+            ..
+        }) = &self.health
+        {
+            debug_assert!(ways == *test_ways && first.is_multiple_of(ways));
+            // The ways below the pair under test are characterized, and
+            // the ways above it run DMR on their even ways.
+            let below = |way: usize| u64::MAX.checked_shr(64 - way as u32).unwrap_or(0);
+            let untested = below(ways) & !below(2 * pair + 2);
+            usable = usable & below(2 * pair) | untested & EVEN_WAYS;
+        }
+        SetClasses {
+            by_class: [usable, 0, 0, 0],
+        }
     }
 
     fn on_fill(&mut self, line: LineId, data: &Line512) -> FillOutcome {
@@ -361,6 +395,7 @@ mod tests {
     use super::*;
     use crate::DECTED_RULE;
     use killi_fault::map::{layout, CellFault};
+    use killi_fault::rng::hash3;
 
     fn fault(cell: u16) -> CellFault {
         CellFault { cell, stuck: true }
@@ -673,6 +708,64 @@ mod tests {
         s.reset();
         assert_eq!(usable_ways_of_set0(&s), vec![2, 4, 6, 8, 10, 12, 14]);
         assert_eq!(s.metrics().get(Counter::Corrections), 1, "counts survive");
+    }
+
+    /// The classes of a set read way by way, as the default
+    /// `victim_classes` does.
+    fn per_way_classes(s: &PerLineEcc, first: LineId, ways: usize) -> SetClasses {
+        let mut classes = SetClasses::default();
+        for way in 0..ways {
+            if let Some(class) = s.victim_class(first + way) {
+                classes.by_class[usize::from(class)] |= 1 << way;
+            }
+        }
+        classes
+    }
+
+    #[test]
+    fn set_victim_classes_equal_the_per_way_classes() {
+        for ways in 1..=64 {
+            let lines = 3 * ways;
+            // Random MBIST verdicts: each line holds 0 to 2 faults, and
+            // two disable it.
+            let faults = (0..lines)
+                .map(|line| {
+                    let h = hash3(7, ways as u64, line as u64);
+                    (0..h % 3)
+                        .map(|i| fault((h >> (8 + 9 * i)) as u16 % 512))
+                        .collect()
+                })
+                .collect();
+            let map = Arc::new(FaultMap::from_faults(faults));
+            let assert_sets_agree = |s: &PerLineEcc, phase: &str| {
+                for first in (0..lines).step_by(ways) {
+                    assert_eq!(
+                        s.victim_classes(first, ways),
+                        per_way_classes(s, first, ways),
+                        "{ways} ways, set at {first}, {phase}"
+                    );
+                }
+            };
+            let oracle = PerLineEcc::with_oracle(
+                "flair",
+                Code::Secded,
+                SECDED_RULE,
+                Arc::clone(&map),
+                lines,
+            )
+            .unwrap();
+            assert_sets_agree(&oracle, "oracle");
+            if ways % 2 == 1 {
+                continue;
+            }
+            // Every phase of the pair test: one access tests one pair.
+            let mut online = PerLineEcc::flair_online(Arc::clone(&map), lines, ways, 1).unwrap();
+            for pair in 0..ways / 2 {
+                assert_sets_agree(&online, &format!("pair {pair} under test"));
+                online.tick();
+            }
+            assert_sets_agree(&online, "every pair tested");
+        }
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! (`killi:ratio=16`, `flair`; see [`SchemeConfig::parse`]), so the
 //! registry is the single point of construction and label formatting.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-use killi::registry::{admissibility, register_killi_schemes, SchemeRegistry};
+use killi::registry::{admissibility, check, register_killi_schemes, SchemeRegistry};
 use killi_baselines::register_baselines;
-use killi_fault::map::FaultMap;
 use killi_sim::cache::CacheGeometry;
 use killi_sim::protection::LineProtection;
 
@@ -40,14 +39,15 @@ pub fn build_scheme(
     default_registry().build(config, ctx)
 }
 
-/// Test-builds every scheme against a fault-free map of `l2`, so a
-/// config the registry accepts but that cannot run on this cache (an
-/// OLSC code wider than the ECC-cache payload, an ECC cache the L2
-/// cannot index) fails with a typed error before any simulation runs.
-pub fn check_builds(schemes: &[SchemeConfig], l2: CacheGeometry) -> Result<(), BuildError> {
-    let ctx = BuildCtx::new(Arc::new(FaultMap::fault_free(l2.lines())), l2);
+/// Checks every scheme against `l2` without building it
+/// ([`killi::registry::check`]), so a config the registry accepts but
+/// that cannot run on this cache (an OLSC code wider than the ECC-cache
+/// payload, an ECC cache the L2 cannot index) fails with a typed error
+/// before any simulation runs. It allocates nothing per line.
+pub fn check_schemes(schemes: &[SchemeConfig], l2: CacheGeometry) -> Result<(), BuildError> {
+    let registry = default_registry();
     for scheme in schemes {
-        build_scheme(scheme, &ctx)?;
+        check(registry, scheme, &l2)?;
     }
     Ok(())
 }

@@ -13,13 +13,16 @@
 //!
 //! Phase 1 builds the artifacts every job shares: one die per replicate,
 //! the fault model's stream of grid masks hashed once at the grid's
-//! lowest voltage and collected into a [`GridDie`], one fault map per
-//! (voltage, replicate) read from it by its grid bit, and one trace per
-//! (workload, replicate). A die's lines draw independently, so with fewer
+//! lowest voltage and pushed straight into one fault map per (voltage,
+//! replicate) ([`FaultModel::grid_maps`]), and one trace per (workload,
+//! replicate). A die's lines draw independently, so with fewer
 //! replicates than threads each die is drawn over `ceil(threads /
-//! replicates)` contiguous line ranges on the same pool and joined in
-//! line order. A grid longer than 64 points is drawn in 64-point slices.
-//! Phase 2 then runs the simulations.
+//! replicates)` contiguous line ranges on the same pool, and each
+//! operating point's maps are joined in line order ([`FaultMap::join`]).
+//! A grid longer than 64 points is drawn in 64-point slices. Phase 2
+//! then runs the simulations.
+//!
+//! [`FaultModel::grid_maps`]: killi_fault::model::FaultModel::grid_maps
 //!
 //! Determinism contract (regression-tested): all seeds derive from the
 //! root via [`derive_seed`] — replicate `r` draws die
@@ -37,7 +40,6 @@ use std::time::Instant;
 
 use killi_fault::cell_model::{FreqGhz, NormVdd};
 use killi_fault::map::FaultMap;
-use killi_fault::model::GridDie;
 use killi_fault::rng::derive_seed;
 use killi_sim::gpu::GpuConfig;
 use killi_sim::stats::SimStats;
@@ -54,7 +56,7 @@ use crate::fault_models::{
 use crate::report::Table;
 use crate::runner::{run_cell, trace_params, ObsConfig};
 use crate::schemes::{
-    check_builds, check_distinct_labels, default_registry, scheme_label, BuildError, SchemeConfig,
+    check_distinct_labels, check_schemes, default_registry, scheme_label, BuildError, SchemeConfig,
 };
 
 /// Why a [`SweepConfig`] failed validation: it simulates no operations,
@@ -319,11 +321,12 @@ impl SweepConfig {
 
     /// Validates that the sweep simulates at least one op per CU and the
     /// GPU geometry, then every scheme config against the registry *and*
-    /// the sweep's cache geometry (via a fault-free test build) and the
-    /// scheme list for a repeated label (a report keys its cells by
-    /// label), plus the fault-model config against its registry (via a
-    /// test build), so a bad `--ops`, `--l2kb`, `--scheme` or
-    /// `--fault-model` fails before the fan-out phase instead of mid-run.
+    /// the sweep's cache geometry (each descriptor's check, which builds
+    /// nothing: [`check_schemes`]) and the scheme list for a repeated
+    /// label (a report keys its cells by label), plus the fault-model
+    /// config against its registry (via a test build), so a bad `--ops`,
+    /// `--l2kb`, `--scheme` or `--fault-model` fails before the fan-out
+    /// phase instead of mid-run. Its cost does not grow with the cache.
     pub fn validate(&self) -> Result<(), SweepConfigError> {
         if self.ops_per_cu == 0 {
             return Err(SweepConfigError::NoOps);
@@ -333,7 +336,7 @@ impl SweepConfig {
             .map_err(|e| SweepConfigError::Geometry {
                 reason: e.to_string(),
             })?;
-        check_builds(&self.schemes, self.gpu.l2)?;
+        check_schemes(&self.schemes, self.gpu.l2)?;
         check_distinct_labels(&self.schemes)?;
         build_fault_model(&self.fault_model)?;
         validate_sweep_grid(&self.vdds)
@@ -342,7 +345,7 @@ impl SweepConfig {
     }
 
     /// Consumes the config into a [`ValidatedSweepConfig`]: validates it
-    /// (including the geometry test-builds of [`SweepConfig::validate`])
+    /// (including the geometry checks of [`SweepConfig::validate`])
     /// and canonicalizes every scheme and fault-model spelling against
     /// the default registries, so downstream consumers — the sweep
     /// service's cache in particular — can key on
@@ -533,10 +536,10 @@ enum Job {
 /// [`run_sweep_reference`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ArtifactMode {
-    /// Fault maps read per (replicate, vdd) from one die per replicate
-    /// collected from the model's stream ([`GridDie`]); trace op buffers
-    /// and their L1 outcomes computed once per (workload, replicate) and
-    /// shared across scheme cells via `Arc`.
+    /// Fault maps drawn per (replicate, vdd) from one stream of each
+    /// replicate's die ([`killi_fault::model::FaultModel::grid_maps`]);
+    /// trace op buffers and their L1 outcomes computed once per
+    /// (workload, replicate) and shared across scheme cells via `Arc`.
     Shared,
     /// Every job rebuilds its fault map with the dense per-cell
     /// construction and regenerates its trace from scratch, and each
@@ -544,9 +547,9 @@ enum ArtifactMode {
     PerJob,
 }
 
-/// Runs the sweep with shared artifacts: one [`GridDie`] per replicate
-/// (its model's stream over the grid, hashed once at the grid's lowest
-/// voltage) derives the fault map of every (voltage, replicate) pair, and
+/// Runs the sweep with shared artifacts: one stream of each replicate's
+/// die over the grid, hashed once at the grid's lowest voltage, fills
+/// the fault map of every (voltage, replicate) pair, and
 /// each (workload, replicate) op buffer is generated once, with its L1
 /// outcomes ([`Trace::with_l1`]), and replayed by every scheme cell. The
 /// report and optional event trace are
@@ -595,15 +598,16 @@ fn run_sweep_mode(config: &SweepConfig, mode: ArtifactMode) -> SweepReport {
 
     // Phase 1: shared artifacts. maps[v * reps + rep]: one die per
     // replicate (the *same* die across the voltage grid), streamed once
-    // per 64 grid points and read per operating point.
+    // per 64 grid points into a map per operating point.
     // traces[w * reps + rep]: one op buffer per (workload, replicate)
     // with its L1 outcomes, replayed by the baseline and every scheme
     // cell.
     let (maps, traces): (Vec<Arc<FaultMap>>, Vec<Trace>) = match mode {
         ArtifactMode::Shared => {
-            // Every operating point is read from its die by its grid bit.
-            // With fewer replicates than threads, each die is drawn in
-            // contiguous line ranges, joined in line order.
+            // A range's stream fills one map per operating point. With
+            // fewer replicates than threads, each die is drawn in
+            // contiguous line ranges, and each point's maps are joined in
+            // line order.
             let ranges = config.threads.div_ceil(reps).clamp(1, lines.max(1));
             let part_keys: Vec<(usize, Range<usize>)> = (0..reps)
                 .flat_map(|rep| {
@@ -613,20 +617,20 @@ fn run_sweep_mode(config: &SweepConfig, mode: ArtifactMode) -> SweepReport {
             let mut maps = Vec::with_capacity(config.vdds.len() * reps);
             for vdds in config.vdds.chunks(64) {
                 let grid: Vec<NormVdd> = vdds.iter().map(|&vdd| NormVdd(vdd)).collect();
-                let mut parts = par_map(config.threads, &part_keys, None, |_, (rep, range)| {
-                    let seed = die_seed(*rep);
-                    GridDie::draw(&*fault_model, range.clone(), &grid, FreqGhz::PEAK, seed)
-                })
-                .into_iter();
-                let dies: Vec<GridDie> = (0..reps)
-                    .map(|_| GridDie::join(parts.by_ref().take(ranges).collect()))
+                let mut parts: Vec<_> =
+                    par_map(config.threads, &part_keys, None, |_, (rep, range)| {
+                        let seed = die_seed(*rep);
+                        fault_model.grid_maps(range.clone(), &grid, FreqGhz::PEAK, seed)
+                    })
+                    .into_iter()
+                    .map(Vec::into_iter)
                     .collect();
-                let map_keys: Vec<(u32, usize)> = (0..grid.len() as u32)
-                    .flat_map(|g| (0..reps).map(move |rep| (g, rep)))
-                    .collect();
-                maps.extend(par_map(config.threads, &map_keys, None, |_, &(g, rep)| {
-                    Arc::new(dies[rep].map(g))
-                }));
+                for _ in &grid {
+                    for rep_parts in parts.chunks_mut(ranges) {
+                        let next = rep_parts.iter_mut().map(|maps| maps.next().expect("a map"));
+                        maps.push(Arc::new(FaultMap::join(next.collect())));
+                    }
+                }
             }
             let trace_keys: Vec<(usize, usize)> = (0..config.workloads.len())
                 .flat_map(|w| (0..reps).map(move |rep| (w, rep)))

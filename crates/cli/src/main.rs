@@ -47,10 +47,10 @@ use killi_bench::fault_models::{
 use killi_bench::report::Table;
 use killi_bench::runner::{run_cell, trace_params, ObsConfig};
 use killi_bench::schemes::{
-    build_scheme, check_builds, default_registry, scheme_label, BuildCtx, ParamValue, SchemeConfig,
-    BASELINE,
+    build_scheme, check_schemes, default_registry, scheme_label, BuildCtx, ParamValue,
+    SchemeConfig, BASELINE,
 };
-use killi_bench::sweep::{run_sweep, validate_vdd, SweepConfig};
+use killi_bench::sweep::{run_sweep, validate_vdd, SweepConfig, SweepConfigError};
 use killi_fault::cell_model::{FreqGhz, NormVdd};
 use killi_fault::line_stats::LineFaultDistribution;
 use killi_fault::map::FaultMap;
@@ -299,7 +299,8 @@ fn cmd_area(args: &Args) -> Result<(), ArgError> {
     let ratio = positive(args, "ratio", 64)?;
     // The entry count below is only meaningful for a Killi that builds.
     let killi = SchemeConfig::new("killi").with("ratio", ParamValue::U64(ratio as u64));
-    check_builds(&[killi], GpuConfig::default().l2).map_err(|e| io_msg(e.to_string()))?;
+    check_schemes(&[killi], GpuConfig::default().l2)
+        .map_err(|e| ArgError::invalid("ratio", &ratio.to_string(), format!("valid ({e})")))?;
     let code = args.get_or("code", "secded");
     let bits = match code.as_str() {
         "secded" => checkbits::SECDED,
@@ -581,7 +582,9 @@ fn cmd_simulate(args: &Args) -> Result<(), ArgError> {
         workloads: vec![workload],
         ..SweepConfig::paper(ops, seed, 1)
     };
-    config.validate().map_err(|e| io_msg(e.to_string()))?;
+    config
+        .validate()
+        .map_err(|e| invalid_sweep(e, &config, "scheme", "vdd"))?;
     let report = run_sweep(&config);
     let cell = report.cells.last().expect("the scheme's cell");
     let value = |name: &str| cell.metric(name).mean();
@@ -714,6 +717,11 @@ fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
             .map_err(|e| ArgError::invalid("workloads", s, e.to_string()))
     })?;
     let schemes = parse_schemes(args)?;
+    let schemes_flag = if args.get_or("scheme-file", "").is_empty() {
+        "schemes"
+    } else {
+        "scheme-file"
+    };
 
     let gpu = GpuConfig {
         l2: CacheGeometry {
@@ -742,9 +750,9 @@ fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
     };
     // Catch unknown names, bad params, and geometry mismatches before the
     // fan-out phase spins up.
-    config.validate().map_err(|e| ArgError::Io {
-        message: e.to_string(),
-    })?;
+    config
+        .validate()
+        .map_err(|e| invalid_sweep(e, &config, schemes_flag, "vdds"))?;
     eprintln!(
         "sweep: {} simulations ({} replications x {} vdds x {} schemes x {} workloads \
          + baselines) on {} threads",
@@ -1039,7 +1047,8 @@ fn cmd_trace(args: &Args) -> Result<(), ArgError> {
     let out = args.get_or("out", "");
 
     let gpu = GpuConfig::default();
-    check_builds(std::slice::from_ref(&scheme), gpu.l2).map_err(|e| io_msg(e.to_string()))?;
+    check_schemes(std::slice::from_ref(&scheme), gpu.l2)
+        .map_err(|e| ArgError::invalid("scheme", &scheme.to_string(), format!("valid ({e})")))?;
     let fault_model = flag_config(args, "fault-model", STUCK_AT, default_fault_registry())?;
     let map = if scheme.name == BASELINE {
         Arc::new(FaultMap::fault_free(gpu.l2.lines()))
@@ -1121,6 +1130,31 @@ fn io_msg(message: impl Into<String>) -> ArgError {
     ArgError::Io {
         message: message.into(),
     }
+}
+
+/// The usage error of a sweep config that [`SweepConfig::validate`]
+/// rejected: every rule it applies reads one flag's value, and the error
+/// names that flag, with the value as the config holds it. `schemes` and
+/// `vdds` are the command's flags for the scheme list and the voltage
+/// grid.
+fn invalid_sweep(e: SweepConfigError, config: &SweepConfig, schemes: &str, vdds: &str) -> ArgError {
+    let list = |items: Vec<String>| items.join(",");
+    let (flag, value) = match &e {
+        SweepConfigError::NoOps => ("ops", config.ops_per_cu.to_string()),
+        SweepConfigError::Geometry { .. } => {
+            ("l2kb", (config.gpu.l2.size_bytes / 1024).to_string())
+        }
+        SweepConfigError::Scheme(_) => (
+            schemes,
+            list(config.schemes.iter().map(ToString::to_string).collect()),
+        ),
+        SweepConfigError::FaultModel(_) => ("fault-model", config.fault_model.to_string()),
+        SweepConfigError::VoltageGrid { .. } => (
+            vdds,
+            list(config.vdds.iter().map(ToString::to_string).collect()),
+        ),
+    };
+    ArgError::invalid(flag, &value, format!("valid ({e})"))
 }
 
 /// `killi serve`: the sweep engine as an HTTP daemon. The first stdout
@@ -1366,12 +1400,107 @@ mod tests {
         assert!(flag.is_usage(), "{flag}");
         let value = dispatch(&parse(&["sweep", "--workloads", "nosuch"])).unwrap_err();
         assert!(value.is_usage(), "{value}");
-        // A failure while the command runs prints no usage text.
-        let run = dispatch(&parse(&["sweep", "--l2kb", "96", "--schemes", "flair"])).unwrap_err();
+        // A value a sweep cannot run is a usage error naming its flag.
+        let geometry =
+            dispatch(&parse(&["sweep", "--l2kb", "96", "--schemes", "flair"])).unwrap_err();
+        assert!(
+            matches!(&geometry, ArgError::InvalidValue { flag, value, .. }
+                if flag == "l2kb" && value == "96"),
+            "{geometry:?}"
+        );
+        assert!(geometry.is_usage(), "{geometry}");
+        assert!(
+            geometry.to_string().contains("invalid GPU geometry"),
+            "{geometry}"
+        );
+        // A failure while the command runs prints no usage text: a die
+        // store written under another seed.
+        let dir = std::env::temp_dir().join(format!("killi-cli-store-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (store, out) = (dir.join("dies.kds"), dir.join("vmin.json"));
+        let vmin = |seed: &str| {
+            dispatch(&parse(&[
+                "vmin",
+                "--dies",
+                "1",
+                "--lines",
+                "64",
+                "--threads",
+                "1",
+                "--seed",
+                seed,
+                "--store",
+                store.to_str().unwrap(),
+                "--out",
+                out.to_str().unwrap(),
+            ]))
+        };
+        vmin("7").expect("a campaign that writes its store");
+        let run = vmin("8").unwrap_err();
+        std::fs::remove_dir_all(&dir).unwrap();
         assert!(
             matches!(run, ArgError::Io { .. }) && !run.is_usage(),
             "{run}"
         );
+        assert!(
+            run.to_string()
+                .contains("die store does not match the campaign"),
+            "{run}"
+        );
+    }
+
+    #[test]
+    fn a_rejected_sweep_names_the_flag_of_each_rule() {
+        for (argv, flag, message) in [
+            (
+                &["sweep", "--ops", "0"][..],
+                "ops",
+                "`ops_per_cu` must be at least 1",
+            ),
+            (&["sweep", "--l2kb", "96"], "l2kb", "invalid GPU geometry"),
+            (
+                &["sweep", "--schemes", "killi,ms-ecc:t=3"],
+                "schemes",
+                "cannot build `ms-ecc`",
+            ),
+            (
+                &["sweep", "--l2kb", "64", "--schemes", "killi:ratio=4096"],
+                "schemes",
+                "ECC cache smaller than one set",
+            ),
+            (
+                &["sweep", "--fault-model", "table:anchors=0.5@-10;0.7@-2"],
+                "fault-model",
+                "anchor log10_p must not increase with voltage",
+            ),
+            (
+                &["sweep", "--vdds", "0.6,0.65,0.6"],
+                "vdds",
+                "invalid voltage grid",
+            ),
+            (
+                &["simulate", "--scheme", "ms-ecc:t=3"],
+                "scheme",
+                "cannot build `ms-ecc`",
+            ),
+            (
+                &["trace", "--scheme", "killi:ratio=0"],
+                "scheme",
+                "ratio must be positive",
+            ),
+            (
+                &["area", "--ratio", "16384"],
+                "ratio",
+                "cannot build `killi`: ECC cache smaller than one set",
+            ),
+        ] {
+            let err = dispatch(&parse(argv)).unwrap_err();
+            assert!(
+                matches!(&err, ArgError::InvalidValue { flag: f, .. } if f == flag),
+                "{argv:?}: {err:?}"
+            );
+            assert!(err.to_string().contains(message), "{argv:?}: {err}");
+        }
     }
 
     fn spelled(schemes: &[SchemeConfig]) -> Vec<String> {

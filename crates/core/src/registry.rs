@@ -211,10 +211,10 @@ impl LineRule {
 /// Whether no `block_cells`-cell block of the data payload holds more
 /// than `max_faults` of the data-cell faults `data`. Kept out of line, so
 /// that [`LineRule::admits`] stays small enough to inline into per-line
-/// loops: inlined, this body made validating a sweep of `ms-ecc`,
-/// `dected` and `flair-online` on a 2 MiB L2 (a fault-free 32,768-line
-/// test build of each) about 0.2 ms, a quarter, slower, and so did a
-/// `map` adapter in `admits` itself (0.35 -> 0.40 ms).
+/// loops: inlined, this body made the fault-free 32,768-line builds of
+/// `ms-ecc`, `dected` and `flair-online` on a 2 MiB L2 (which validating
+/// a sweep then ran) about 0.2 ms, a quarter, slower, and so did a `map`
+/// adapter in `admits` itself (0.35 -> 0.40 ms).
 #[inline(never)]
 fn blocks_within<'a>(
     data: impl Iterator<Item = &'a CellFault>,
@@ -258,8 +258,12 @@ fn first_over<T>(
 /// build context yield a scheme or a typed error.
 pub type BuildFn = fn(&ResolvedParams, &BuildCtx) -> Result<Box<dyn LineProtection>, BuildError>;
 
+/// Signature of a descriptor's check: whether resolved parameters build
+/// over an L2 of the given geometry, answered without building.
+pub type CheckFn = fn(&ResolvedParams, &CacheGeometry) -> Result<(), BuildError>;
+
 /// A registered scheme: name, documentation, parameter schema, and the
-/// label/build functions.
+/// label/check/build functions.
 #[derive(Debug)]
 pub struct SchemeDescriptor {
     /// Registered name (what `--scheme` selects).
@@ -271,7 +275,12 @@ pub struct SchemeDescriptor {
     /// Report label for a resolved config (the strings pinned by report
     /// schemas, e.g. `killi-1:64`).
     pub label: fn(&ResolvedParams) -> String,
-    /// Builds the scheme.
+    /// Every rule the build applies to the parameters and the L2
+    /// geometry, with no fault map and no per-line state: a build over a
+    /// map of the geometry's lines fails exactly when the check does, with
+    /// the check's error. [`Descriptor::build`] runs it first.
+    pub check: CheckFn,
+    /// Builds the scheme from parameters that passed `check`.
     pub build: BuildFn,
     /// The static line-admissibility rule of a resolved config (the
     /// binning predicate the Vmin campaign evaluates per grid voltage),
@@ -302,8 +311,21 @@ impl Descriptor for SchemeDescriptor {
         params: &ResolvedParams,
         ctx: &BuildCtx,
     ) -> Result<Box<dyn LineProtection>, BuildError> {
+        (self.check)(params, &ctx.geometry)?;
         (self.build)(params, ctx)
     }
+}
+
+/// Whether a config builds over an L2 of `geometry`: its descriptor's
+/// [`SchemeDescriptor::check`], which allocates nothing per line. A
+/// config that passes builds on any fault map of the geometry's lines.
+pub fn check(
+    registry: &SchemeRegistry,
+    config: &SchemeConfig,
+    geometry: &CacheGeometry,
+) -> Result<(), BuildError> {
+    let (descriptor, params) = registry.lookup(config)?;
+    (descriptor.check)(&params, geometry)
 }
 
 /// The static line-admissibility rule of a config (see [`LineRule`]).
@@ -376,6 +398,29 @@ fn killi_config(
     Ok(config)
 }
 
+/// The rules a Killi-family build applies, in its order: the core
+/// parameters ([`killi_config`]), the variant's cycle-count parameters
+/// `cycles`, and the ECC cache they give over `geometry`
+/// ([`crate::ecc_cache::EccCacheConfig::validate`]).
+fn killi_check(
+    p: &ResolvedParams,
+    geometry: &CacheGeometry,
+    cycles: &[&str],
+) -> Result<(), BuildError> {
+    let lines = geometry.lines();
+    let config = killi_config(p, KilliConfig::with_ratio(1), lines)?;
+    for key in cycles {
+        cycles_param(p, key)?;
+    }
+    config
+        .ecc_cache
+        .validate(lines)
+        .map_err(|reason| BuildError::Build {
+            name: p.name().to_string(),
+            reason,
+        })
+}
+
 /// Wraps a built [`KilliScheme`] construction, mapping geometry failures.
 fn build_killi_scheme(
     p: &ResolvedParams,
@@ -444,6 +489,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
         doc: "unprotected L2 at nominal voltage (fault-free reference)",
         params: Vec::new(),
         label: |_| "baseline".to_string(),
+        check: |_, _| Ok(()),
         build: |_, _| Ok(Box::new(Unprotected::new())),
         admissibility: |_| {
             Ok(LineRule::Total {
@@ -490,6 +536,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
             }
             label
         },
+        check: |p, geometry| killi_check(p, geometry, &[]),
         build: |p, ctx| {
             let mut config = killi_config(p, KilliConfig::with_ratio(1), ctx.geometry.lines())?;
             config.victim_priority = p.bool("victim_priority");
@@ -508,6 +555,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
         doc: "Killi ablation: §4.4 victim priority off",
         params: killi_core_params(64),
         label: |_| "killi-no-victim-prio".to_string(),
+        check: |p, geometry| killi_check(p, geometry, &[]),
         build: |p, ctx| {
             let mut config = killi_config(p, KilliConfig::with_ratio(1), ctx.geometry.lines())?;
             config.victim_priority = false;
@@ -521,6 +569,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
         doc: "Killi ablation: §4.4 eviction training off",
         params: killi_core_params(64),
         label: |_| "killi-no-evict-train".to_string(),
+        check: |p, geometry| killi_check(p, geometry, &[]),
         build: |p, ctx| {
             let mut config = killi_config(p, KilliConfig::with_ratio(1), ctx.geometry.lines())?;
             config.eviction_training = false;
@@ -534,6 +583,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
         doc: "Killi ablation: §4.4 coordinated promotion off",
         params: killi_core_params(64),
         label: |_| "killi-no-promotion".to_string(),
+        check: |p, geometry| killi_check(p, geometry, &[]),
         build: |p, ctx| {
             let mut config = killi_config(p, KilliConfig::with_ratio(1), ctx.geometry.lines())?;
             config.coordinated_promotion = false;
@@ -547,6 +597,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
         doc: "Killi + §5.2 DEC-TED upgrade (two-fault lines stay usable)",
         params: killi_core_params(64),
         label: |p| killi_label("killi-dected", p),
+        check: |p, geometry| killi_check(p, geometry, &[]),
         build: |p, ctx| {
             let mut config = killi_config(p, KilliConfig::with_ratio(1), ctx.geometry.lines())?;
             config.dected_upgrade = true;
@@ -573,6 +624,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
             params
         },
         label: |p| killi_label("killi-invchk", p),
+        check: |p, geometry| killi_check(p, geometry, &["penalty"]),
         build: |p, ctx| {
             let mut config = killi_config(p, KilliConfig::with_ratio(1), ctx.geometry.lines())?;
             config.inverted_write_check = true;
@@ -587,6 +639,7 @@ pub fn register_killi_schemes(registry: &mut SchemeRegistry) {
         doc: "Killi + §5.5 OLSC(8, 2) payloads (the low-Vmin chaser)",
         params: killi_core_params(8),
         label: |p| killi_label("killi-olsc", p),
+        check: |p, geometry| killi_check(p, geometry, &[]),
         build: |p, ctx| {
             let mut config = killi_config(p, KilliConfig::with_olsc(1), ctx.geometry.lines())?;
             config.olsc_mode = true;

@@ -17,7 +17,10 @@
 //! ([`crate::model::FaultModel::grid_masks`]): each line of a die is
 //! hashed once at the grid's lowest voltage, and each cell faulty there
 //! carries the grid points it is faulty at and its polarity at each
-//! ([`GridFault`]). A map is the stream over a one-point grid.
+//! ([`GridFault`]). The maps of a grid's points are read from one stream
+//! ([`crate::model::FaultModel::grid_maps`]), a map is its one-point
+//! case, and the maps of contiguous line ranges join in line order
+//! ([`FaultMap::join`]).
 //! [`FaultMap::dense_reference`] hashes every cell of the stuck-at model
 //! on its own; it is the oracle that construction is tested against.
 
@@ -109,6 +112,32 @@ impl FaultMap {
     pub(crate) fn end_line(&mut self) {
         let end = u32::try_from(self.cells.len()).expect("fault map exceeds u32::MAX faults");
         self.offsets.push(end);
+    }
+
+    /// The map of contiguous line ranges `parts`, in line order: the
+    /// lines of each part follow those of the part before it. The first
+    /// part's vectors grow into the result, so joining one part copies
+    /// nothing, and the others' lines are copied after it. No parts join
+    /// into a map of no lines.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the joined map holds more than `u32::MAX` faults.
+    pub fn join(parts: Vec<FaultMap>) -> Self {
+        let lines = parts.iter().map(FaultMap::lines).sum::<usize>();
+        let cells = parts.iter().map(|part| part.cells.len()).sum::<usize>();
+        u32::try_from(cells).expect("fault map exceeds u32::MAX faults");
+        let mut parts = parts.into_iter();
+        let mut map = parts.next().unwrap_or_else(|| FaultMap::with_lines(0));
+        map.offsets.reserve_exact(lines - map.lines());
+        map.cells.reserve_exact(cells - map.cells.len());
+        for part in parts {
+            let base = map.cells.len() as u32;
+            map.offsets
+                .extend(part.offsets[1..].iter().map(|&offset| base + offset));
+            map.cells.extend_from_slice(&part.cells);
+        }
+        map
     }
 
     /// The dense reference construction of a stuck-at map: one [`hash3`]
@@ -708,13 +737,56 @@ mod tests {
     }
 
     #[test]
-    fn grid_die_maps_match_dense_reference() {
+    fn grid_maps_match_dense_reference() {
         let grid = [0.55, 0.575, 0.6, 0.625, 0.65, 0.7, 1.0].map(NormVdd);
-        let die = crate::model::GridDie::draw(&*stuck_at(), 0..128, &grid, FreqGhz::PEAK, 42);
-        for (g, &vdd) in grid.iter().enumerate() {
+        let model_ = stuck_at();
+        let mut parts: Vec<_> = [0..50, 50..50, 50..128]
+            .into_iter()
+            .map(|lines| {
+                model_
+                    .grid_maps(lines, &grid, FreqGhz::PEAK, 42)
+                    .into_iter()
+            })
+            .collect();
+        for &vdd in &grid {
+            let map = FaultMap::join(parts.iter_mut().map(|p| p.next().unwrap()).collect());
             let dense = FaultMap::dense_reference(128, &model(), vdd, FreqGhz::PEAK, 42);
-            assert_maps_identical(&die.map(g as u32), &dense);
+            assert_maps_identical(&map, &dense);
         }
+    }
+
+    #[test]
+    fn join_concatenates_line_ranges() {
+        let fault = |cell| CellFault { cell, stuck: true };
+        let lines = |map: &FaultMap| -> Vec<Vec<CellFault>> {
+            (0..map.lines()).map(|l| map.line(l).to_vec()).collect()
+        };
+        // No parts: a map of no lines.
+        let empty = FaultMap::join(Vec::new());
+        assert_eq!(empty.lines(), 0);
+        // One part: the part itself, its vectors moved.
+        let one = FaultMap::from_faults(vec![vec![fault(1)], vec![], vec![fault(2), fault(9)]]);
+        let (offsets, cells) = (one.offsets.as_ptr(), one.cells.as_ptr());
+        let joined = FaultMap::join(vec![one.clone()]);
+        assert_eq!(lines(&joined), lines(&one));
+        let moved = FaultMap::join(vec![one]);
+        assert_eq!(
+            (moved.offsets.as_ptr(), moved.cells.as_ptr()),
+            (offsets, cells)
+        );
+        // Several parts, with empty lines on both sides of each seam and
+        // parts of no lines and of no faults among them.
+        let parts = [
+            vec![vec![fault(3)], vec![]],
+            vec![],
+            vec![vec![], vec![fault(0), fault(511)], vec![]],
+            vec![vec![]],
+            vec![vec![], vec![fault(559)]],
+        ];
+        let joined = FaultMap::join(parts.iter().cloned().map(FaultMap::from_faults).collect());
+        assert_eq!(lines(&joined), parts.concat());
+        let free = FaultMap::join(vec![FaultMap::fault_free(3), FaultMap::fault_free(2)]);
+        assert_eq!(lines(&free), vec![Vec::new(); 5]);
     }
 
     #[test]

@@ -45,12 +45,13 @@
 //! hashes no cell it does not flip: its random and MSB flips are drawn as
 //! geometric gaps over the eligible cells, one hash per flip, and each
 //! flip is stuck at 0 or 1 with probability ½. Everything else
-//! reads the stream a line at a time: [`FaultModel::map`] streams a
-//! one-point grid, a sweep boxes each line over its grid into a
-//! [`GridDie`] (drawn in line ranges on several threads and joined) and
-//! reads a map per grid point, and a Vmin campaign adds each faulty line
-//! to its usable-line tables. [`FaultModel::die`] only wraps
-//! [`FaultModel::map`] for the repository benchmark.
+//! reads the stream a line at a time: [`FaultModel::grid_maps`] pushes
+//! each line's faults into one map per grid point, [`FaultModel::map`]
+//! is its one-point case, a sweep draws each die's line ranges into maps
+//! on several threads and joins them ([`FaultMap::join`]), and a Vmin
+//! campaign adds each faulty line to its usable-line tables.
+//! [`FaultModel::die`] only wraps [`FaultModel::map`] for the repository
+//! benchmark.
 //!
 //! Each model keeps one construction written apart from the stream,
 //! [`FaultModel::map_reference`]: [`FaultMap::dense_reference`] for
@@ -87,17 +88,44 @@ use crate::rng::{
 /// from it. [`Self::map_reference`] is the model's one construction written
 /// apart from that draw, the oracle the draw is tested against.
 pub trait FaultModel: fmt::Debug + Send + Sync {
-    /// The fault map of one die at one operating point: the die's stream
-    /// over the one-point grid `[vdd]`.
+    /// The fault map of one die at one operating point: its
+    /// [`Self::grid_maps`] over the one-point grid `[vdd]`.
     fn map(&self, lines: usize, vdd: NormVdd, freq: FreqGhz, seed: u64) -> FaultMap {
-        let mut map = FaultMap::with_lines(lines);
-        self.grid_masks(0..lines, &[vdd], freq, seed, &mut |_, faults| {
-            for fault in faults {
-                map.push(fault.at(0));
+        let mut maps = self.grid_maps(0..lines, &[vdd], freq, seed);
+        maps.pop().expect("one map per grid point")
+    }
+
+    /// The maps of the lines `lines` of the die `(freq, seed)` at every
+    /// point of `grid` (at most 64), in grid order, read from one
+    /// [`Self::grid_masks`] stream: a cell goes into point `g`'s map when
+    /// bit `g` of its mask is set, stuck at bit `g` of its polarity. Map
+    /// line `i` is die line `lines.start + i`; [`FaultMap::join`] of the
+    /// maps of contiguous ranges is the map of their union.
+    fn grid_maps(
+        &self,
+        lines: Range<LineId>,
+        grid: &[NormVdd],
+        freq: FreqGhz,
+        seed: u64,
+    ) -> Vec<FaultMap> {
+        let mut maps: Vec<FaultMap> = grid
+            .iter()
+            .map(|_| FaultMap::with_lines(lines.len()))
+            .collect();
+        self.grid_masks(lines, grid, freq, seed, &mut |_, faults| {
+            for &fault in faults {
+                let mut mask = fault.mask;
+                while mask != 0 {
+                    let g = mask.trailing_zeros();
+                    maps[g as usize].push(fault.at(g));
+                    mask &= mask - 1;
+                }
             }
-            map.end_line();
+            for map in &mut maps {
+                map.end_line();
+            }
         });
-        map
+        maps
     }
 
     /// The independently-written reference construction of [`Self::map`],
@@ -186,84 +214,6 @@ impl<M: FaultModel + ?Sized> ReplicateDie for LazyDie<'_, M> {
             self.cap_vdd.0
         );
         self.model.map(self.lines, vdd, self.freq, self.seed)
-    }
-}
-
-/// A die over a grid of at most 64 voltages, collected from its model's
-/// stream for a sweep that reads many maps of it: per line, one
-/// exact-size slice of `(fault, mask)` entries in cell order, bit `g` of
-/// `mask` set iff the cell is faulty with `fault`'s polarity at grid point
-/// `g`. A cell whose polarity differs between points is two entries with
-/// disjoint masks.
-///
-/// A die may be drawn in contiguous line ranges on any threads and joined
-/// in line order. Its lines stay one exact-size slice each: packed into
-/// one vector, a die's faults (about 11 MB for a 2 MiB L2 at 0.575 x VDD)
-/// were measured to raise the peak resident memory of repeated sweeps by
-/// half or more, since a freed allocation that large stays resident with
-/// the allocator.
-#[derive(Debug, Default)]
-pub struct GridDie {
-    lines: Vec<Box<[(CellFault, u64)]>>,
-}
-
-impl GridDie {
-    /// The lines `lines` of the die `(freq, seed)` of `model` over `grid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grid` has more than 64 points.
-    pub fn draw(
-        model: &dyn FaultModel,
-        lines: Range<LineId>,
-        grid: &[NormVdd],
-        freq: FreqGhz,
-        seed: u64,
-    ) -> Self {
-        let mut die = Vec::with_capacity(lines.len());
-        let mut entries = Vec::new();
-        model.grid_masks(lines, grid, freq, seed, &mut |_, faults| {
-            entries.clear();
-            for &GridFault { cell, mask, stuck } in faults {
-                for (stuck, mask) in [(false, mask & !stuck), (true, stuck)] {
-                    if mask != 0 {
-                        entries.push((CellFault { cell, stuck }, mask));
-                    }
-                }
-            }
-            die.push(entries.as_slice().into());
-        });
-        GridDie { lines: die }
-    }
-
-    /// The die from its line ranges `parts`, in line order. The first
-    /// part's vector grows into the die's, so a die drawn in one range is
-    /// joined without allocating, and the join allocates where the draw
-    /// did, not on the caller's thread. The lines' slices move; they are
-    /// never copied.
-    pub fn join(parts: Vec<GridDie>) -> Self {
-        let lines = parts.iter().map(|part| part.lines.len()).sum::<usize>();
-        let mut parts = parts.into_iter();
-        let mut die = parts.next().unwrap_or_default();
-        die.lines.reserve_exact(lines - die.lines.len());
-        for part in parts {
-            die.lines.extend(part.lines);
-        }
-        die
-    }
-
-    /// The die's fault map at grid point `g`.
-    pub fn map(&self, g: u32) -> FaultMap {
-        let mut map = FaultMap::with_lines(self.lines.len());
-        for line in &self.lines {
-            for &(fault, mask) in line.iter() {
-                if (mask >> g) & 1 != 0 {
-                    map.push(fault);
-                }
-            }
-            map.end_line();
-        }
-        map
     }
 }
 
@@ -1129,11 +1079,14 @@ mod tests {
         let grid = [NormVdd(0.7), NormVdd(0.55), NormVdd(0.6)];
         for name in r.names() {
             let model = r.build(&FaultModelConfig::new(name), &()).unwrap();
-            let draw = |lines| GridDie::draw(&*model, lines, &grid, FreqGhz::PEAK, 9);
-            let die = GridDie::join(vec![draw(0..20), draw(20..20), draw(20..64)]);
-            for (g, &vdd) in grid.iter().enumerate() {
+            let mut parts: Vec<_> = [0..20, 20..20, 20..64]
+                .into_iter()
+                .map(|lines| model.grid_maps(lines, &grid, FreqGhz::PEAK, 9).into_iter())
+                .collect();
+            for &vdd in &grid {
+                let map = FaultMap::join(parts.iter_mut().map(|p| p.next().unwrap()).collect());
                 let reference = model.map_reference(64, vdd, FreqGhz::PEAK, 9);
-                assert_maps_equal(&die.map(g as u32), &reference);
+                assert_maps_equal(&map, &reference);
                 let lazy = model.die(64, NormVdd(0.55), FreqGhz::PEAK, 9).unwrap();
                 assert_maps_equal(&lazy.map_at(vdd), &reference);
             }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use killi_check::check;
 use killi_fault::cell_model::{CellFailureModel, FailureKind, FreqGhz, NormVdd};
 use killi_fault::map::FaultMap;
-use killi_fault::model::{default_registry, FaultModel, FaultModelConfig, GridDie};
+use killi_fault::model::{default_registry, FaultModel, FaultModelConfig};
 use killi_fault::prob::{binom_cdf, binom_pmf, binom_sf};
 use killi_fault::rng::{hash3, to_unit};
 
@@ -59,53 +59,69 @@ fn sparse_build_matches_dense_for_any_operating_point() {
     });
 }
 
-/// A die of `lines` lines over `grid`, drawn in up to four random
-/// contiguous line ranges and joined, as a sweep draws it.
-fn grid_die(
+/// The maps of a die of `lines` lines at every point of `grid`, each
+/// drawn in up to four random contiguous line ranges and joined, as a
+/// sweep draws them.
+fn joined_maps(
     g: &mut killi_check::Gen,
     model: &dyn FaultModel,
     lines: usize,
     grid: &[NormVdd],
     seed: u64,
-) -> GridDie {
+) -> Vec<FaultMap> {
     let mut cuts: Vec<usize> = (0..g.usize_in(0, 4))
         .map(|_| g.usize_in(0, lines + 1))
         .collect();
     cuts.extend([0, lines]);
     cuts.sort_unstable();
-    let parts = cuts
+    let mut parts: Vec<_> = cuts
         .windows(2)
-        .map(|w| GridDie::draw(model, w[0]..w[1], grid, FreqGhz::PEAK, seed))
+        .map(|w| {
+            model
+                .grid_maps(w[0]..w[1], grid, FreqGhz::PEAK, seed)
+                .into_iter()
+        })
         .collect();
-    GridDie::join(parts)
+    grid.iter()
+        .map(|_| FaultMap::join(parts.iter_mut().map(|p| p.next().unwrap()).collect()))
+        .collect()
 }
 
 #[test]
-fn grid_die_derives_dense_maps_at_any_grid_point() {
-    check("grid_die_derives_dense_maps_at_any_grid_point", |g| {
+fn grid_maps_derive_dense_maps_at_any_grid_point() {
+    let registry = default_registry();
+    check("grid_maps_derive_dense_maps_at_any_grid_point", |g| {
         let seed = g.u64();
         let cap = g.f64_in(0.5, 0.64);
         let grid = [NormVdd((cap + g.f64_in(0.0, 0.3)).min(1.0)), NormVdd(cap)];
         let lines = g.usize_in(1, 96);
-        let die = grid_die(g, &*stuck_at(), lines, &grid, seed);
+        for name in registry.names() {
+            let model = registry.build(&FaultModelConfig::new(name), &()).unwrap();
+            let maps = joined_maps(g, &*model, lines, &grid, seed);
+            for (map, &vdd) in maps.iter().zip(&grid) {
+                assert_maps_identical(map, &model.map(lines, vdd, FreqGhz::PEAK, seed));
+                assert_maps_identical(map, &model.map_reference(lines, vdd, FreqGhz::PEAK, seed));
+            }
+        }
+        let maps = joined_maps(g, &*stuck_at(), lines, &grid, seed);
         let model = CellFailureModel::finfet14();
-        for (i, &vdd) in grid.iter().enumerate() {
+        for (map, &vdd) in maps.iter().zip(&grid) {
             let dense = FaultMap::dense_reference(lines, &model, vdd, FreqGhz::PEAK, seed);
-            assert_maps_identical(&die.map(i as u32), &dense);
+            assert_maps_identical(map, &dense);
         }
     });
 }
 
 #[test]
-fn grid_die_preserves_voltage_nesting() {
-    check("grid_die_preserves_voltage_nesting", |g| {
+fn grid_maps_preserve_voltage_nesting() {
+    check("grid_maps_preserve_voltage_nesting", |g| {
         let seed = g.u64();
         let cap = g.f64_in(0.5, 0.6);
         let v_lo = cap + g.f64_in(0.0, 0.05);
         let v_hi = (v_lo + g.f64_in(0.0, 0.1)).min(1.0);
         let grid = [NormVdd(cap), NormVdd(v_lo), NormVdd(v_hi)];
-        let die = grid_die(g, &*stuck_at(), 64, &grid, seed);
-        let (lo, hi) = (die.map(1), die.map(2));
+        let maps = joined_maps(g, &*stuck_at(), 64, &grid, seed);
+        let (lo, hi) = (&maps[1], &maps[2]);
         for l in 0..64 {
             for f in hi.line(l) {
                 assert!(lo.line(l).contains(f), "line {l}: {f:?} not nested");

@@ -23,7 +23,6 @@ use killi_repro::bench::schemes::{default_registry as scheme_registry, SchemeCon
 use killi_repro::bench::sweep::{run_sweep, SweepConfig};
 use killi_repro::fault::cell_model::{FreqGhz, NormVdd};
 use killi_repro::fault::map::{CellFault, FaultMap};
-use killi_repro::fault::model::GridDie;
 use killi_repro::sim::cache::CacheGeometry;
 use killi_repro::sim::gpu::GpuConfig;
 use killi_repro::vmin::{run_campaign, SearchMode, VminConfig, DEFAULT_GRID};
@@ -195,17 +194,23 @@ fn die_factorization_matches_per_voltage_maps_when_offered() {
     let mut g = Gen::new(17);
     for config in spellings {
         let model = build_fault_model(&config).expect("builds");
-        // The die a sweep reads, joined from random line ranges of the
+        // The maps a sweep reads, joined from random line ranges of the
         // stream, drawn last first.
         let ranges = random_ranges(&mut g, 256);
         let mut parts: Vec<_> = ranges
             .iter()
             .rev()
-            .map(|r| GridDie::draw(&*model, r.clone(), &grid, FreqGhz::PEAK, 17))
+            .map(|r| {
+                model
+                    .grid_maps(r.clone(), &grid, FreqGhz::PEAK, 17)
+                    .into_iter()
+            })
             .collect();
         parts.reverse();
-        let die = GridDie::join(parts);
-        let maps: Vec<FaultMap> = (0..grid.len() as u32).map(|g| die.map(g)).collect();
+        let maps: Vec<FaultMap> = grid
+            .iter()
+            .map(|_| FaultMap::join(parts.iter_mut().map(|p| p.next().unwrap()).collect()))
+            .collect();
         for (map, vdd) in maps.iter().zip(grid) {
             let config = format!("{config}, die from ranges {ranges:?}");
             let direct = model.map_reference(256, vdd, FreqGhz::PEAK, 17);

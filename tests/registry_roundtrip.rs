@@ -19,15 +19,15 @@ use std::sync::Arc;
 
 use killi_repro::bench::fault_models::{build_fault_model, default_fault_registry};
 use killi_repro::bench::schemes::{
-    build_scheme, default_registry, scheme_admissibility, BuildCtx, BuildError, LineRule,
-    ParamValue, SchemeConfig,
+    build_scheme, check_schemes, default_registry, scheme_admissibility, BuildCtx, BuildError,
+    LineRule, ParamValue, SchemeConfig,
 };
 use killi_repro::fault::cell_model::{FreqGhz, NormVdd};
 use killi_repro::fault::map::{CellFault, FaultMap, GridFault};
-use killi_repro::fault::model::GridDie;
 use killi_repro::obs::parse_json;
 use killi_repro::obs::registry::{Config, Descriptor, Registry};
 use killi_repro::sim::cache::CacheGeometry;
+use killi_repro::sim::gpu::GpuConfig;
 
 mod common;
 
@@ -397,9 +397,9 @@ fn every_registered_scheme_builds_or_fails_typed_under_random_params() {
     // Every scheme and every fault model under hostile parameters: NaN,
     // the infinities, -0.0, 1e300, 2^32, 2^64 and u64::MAX, in both
     // spellings. Builds and admissibility rules return a value or a typed
-    // error; nothing panics. Every fault model that builds also draws a
-    // die over two voltages, reads its map at each and streams its grid
-    // masks over both.
+    // error; nothing panics. Every fault model that builds also draws its
+    // maps at two voltages from one stream and streams its grid masks
+    // over both.
     let ctx = ctx();
     let grid = [NormVdd(0.55), NormVdd(0.65)];
     killi_check::check_cases("registry_build_fuzz", 256, |g| {
@@ -411,15 +411,61 @@ fn every_registered_scheme_builds_or_fails_typed_under_random_params() {
             let Ok(model) = build_fault_model(config) else {
                 return;
             };
-            let die = GridDie::draw(&*model, 0..64, &grid, FreqGhz::PEAK, 7);
-            for g in 0..grid.len() as u32 {
-                die.map(g);
-            }
+            assert_eq!(model.grid_maps(0..64, &grid, FreqGhz::PEAK, 7).len(), 2);
             model.grid_masks(0..64, &grid, FreqGhz::PEAK, 7, &mut |_, faults| {
                 for &GridFault { mask, .. } in faults {
                     assert!(mask != 0 && mask < 1 << grid.len(), "{config}: {mask:#b}");
                 }
             });
+        });
+    });
+}
+
+#[test]
+fn a_scheme_check_answers_what_its_build_would() {
+    // Validation runs each descriptor's check and never builds, so the
+    // check must say what the build says: over every geometry a GPU
+    // accepts, for every spelling the fuzz draws, the check returns
+    // exactly what the descriptor's own build returns on a fault-free map
+    // (`Ok`, or the same error). A sweep or job that passed validation
+    // therefore never fails to build, or panics, in `run_cell`.
+    let geometries: Vec<(CacheGeometry, BuildCtx)> = [1, 4, 16, 64]
+        .into_iter()
+        .flat_map(|kib| {
+            [1, 2, 4, 6, 16, 64].map(|ways| CacheGeometry {
+                size_bytes: kib * 1024,
+                ways,
+                line_bytes: 64,
+            })
+        })
+        .filter(|&l2| {
+            GpuConfig {
+                l2,
+                ..GpuConfig::default()
+            }
+            .validate()
+            .is_ok()
+        })
+        .map(|l2| {
+            (
+                l2,
+                BuildCtx::new(Arc::new(FaultMap::fault_free(l2.lines())), l2),
+            )
+        })
+        .collect();
+    assert!(geometries.len() >= 10, "{} geometries", geometries.len());
+    let registry = default_registry();
+    killi_check::check_cases("scheme_check_matches_build", 64, |g| {
+        fuzz_registry(g, registry, |config| {
+            let Ok((descriptor, params)) = registry.lookup(config) else {
+                return;
+            };
+            for (l2, ctx) in &geometries {
+                let checked = (descriptor.check)(&params, l2);
+                let built = (descriptor.build)(&params, ctx).map(|_| ());
+                assert_eq!(checked, built, "{config} on {l2:?}");
+                assert_eq!(check_schemes(std::slice::from_ref(config), *l2), checked);
+            }
         });
     });
 }
