@@ -38,6 +38,7 @@ use killi_ecc::olsc::{OlscDecode, OlscLine};
 use killi_ecc::secded::{secded, SecdedDecode};
 use killi_fault::map::{FaultMap, LineId};
 use killi_obs::{Counter, KilliEvent, MetricSet, Sink};
+use killi_sim::cache::BitVec;
 use killi_sim::protection::{FillOutcome, LineProtection, ReadOutcome, SetClasses};
 
 /// Per-line SECDED keeps any single-fault line (data + checkbit cells) in
@@ -153,10 +154,16 @@ impl PairTest {
         }
     }
 
-    /// Whether `line`'s MBIST verdict is known.
-    fn tested(&self, line: LineId) -> bool {
-        self.pair.is_none_or(|pair| (line % self.ways) / 2 < pair)
+    /// The ways of every set whose MBIST verdict is known, as a bitmask:
+    /// those below the pair under test, or all once every pair is tested.
+    fn tested_ways(&self) -> u64 {
+        low_ways(self.pair.map_or(self.ways, |pair| 2 * pair))
     }
+}
+
+/// Ways `0..n` of a set as a bitmask, `n <= 64`.
+fn low_ways(n: usize) -> u64 {
+    u64::MAX.checked_shr(64 - n as u32).unwrap_or(0)
 }
 
 /// Every even way of a set: the ways FLAIR keeps usable while their pair
@@ -173,9 +180,9 @@ pub struct PerLineEcc {
     map: Arc<FaultMap>,
     /// Stored checkbits of each valid line.
     checkbits: Vec<Option<EccPayload>>,
-    /// MBIST verdict per line: true when the rule does not admit the
-    /// line's faults.
-    disabled: Vec<bool>,
+    /// MBIST verdict per line, one bit each: set when the rule does not
+    /// admit the line's faults.
+    disabled: BitVec,
     health: Health,
     corrections: u64,
     detections: u64,
@@ -195,9 +202,12 @@ impl PerLineEcc {
         if map.lines() < lines {
             return Err("fault map too small".to_string());
         }
-        let disabled = (0..lines)
-            .map(|line| !rule.admits(map.line(line)))
-            .collect();
+        let mut disabled = BitVec::zeroed(lines);
+        for line in 0..lines {
+            if !rule.admits(map.line(line)) {
+                disabled.set(line, true);
+            }
+        }
         Ok(PerLineEcc {
             name,
             code,
@@ -241,13 +251,17 @@ impl PerLineEcc {
     /// Lines whose disabled verdict is known.
     fn disabled_lines(&self) -> u64 {
         let count = match &self.health {
-            Health::Oracle => self.disabled.iter().filter(|&&d| d).count(),
-            Health::PairTest(test) => self
-                .disabled
-                .iter()
-                .enumerate()
-                .filter(|&(line, &d)| d && test.tested(line))
-                .count(),
+            Health::Oracle => self.disabled.count_ones(),
+            Health::PairTest(test) => {
+                let (lines, tested) = (self.checkbits.len(), test.tested_ways());
+                (0..lines)
+                    .step_by(test.ways)
+                    .map(|first| {
+                        let set = self.disabled.range(first, test.ways.min(lines - first));
+                        (set & tested).count_ones() as usize
+                    })
+                    .sum()
+            }
         };
         count as u64
     }
@@ -285,30 +299,24 @@ impl LineProtection for PerLineEcc {
                 return way.is_multiple_of(2).then_some(0);
             }
         }
-        (!self.disabled[line]).then_some(0)
+        (!self.disabled.get(line)).then_some(0)
     }
 
     fn victim_classes(&self, first: LineId, ways: usize) -> SetClasses {
-        // One pass over the set's MBIST verdicts: every usable way is
-        // class 0.
-        let mut usable = self.disabled[first..first + ways]
-            .iter()
-            .enumerate()
-            .fold(0, |usable, (way, &disabled)| {
-                usable | u64::from(!disabled) << way
-            });
-        if let Health::PairTest(PairTest {
-            pair: Some(pair),
-            ways: test_ways,
-            ..
-        }) = &self.health
+        // The set's MBIST verdicts as one word: every usable way is class
+        // 0.
+        let mut usable = !self.disabled.range(first, ways) & low_ways(ways);
+        if let Health::PairTest(
+            test @ PairTest {
+                pair: Some(pair), ..
+            },
+        ) = &self.health
         {
-            debug_assert!(ways == *test_ways && first.is_multiple_of(ways));
+            debug_assert!(ways == test.ways && first.is_multiple_of(ways));
             // The ways below the pair under test are characterized, and
             // the ways above it run DMR on their even ways.
-            let below = |way: usize| u64::MAX.checked_shr(64 - way as u32).unwrap_or(0);
-            let untested = below(ways) & !below(2 * pair + 2);
-            usable = usable & below(2 * pair) | untested & EVEN_WAYS;
+            let untested = low_ways(ways) & !low_ways(2 * pair + 2);
+            usable = usable & test.tested_ways() | untested & EVEN_WAYS;
         }
         SetClasses {
             by_class: [usable, 0, 0, 0],
@@ -737,14 +745,21 @@ mod tests {
                 })
                 .collect();
             let map = Arc::new(FaultMap::from_faults(faults));
-            let assert_sets_agree = |s: &PerLineEcc, phase: &str| {
+            // The sets agree, and the disabled count is that of the lines
+            // whose verdict is known: ways below `tested_pairs`' pairs.
+            let assert_sets_agree = |s: &PerLineEcc, tested_pairs: usize| {
                 for first in (0..lines).step_by(ways) {
                     assert_eq!(
                         s.victim_classes(first, ways),
                         per_way_classes(s, first, ways),
-                        "{ways} ways, set at {first}, {phase}"
+                        "{ways} ways, set at {first}, {tested_pairs} pairs tested"
                     );
                 }
+                let known_disabled = (0..lines)
+                    .filter(|&l| (l % ways) / 2 < tested_pairs)
+                    .filter(|&l| !SECDED_RULE.admits(map.line(l)))
+                    .count();
+                assert_eq!(disabled(s), known_disabled as u64, "{ways} ways");
             };
             let oracle = PerLineEcc::with_oracle(
                 "flair",
@@ -754,17 +769,17 @@ mod tests {
                 lines,
             )
             .unwrap();
-            assert_sets_agree(&oracle, "oracle");
+            assert_sets_agree(&oracle, ways);
             if ways % 2 == 1 {
                 continue;
             }
             // Every phase of the pair test: one access tests one pair.
             let mut online = PerLineEcc::flair_online(Arc::clone(&map), lines, ways, 1).unwrap();
             for pair in 0..ways / 2 {
-                assert_sets_agree(&online, &format!("pair {pair} under test"));
+                assert_sets_agree(&online, pair);
                 online.tick();
             }
-            assert_sets_agree(&online, "every pair tested");
+            assert_sets_agree(&online, ways);
         }
     }
 

@@ -148,8 +148,9 @@ impl LineRule {
     pub fn admits(&self, faults: &[CellFault]) -> bool {
         match *self {
             LineRule::Total { span, max_faults } => {
-                let count = faults.iter().filter(|f| span.contains(f.cell)).count();
-                count <= max_faults as usize
+                // Counting stops at the first fault over the budget.
+                let mut in_span = faults.iter().filter(|f| span.contains(f.cell));
+                in_span.nth(max_faults as usize).is_none()
             }
             LineRule::PerBlock {
                 block_cells,

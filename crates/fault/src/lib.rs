@@ -8,8 +8,9 @@
 //! - [`model`] — the data-driven fault-model registry: the [`FaultModel`]
 //!   trait plus named, parameterized models (`stuck-at`, `clustered`,
 //!   `transient`, `table`) resolved from CLI/JSON spellings; each model
-//!   implements one draw, a stream of grid masks that every map, sweep
-//!   die and Vmin campaign reads, and keeps one reference construction,
+//!   implements one draw, a stream of grid masks that every map, a
+//!   sweep's maps at each grid point and a Vmin campaign read, and keeps
+//!   one reference construction,
 //! - [`map`] — persistent stuck-at fault maps with the silicon-observed
 //!   properties (persistence, voltage/frequency monotonicity, masking),
 //!   the per-line grid-mask draw behind every model's stream, and the

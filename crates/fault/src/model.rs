@@ -84,9 +84,10 @@ use crate::rng::{
 /// physical die across every operating point of a sweep grid.
 ///
 /// A model draws its die one way, as a stream of grid masks
-/// ([`Self::grid_masks`]); every map, sweep die and campaign die comes
-/// from it. [`Self::map_reference`] is the model's one construction written
-/// apart from that draw, the oracle the draw is tested against.
+/// ([`Self::grid_masks`]); every map, a sweep's maps at each grid point
+/// and every campaign die come from it. [`Self::map_reference`] is the
+/// model's one construction written apart from that draw, the oracle the
+/// draw is tested against.
 pub trait FaultModel: fmt::Debug + Send + Sync {
     /// The fault map of one die at one operating point: its
     /// [`Self::grid_maps`] over the one-point grid `[vdd]`.

@@ -144,27 +144,31 @@ impl AddrMap {
     }
 }
 
-/// Packed one-bit-per-line flags (valid/dirty): 64 lines per word, so the
-/// flag sweep of a victim search stays within one metadata cache line.
+/// Packed one-bit-per-line flags (valid/dirty, a scheme's disabled
+/// lines): 64 lines per word, so the flag sweep of a victim search stays
+/// within one metadata cache line.
 #[derive(Debug, Clone)]
-struct BitVec {
+pub struct BitVec {
     words: Vec<u64>,
 }
 
 impl BitVec {
-    fn zeroed(bits: usize) -> Self {
+    /// `bits` flags, all clear.
+    pub fn zeroed(bits: usize) -> Self {
         BitVec {
             words: vec![0; bits.div_ceil(64)],
         }
     }
 
+    /// Flag `i`.
     #[inline]
-    fn get(&self, i: usize) -> bool {
+    pub fn get(&self, i: usize) -> bool {
         (self.words[i >> 6] >> (i & 63)) & 1 != 0
     }
 
+    /// Sets flag `i` to `v`.
     #[inline]
-    fn set(&mut self, i: usize, v: bool) {
+    pub fn set(&mut self, i: usize, v: bool) {
         let mask = 1u64 << (i & 63);
         if v {
             self.words[i >> 6] |= mask;
@@ -173,10 +177,18 @@ impl BitVec {
         }
     }
 
+    /// The number of flags set.
+    pub fn count_ones(&self) -> usize {
+        self.words
+            .iter()
+            .map(|word| word.count_ones() as usize)
+            .sum()
+    }
+
     /// Bits `first..first + n` (`1 <= n <= 64`) as one word, bit `i`
     /// holding bit `first + i`: a set's flags, whichever words they span.
     #[inline]
-    fn range(&self, first: usize, n: usize) -> u64 {
+    pub fn range(&self, first: usize, n: usize) -> u64 {
         let (word, shift) = (first >> 6, first & 63);
         let mut bits = self.words[word] >> shift;
         if shift + n > 64 {
