@@ -212,10 +212,10 @@ impl LineRule {
 /// Whether no `block_cells`-cell block of the data payload holds more
 /// than `max_faults` of the data-cell faults `data`. Kept out of line, so
 /// that [`LineRule::admits`] stays small enough to inline into per-line
-/// loops: inlined, this body made the fault-free 32,768-line builds of
-/// `ms-ecc`, `dected` and `flair-online` on a 2 MiB L2 (which validating
-/// a sweep then ran) about 0.2 ms, a quarter, slower, and so did a `map`
-/// adapter in `admits` itself (0.35 -> 0.40 ms).
+/// loops: inlined, this body made fault-free 32,768-line builds of
+/// `ms-ecc`, `dected` and `flair-online` on a 2 MiB L2 about 0.2 ms, a
+/// quarter, slower, and so did a `map` adapter in `admits` itself (0.35
+/// -> 0.40 ms).
 #[inline(never)]
 fn blocks_within<'a>(
     data: impl Iterator<Item = &'a CellFault>,
